@@ -111,11 +111,20 @@ def validate_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
         ("outcome", [o.label for o in matrix.outcomes]),
         ("option", [o.label for o in matrix.options]),
     ):
-        seen: set[str] = set()
+        # species are keyed by slug, so two labels with one slug would
+        # silently share (and overwrite) each other's strands
+        by_slug: dict[str, str] = {}
         for lbl in labels:
-            if lbl in seen:
+            slug = _slug(lbl)
+            other = by_slug.get(slug)
+            if other == lbl:
                 raise DuplicateLabelError(f"duplicate {family} label {lbl!r}")
-            seen.add(lbl)
+            if other is not None:
+                raise DuplicateLabelError(
+                    f"{family} labels {other!r} and {lbl!r} collide: "
+                    f"both name their strands {slug!r}"
+                )
+            by_slug[slug] = lbl
     for opt in matrix.options:
         if len(opt.payoffs) != len(matrix.outcomes):
             raise MissingPayoffClassError(

@@ -4,6 +4,15 @@ Strands are stored 5'->3'. A duplex lays its bottom strand antiparallel under
 the top one at an integer column offset, so sticky ends fall out of the
 geometry instead of being tracked separately. Recognition sites here are the
 palindromic six-base blunt mid-cutters used by the protocol compiler.
+
+The duplex primitives work on whole slices rather than one base at a time:
+the pairing check compares the top strand's paired slice with the reverse
+complement of the matching bottom slice, `Duplex.top_line` is the top strand
+between its two complemented overhangs, and site scanning is a `str.find`
+loop over the double-stranded window. A digest with several enzymes is one
+`cut(duplex, *sites)` call that scans the line once per site and slices the
+duplex once; an instance of a later site is left uncut when an earlier
+site's cut column falls strictly inside it, as cutting site by site would.
 """
 
 from __future__ import annotations
@@ -80,9 +89,14 @@ class Duplex:
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.ds_end - self.ds_start < 1:
+        lo, hi = self.ds_start, self.ds_end
+        if hi - lo < 1:
             raise StrandError("strands do not overlap at this offset")
-        for c in range(self.ds_start, self.ds_end):
+        end = self.offset + len(self.bottom.seq)
+        paired = self.bottom.seq[end - hi : end - lo][::-1].translate(_COMPLEMENT)
+        if self.top.seq[lo:hi] == paired:
+            return
+        for c in range(lo, hi):
             if self.top.seq[c] != complement(self.bottom_base(c)):
                 raise StrandError(
                     f"mismatched pair at column {c}: "
@@ -119,14 +133,19 @@ class Duplex:
         return self.bottom.seq[self.offset + len(self.bottom.seq) - 1 - column]
 
     def top_line(self) -> str:
-        """Sequence content across the whole span, read in top-strand orientation."""
-        out = []
-        for c in range(self.span_start, self.span_end):
-            if 0 <= c < len(self.top.seq):
-                out.append(self.top.seq[c])
-            else:
-                out.append(complement(self.bottom_base(c)))
-        return "".join(out)
+        """Sequence content across the whole span, read in top-strand orientation.
+
+        Columns outside the top strand carry the complement of the bottom
+        strand's overhang, which reads back to front along the columns.
+        """
+        bottom = self.bottom.seq
+        left = max(0, -self.offset)
+        right = max(0, self.offset + len(bottom) - len(self.top.seq))
+        return (
+            bottom[len(bottom) - left :][::-1].translate(_COMPLEMENT)
+            + self.top.seq
+            + bottom[:right][::-1].translate(_COMPLEMENT)
+        )
 
     def swapped(self) -> "Duplex":
         """The same molecule viewed with the bottom strand on top."""
@@ -184,29 +203,54 @@ class RecognitionSite:
             raise StrandError(f"{self.enzyme}: only blunt center cuts are modeled")
 
 
+def _scan(line: str, lo: int, hi: int, site: RecognitionSite) -> list[int]:
+    """Start positions of `site` lying wholly inside line[lo:hi], ascending."""
+    hits = []
+    p = line.find(site.site, lo, hi)
+    while p != -1:
+        hits.append(p)
+        p = line.find(site.site, p + 1, hi)
+    return hits
+
+
+def _ds_window(duplex: Duplex) -> tuple[int, int]:
+    """The double-stranded columns, in span coordinates (0 = span start)."""
+    return duplex.ds_start - duplex.span_start, duplex.ds_end - duplex.span_start
+
+
 def find_sites(duplex: Duplex, site: RecognitionSite) -> list[int]:
     """Start positions (span coordinates) of site instances lying fully in dsDNA."""
-    line = duplex.top_line()
-    ds_lo = duplex.ds_start - duplex.span_start
-    ds_hi = duplex.ds_end - duplex.span_start
-    return [
-        p
-        for p in range(len(line) - 5)
-        if ds_lo <= p and p + 6 <= ds_hi and line[p : p + 6] == site.site
-    ]
+    return _scan(duplex.top_line(), *_ds_window(duplex), site)
 
 
-def cut(duplex: Duplex, site: RecognitionSite) -> list[Duplex]:
-    """Digest at every site instance; fragments keep their strand roles.
+def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
+    """Digest with every given enzyme at once; fragments keep their strand roles.
+
+    The result equals cutting with each site in turn, in the given order,
+    and re-cutting every fragment: a site instance is cut unless an earlier
+    site's cut column falls strictly inside it, since that cut has already
+    split it across two fragments. Instances of the same site never block
+    each other. With no instance to cut, the input comes back as the only
+    fragment.
 
     Base bookkeeping is exact: fragment span lengths always sum to the
     span length of the input.
     """
-    hits = find_sites(duplex, site)
-    if not hits:
+    line = duplex.top_line()
+    lo, hi = _ds_window(duplex)
+    cols: list[int] = []
+    for site in sites:
+        width = len(site.site)
+        hits = [
+            p
+            for p in _scan(line, lo, hi, site)
+            if not any(p < c < p + width for c in cols)
+        ]
+        cols.extend(p + site.cut_offset for p in hits)
+    if not cols:
         return [duplex]
-    cols = sorted(duplex.span_start + p + site.cut_offset for p in hits)
-    bounds = [duplex.span_start] + cols + [duplex.span_end]
+    start = duplex.span_start
+    bounds = [start] + sorted(start + c for c in cols) + [duplex.span_end]
     return [_slice_columns(duplex, a, b) for a, b in zip(bounds, bounds[1:])]
 
 

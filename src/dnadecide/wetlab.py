@@ -44,6 +44,10 @@ from .strands import Duplex, RecognitionSite, Strand, cut, reverse_complement
 ACTIVE = "active"
 WASTE = "waste"
 
+# A bench PCR runs a few dozen cycles at most; past this the simulated
+# product is meaningless and 2**cycles only grows the exact rationals.
+MAX_PCR_CYCLES = 40
+
 
 class UnknownEnzymeError(ValueError):
     pass
@@ -102,31 +106,22 @@ def audit_json(tube: TubeState) -> str:
 
 def mix(plan: EncodingPlan) -> TubeState:
     """Pool every encoding species; thresholds go in at their dose ratios."""
+    doses = {
+        role_thresh(out.label): plan.threshold_ratios[out.label]
+        for out in plan.matrix.outcomes
+    }
     species: dict[str, Species] = {}
     for role in plan.strands:
         if role in (ROLE_PRIMER_LEFT, ROLE_PRIMER_RIGHT):
             continue  # primers join at amplification, not in the pool
-        conc = Fraction(1)
-        if role.startswith("thresh:"):
-            label = _unslug_lookup(plan, role)
-            conc = plan.threshold_ratios[label]
+        conc = doses.get(role, Fraction(1))
         species[role] = Species(role, plan.strands[role], conc)
     record = {
         "op": "mix",
         "species": len(species),
-        "thresholds": {
-            role_thresh(out.label): str(plan.threshold_ratios[out.label])
-            for out in plan.matrix.outcomes
-        },
+        "thresholds": {role: str(dose) for role, dose in doses.items()},
     }
     return TubeState("pool", plan, species, (record,))
-
-
-def _unslug_lookup(plan: EncodingPlan, thresh_role: str) -> str:
-    for out in plan.matrix.outcomes:
-        if role_thresh(out.label) == thresh_role:
-            return out.label
-    raise KeyError(thresh_role)
 
 
 def apply_thresholds(tube: TubeState) -> TubeState:
@@ -242,7 +237,11 @@ def _site_catalog(plan: EncodingPlan) -> dict[str, RecognitionSite]:
 
 
 def digest(tube: TubeState, enzyme_names) -> TubeState:
-    """Cut every active duplex with each named enzyme, to completion."""
+    """Cut every active duplex with all named enzymes at once, to completion.
+
+    Each duplex is digested in one `cut` call, with the enzymes in name
+    order (which only matters where two sites overlap).
+    """
     catalog = _site_catalog(tube.plan)
     sites = []
     for name in sorted(enzyme_names):
@@ -256,9 +255,7 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
     for key, sp in list(species.items()):
         if sp.status != ACTIVE or not sp.is_duplex:
             continue
-        pieces = [sp.structure]
-        for site in sites:
-            pieces = [frag for piece in pieces for frag in cut(piece, site)]
+        pieces = cut(sp.structure, *sites)
         if len(pieces) == 1:
             continue
         del species[key]
@@ -278,13 +275,17 @@ def pcr(tube: TubeState, cycles: int, primers: tuple[Strand, Strand] | None = No
     """Exponential amplification of blunt duplexes whose ends match the primers."""
     if cycles < 0:
         raise CycleCountError(f"cycle count must be non-negative, got {cycles}")
+    if cycles > MAX_PCR_CYCLES:
+        raise CycleCountError(
+            f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}"
+        )
     if primers is None:
         primers = tube.plan.primers
     p1, p2 = primers[0].seq, primers[1].seq
     factor = Fraction(2) ** cycles
-
-    def matches(primer: str, end: str) -> bool:
-        return primer == end or primer == reverse_complement(end)
+    # an end matches a primer read on either strand
+    ends1 = (p1, reverse_complement(p1))
+    ends2 = (p2, reverse_complement(p2))
 
     species = dict(tube.species)
     amplified = []
@@ -296,9 +297,7 @@ def pcr(tube: TubeState, cycles: int, primers: tuple[Strand, Strand] | None = No
             continue
         top = duplex.top.seq
         left, right = top[: len(p1)], top[-len(p2) :]
-        if (matches(p1, left) and matches(p2, right)) or (
-            matches(p2, left) and matches(p1, right)
-        ):
+        if (left in ends1 and right in ends2) or (left in ends2 and right in ends1):
             species[key] = replace(
                 sp, concentration=sp.concentration * factor, amplified=True
             )

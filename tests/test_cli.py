@@ -253,6 +253,37 @@ def test_uniform_tie_reported_and_exits_zero(tmp_path, capsys):
     assert "chosen: option-1, option-2" in out
 
 
+def test_colliding_label_slugs_exit_one(tmp_path, capsys):
+    # both labels slug to red_ball; accepted, they overwrote each other's
+    # strands and the run disagreed with the oracle (exit 2)
+    doc = {
+        "outcomes": [
+            {"label": "red ball", "probability": "1/2"},
+            {"label": "red_ball", "probability": "1/2"},
+        ],
+        "options": [
+            {"label": "option-1", "favorable": ["red ball"]},
+            {"label": "option-2", "favorable": ["red_ball"]},
+        ],
+    }
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "'red ball'" in err and "'red_ball'" in err
+
+
+def test_run_rejects_cycle_count_above_ceiling(capsys):
+    # 2**100000 used to surface as an uncaught ValueError from Fraction.__str__
+    assert main(["run", "--cycles", "100000"]) == 1
+    assert "cycle count must be at most" in capsys.readouterr().err
+
+
+def test_verify_rejects_cycle_count_above_ceiling(capsys):
+    assert main(["verify", "--count", "1", "--cycles", "100000"]) == 1
+    assert "cycle count must be at most" in capsys.readouterr().err
+
+
 def test_disagreement_exits_two(monkeypatch, capsys):
     import dnadecide.cli as cli_mod
 

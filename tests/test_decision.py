@@ -110,6 +110,22 @@ def test_duplicate_labels_rejected():
         )
 
 
+def test_labels_with_colliding_slugs_rejected():
+    # "red ball" and "red_ball" would key the same strands
+    with pytest.raises(DuplicateLabelError, match="'red ball' and 'red_ball'"):
+        build_matrix(
+            outcomes=[("red ball", F(1, 2)), ("red_ball", F(1, 2))],
+            options=[("x", ["red ball"])],
+        )
+    with pytest.raises(DuplicateLabelError, match="option labels 'go  left' and 'go left'"):
+        build_matrix(
+            outcomes=[("a", F(1))],
+            options=[("go  left", ["a"]), ("go left", [])],
+        )
+    # the same slug in different namespaces is fine
+    build_matrix(outcomes=[("a b", F(1))], options=[("a_b", ["a b"])])
+
+
 def test_missing_payoff_class_rejected():
     m = DecisionMatrix(
         outcomes=(Outcome("a", F(1, 2)), Outcome("b", F(1, 2))),

@@ -231,6 +231,95 @@ def test_cut_conserves_bases(s, site):
     assert "".join(f.top_line() for f in frags) == d.top_line()
 
 
+# -- one-pass digestion and slice-level duplex primitives ----------------------
+
+NAEI = next(s for s in EXTENDED_BLUNT_CUTTERS if s.enzyme == "NaeI")
+# not in the shipped library: its site overlaps NaeI's in GCCGGCCG, which
+# no two library sites can do
+EAGI = RecognitionSite("EagI", "CGGCCG")
+DIGEST_SITES = EXTENDED_BLUNT_CUTTERS + (EAGI,)
+
+# chunks that make site instances, and overlapping runs of them, common
+chunks = st.one_of(
+    st.sampled_from([s.site for s in DIGEST_SITES] + ["GCCGGCCG", "GCCGGCCGGC"]),
+    st.text(alphabet="ACGT", min_size=1, max_size=5),
+)
+# any enzymes in any order, or just the one pair that can straddle
+site_lists = st.one_of(
+    st.lists(st.sampled_from(DIGEST_SITES), unique=True, max_size=6),
+    st.permutations([NAEI, EAGI]),
+)
+
+
+@st.composite
+def duplexes(draw):
+    """A duplex with an optional overhang at each end, on either strand."""
+    core = "".join(draw(st.lists(chunks, min_size=1, max_size=10)))
+    left = draw(st.text(alphabet="ACGT", max_size=8))
+    right = draw(st.text(alphabet="ACGT", max_size=8))
+    left_on_top, right_on_top = draw(st.booleans()), draw(st.booleans())
+    top = (left if left_on_top else "") + core + (right if right_on_top else "")
+    bottom_cols = (
+        ("" if left_on_top else left) + core + ("" if right_on_top else right)
+    )
+    offset = len(left) if left_on_top else -len(left)
+    return Duplex(Strand(top, "t"), Strand(reverse_complement(bottom_cols), "b"), offset)
+
+
+def cut_one_site_at_a_time(d, sites):
+    pieces = [d]
+    for site in sites:
+        pieces = [frag for piece in pieces for frag in cut(piece, site)]
+    return pieces
+
+
+@given(duplexes(), site_lists)
+def test_multi_site_cut_equals_single_site_fold(d, sites):
+    # digest passes its enzymes in name order; any order must agree
+    for order in (sorted(sites, key=lambda s: s.enzyme), sites):
+        assert cut(d, *order) == cut_one_site_at_a_time(d, order)
+
+
+def test_straddling_site_is_cut_only_by_the_earlier_enzyme():
+    d = blunt("ATATAT" + "GCCGGCCG" + "ATATAT")
+    assert find_sites(d, NAEI) == [6]
+    assert find_sites(d, EAGI) == [8]
+    # EagI first: its cut at column 11 splits NaeI's GCCGGC, so NaeI never cuts
+    eag_first = cut(d, EAGI, NAEI)
+    assert [f.top_line() for f in eag_first] == ["ATATATGCCGG", "CCGATATAT"]
+    # NaeI first: its cut at column 9 splits EagI's CGGCCG instead
+    nae_first = cut(d, NAEI, EAGI)
+    assert [f.top_line() for f in nae_first] == ["ATATATGCC", "GGCCGATATAT"]
+    for order in ((EAGI, NAEI), (NAEI, EAGI)):
+        assert cut(d, *order) == cut_one_site_at_a_time(d, order)
+
+
+def test_cut_without_sites_returns_input():
+    d = blunt("TCTGACTCAGCTGAGATCCA")
+    assert cut(d) == [d]
+
+
+@given(duplexes())
+def test_top_line_matches_per_column_definition(d):
+    expected = "".join(
+        d.top.seq[c] if 0 <= c < len(d.top.seq) else complement(d.bottom_base(c))
+        for c in range(d.span_start, d.span_end)
+    )
+    assert d.top_line() == expected
+
+
+def test_mismatch_names_first_bad_column():
+    top = "ACGTACGTAC"
+    paired = list(top)
+    paired[3], paired[7] = "A", "A"  # columns 3 and 7 no longer pair
+    bottom = reverse_complement("".join(paired))
+    with pytest.raises(StrandError, match=r"mismatched pair at column 3: T/T$"):
+        Duplex(Strand(top), Strand(bottom), 0)
+    # the same check applies to the paired window of an overhanging duplex
+    with pytest.raises(StrandError, match=r"mismatched pair at column 5: T/T$"):
+        Duplex(Strand("GG" + top), Strand(bottom), 2)
+
+
 # -- FASTA ----------------------------------------------------------------------
 
 def test_fasta_round_trip():

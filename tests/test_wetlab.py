@@ -7,6 +7,7 @@ from dnadecide.compiler import compile_problem
 from dnadecide.decision import Payoff, build_matrix, role_chance
 from dnadecide.strands import EXTENDED_BLUNT_CUTTERS, Strand
 from dnadecide.wetlab import (
+    MAX_PCR_CYCLES,
     CycleCountError,
     UnknownEnzymeError,
     apply_thresholds,
@@ -165,6 +166,16 @@ def test_pcr_negative_cycles_rejected(ball_setup):
     tubes, _ = tube_states(plan, protocol)
     with pytest.raises(CycleCountError):
         pcr(tubes[0], -1)
+
+
+def test_pcr_cycle_ceiling(ball_setup):
+    _, plan, protocol = ball_setup
+    tubes, _ = tube_states(plan, protocol)
+    digested = digest(tubes[0], protocol.tube_enzymes[0])
+    top = pcr(digested, MAX_PCR_CYCLES)
+    assert top.pcr_cycles == MAX_PCR_CYCLES
+    with pytest.raises(CycleCountError, match=f"at most {MAX_PCR_CYCLES}"):
+        pcr(digested, MAX_PCR_CYCLES + 1)
 
 
 def test_pcr_with_foreign_primers_amplifies_nothing(ball_setup):
