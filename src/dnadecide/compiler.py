@@ -189,7 +189,7 @@ class _Designer:
         self.max_tries = max_tries
         self.used: set[str] = set()
 
-    def adopt(self, seq: str, own_site: str | None = None) -> str:
+    def adopt(self, seq: str) -> str:
         """Register an externally supplied segment's windows without checks."""
         for i in range(len(seq) - WINDOW + 1):
             self.used.add(seq[i : i + WINDOW])

@@ -125,6 +125,20 @@ def validate_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
                     f"both name their strands {slug!r}"
                 )
             by_slug[slug] = lbl
+    # role keys join slugs with ':', which labels may contain too: options
+    # "a:b" and "a" with outcomes "c" and "b:c" would share one chance strand
+    by_role: dict[str, tuple[str, str]] = {}
+    for opt in matrix.options:
+        for out in matrix.outcomes:
+            role = role_chance(opt.label, out.label)
+            other = by_role.get(role)
+            if other is not None:
+                raise DuplicateLabelError(
+                    f"option {other[0]!r} with outcome {other[1]!r} and "
+                    f"option {opt.label!r} with outcome {out.label!r} collide: "
+                    f"both name their strands {role!r}"
+                )
+            by_role[role] = (opt.label, out.label)
     for opt in matrix.options:
         if len(opt.payoffs) != len(matrix.outcomes):
             raise MissingPayoffClassError(

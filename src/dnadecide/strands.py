@@ -13,6 +13,11 @@ loop over the double-stranded window. A digest with several enzymes is one
 `cut(duplex, *sites)` call that scans the line once per site and slices the
 duplex once; an instance of a later site is left uncut when an earlier
 site's cut column falls strictly inside it, as cutting site by site would.
+A site with no instance adds no cut column and blocks nothing, so cutting
+with only the `present_sites` of a duplex gives the same fragments; the
+protocol simulator uses that to scan each pooled duplex once for the whole
+library and to digest it once per distinct set of enzymes that hit it,
+however many tubes it was split into.
 """
 
 from __future__ import annotations
@@ -221,6 +226,13 @@ def _ds_window(duplex: Duplex) -> tuple[int, int]:
 def find_sites(duplex: Duplex, site: RecognitionSite) -> list[int]:
     """Start positions (span coordinates) of site instances lying fully in dsDNA."""
     return _scan(duplex.top_line(), *_ds_window(duplex), site)
+
+
+def present_sites(duplex: Duplex, sites) -> tuple[RecognitionSite, ...]:
+    """The given sites with at least one instance in dsDNA, in the given order."""
+    line = duplex.top_line()
+    lo, hi = _ds_window(duplex)
+    return tuple(site for site in sites if _scan(line, lo, hi, site))
 
 
 def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:

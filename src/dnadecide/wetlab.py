@@ -12,6 +12,10 @@ entry: every root-to-termination path yields construct at the minimum of
 its nine constituents, and shared constituents are debited by total demand
 (floored at zero). Yields are nominal per-path numbers, which is exactly
 what a within-lane band comparison measures.
+
+The option tubes split from one pool share a `DigestTable`: each pooled
+duplex is scanned for the library's sites once, and cut once per distinct
+set of enzymes that hit it, however many tubes digest it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,14 @@ from .decision import (
     role_prob,
     role_util,
 )
-from .strands import Duplex, RecognitionSite, Strand, cut, reverse_complement
+from .strands import (
+    Duplex,
+    RecognitionSite,
+    Strand,
+    cut,
+    present_sites,
+    reverse_complement,
+)
 
 ACTIVE = "active"
 WASTE = "waste"
@@ -236,36 +247,93 @@ def _site_catalog(plan: EncodingPlan) -> dict[str, RecognitionSite]:
     return catalog
 
 
-def digest(tube: TubeState, enzyme_names) -> TubeState:
+class DigestTable:
+    """Digest results shared by the tubes split from one pool.
+
+    For each duplex species it records which of the plan's enzymes have a
+    site in it (one scan over the whole catalog, in name order), and the
+    fragments each set of those enzymes cuts it into. Cutting with only
+    the enzymes that hit a duplex gives the same fragments as cutting with
+    all of a tube's enzymes, so tubes with different enzyme sets share
+    entries. Entries are keyed by the frozen species they were computed
+    from, so a hit is always what a fresh digest would build.
+    """
+
+    def __init__(self, plan: EncodingPlan) -> None:
+        self.plan = plan
+        self.catalog = _site_catalog(plan)
+        self._library = [self.catalog[name] for name in sorted(self.catalog)]
+        # species -> (library sites present in it, enzymes -> (fragments, lengths))
+        self._entries: dict[Species, tuple[tuple[RecognitionSite, ...], dict]] = {}
+
+    def fragments(
+        self, sp: Species, names: frozenset[str]
+    ) -> tuple[tuple[Species, ...], tuple[int, ...]] | None:
+        """The fragments the named enzymes cut `sp` into; None if none has a site.
+
+        The first enzyme with a site cuts every instance of it, so a
+        non-empty set always yields at least two fragments.
+        """
+        entry = self._entries.get(sp)
+        if entry is None:
+            present = present_sites(sp.structure, self._library)
+            entry = self._entries[sp] = (present, {})
+        present, memo = entry
+        sites = tuple(site for site in present if site.enzyme in names)
+        if not sites:
+            return None
+        enzymes = tuple(site.enzyme for site in sites)
+        result = memo.get(enzymes)
+        if result is None:
+            pieces = cut(sp.structure, *sites)
+            frags = tuple(
+                Species(f"fragment:{sp.key}:{i}", piece, sp.concentration)
+                for i, piece in enumerate(pieces)
+            )
+            result = memo[enzymes] = (frags, tuple(p.span_length for p in pieces))
+        return result
+
+
+def digest(
+    tube: TubeState, enzyme_names, table: DigestTable | None = None
+) -> TubeState:
     """Cut every active duplex with all named enzymes at once, to completion.
 
-    Each duplex is digested in one `cut` call, with the enzymes in name
-    order (which only matters where two sites overlap).
+    Each duplex is cut in one `cut` call with the named enzymes that have
+    a site in it, in name order (which only matters where two sites
+    overlap). `table` holds the site scans and fragments of the tube's
+    pool: the tubes of one `run_protocol` split share one, so a duplex is
+    scanned once and cut once per distinct set of enzymes that hit it.
+    Without it the call starts a fresh table.
     """
-    catalog = _site_catalog(tube.plan)
-    sites = []
-    for name in sorted(enzyme_names):
+    if table is None:
+        table = DigestTable(tube.plan)
+    elif table.plan is not tube.plan:
+        raise ValueError("digest table was built for another plan")
+    catalog = table.catalog
+    ordered = sorted(enzyme_names)
+    for name in ordered:
         if name not in catalog:
             raise UnknownEnzymeError(
                 f"{name} is not in this plan's library: {sorted(catalog)}"
             )
-        sites.append(catalog[name])
+    names = frozenset(ordered)
     species = dict(tube.species)
     cuts: dict[str, list[int]] = {}
     for key, sp in list(species.items()):
         if sp.status != ACTIVE or not sp.is_duplex:
             continue
-        pieces = cut(sp.structure, *sites)
-        if len(pieces) == 1:
+        result = table.fragments(sp, names)
+        if result is None:
             continue
+        frags, lengths = result
         del species[key]
-        for i, frag in enumerate(pieces):
-            frag_key = f"fragment:{key}:{i}"
-            species[frag_key] = Species(frag_key, frag, sp.concentration)
-        cuts[key] = [p.span_length for p in pieces]
+        for frag in frags:
+            species[frag.key] = frag
+        cuts[key] = list(lengths)
     record = {
         "op": "digest",
-        "enzymes": [s.enzyme for s in sites],
+        "enzymes": ordered,
         "fragments": cuts,
     }
     return tube._with(species, record)
@@ -325,7 +393,8 @@ def run_protocol(
     n = cycles if cycles is not None else protocol.pcr_cycles
     pool = assemble(apply_thresholds(mix(plan)))
     tubes = split_tubes(pool)
+    table = DigestTable(plan)
     out = []
     for tube, enzymes in zip(tubes, protocol.tube_enzymes):
-        out.append(purify(pcr(digest(tube, enzymes), n)))
+        out.append(purify(pcr(digest(tube, enzymes, table), n)))
     return out

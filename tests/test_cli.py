@@ -273,6 +273,26 @@ def test_colliding_label_slugs_exit_one(tmp_path, capsys):
     assert "'red ball'" in err and "'red_ball'" in err
 
 
+def test_colliding_role_keys_exit_one(tmp_path, capsys):
+    # both pairs key chance:a:b:c; accepted, the run disagreed with the
+    # oracle (exit 2)
+    doc = {
+        "outcomes": [
+            {"label": "c", "probability": "2/3"},
+            {"label": "b:c", "probability": "1/3"},
+        ],
+        "options": [
+            {"label": "a:b", "favorable": ["c"]},
+            {"label": "a", "favorable": ["b:c"]},
+        ],
+    }
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--input", str(path), "--enzymes", "extended"]) == 1
+    err = capsys.readouterr().err
+    assert "'a:b'" in err and "'b:c'" in err and "chance:a:b:c" in err
+
+
 def test_run_rejects_cycle_count_above_ceiling(capsys):
     # 2**100000 used to surface as an uncaught ValueError from Fraction.__str__
     assert main(["run", "--cycles", "100000"]) == 1

@@ -126,6 +126,20 @@ def test_labels_with_colliding_slugs_rejected():
     build_matrix(outcomes=[("a b", F(1))], options=[("a_b", ["a b"])])
 
 
+def test_pairs_with_colliding_role_keys_rejected():
+    # "a:b" x "c" and "a" x "b:c" would both key chance:a:b:c
+    with pytest.raises(
+        DuplicateLabelError,
+        match="option 'a:b' with outcome 'c' and option 'a' with outcome 'b:c'",
+    ):
+        build_matrix(
+            outcomes=[("c", F(2, 3)), ("b:c", F(1, 3))],
+            options=[("a:b", ["c"]), ("a", ["b:c"])],
+        )
+    # a ':' that makes no two keys equal is fine
+    build_matrix(outcomes=[("c", F(1))], options=[("a:b", ["c"]), ("a", [])])
+
+
 def test_missing_payoff_class_rejected():
     m = DecisionMatrix(
         outcomes=(Outcome("a", F(1, 2)), Outcome("b", F(1, 2))),

@@ -1,14 +1,18 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from dnadecide.compiler import compile_problem
-from dnadecide.decision import Payoff, build_matrix, role_chance
+from dnadecide.decision import Payoff, best_options, build_matrix, role_chance
+from dnadecide.gel import readout, run_gel
+from dnadecide.soundness import random_matrix
 from dnadecide.strands import EXTENDED_BLUNT_CUTTERS, Strand
 from dnadecide.wetlab import (
     MAX_PCR_CYCLES,
     CycleCountError,
+    DigestTable,
     UnknownEnzymeError,
     apply_thresholds,
     assemble,
@@ -260,3 +264,74 @@ def test_random_matrices_survivors_match_favorability():
             }
             have = {k: sp.concentration for k, sp in tube.species.items()}
             assert have == want, f"trial {trial}, {opt.label}"
+
+
+def _widest_matrix(rng):
+    """13 options x 5 outcomes: every one of the 18 extended enzymes in use."""
+    weights = [rng.randint(1, 12) for _ in range(5)]
+    labels = [f"outcome-{j + 1}" for j in range(5)]
+    outcomes = [(lbl, F(w, sum(weights))) for lbl, w in zip(labels, weights)]
+    options = [
+        (f"option-{i + 1}", [lbl for lbl in labels if rng.random() < 0.5])
+        for i in range(13)
+    ]
+    return build_matrix(outcomes, options)
+
+
+@pytest.mark.parametrize("draw", range(5))
+def test_shared_digest_table_equals_fresh_digests(draw):
+    # run_protocol's tubes share one DigestTable; digesting each tube on its
+    # own, with nothing shared, must give the same species and the same log
+    rng = random.Random(2024 + draw)
+    m = _widest_matrix(rng) if draw == 4 else random_matrix(rng)
+    plan, protocol = compile_problem(m, seed=draw, library=EXTENDED_BLUNT_CUTTERS)
+    pool = assemble(apply_thresholds(mix(plan)))
+    tubes = split_tubes(pool)
+    table = DigestTable(plan)
+    lengths = []
+    for tube, enzymes in zip(tubes, protocol.tube_enzymes):
+        alone, shared = digest(tube, enzymes), digest(tube, enzymes, table)
+        assert list(shared.species.items()) == list(alone.species.items())
+        assert shared.log == alone.log
+        lengths.extend(shared.log[-1]["fragments"].values())
+    # every audit record owns its lists, even where tubes share fragments
+    assert len({id(lst) for lst in lengths}) == len(lengths)
+
+    n = protocol.pcr_cycles
+    got = run_protocol(plan, protocol, n)
+    want = [
+        purify(pcr(digest(t, e), n))
+        for t, e in zip(split_tubes(pool), protocol.tube_enzymes)
+    ]
+    assert len(got) == len(want) == len(m.options)
+    for a, b in zip(got, want):
+        assert list(a.species.items()) == list(b.species.items())
+        assert a.log == b.log
+    if draw == 4:
+        assert readout(run_gel(got), plan, m).chosen == tuple(best_options(m))
+
+
+def test_digest_table_misses_on_changed_species(ball_setup):
+    # same plan and structures, other concentrations: a table that has seen
+    # the first tube must not hand its fragments to the second
+    _, plan, protocol = ball_setup
+    tubes, _ = tube_states(plan, protocol)
+    tube, enzymes = tubes[0], protocol.tube_enzymes[0]
+    doubled = replace(
+        tube,
+        species={
+            k: replace(sp, concentration=2 * sp.concentration)
+            for k, sp in tube.species.items()
+        },
+    )
+    table = DigestTable(plan)
+    digest(tube, enzymes, table)
+    assert digest(doubled, enzymes, table) == digest(doubled, enzymes)
+
+
+def test_digest_table_rejects_another_plan(ball_setup):
+    _, plan, protocol = ball_setup
+    tubes, _ = tube_states(plan, protocol)
+    other, _ = compile_problem(make_ball_game(), seed=1)
+    with pytest.raises(ValueError, match="another plan"):
+        digest(tubes[0], protocol.tube_enzymes[0], DigestTable(other))
