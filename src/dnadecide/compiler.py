@@ -9,23 +9,20 @@ complement every junction so ligation yields fully double-stranded
 constructs. Probability weighting is done before assembly by threshold
 duplexes dosed at one minus the outcome probability.
 
-Sequence generation is rejection sampling under a fixed constraint set:
-    (a) every 10-base window of independent material is globally unique,
-        not the reverse complement of another window, and not its own
-        reverse complement (windows covering a segment's designed
-        recognition site are exempt from the self-complement rule, and a
-        threshold toehold is a designed copy of existing material);
-    (b) no assigned recognition site occurs anywhere outside its designed
-        locus, junctions of assembled constructs included;
-    (c) designed sites occur exactly once, at a fixed offset;
-    (d) every strand's GC fraction stays within [0.4, 0.6].
-The generator is deterministic for a given seed.
+`top_lengths` gives each independent top its designed length, and the
+geometry table (`_GEOMETRY`, spelled out by `derivations`) derives every
+other strand (duplex bottoms, linkers, chance strands, primers) from slices
+of the tops. The sequence rules live in `violations`. Sequence generation
+is rejection sampling of the tops under those rules and is deterministic
+for a given seed; `validate_encoding` and the reference checks in `fixture`
+judge material by the same table and rules.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,7 +32,6 @@ from .decision import (
     DecisionMatrix,
     Payoff,
     _slug,
-    role_chance,
     role_option,
     role_prob,
     role_util,
@@ -46,8 +42,8 @@ from .strands import (
     Duplex,
     RecognitionSite,
     Strand,
-    gc_fraction,
     reverse_complement,
+    scan,
     write_fasta,
 )
 
@@ -178,6 +174,185 @@ def tube_schedule(
     return tuple(tubes)
 
 
+# -- construct geometry --------------------------------------------------------
+
+@dataclass(frozen=True)
+class Derivation:
+    """A derived strand: the reverse complement of its source slices joined,
+    each slice (independent top, start, stop). A duplex bottom pairs its own
+    role's top from column `offset`; a free strand has no offset."""
+
+    slices: tuple[tuple[str, int | None, int | None], ...]
+    what: str
+    offset: int | None = None
+
+    def derive(self, tops: dict[str, str]) -> str:
+        return reverse_complement("".join(tops[r][a:b] for r, a, b in self.slices))
+
+    def length(self, lengths: dict[str, int]) -> int:
+        return sum(len(range(lengths[r])[a:b]) for r, a, b in self.slices)
+
+
+_H, _N = OVERHANG_LENGTH, NODE_LENGTH
+
+# The geometry table: (derived role, bottom offset, source slices, what the
+# strand is). In role names {o} stands for each option's slug, {u} for each
+# outcome's.
+_GEOMETRY = (
+    ("choice", 0, [("choice", 0, _N)], "complement of the choice arm's first half"),
+    ("term", _N, [("term", _N, None)], "complement of the termination arm's second half"),
+    ("prob:{u}", _H, [("prob:{u}", _H, -_H)], "complement of the probability core"),
+    ("thresh:{u}", _H, [("thresh:{u}", _H, None)], "complement of the threshold pad"),
+    ("link:choice:{o}", None, [("choice", _N, None), ("option:{o}", 0, _H)],
+     "complement of the choice-to-option junction"),
+    ("chance:{o}:{u}", None, [("option:{o}", _H, None), ("prob:{u}", 0, _H)],
+     "complement of the option-to-probability junction"),
+    ("link:prob:{u}", None, [("prob:{u}", -_H, None), ("util:{u}", 0, _H)],
+     "complement of the probability-to-utility junction"),
+    ("link:util:{u}", None, [("util:{u}", _H, None), ("term", 0, _N)],
+     "complement of the utility-to-termination junction"),
+    ("primer:left", None, [("choice", 0, _H)], "match for the left construct end"),
+    ("primer:right", None, [("term", -_H, None)], "match for the right construct end"),
+)
+
+
+def derivations(options: list[str], outcomes: list[str]) -> dict[str, Derivation]:
+    """The geometry table spelled out for these option and outcome labels."""
+    table: dict[str, Derivation] = {}
+    for role, offset, slices, what in _GEOMETRY:
+        for o in options if "{o}" in role else [""]:
+            for u in outcomes if "{u}" in role else [""]:
+                name = {"o": _slug(o), "u": _slug(u)}
+                table[role.format(**name)] = Derivation(
+                    tuple((r.format(**name), a, b) for r, a, b in slices), what, offset
+                )
+    return table
+
+
+def top_lengths(options: list[str], middle_lengths: dict[str, int]) -> dict[str, int]:
+    """Designed length of every independent top."""
+    lengths = {ROLE_CHOICE: ARM_LENGTH, ROLE_TERM: ARM_LENGTH}
+    lengths.update((role_option(opt), NODE_LENGTH) for opt in options)
+    for out, m in middle_lengths.items():
+        lengths[role_prob(out)] = 2 * OVERHANG_LENGTH + m
+        lengths[role_util(out)] = NODE_LENGTH
+    lengths.update((role_thresh(out), NODE_LENGTH) for out in middle_lengths)
+    return lengths
+
+
+# -- sequence rules ------------------------------------------------------------
+
+_RULE_OF_KIND = {
+    **dict.fromkeys(("duplicate-window", "complement-window", "self-complement-window"), "window"),
+    **dict.fromkeys(("site-missing", "site-extra", "stray-site"), "site"),
+    "junction-site": "junction",
+    "gc-range": "gc",
+}
+
+
+@dataclass(frozen=True)
+class EncodingViolation:
+    kind: str
+    roles: tuple[str, ...]
+    detail: str
+
+    @property
+    def rule(self) -> str:
+        """The sequence rule broken; geometry and derivation name themselves."""
+        return _RULE_OF_KIND.get(self.kind, self.kind)
+
+    def __str__(self) -> str:
+        return f"[{self.kind}] {', '.join(self.roles)}: {self.detail}"
+
+
+@dataclass(frozen=True)
+class Segment:
+    """A stretch of sequence judged by `violations`, reported under `roles`.
+
+    `sites` maps each designed site's offset to the site. Windows starting
+    before `fresh_from` are designed copies of placed material, neither
+    judged nor placed. `lefts` and `rights` are the ligated neighbours.
+    """
+
+    roles: tuple[str, ...]
+    seq: str
+    sites: dict[int, str] = field(default_factory=dict)
+    fresh_from: int = 0
+    lefts: tuple[str, ...] = ()
+    rights: tuple[str, ...] = ()
+
+
+@dataclass
+class RuleContext:
+    """The assigned sites and, unless None, every placed window's places."""
+
+    sites: tuple[str, ...]
+    windows: dict[str, list[tuple[str, int]]] | None = None
+
+    def place(self, segment: Segment) -> None:
+        seq, role = segment.seq, segment.roles[0]
+        for i in range(segment.fresh_from, len(seq) - WINDOW + 1):
+            self.windows.setdefault(seq[i : i + WINDOW], []).append((role, i))
+
+
+def violations(segment: Segment, context: RuleContext) -> list[EncodingViolation]:
+    """Every rule the segment breaks; an empty list means it may be placed.
+
+    (a) window: each 10-base window from `fresh_from` on is new: it was not
+        placed before, in `context` or earlier in the segment, it is not the
+        reverse complement of such a window, and it is not its own reverse
+        complement unless it covers a designed site. Skipped when the
+        context keeps no windows.
+    (b) site: each designed site occurs exactly once, at its offset, and no
+        assigned site occurs anywhere else.
+    (c) junction: no assigned site spans the 5 + 5 bases where the segment
+        meets a left or right neighbour.
+    (d) gc: the GC fraction stays within [2/5, 3/5].
+    """
+    seq, role = segment.seq, segment.roles[0]
+    found: list[EncodingViolation] = []
+
+    def flag(kind: str, detail: str, roles: tuple[str, ...] = segment.roles) -> None:
+        found.append(EncodingViolation(kind, roles, detail))
+
+    if context.windows is not None:
+        placed, local = context.windows, {}
+        n, rc_seq = len(seq), reverse_complement(seq)
+        for i in range(segment.fresh_from, n - WINDOW + 1):
+            w, rc = seq[i : i + WINDOW], rc_seq[n - WINDOW - i : n - i]
+            if w in placed or w in local:
+                loci = placed.get(w, []) + local.get(w, []) + [(role, i)]
+                flag("duplicate-window", f"window {w} occurs at {loci}", tuple(r for r, _ in loci))
+            elif w == rc:
+                if not any(i <= o and o + len(s) <= i + WINDOW for o, s in segment.sites.items()):
+                    flag("self-complement-window",
+                         f"window {w} at offset {i} is its own reverse complement", (role,))
+            elif rc in placed or rc in local:
+                pair = sorted([(w, [(role, i)]), (rc, placed.get(rc, []) + local.get(rc, []))])
+                flag("complement-window",
+                     f"windows {pair[0][0]} and {pair[1][0]} are reverse complements",
+                     tuple(r for _, loci in pair for r, _ in loci))
+            local.setdefault(w, []).append((role, i))
+    for at, site in segment.sites.items():
+        hits = scan(seq, site)
+        if hits != [at]:
+            flag("site-extra" if hits else "site-missing",
+                 f"designed site {site} not exactly once at offset {at}")
+    for site in context.sites:
+        for i in scan(seq, site):
+            if segment.sites.get(i) != site:
+                flag("stray-site", f"stray site {site} at {i}")
+    joints = [left[-5:] + seq[:5] for left in segment.lefts]
+    for joint in joints + [seq[-5:] + right[:5] for right in segment.rights]:
+        for site in context.sites:
+            if site in joint:
+                flag("junction-site", f"site {site} spans the junction {joint}")
+    gc = seq.count("G") + seq.count("C")
+    if not 2 * len(seq) <= 5 * gc <= 3 * len(seq):
+        flag("gc-range", f"GC fraction {Fraction(gc, len(seq))} outside [2/5, 3/5]")
+    return found
+
+
 # -- sequence generation -------------------------------------------------------
 
 class _Designer:
@@ -185,55 +360,13 @@ class _Designer:
 
     def __init__(self, rng, assigned_sites: list[str], max_tries: int = 500):
         self.rng = rng
-        self.assigned_sites = assigned_sites
         self.max_tries = max_tries
-        self.used: set[str] = set()
+        self.context = RuleContext(tuple(assigned_sites), {})
 
-    def adopt(self, seq: str) -> str:
-        """Register an externally supplied segment's windows without checks."""
-        for i in range(len(seq) - WINDOW + 1):
-            self.used.add(seq[i : i + WINDOW])
+    def adopt(self, role: str, seq: str) -> str:
+        """Place an externally supplied segment's windows without checks."""
+        self.context.place(Segment((role,), seq))
         return seq
-
-    def windows_ok(self, seq: str, own_site_span: tuple[int, int] | None) -> bool:
-        fresh: set[str] = set()
-        for i in range(len(seq) - WINDOW + 1):
-            w = seq[i : i + WINDOW]
-            if w in self.used or reverse_complement(w) in self.used:
-                return False
-            if w in fresh or reverse_complement(w) in fresh:
-                return False
-            if w == reverse_complement(w):
-                covers_site = (
-                    own_site_span is not None
-                    and i <= own_site_span[0]
-                    and own_site_span[1] <= i + WINDOW
-                )
-                if not covers_site:
-                    return False
-            fresh.add(w)
-        return True
-
-    def sites_ok(self, seq: str, own_site: str | None, own_at: int | None) -> bool:
-        for site in self.assigned_sites:
-            hits = [i for i in range(len(seq) - 5) if seq[i : i + 6] == site]
-            if site == own_site:
-                if hits != [own_at]:
-                    return False
-            elif hits:
-                return False
-        return True
-
-    def junctions_ok(self, seq: str, lefts: list[str], rights: list[str]) -> bool:
-        for left in lefts:
-            joint = left[-5:] + seq[:5]
-            if any(s in joint for s in self.assigned_sites):
-                return False
-        for right in rights:
-            joint = seq[-5:] + right[:5]
-            if any(s in joint for s in self.assigned_sites):
-                return False
-        return True
 
     def _block(self, length: int, fixed: dict[int, str]) -> list[str]:
         fixed_gc = sum(1 for b in fixed.values() if b in "GC")
@@ -241,9 +374,7 @@ class _Designer:
         lo = max(math.ceil(Fraction(2, 5) * length), fixed_gc)
         hi = min(math.floor(Fraction(3, 5) * length), fixed_gc + len(free))
         if lo > hi:
-            raise GenerationFailedError(
-                f"no GC-balanced fill for a {length}-base block"
-            )
+            raise GenerationFailedError(f"no GC-balanced fill for a {length}-base block")
         target = self.rng.randint(lo, hi) - fixed_gc
         gc_positions = set(self.rng.sample(free, target))
         out = []
@@ -260,54 +391,44 @@ class _Designer:
         self,
         role: str,
         length: int,
-        embed: tuple[str, int] | None = None,
-        junction_lefts: list[str] | None = None,
-        junction_rights: list[str] | None = None,
+        sites: dict[int, str] | None = None,
+        lefts: tuple[str, ...] = (),
+        rights: tuple[str, ...] = (),
         prefix: str = "",
         breaks: tuple[int, ...] = (),
     ) -> str:
-        """Sample a compliant segment; prefix bases are kept verbatim.
+        """Sample a segment `violations` passes, keeping prefix and designed
+        site bases verbatim; prefix windows copy placed material, so only
+        windows that add new bases are judged.
 
         `breaks` restarts the 10-base GC blocking at interior positions so
         that functionally distinct regions (overhangs, duplex cores) are
-        GC-balanced on their own.
+        GC-balanced on their own. Running out of tries names the rules the
+        candidates broke, with how many broke each.
         """
-        fixed: dict[int, str] = {i: b for i, b in enumerate(prefix)}
-        own_site = own_at = None
-        if embed is not None:
-            own_site, own_at = embed
-            for k, b in enumerate(own_site):
-                fixed[own_at + k] = b
-        site_span = (own_at, own_at + 6) if embed else None
+        sites = sites or {}
+        fixed: dict[int, str] = dict(enumerate(prefix))
+        for at, site in sites.items():
+            fixed.update((at + k, b) for k, b in enumerate(site))
         bounds = [0, *breaks, length]
+        blocks = []  # (width, fixed bases by block offset) per 10-base block
+        for lo, hi in zip(bounds, bounds[1:]):
+            for start in range(lo, hi, 10):
+                end = min(start + 10, hi)
+                local = {i - start: b for i, b in fixed.items() if start <= i < end}
+                blocks.append((end - start, local))
+        fresh_from = max(0, len(prefix) - WINDOW + 1)
+        rejected: Counter[str] = Counter()
         for _ in range(self.max_tries):
-            chunks: list[str] = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                for start in range(lo, hi, 10):
-                    width = min(10, hi - start)
-                    local_fixed = {
-                        i - start: b
-                        for i, b in fixed.items()
-                        if start <= i < start + width
-                    }
-                    chunks.extend(self._block(width, local_fixed))
-            seq = "".join(chunks)
-            if not self.sites_ok(seq, own_site, own_at):
-                continue
-            # prefix windows are designed copies of existing material, so
-            # freshness is judged from the first window that adds new bases
-            probe = seq[max(0, len(prefix) - WINDOW + 1) :] if prefix else seq
-            shift = len(seq) - len(probe)
-            shifted_span = (
-                (site_span[0] - shift, site_span[1] - shift) if site_span else None
-            )
-            if not self.windows_ok(probe, shifted_span):
-                continue
-            if not self.junctions_ok(seq, junction_lefts or [], junction_rights or []):
-                continue
-            self.adopt(probe)
-            return seq
-        raise GenerationFailedError(f"could not place segment {role!r}")
+            seq = "".join(b for width, local in blocks for b in self._block(width, local))
+            segment = Segment((role,), seq, sites, fresh_from, lefts, rights)
+            found = violations(segment, self.context)
+            if not found:
+                self.context.place(segment)
+                return segment.seq
+            rejected.update({v.rule for v in found})
+        tally = ", ".join(f"{rule} {n}" for rule, n in sorted(rejected.items()))
+        raise GenerationFailedError(f"could not place segment {role!r}: {tally}")
 
 
 def generate_sequences(
@@ -320,493 +441,146 @@ def generate_sequences(
 ) -> dict[str, Strand | Duplex]:
     """Build every strand and duplex of the encoding, deterministically.
 
-    `pins` maps role keys (plus 'pad:<outcome>' for threshold pads) to
-    sequences that are used verbatim; callers screen pins themselves.
+    The designer samples the independent tops and the geometry table
+    derives the rest. `pins` maps role keys (plus 'pad:<outcome>' for
+    threshold pads) to sequences that are used verbatim; callers screen
+    pins themselves.
     """
     pins = dict(pins or {})
-    rng = random.Random(seed)
-    assigned = [s.site for s in option_sites.values()] + [
-        s.site for s in outcome_sites.values()
-    ]
-    d = _Designer(rng, assigned)
+    assigned = [s.site for s in [*option_sites.values(), *outcome_sites.values()]]
+    d = _Designer(random.Random(seed), assigned)
+    options = [opt.label for opt in matrix.options]
+    outcomes = [out.label for out in matrix.outcomes]
+    lengths = top_lengths(options, middle_lengths)
+    tops: dict[str, str] = {}
 
-    def take(role: str, maker) -> str:
+    def place(role: str, **constraints) -> None:
         if role in pins:
-            return d.adopt(pins[role])
-        return maker()
-
-    choice_top = take(ROLE_CHOICE, lambda: d.fresh(ROLE_CHOICE, ARM_LENGTH))
-    term_top = take(ROLE_TERM, lambda: d.fresh(ROLE_TERM, ARM_LENGTH))
-
-    options: dict[str, str] = {}
-    for opt in matrix.options:
-        role = role_option(opt.label)
-        options[opt.label] = take(
-            role,
-            lambda role=role, opt=opt: d.fresh(
-                role,
-                NODE_LENGTH,
-                embed=(option_sites[opt.label].site, SITE_OFFSET),
-                junction_lefts=[choice_top],
-            ),
-        )
-
-    probs: dict[str, str] = {}
-    for out in matrix.outcomes:
-        role = role_prob(out.label)
-        m = middle_lengths[out.label]
-        probs[out.label] = take(
-            role,
-            lambda role=role, m=m: d.fresh(
-                role,
-                2 * OVERHANG_LENGTH + m,
-                junction_lefts=list(options.values()),
-                breaks=(OVERHANG_LENGTH, OVERHANG_LENGTH + m),
-            ),
-        )
-
-    utils: dict[str, str] = {}
-    for out in matrix.outcomes:
-        role = role_util(out.label)
-        utils[out.label] = take(
-            role,
-            lambda role=role, out=out: d.fresh(
-                role,
-                NODE_LENGTH,
-                embed=(outcome_sites[out.label].site, SITE_OFFSET),
-                junction_lefts=[probs[out.label]],
-                junction_rights=[term_top],
-            ),
-        )
-
-    thresh_tops: dict[str, str] = {}
-    for out in matrix.outcomes:
-        toehold = probs[out.label][:OVERHANG_LENGTH]
-        pad_pin = pins.get(f"pad:{_slug(out.label)}")
-        if pad_pin is not None:
-            thresh_tops[out.label] = d.adopt(toehold + pad_pin)
+            tops[role] = d.adopt(role, pins[role])
         else:
-            thresh_tops[out.label] = d.fresh(
-                role_thresh(out.label),
-                NODE_LENGTH,
-                prefix=toehold,
-            )
+            tops[role] = d.fresh(role, lengths[role], **constraints)
 
-    plan: dict[str, Strand | Duplex] = {}
-    plan[ROLE_CHOICE] = Duplex(
-        Strand(choice_top, ROLE_CHOICE),
-        Strand(reverse_complement(choice_top[:NODE_LENGTH]), ROLE_CHOICE + "'"),
-        0,
-    )
-    plan[ROLE_TERM] = Duplex(
-        Strand(term_top, ROLE_TERM),
-        Strand(reverse_complement(term_top[NODE_LENGTH:]), ROLE_TERM + "'"),
-        NODE_LENGTH,
-    )
-    for opt in matrix.options:
-        plan[role_option(opt.label)] = Strand(options[opt.label], role_option(opt.label))
-        link = role_link_choice(opt.label)
-        plan[link] = Strand(
-            reverse_complement(
-                choice_top[NODE_LENGTH:] + options[opt.label][:OVERHANG_LENGTH]
-            ),
-            link,
-        )
-    for out in matrix.outcomes:
-        p_top = probs[out.label]
-        m = middle_lengths[out.label]
-        core = p_top[OVERHANG_LENGTH : OVERHANG_LENGTH + m]
-        plan[role_prob(out.label)] = Duplex(
-            Strand(p_top, role_prob(out.label)),
-            Strand(reverse_complement(core), role_prob(out.label) + "'"),
-            OVERHANG_LENGTH,
-        )
-        plan[role_util(out.label)] = Strand(utils[out.label], role_util(out.label))
-        t_top = thresh_tops[out.label]
-        plan[role_thresh(out.label)] = Duplex(
-            Strand(t_top, role_thresh(out.label)),
-            Strand(reverse_complement(t_top[OVERHANG_LENGTH:]), role_thresh(out.label) + "'"),
-            OVERHANG_LENGTH,
-        )
-        lp = role_link_prob(out.label)
-        plan[lp] = Strand(
-            reverse_complement(p_top[-OVERHANG_LENGTH:] + utils[out.label][:OVERHANG_LENGTH]),
-            lp,
-        )
-        lu = role_link_util(out.label)
-        plan[lu] = Strand(
-            reverse_complement(utils[out.label][OVERHANG_LENGTH:] + term_top[:NODE_LENGTH]),
-            lu,
-        )
-    for opt in matrix.options:
-        for out in matrix.outcomes:
-            role = role_chance(opt.label, out.label)
-            plan[role] = Strand(
-                reverse_complement(
-                    options[opt.label][OVERHANG_LENGTH:]
-                    + probs[out.label][:OVERHANG_LENGTH]
-                ),
-                role,
-            )
-    plan[ROLE_PRIMER_LEFT] = Strand(
-        reverse_complement(choice_top[:OVERHANG_LENGTH]), ROLE_PRIMER_LEFT
-    )
-    plan[ROLE_PRIMER_RIGHT] = Strand(
-        reverse_complement(term_top[-OVERHANG_LENGTH:]), ROLE_PRIMER_RIGHT
-    )
+    place(ROLE_CHOICE)
+    place(ROLE_TERM)
+    for opt in options:
+        site = {SITE_OFFSET: option_sites[opt].site}
+        place(role_option(opt), sites=site, lefts=(tops[ROLE_CHOICE],))
+    option_tops = tuple(tops[role_option(opt)] for opt in options)
+    for out in outcomes:
+        core = (OVERHANG_LENGTH, OVERHANG_LENGTH + middle_lengths[out])
+        place(role_prob(out), lefts=option_tops, breaks=core)
+    for out in outcomes:
+        site = {SITE_OFFSET: outcome_sites[out].site}
+        place(role_util(out), sites=site, lefts=(tops[role_prob(out)],), rights=(tops[ROLE_TERM],))
+    for out in outcomes:
+        toehold = tops[role_prob(out)][:OVERHANG_LENGTH]
+        pad = pins.get(f"pad:{_slug(out)}")
+        if pad is not None:
+            pins[role_thresh(out)] = toehold + pad
+        place(role_thresh(out), prefix=toehold)
+
+    plan: dict[str, Strand | Duplex] = {role: Strand(top, role) for role, top in tops.items()}
+    for role, rule in derivations(options, outcomes).items():
+        strand = Strand(rule.derive(tops), role if rule.offset is None else role + "'")
+        plan[role] = strand if rule.offset is None else Duplex(plan[role], strand, rule.offset)
     return plan
 
 
 # -- validation ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EncodingViolation:
-    kind: str
-    roles: tuple[str, ...]
-    detail: str
+def check_pieces(
+    options: list[str],
+    middle_lengths: dict[str, int],
+    sites: dict[str, str],
+    pieces: dict[str, str],
+) -> list[tuple[str, EncodingViolation]]:
+    """Walk the geometry table and the sequence rules over an encoding's pieces.
 
-    def __str__(self) -> str:
-        return f"[{self.kind}] {', '.join(self.roles)}: {self.detail}"
-
-
-def _expect(conditions: list, out: list) -> None:
-    for ok, kind, roles, detail in conditions:
-        if not ok:
-            out.append(EncodingViolation(kind, tuple(roles), detail))
+    `pieces` maps strand names to sequences: a top or a free strand under
+    its role, a duplex bottom under its role and a prime. `sites` gives the
+    option and utility tops their designed sites. Each finding comes with
+    its strand, in this order: missing roles; lengths; on each top, the
+    toehold copy of a threshold and the rules (stray sites aside); on each
+    derived strand, GC and the derivation; stray sites, junctions included,
+    over every assembled construct.
+    """
+    outcomes = list(middle_lengths)
+    lengths = top_lengths(options, middle_lengths)
+    table = derivations(options, outcomes)
+    parts = [(role, role, n, None) for role, n in lengths.items()]
+    parts += [
+        (role if d.offset is None else role + "'", role, d.length(lengths), d)
+        for role, d in table.items()
+    ]
+    parts = [part for part in parts if part[0] in pieces]
+    tops = {role: pieces[role] for role in lengths if role in pieces}
+    found = [
+        (role, EncodingViolation("geometry", (role,), "missing role"))
+        for role in {**lengths, **table}
+        if role not in pieces
+    ]
+    found += [
+        (name, EncodingViolation("geometry", (role,), f"{len(pieces[name])} bases, expected {n}"))
+        for name, role, n, _ in parts
+        if len(pieces[name]) != n
+    ]
+    # a threshold toehold is a designed copy of either half of a chance junction
+    toeholds = {tops[role_prob(out)][:_H] for out in outcomes if role_prob(out) in tops}
+    toeholds |= {tops[role_option(opt)][_H:] for opt in options if role_option(opt) in tops}
+    thresholds = {role_thresh(out) for out in outcomes}
+    context = RuleContext(tuple(sites.values()), {})
+    bare = RuleContext(context.sites)
+    for name, role, _, d in parts:
+        seq = pieces[name]
+        if d is None:
+            copied = role in thresholds and seq[:_H] in toeholds
+            if role in thresholds and not copied:
+                detail = "toehold copies neither the option rear nor the probability front"
+                found.append((name, EncodingViolation("derivation", (role,), detail)))
+            own = {SITE_OFFSET: sites[role]} if role in sites else {}
+            segment = Segment((role,), seq, own, _H - WINDOW + 1 if copied else 0)
+            found += [(name, v) for v in violations(segment, context) if v.kind != "stray-site"]
+            context.place(segment)
+            continue
+        found += [(name, v) for v in violations(Segment((role,), seq), bare) if v.rule == "gc"]
+        if all(r in tops for r, _, _ in d.slices) and seq != d.derive(tops):
+            found.append((name, EncodingViolation("derivation", (role,), f"not the {d.what}")))
+    for opt in options:
+        for out in outcomes:
+            path = [ROLE_CHOICE, role_option(opt), role_prob(out), role_util(out), ROLE_TERM]
+            if not all(role in tops for role in path):
+                continue
+            seq = "".join(tops[role] for role in path)
+            util_at = len(seq) - len(tops[ROLE_TERM]) - len(tops[path[3]]) + SITE_OFFSET
+            own = {len(tops[ROLE_CHOICE]) + SITE_OFFSET: sites[path[1]], util_at: sites[path[3]]}
+            construct = Segment((path[1], path[3]), seq, own)
+            found += [(path[1], v) for v in violations(construct, bare) if v.kind == "stray-site"]
+    return found
 
 
 def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
-    """Check geometry, derivations, site placement, window uniqueness, GC.
+    """Check a plan against the geometry table and the sequence rules.
 
     Violations are returned as data, never raised; a freshly compiled plan
     must come back clean, a transcribed reference may not.
     """
-    v: list[EncodingViolation] = []
-    matrix = plan.matrix
-    strands = plan.strands
-
-    def seg(role: str) -> str | None:
-        item = strands.get(role)
-        if item is None:
-            v.append(EncodingViolation("geometry", (role,), "missing role"))
-            return None
-        return item.top.seq if isinstance(item, Duplex) else item.seq
-
-    choice = seg(ROLE_CHOICE)
-    term = seg(ROLE_TERM)
-
-    if choice is not None:
-        dup = strands[ROLE_CHOICE]
-        _expect(
-            [
-                (len(choice) == ARM_LENGTH, "geometry", [ROLE_CHOICE],
-                 f"choice arm is {len(choice)} bases, expected {ARM_LENGTH}"),
-                (isinstance(dup, Duplex) and dup.offset == 0, "geometry",
-                 [ROLE_CHOICE], "choice arm must pair at its left end"),
-            ],
-            v,
-        )
-        if isinstance(dup, Duplex) and len(choice) == ARM_LENGTH:
-            _expect(
-                [(dup.bottom.seq == reverse_complement(choice[:NODE_LENGTH]),
-                  "derivation", [ROLE_CHOICE],
-                  "choice bottom is not the complement of the arm's first half")],
-                v,
-            )
-    if term is not None:
-        dup = strands[ROLE_TERM]
-        _expect(
-            [
-                (len(term) == ARM_LENGTH, "geometry", [ROLE_TERM],
-                 f"termination arm is {len(term)} bases, expected {ARM_LENGTH}"),
-                (isinstance(dup, Duplex) and dup.offset == NODE_LENGTH, "geometry",
-                 [ROLE_TERM], "termination arm must pair at its right end"),
-            ],
-            v,
-        )
-        if isinstance(dup, Duplex) and len(term) == ARM_LENGTH:
-            _expect(
-                [(dup.bottom.seq == reverse_complement(term[NODE_LENGTH:]),
-                  "derivation", [ROLE_TERM],
-                  "termination bottom is not the complement of the arm's second half")],
-                v,
-            )
-
-    option_seqs: dict[str, str] = {}
-    for opt in matrix.options:
-        role = role_option(opt.label)
-        s = seg(role)
-        if s is None:
-            continue
-        option_seqs[opt.label] = s
-        site = plan.option_sites[opt.label]
-        hits = [i for i in range(len(s) - 5) if s[i : i + 6] == site.site]
-        _expect(
-            [
-                (len(s) == NODE_LENGTH, "geometry", [role],
-                 f"option strand is {len(s)} bases, expected {NODE_LENGTH}"),
-                (hits != [], "site-missing", [role],
-                 f"designed site {site.site} ({site.enzyme}) not present"),
-                (hits in ([], [SITE_OFFSET]), "site-extra", [role],
-                 f"designed site must occur exactly once at offset {SITE_OFFSET}, found {hits}"),
-            ],
-            v,
-        )
-
-    prob_seqs: dict[str, str] = {}
-    util_seqs: dict[str, str] = {}
-    for out in matrix.outcomes:
-        role = role_prob(out.label)
-        s = seg(role)
-        m = plan.middle_lengths[out.label]
-        if s is not None:
-            prob_seqs[out.label] = s
-            item = strands[role]
-            _expect(
-                [
-                    (len(s) == 2 * OVERHANG_LENGTH + m, "geometry", [role],
-                     f"probability duplex top is {len(s)} bases, expected {2 * OVERHANG_LENGTH + m}"),
-                    (isinstance(item, Duplex) and item.offset == OVERHANG_LENGTH,
-                     "geometry", [role], "probability duplex must expose 10-base overhangs"),
-                ],
-                v,
-            )
-            if isinstance(item, Duplex) and len(s) == 2 * OVERHANG_LENGTH + m:
-                _expect(
-                    [(item.bottom.seq == reverse_complement(s[OVERHANG_LENGTH : OVERHANG_LENGTH + m]),
-                      "derivation", [role], "core bottom is not the complement of the core")],
-                    v,
-                )
-        role = role_util(out.label)
-        s = seg(role)
-        if s is not None:
-            util_seqs[out.label] = s
-            site = plan.outcome_sites[out.label]
-            hits = [i for i in range(len(s) - 5) if s[i : i + 6] == site.site]
-            _expect(
-                [
-                    (len(s) == NODE_LENGTH, "geometry", [role],
-                     f"utility strand is {len(s)} bases, expected {NODE_LENGTH}"),
-                    (hits != [], "site-missing", [role],
-                     f"designed site {site.site} ({site.enzyme}) not present"),
-                    (hits in ([], [SITE_OFFSET]), "site-extra", [role],
-                     f"designed site must occur exactly once at offset {SITE_OFFSET}, found {hits}"),
-                ],
-                v,
-            )
-
-    thresh_tops: dict[str, str] = {}
-    for out in matrix.outcomes:
-        role = role_thresh(out.label)
-        s = seg(role)
-        if s is None:
-            continue
-        thresh_tops[out.label] = s
-        item = strands[role]
-        _expect(
-            [
-                (len(s) == NODE_LENGTH, "geometry", [role],
-                 f"threshold top is {len(s)} bases, expected {NODE_LENGTH}"),
-                (isinstance(item, Duplex) and item.offset == OVERHANG_LENGTH,
-                 "geometry", [role], "threshold must expose a 10-base toehold"),
-            ],
-            v,
-        )
-        if isinstance(item, Duplex) and len(s) == NODE_LENGTH:
-            _expect(
-                [(item.bottom.seq == reverse_complement(s[OVERHANG_LENGTH:]),
-                  "derivation", [role], "protector does not pair the pad")],
-                v,
-            )
-        toehold = s[:OVERHANG_LENGTH]
-        designed = [p[:OVERHANG_LENGTH] for p in prob_seqs.values()]
-        designed += [o[OVERHANG_LENGTH:] for o in option_seqs.values()]
-        _expect(
-            [(toehold in designed, "derivation", [role],
-              "toehold copies neither a probability front nor an option rear")],
-            v,
-        )
-
-    # linker derivations
-    for opt in matrix.options:
-        role = role_link_choice(opt.label)
-        s = seg(role)
-        if s is None or choice is None or opt.label not in option_seqs:
-            continue
-        want = reverse_complement(
-            choice[NODE_LENGTH:] + option_seqs[opt.label][:OVERHANG_LENGTH]
-        )
-        _expect(
-            [(s == want, "derivation", [role],
-              "linker does not complement the choice-to-option junction")],
-            v,
-        )
-    for opt in matrix.options:
-        for out in matrix.outcomes:
-            role = role_chance(opt.label, out.label)
-            s = seg(role)
-            if s is None or opt.label not in option_seqs or out.label not in prob_seqs:
-                continue
-            want = reverse_complement(
-                option_seqs[opt.label][OVERHANG_LENGTH:]
-                + prob_seqs[out.label][:OVERHANG_LENGTH]
-            )
-            _expect(
-                [(s == want, "derivation", [role],
-                  "chance strand does not complement the option-to-probability junction")],
-                v,
-            )
-    for out in matrix.outcomes:
-        role = role_link_prob(out.label)
-        s = seg(role)
-        if s is not None and out.label in prob_seqs and out.label in util_seqs:
-            want = reverse_complement(
-                prob_seqs[out.label][-OVERHANG_LENGTH:]
-                + util_seqs[out.label][:OVERHANG_LENGTH]
-            )
-            _expect(
-                [(s == want, "derivation", [role],
-                  "linker does not complement the probability-to-utility junction")],
-                v,
-            )
-        role = role_link_util(out.label)
-        s = seg(role)
-        if s is not None and out.label in util_seqs and term is not None:
-            want = reverse_complement(
-                util_seqs[out.label][OVERHANG_LENGTH:] + term[:NODE_LENGTH]
-            )
-            _expect(
-                [(s == want, "derivation", [role],
-                  "linker does not complement the utility-to-termination junction")],
-                v,
-            )
-    for role, source, piece in (
-        (ROLE_PRIMER_LEFT, choice, lambda c: c[:OVERHANG_LENGTH]),
-        (ROLE_PRIMER_RIGHT, term, lambda t: t[-OVERHANG_LENGTH:]),
-    ):
-        s = seg(role)
-        if s is not None and source is not None:
-            _expect(
-                [(s == reverse_complement(piece(source)), "derivation", [role],
-                  "primer does not match its construct end")],
-                v,
-            )
-
-    # stray sites across assembled constructs (junction-spanning included)
-    assigned = {s.site: s.enzyme for s in plan.option_sites.values()}
-    assigned.update({s.site: s.enzyme for s in plan.outcome_sites.values()})
-    for opt in matrix.options:
-        for out in matrix.outcomes:
-            if opt.label not in option_seqs or out.label not in prob_seqs:
-                continue
-            if out.label not in util_seqs or choice is None or term is None:
-                continue
-            top = (
-                choice
-                + option_seqs[opt.label]
-                + prob_seqs[out.label]
-                + util_seqs[out.label]
-                + term
-            )
-            m = plan.middle_lengths[out.label]
-            expected = {
-                ARM_LENGTH + SITE_OFFSET: plan.option_sites[opt.label].site,
-                ARM_LENGTH + NODE_LENGTH + 2 * OVERHANG_LENGTH + m + SITE_OFFSET:
-                    plan.outcome_sites[out.label].site,
-            }
-            for site, enzyme in assigned.items():
-                for i in range(len(top) - 5):
-                    if top[i : i + 6] == site and expected.get(i) != site:
-                        v.append(
-                            EncodingViolation(
-                                "stray-site",
-                                (role_option(opt.label), role_util(out.label)),
-                                f"{enzyme} site {site} at construct position {i} "
-                                f"of path {opt.label}/{out.label}",
-                            )
-                        )
-
-    # window uniqueness over independent material
-    loci: dict[str, list[tuple[str, int]]] = {}
-    site_span_by_role: dict[str, tuple[int, int]] = {}
-    independent: list[tuple[str, str]] = []
-    if choice is not None:
-        independent.append((ROLE_CHOICE, choice))
-    if term is not None:
-        independent.append((ROLE_TERM, term))
-    for opt in matrix.options:
-        if opt.label in option_seqs:
-            role = role_option(opt.label)
-            independent.append((role, option_seqs[opt.label]))
-            site_span_by_role[role] = (SITE_OFFSET, SITE_OFFSET + 6)
-    for out in matrix.outcomes:
-        if out.label in prob_seqs:
-            independent.append((role_prob(out.label), prob_seqs[out.label]))
-        if out.label in util_seqs:
-            role = role_util(out.label)
-            independent.append((role, util_seqs[out.label]))
-            site_span_by_role[role] = (SITE_OFFSET, SITE_OFFSET + 6)
-    for out in matrix.outcomes:
-        if out.label in thresh_tops:
-            independent.append((role_thresh(out.label), thresh_tops[out.label]))
-
-    designed_toeholds = {p[:OVERHANG_LENGTH] for p in prob_seqs.values()}
-    designed_toeholds |= {o[OVERHANG_LENGTH:] for o in option_seqs.values()}
-    for role, s in independent:
-        for i in range(len(s) - WINDOW + 1):
-            w = s[i : i + WINDOW]
-            if role.startswith("thresh:") and i == 0 and w in designed_toeholds:
-                continue  # designed copy, paired by construction
-            loci.setdefault(w, []).append((role, i))
-
-    for w, places in sorted(loci.items()):
-        if len(places) > 1:
-            v.append(
-                EncodingViolation(
-                    "duplicate-window",
-                    tuple(r for r, _ in places),
-                    f"window {w} occurs at {places}",
-                )
-            )
-        rc = reverse_complement(w)
-        if rc == w:
-            role, i = places[0]
-            span = site_span_by_role.get(role)
-            covers = span is not None and i <= span[0] and span[1] <= i + WINDOW
-            if not covers:
-                v.append(
-                    EncodingViolation(
-                        "self-complement-window",
-                        (role,),
-                        f"window {w} at offset {i} is its own reverse complement",
-                    )
-                )
-        elif rc in loci and w < rc:
-            v.append(
-                EncodingViolation(
-                    "complement-window",
-                    tuple(r for r, _ in loci[w] + loci[rc]),
-                    f"windows {w} and {rc} are reverse complements",
-                )
-            )
-
-    # GC bounds over every physical strand
-    for role, item in sorted(strands.items()):
-        parts = (
-            [(role + ".top", item.top.seq), (role + ".bottom", item.bottom.seq)]
-            if isinstance(item, Duplex)
-            else [(role, item.seq)]
-        )
-        for name, s in parts:
-            frac = gc_fraction(s)
-            if not Fraction(2, 5) <= frac <= Fraction(3, 5):
-                v.append(
-                    EncodingViolation(
-                        "gc-range", (role,),
-                        f"{name} GC fraction {frac} outside [2/5, 3/5]",
-                    )
-                )
-    return v
+    matrix, strands = plan.matrix, plan.strands
+    options = [opt.label for opt in matrix.options]
+    table = derivations(options, list(plan.middle_lengths))
+    found: list[EncodingViolation] = []
+    pieces: dict[str, str] = {}
+    for role, item in strands.items():
+        duplex = isinstance(item, Duplex)
+        pieces[role] = item.top.seq if duplex else item.seq
+        offset = table[role].offset if role in table else None
+        if duplex and item.offset == offset:
+            pieces[role + "'"] = item.bottom.seq
+        elif offset is not None:
+            detail = f"must be a duplex paired from column {offset}"
+            found.append(EncodingViolation("geometry", (role,), detail))
+    sites = {role_option(o.label): plan.option_sites[o.label].site for o in matrix.options}
+    sites.update({role_util(o.label): plan.outcome_sites[o.label].site for o in matrix.outcomes})
+    return found + [v for _, v in check_pieces(options, plan.middle_lengths, sites, pieces)]
 
 
 # -- plan containers -----------------------------------------------------------
@@ -822,9 +596,12 @@ class EncodingPlan:
     threshold_ratios: dict[str, Fraction]
     option_sites: dict[str, RecognitionSite]
     outcome_sites: dict[str, RecognitionSite]
-    tube_enzymes: tuple[frozenset[str], ...]
     base_length: int = BASE_CONSTRUCT_LENGTH
     fixture_notes: tuple[str, ...] = ()
+
+    @property
+    def tube_enzymes(self) -> tuple[frozenset[str], ...]:
+        return tube_schedule(self.matrix, self.option_sites, self.outcome_sites)
 
     @property
     def primers(self) -> tuple[Strand, Strand]:
@@ -981,7 +758,6 @@ def compile_problem(
     )
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
     option_sites, outcome_sites = assign_enzymes(matrix, library)
-    tubes = tube_schedule(matrix, option_sites, outcome_sites)
 
     pins: dict[str, str] = {}
     notes: tuple[str, ...] = ()
@@ -1001,12 +777,11 @@ def compile_problem(
         threshold_ratios=ratios,
         option_sites=option_sites,
         outcome_sites=outcome_sites,
-        tube_enzymes=tubes,
         fixture_notes=notes,
     )
     protocol = ProtocolPlan(
         tube_labels=tuple(f"tube-{i + 1}" for i in range(len(matrix.options))),
-        tube_enzymes=tuple(tuple(sorted(t)) for t in tubes),
+        tube_enzymes=tuple(tuple(sorted(t)) for t in plan.tube_enzymes),
         threshold_doses=dict(ratios),
         primer_seqs=(plan.primers[0].seq, plan.primers[1].seq),
         pcr_cycles=pcr_cycles,

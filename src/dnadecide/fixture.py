@@ -3,9 +3,9 @@
 These pieces cover one representative path of the three-by-three encoding
 (first option, first outcome) plus that outcome's threshold and the two
 primers. They are kept verbatim, transcription defects included, because
-they double as a negative-control corpus for `validate_encoding`: a
-correct validator must flag exactly what is wrong with them rather than
-silently repairing anything.
+they double as a negative-control corpus: `assess_printed` walks them with
+the geometry table and rules of `validate_encoding` and must flag exactly
+what is wrong with them rather than silently repairing anything.
 
 Strands marked FLIP below were transcribed in displayed 3'->5' orientation
 (positionwise complements lying under a top strand) and are reversed on
@@ -14,160 +14,87 @@ load so that every sequence handed out is 5'->3'.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .decision import DecisionMatrix, _slug, role_option, role_prob, role_util
-from .strands import RecognitionSite, gc_fraction, reverse_complement
+from .compiler import (
+    NODE_LENGTH,
+    OVERHANG_LENGTH,
+    SITE_OFFSET,
+    RuleContext,
+    Segment,
+    check_pieces,
+    middle_length_for_rank,
+    top_lengths,
+    violations,
+)
+from .decision import (
+    ROLE_CHOICE,
+    ROLE_TERM,
+    DecisionMatrix,
+    _slug,
+    role_option,
+    role_prob,
+    role_util,
+)
+from .strands import RecognitionSite
 
 KEEP, FLIP = "5to3", "3to5"
 
-_RAW: dict[str, tuple[str, str]] = {
-    "choice.top": (KEEP, "GGACCGACACACAAAGACCTCTCATTCTCTGAGTAGCCG"),
-    "choice.bottom": (FLIP, "CCTGGCTGTGTGTTTCTGGA"),
-    "option": (KEEP, "TCTGACTCAGCTGAGATCCA"),
-    "prob.top": (KEEP, "ACATCAGGAGTACGTGAATCCCTTC"),
-    "prob.bottom": (FLIP, "CATGCAC"),
-    "util": (KEEP, "CCGACAAACAGGTGGCTACAC"),
-    "term.top": (KEEP, "TGGTCTCGCCAAGGAAAATTCCGTAGATGGTCGCTCACAA"),
-    "term.bottom": (FLIP, "GGCATCTACCAGCGAGTGT"),
-    "link.choice": (FLIP, "GAGTAAGGAGACTCATCGGCAGACTGAGTC"),
-    "chance": (FLIP, "GACTCTAGGTTGTAGTGCCT"),
-    "link.prob": (FLIP, "TTAGGGAAGGGGCTGTTGTG"),
-    "link.util": (FLIP, "CACCGATGTGACCAGAGCGGTTCTTTTAA"),
-    "thresh.top": (KEEP, "CTGAGATCCAGTTAGCAGGT"),
-    "thresh.bottom": (FLIP, "CAATCGTCCA"),
-    "primer.left": (FLIP, "CCTGGCTGTG"),
-    "primer.right": (FLIP, "AGCGAGTGTT"),
+# printed piece -> (strand it transcribes, orientation, sequence); the path is
+# option-1 with outcome red, and a duplex bottom is named by its role and a prime
+_RAW: dict[str, tuple[str, str, str]] = {
+    "choice.top": ("choice", KEEP, "GGACCGACACACAAAGACCTCTCATTCTCTGAGTAGCCG"),
+    "choice.bottom": ("choice'", FLIP, "CCTGGCTGTGTGTTTCTGGA"),
+    "option": ("option:option-1", KEEP, "TCTGACTCAGCTGAGATCCA"),
+    "prob.top": ("prob:red", KEEP, "ACATCAGGAGTACGTGAATCCCTTC"),
+    "prob.bottom": ("prob:red'", FLIP, "CATGCAC"),
+    "util": ("util:red", KEEP, "CCGACAAACAGGTGGCTACAC"),
+    "term.top": ("term", KEEP, "TGGTCTCGCCAAGGAAAATTCCGTAGATGGTCGCTCACAA"),
+    "term.bottom": ("term'", FLIP, "GGCATCTACCAGCGAGTGT"),
+    "link.choice": ("link:choice:option-1", FLIP, "GAGTAAGGAGACTCATCGGCAGACTGAGTC"),
+    "chance": ("chance:option-1:red", FLIP, "GACTCTAGGTTGTAGTGCCT"),
+    "link.prob": ("link:prob:red", FLIP, "TTAGGGAAGGGGCTGTTGTG"),
+    "link.util": ("link:util:red", FLIP, "CACCGATGTGACCAGAGCGGTTCTTTTAA"),
+    "thresh.top": ("thresh:red", KEEP, "CTGAGATCCAGTTAGCAGGT"),
+    "thresh.bottom": ("thresh:red'", FLIP, "CAATCGTCCA"),
+    "primer.left": ("primer:left", FLIP, "CCTGGCTGTG"),
+    "primer.right": ("primer:right", FLIP, "AGCGAGTGTT"),
 }
 
-# what the geometry demands of each piece, for a 7-base probability core
-_EXPECTED_LENGTHS = {
-    "choice.top": 40,
-    "choice.bottom": 20,
-    "option": 20,
-    "prob.top": 27,
-    "prob.bottom": 7,
-    "util": 20,
-    "term.top": 40,
-    "term.bottom": 20,
-    "link.choice": 30,
-    "chance": 20,
-    "link.prob": 20,
-    "link.util": 30,
-    "thresh.top": 20,
-    "thresh.bottom": 10,
-    "primer.left": 10,
-    "primer.right": 10,
-}
-
-_OPTION_SITE = "CAGCTG"
-_UTIL_SITE = "CACGTG"
+# the designed sites of the transcribed option and utility strands
+_SITES = {"option:option-1": "CAGCTG", "util:red": "CACGTG"}
 
 
 def printed_pieces() -> dict[str, str]:
     """All reference strands, normalized to 5'->3'."""
     return {
-        key: seq if orient == KEEP else seq[::-1] for key, (orient, seq) in _RAW.items()
+        key: seq if orient == KEEP else seq[::-1]
+        for key, (_, orient, seq) in _RAW.items()
     }
 
 
 def assess_printed() -> list[str]:
-    """Findings on the reference set: every deviation from the geometry."""
-    p = printed_pieces()
-    findings: list[str] = []
-
-    for key, want in _EXPECTED_LENGTHS.items():
-        have = len(p[key])
-        if have != want:
-            findings.append(f"{key}: {have} bases, expected {want}")
-
-    def half(key: str, lo: int, hi: int) -> str:
-        return p[key][lo:hi]
-
-    if _OPTION_SITE not in p["option"]:
-        findings.append(f"option: designed site {_OPTION_SITE} not present")
-    elif p["option"].find(_OPTION_SITE) != 7:
-        findings.append(f"option: designed site {_OPTION_SITE} not at offset 7")
-    if _UTIL_SITE not in p["util"]:
-        findings.append(f"util: designed site {_UTIL_SITE} not present")
-
-    pairings = [
-        ("choice.bottom", p["choice.bottom"], reverse_complement(p["choice.top"][:20]),
-         "complement of the choice arm's first half"),
-        ("term.bottom", p["term.bottom"], reverse_complement(p["term.top"][20:]),
-         "complement of the termination arm's second half"),
-        ("prob.bottom", p["prob.bottom"],
-         reverse_complement(p["prob.top"][10:17]),
-         "complement of the probability core"),
-        ("thresh.bottom", p["thresh.bottom"],
-         reverse_complement(p["thresh.top"][10:]),
-         "complement of the threshold pad"),
-        ("link.choice", p["link.choice"],
-         reverse_complement(p["choice.top"][20:] + p["option"][:10]),
-         "complement of the choice-to-option junction"),
-        ("chance", p["chance"],
-         reverse_complement(p["option"][10:] + p["prob.top"][:10]),
-         "complement of the option-to-probability junction"),
-        ("link.prob", p["link.prob"],
-         reverse_complement(p["prob.top"][-10:] + p["util"][:10]),
-         "complement of the probability-to-utility junction"),
-        ("link.util", p["link.util"],
-         reverse_complement(p["util"][10:20] + p["term.top"][:20]),
-         "complement of the utility-to-termination junction"),
-        ("primer.left", p["primer.left"], reverse_complement(p["choice.top"][:10]),
-         "match for the left construct end"),
-        ("primer.right", p["primer.right"], reverse_complement(p["term.top"][-10:]),
-         "match for the right construct end"),
-    ]
-    for key, have, want, what in pairings:
-        if have != want:
-            findings.append(f"{key}: not the {what}")
-
-    toehold = p["thresh.top"][:10]
-    if toehold not in (p["option"][10:], p["prob.top"][:10]):
-        findings.append(
-            "thresh.top: toehold copies neither the option rear nor the probability front"
-        )
+    """Findings on the reference set: every deviation from the geometry of
+    its path with a 7-base core, each named by its printed piece."""
+    names = {strand: key for key, (strand, _, _) in _RAW.items()}
+    pieces = {_RAW[key][0]: seq for key, seq in printed_pieces().items()}
+    found = check_pieces(["option-1"], {"red": middle_length_for_rank(0)}, _SITES, pieces)
+    findings = []
+    for strand, v in found:
+        if v.kind == "site-missing":
+            findings.append(f"{names[strand]}: designed site {_SITES[strand]} not present")
+        elif v.kind in ("geometry", "derivation", "site-extra"):
+            findings.append(f"{names[strand]}: {v.detail}")
     return findings
 
 
-def _screen(
-    seq: str,
-    length: int,
-    assigned: list[str],
-    own_site: str | None,
-    used_windows: set[str],
-) -> list[str]:
-    """Reasons this piece cannot be pinned into a fresh plan."""
-    reasons: list[str] = []
-    if len(seq) != length:
-        reasons.append(f"{len(seq)} bases, expected {length}")
-    if set(seq) - set("ACGT"):
-        reasons.append("non-ACGT symbols")
-        return reasons
-    frac = gc_fraction(seq)
-    if not Fraction(2, 5) <= frac <= Fraction(3, 5):
-        reasons.append(f"GC fraction {frac} outside [0.4, 0.6]")
-    site_at = None
-    for site in assigned:
-        hits = [i for i in range(len(seq) - 5) if seq[i : i + 6] == site]
-        if site == own_site:
-            if hits == [7]:
-                site_at = 7
-            else:
-                reasons.append(f"designed site {site} not exactly once at offset 7")
-        elif hits:
-            reasons.append(f"stray {site} site")
-    local: set[str] = set()
-    for i in range(len(seq) - 9):
-        w = seq[i : i + 10]
-        rc = reverse_complement(w)
-        covers_site = site_at is not None and i <= site_at and site_at + 6 <= i + 10
-        if w == rc and not covers_site:
-            reasons.append(f"self-complementary window {w}")
-        if w in used_windows or rc in used_windows or w in local or (rc in local and rc != w):
-            reasons.append(f"window {w} collides with other pinned material")
-        local.add(w)
+def _screen(segment: Segment, length: int, context: RuleContext) -> list[str]:
+    """Reasons this piece cannot be pinned into a fresh plan: its length and
+    alphabet, then the sequence rules. A kept piece is placed in `context`."""
+    reasons = [] if len(segment.seq) == length else [f"{len(segment.seq)} bases, expected {length}"]
+    if set(segment.seq) - set("ACGT"):
+        return reasons + ["non-ACGT symbols"]
+    reasons += [v.detail for v in violations(segment, context)]
+    if not reasons:
+        context.place(segment)
     return reasons
 
 
@@ -180,35 +107,33 @@ def screened_pins(
     """Reference pieces that survive standalone screening, as generator pins.
 
     Only independent material can be pinned; duplex bottoms, linkers and
-    primers are always re-derived. Every kept or rejected piece is reported.
+    primers are always re-derived. A piece is screened by the same rules as
+    a designed segment. Every kept or rejected piece is reported.
     """
     p = printed_pieces()
     first_opt = matrix.options[0].label
     first_out = matrix.outcomes[0].label
-    assigned = [s.site for s in option_sites.values()] + [
-        s.site for s in outcome_sites.values()
-    ]
-    candidates = [
-        ("choice", p["choice.top"], 40, None, "choice"),
-        ("term", p["term.top"], 40, None, "term"),
-        (role_option(first_opt), p["option"], 20,
-         option_sites[first_opt].site, "option"),
-        (role_prob(first_out), p["prob.top"],
-         20 + middle_lengths[first_out], None, "prob.top"),
-        (role_util(first_out), p["util"], 20,
-         outcome_sites[first_out].site, "util"),
-        (f"pad:{_slug(first_out)}", p["thresh.top"][10:], 10, None, "thresh pad"),
+    pad = f"pad:{_slug(first_out)}"
+    lengths = top_lengths([first_opt], {first_out: middle_lengths[first_out]})
+    lengths[pad] = NODE_LENGTH - OVERHANG_LENGTH
+    assigned = [s.site for s in option_sites.values()] + [s.site for s in outcome_sites.values()]
+    context = RuleContext(tuple(assigned), {})
+    candidates = [  # (role, piece, designed site, label)
+        (ROLE_CHOICE, p["choice.top"], None, "choice"),
+        (ROLE_TERM, p["term.top"], None, "term"),
+        (role_option(first_opt), p["option"], option_sites[first_opt].site, "option"),
+        (role_prob(first_out), p["prob.top"], None, "prob.top"),
+        (role_util(first_out), p["util"], outcome_sites[first_out].site, "util"),
+        (pad, p["thresh.top"][OVERHANG_LENGTH:], None, "thresh pad"),
     ]
     pins: dict[str, str] = {}
     notes: list[str] = []
-    used: set[str] = set()
-    for key, seq, length, own_site, label in candidates:
-        reasons = _screen(seq, length, assigned, own_site, used)
+    for key, seq, site, label in candidates:
+        segment = Segment((key,), seq, {SITE_OFFSET: site} if site else {})
+        reasons = _screen(segment, lengths[key], context)
         if reasons:
             notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
         else:
             pins[key] = seq
-            for i in range(len(seq) - 9):
-                used.add(seq[i : i + 10])
             notes.append(f"kept reference {label} verbatim")
     return pins, tuple(notes)

@@ -9,7 +9,8 @@ The duplex primitives work on whole slices rather than one base at a time:
 the pairing check compares the top strand's paired slice with the reverse
 complement of the matching bottom slice, `Duplex.top_line` is the top strand
 between its two complemented overhangs, and site scanning is a `str.find`
-loop over the double-stranded window. A digest with several enzymes is one
+loop over the double-stranded window (`scan`, which the compiler's sequence
+rules use as well). A digest with several enzymes is one
 `cut(duplex, *sites)` call that scans the line once per site and slices the
 duplex once; an instance of a later site is left uncut when an earlier
 site's cut column falls strictly inside it, as cutting site by site would.
@@ -208,13 +209,13 @@ class RecognitionSite:
             raise StrandError(f"{self.enzyme}: only blunt center cuts are modeled")
 
 
-def _scan(line: str, lo: int, hi: int, site: RecognitionSite) -> list[int]:
+def scan(line: str, site: str, lo: int = 0, hi: int | None = None) -> list[int]:
     """Start positions of `site` lying wholly inside line[lo:hi], ascending."""
     hits = []
-    p = line.find(site.site, lo, hi)
+    p = line.find(site, lo, hi)
     while p != -1:
         hits.append(p)
-        p = line.find(site.site, p + 1, hi)
+        p = line.find(site, p + 1, hi)
     return hits
 
 
@@ -225,14 +226,14 @@ def _ds_window(duplex: Duplex) -> tuple[int, int]:
 
 def find_sites(duplex: Duplex, site: RecognitionSite) -> list[int]:
     """Start positions (span coordinates) of site instances lying fully in dsDNA."""
-    return _scan(duplex.top_line(), *_ds_window(duplex), site)
+    return scan(duplex.top_line(), site.site, *_ds_window(duplex))
 
 
 def present_sites(duplex: Duplex, sites) -> tuple[RecognitionSite, ...]:
     """The given sites with at least one instance in dsDNA, in the given order."""
     line = duplex.top_line()
     lo, hi = _ds_window(duplex)
-    return tuple(site for site in sites if _scan(line, lo, hi, site))
+    return tuple(site for site in sites if scan(line, site.site, lo, hi))
 
 
 def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
@@ -255,7 +256,7 @@ def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
         width = len(site.site)
         hits = [
             p
-            for p in _scan(line, lo, hi, site)
+            for p in scan(line, site.site, lo, hi)
             if not any(p < c < p + width for c in cols)
         ]
         cols.extend(p + site.cut_offset for p in hits)

@@ -139,8 +139,10 @@ def apply_thresholds(tube: TubeState) -> TubeState:
     """Let each threshold sequester its outcome's chance strands.
 
     Per chance species: consumed = min(dose, concentration); the consumed
-    amount moves into an inert waste complex. Material is conserved per
-    chance species (active + waste before == after).
+    amount moves into an inert waste complex keyed by the chance species
+    alone (chance keys are distinct, thresh+chance joins need not be).
+    Material is conserved per chance species (active + waste before ==
+    after).
     """
     plan = tube.plan
     species = dict(tube.species)
@@ -161,7 +163,7 @@ def apply_thresholds(tube: TubeState) -> TubeState:
             if consumed == 0:
                 continue
             species[ch_key] = replace(species[ch_key], concentration=c - consumed)
-            waste_key = f"waste:{th_key}+{ch_key}"
+            waste_key = f"waste:{ch_key}"
             waste_structure = species[th_key].structure
             species[waste_key] = Species(
                 waste_key, waste_structure, consumed, status=WASTE

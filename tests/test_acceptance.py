@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from conftest import make_ball_game
 
-from dnadecide.compiler import compile_problem, role_thresh
+from dnadecide.compiler import compile_problem
 from dnadecide.decision import best_options, role_chance, role_option, role_util
 from dnadecide.gel import GelConfig, _merge_bands, decode_length, migrate, readout, run_gel
 from dnadecide.strands import (
@@ -195,10 +195,9 @@ def test_criterion_7_conservation_suite():
             doses[key] = conc
         settled = apply_thresholds(replace(pool, species=species))
         for out in matrix.outcomes:
-            th = role_thresh(out.label)
             for opt in matrix.options:
                 ch = role_chance(opt.label, out.label)
-                waste = settled.species.get(f"waste:{th}+{ch}")
+                waste = settled.species.get(f"waste:{ch}")
                 total = settled.species[ch].concentration + (
                     waste.concentration if waste else 0
                 )

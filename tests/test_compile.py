@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,10 @@ from dnadecide.compiler import (
     GenerationFailedError,
     LibraryExhaustedError,
     UnresolvableError,
+    _Designer,
     assign_enzymes,
     compile_problem,
+    derivations,
     generate_sequences,
     middle_length_for_rank,
     probability_lengths,
@@ -25,6 +29,7 @@ from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
     EXTENDED_BLUNT_CUTTERS,
     Duplex,
+    Strand,
     gc_fraction,
     reverse_complement,
 )
@@ -206,7 +211,6 @@ def test_duplicated_option_sequence_is_flagged(ball_plan):
         threshold_ratios=plan.threshold_ratios,
         option_sites=plan.option_sites,
         outcome_sites=plan.outcome_sites,
-        tube_enzymes=plan.tube_enzymes,
     )
     one = broken.strands[role_option("option-1")]
     broken.strands[role_option("option-2")] = one
@@ -216,31 +220,87 @@ def test_duplicated_option_sequence_is_flagged(ball_plan):
     assert "site-missing" in kinds or "stray-site" in kinds
 
 
-def test_corrupted_linker_is_flagged(ball_plan):
+def _flip_last(seq: str) -> str:
+    return seq[:-1] + ("A" if seq[-1] != "A" else "C")
+
+
+_BALL_DERIVED = list(
+    derivations(
+        [o.label for o in make_ball_game().options],
+        [o.label for o in make_ball_game().outcomes],
+    )
+)
+
+
+@pytest.mark.parametrize("role", _BALL_DERIVED)
+def test_flipped_derived_base_is_flagged(ball_plan, role):
     plan, _ = ball_plan
-    broken_strands = dict(plan.strands)
-    link = broken_strands["link:choice:option-1"]
-    flipped = link.seq[:-1] + ("A" if link.seq[-1] != "A" else "C")
-    broken_strands["link:choice:option-1"] = type(link)(flipped, link.role)
+    item = plan.strands[role]
+    strands = dict(plan.strands)
+    if isinstance(item, Duplex):
+        # the constructor refuses a mispaired bottom, which a transcribed
+        # plan may still hold, so build this one around the pairing check
+        mispaired = object.__new__(Duplex)
+        bottom = Strand(_flip_last(item.bottom.seq), item.bottom.role)
+        for name, value in (("top", item.top), ("bottom", bottom), ("offset", item.offset)):
+            object.__setattr__(mispaired, name, value)
+        strands[role] = mispaired
+    else:
+        strands[role] = Strand(_flip_last(item.seq), item.role)
     broken = EncodingPlan(
         matrix=plan.matrix,
         seed=plan.seed,
-        strands=broken_strands,
+        strands=strands,
         middle_lengths=plan.middle_lengths,
         threshold_ratios=plan.threshold_ratios,
         option_sites=plan.option_sites,
         outcome_sites=plan.outcome_sites,
-        tube_enzymes=plan.tube_enzymes,
     )
-    assert any(v.kind == "derivation" for v in validate_encoding(broken))
+    found = validate_encoding(broken)
+    assert any(v.kind == "derivation" and v.roles == (role,) for v in found), found
 
 
-def test_five_by_five_compiles_clean():
-    m = build_matrix(
+def _five_by_five():
+    return build_matrix(
         outcomes=[(f"o{j}", F(1, 5)) for j in range(5)],
         options=[(f"a{i}", [f"o{j}" for j in range(i + 1)]) for i in range(5)],
     )
-    plan, _ = compile_problem(m, seed=3, library=EXTENDED_BLUNT_CUTTERS)
+
+
+def _plan_text(plan, protocol) -> str:
+    return plan.to_fasta() + plan.describe() + protocol.describe()
+
+
+# sha256 of the FASTA, plan text and protocol text; a designer that accepts
+# or rejects one candidate differently moves the RNG stream and every digest
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("core", "7b4a3ac2916fbc80d1ee0166a01e36f7818765f8dd5f945d84a5c3aa576ae147"),
+        ("extended-5x5", "8480ced02cf08d36e7cbae6eeca08efcddb43b6a50511858885834c74eb1acf0"),
+        ("fixture", "eaceff3275f3e73f7e133678d8288076b93414584118ac332397a5a5b8b33a35"),
+    ],
+    ids=["core", "extended-5x5", "fixture"],
+)
+def test_outputs_are_byte_identical_to_reference(case, digest):
+    if case == "core":  # the ball game on the core library, seeds 0-9
+        text = "".join(
+            _plan_text(*compile_problem(make_ball_game(), seed=s)) for s in range(10)
+        )
+    elif case == "extended-5x5":  # a fixed 5x5 on the extended library, seeds 0-9
+        text = "".join(
+            _plan_text(*compile_problem(
+                _five_by_five(), seed=s, library=EXTENDED_BLUNT_CUTTERS
+            ))
+            for s in range(10)
+        )
+    else:  # the ball game seeded from the screened reference pieces
+        text = _plan_text(*compile_problem(make_ball_game(), use_fixture=True))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_five_by_five_compiles_clean():
+    plan, _ = compile_problem(_five_by_five(), seed=3, library=EXTENDED_BLUNT_CUTTERS)
     assert validate_encoding(plan) == []
     assert sorted(plan.middle_lengths.values()) == [7, 16, 34, 70, 142]
 
@@ -319,3 +379,13 @@ def test_generation_failure_is_raised_not_looped():
             generate_sequences(m, option_sites, outcome_sites, middles, seed=0)
     finally:
         compiler._Designer = original
+
+
+def test_generation_failure_names_the_rule_that_ran_out():
+    # the prefix holds an assigned site, so every candidate breaks the site rule
+    designer = _Designer(random.Random(0), ["CAGCTG"])
+    with pytest.raises(GenerationFailedError) as failure:
+        designer.fresh("x", 20, prefix="CAGCTG")
+    message = str(failure.value)
+    assert message.startswith("could not place segment 'x': ")
+    assert "site 500" in message.split(": ", 1)[1].split(", ")

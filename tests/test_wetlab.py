@@ -11,6 +11,7 @@ from dnadecide.soundness import random_matrix
 from dnadecide.strands import EXTENDED_BLUNT_CUTTERS, Strand
 from dnadecide.wetlab import (
     MAX_PCR_CYCLES,
+    WASTE,
     CycleCountError,
     DigestTable,
     UnknownEnzymeError,
@@ -56,7 +57,7 @@ def test_thresholds_displace_chance_strands(ball_setup):
         assert tube.concentration(role_chance(opt.label, "red")) == F(4, 9)
         assert tube.concentration(role_chance(opt.label, "black")) == F(1, 3)
         assert tube.concentration(role_chance(opt.label, "white")) == F(2, 9)
-    assert tube.concentration("waste:thresh:red+chance:option-1:red") == F(5, 9)
+    assert tube.concentration("waste:chance:option-1:red") == F(5, 9)
     assert tube.concentration("thresh:red") == 0
 
 
@@ -67,8 +68,28 @@ def test_threshold_conservation_per_chance_species(ball_setup):
     for opt in plan.matrix.options:
         for out in plan.matrix.outcomes:
             key = role_chance(opt.label, out.label)
-            waste = after.concentration(f"waste:thresh:{out.label}+{key}")
+            waste = after.concentration(f"waste:{key}")
             assert after.concentration(key) + waste == before.concentration(key)
+
+
+def test_one_waste_species_per_consumed_chance_species():
+    # with ':' and '+' in the labels, threshold and chance keys joined by
+    # '+' collide although every chance key is distinct
+    m = build_matrix(
+        outcomes=[("x", F(1, 2)), ("x+chance:y:x", F(1, 2))],
+        options=[("y:x+chance:z:x+chance:y", ["x"]), ("z", ["x+chance:y:x"])],
+    )
+    plan, _ = compile_problem(m, seed=0)
+    before = mix(plan)
+    after = apply_thresholds(before)
+    chance = [role_chance(o.label, u.label) for o in m.options for u in m.outcomes]
+    consumed = [k for k in chance if after.concentration(k) < before.concentration(k)]
+    assert len(set(chance)) == len(consumed) == 4
+    waste = {k for k, sp in after.species.items() if sp.status == WASTE}
+    assert waste == {f"waste:{k}" for k in consumed}
+    for key in chance:
+        total = after.concentration(key) + after.concentration(f"waste:{key}")
+        assert total == before.concentration(key)
 
 
 def test_assemble_yields_probability_weighted_constructs(ball_setup):
