@@ -1,47 +1,39 @@
-"""dnadecide: compile decision problems into DNA protocols and simulate them."""
+"""dnadecide: compile decision problems into DNA protocols and simulate them.
 
-from .compiler import EncodingPlan, ProtocolPlan, compile_problem
-from .decision import (
-    DecisionMatrix,
-    Option,
-    Outcome,
-    Payoff,
-    best_options,
-    build_matrix,
-    expected_utility,
-    to_network,
-    validate_matrix,
-)
-from .formats import dump_problem, load_problem, parse_problem
-from .gel import DecisionReport, GelConfig, band_table, readout, render, run_gel
-from .soundness import run_end_to_end, verify_soundness
-from .wetlab import run_protocol
+The public names below load their module on first access (PEP 562), so
+`import dnadecide` alone loads nothing else and each command loads only
+the modules it uses.
+"""
 
-__all__ = [
-    "DecisionMatrix",
-    "DecisionReport",
-    "EncodingPlan",
-    "GelConfig",
-    "Option",
-    "Outcome",
-    "Payoff",
-    "ProtocolPlan",
-    "band_table",
-    "best_options",
-    "build_matrix",
-    "compile_problem",
-    "dump_problem",
-    "expected_utility",
-    "load_problem",
-    "parse_problem",
-    "readout",
-    "render",
-    "run_end_to_end",
-    "run_gel",
-    "run_protocol",
-    "to_network",
-    "validate_matrix",
-    "verify_soundness",
-]
+import importlib
+
+_SOURCES = {
+    "compiler": ("EncodingPlan", "ProtocolPlan", "compile_problem"),
+    "decision": (
+        "DecisionMatrix",
+        "Option",
+        "Outcome",
+        "Payoff",
+        "best_options",
+        "build_matrix",
+        "expected_utility",
+        "to_network",
+        "validate_matrix",
+    ),
+    "formats": ("dump_problem", "load_problem", "parse_problem"),
+    "gel": ("DecisionReport", "GelConfig", "band_table", "readout", "render", "run_gel"),
+    "soundness": ("run_end_to_end", "verify_soundness"),
+    "wetlab": ("run_protocol",),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # not cached in the package namespace: each access asks the module
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

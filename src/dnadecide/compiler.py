@@ -23,8 +23,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .decision import (
     ROLE_CHOICE,
@@ -176,8 +177,7 @@ def tube_schedule(
 
 # -- construct geometry --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """A derived strand: the reverse complement of its source slices joined,
     each slice (independent top, start, stop). A duplex bottom pairs its own
     role's top from column `offset`; a free strand has no offset."""
@@ -250,8 +250,7 @@ _RULE_OF_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class EncodingViolation:
+class EncodingViolation(NamedTuple):
     kind: str
     roles: tuple[str, ...]
     detail: str
@@ -265,25 +264,24 @@ class EncodingViolation:
         return f"[{self.kind}] {', '.join(self.roles)}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """A stretch of sequence judged by `violations`, reported under `roles`.
 
-    `sites` maps each designed site's offset to the site. Windows starting
+    `sites` maps each designed site's offset to the site; the default, no
+    sites, is a read-only mapping that every segment shares. Windows starting
     before `fresh_from` are designed copies of placed material, neither
     judged nor placed. `lefts` and `rights` are the ligated neighbours.
     """
 
     roles: tuple[str, ...]
     seq: str
-    sites: dict[int, str] = field(default_factory=dict)
+    sites: dict[int, str] = MappingProxyType({})
     fresh_from: int = 0
     lefts: tuple[str, ...] = ()
     rights: tuple[str, ...] = ()
 
 
-@dataclass
-class RuleContext:
+class RuleContext(NamedTuple):
     """The assigned sites and, unless None, every placed window's places."""
 
     sites: tuple[str, ...]
@@ -438,13 +436,15 @@ def generate_sequences(
     middle_lengths: dict[str, int],
     seed: int = 0,
     pins: dict[str, str] | None = None,
+    notes: list[str] | None = None,
 ) -> dict[str, Strand | Duplex]:
     """Build every strand and duplex of the encoding, deterministically.
 
     The designer samples the independent tops and the geometry table
     derives the rest. `pins` maps role keys (plus 'pad:<outcome>' for
     threshold pads) to sequences that are used verbatim; callers screen
-    pins themselves.
+    pins themselves. A pad is judged again once joined to its toehold; one
+    that then breaks a rule is redesigned, and why is appended to `notes`.
     """
     pins = dict(pins or {})
     assigned = [s.site for s in [*option_sites.values(), *outcome_sites.values()]]
@@ -473,11 +473,17 @@ def generate_sequences(
         site = {SITE_OFFSET: outcome_sites[out].site}
         place(role_util(out), sites=site, lefts=(tops[role_prob(out)],), rights=(tops[ROLE_TERM],))
     for out in outcomes:
-        toehold = tops[role_prob(out)][:OVERHANG_LENGTH]
+        role, toehold = role_thresh(out), tops[role_prob(out)][:OVERHANG_LENGTH]
         pad = pins.get(f"pad:{_slug(out)}")
         if pad is not None:
-            pins[role_thresh(out)] = toehold + pad
-        place(role_thresh(out), prefix=toehold)
+            joined = Segment((role,), toehold + pad, fresh_from=len(toehold) - WINDOW + 1)
+            found = violations(joined, d.context)
+            if not found:
+                pins[role] = joined.seq
+            elif notes is not None:
+                why = "; ".join(v.detail for v in found)
+                notes.append(f"redesigned reference thresh pad: behind its toehold, {why}")
+        place(role, prefix=toehold)
 
     plan: dict[str, Strand | Duplex] = {role: Strand(top, role) for role, top in tops.items()}
     for role, rule in derivations(options, outcomes).items():
@@ -585,8 +591,7 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
 
 # -- plan containers -----------------------------------------------------------
 
-@dataclass
-class EncodingPlan:
+class EncodingPlan(NamedTuple):
     """Everything the bench needs to realize one decision problem."""
 
     matrix: DecisionMatrix
@@ -697,8 +702,7 @@ class EncodingPlan:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ProtocolPlan:
+class ProtocolPlan(NamedTuple):
     """Ordered bench steps realizing the encoding."""
 
     tube_labels: tuple[str, ...]
@@ -760,14 +764,15 @@ def compile_problem(
     option_sites, outcome_sites = assign_enzymes(matrix, library)
 
     pins: dict[str, str] = {}
-    notes: tuple[str, ...] = ()
+    notes: list[str] = []
     if use_fixture:
         from .fixture import screened_pins
 
-        pins, notes = screened_pins(matrix, option_sites, outcome_sites, middles)
+        pins, screened = screened_pins(matrix, option_sites, outcome_sites, middles)
+        notes += screened
 
     strands = generate_sequences(
-        matrix, option_sites, outcome_sites, middles, seed=seed, pins=pins
+        matrix, option_sites, outcome_sites, middles, seed=seed, pins=pins, notes=notes
     )
     plan = EncodingPlan(
         matrix=matrix,
@@ -777,7 +782,7 @@ def compile_problem(
         threshold_ratios=ratios,
         option_sites=option_sites,
         outcome_sites=outcome_sites,
-        fixture_notes=notes,
+        fixture_notes=tuple(notes),
     )
     protocol = ProtocolPlan(
         tube_labels=tuple(f"tube-{i + 1}" for i in range(len(matrix.options))),

@@ -8,9 +8,9 @@ with `fractions.Fraction`; floats never enter the ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class MatrixError(ValueError):
@@ -42,14 +42,12 @@ class Payoff(Enum):
     UNFAVORABLE = "unfavorable"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     label: str
     probability: Fraction
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """One course of action, with a payoff class per outcome (matrix order)."""
 
     label: str
@@ -59,8 +57,7 @@ class Option:
         return tuple(j for j, p in enumerate(self.payoffs) if p is Payoff.FAVORABLE)
 
 
-@dataclass(frozen=True)
-class DecisionMatrix:
+class DecisionMatrix(NamedTuple):
     outcomes: tuple[Outcome, ...]
     options: tuple[Option, ...]
     u_favorable: Fraction = Fraction(1)
@@ -199,8 +196,7 @@ def role_util(outcome_label: str) -> str:
     return f"util:{_slug(outcome_label)}"
 
 
-@dataclass(frozen=True)
-class DecisionNetwork:
+class DecisionNetwork(NamedTuple):
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     source: str = ROLE_CHOICE

@@ -10,8 +10,8 @@ rendered, where they are quantized to 256 gray levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .compiler import EncodingPlan
 from .decision import DecisionMatrix, best_options
@@ -30,8 +30,7 @@ class UndecodableBandError(GelError):
     pass
 
 
-@dataclass(frozen=True)
-class GelConfig:
+class _GelFields(NamedTuple):
     gel_length: float = 100.0
     ladder: tuple[int, ...] = tuple(range(10, 201, 10))
     dye_length: int = 100
@@ -39,11 +38,17 @@ class GelConfig:
     resolution: int = 9
     agarose_percent: str = "2.5-3"
 
-    def __post_init__(self):
+
+class GelConfig(_GelFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GelConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.ladder or list(self.ladder) != sorted(set(self.ladder)):
             raise GelError("ladder must be a non-empty ascending list of lengths")
         if not 0 < self.stop_fraction <= 1:
             raise GelError(f"stop fraction {self.stop_fraction} outside (0, 1]")
+        return self
 
     @property
     def max_length(self) -> int:
@@ -74,22 +79,19 @@ def decode_length(distance: float, config: GelConfig = GelConfig()) -> float:
     return math.exp(math.log(config.max_length) - distance * span / stop)
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     length: Fraction
     intensity: Fraction
     migration: float
 
 
-@dataclass(frozen=True)
-class Lane:
+class Lane(NamedTuple):
     label: str
     bands: tuple[Band, ...]
     scale: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True)
-class GelRun:
+class GelRun(NamedTuple):
     config: GelConfig
     lanes: tuple[Lane, ...]
 
@@ -255,8 +257,7 @@ def _render_text(run: GelRun) -> str:
 
 # -- decision readout --------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     option_labels: tuple[str, ...]
     totals: tuple[Fraction, ...]
     estimates: tuple[Fraction, ...]

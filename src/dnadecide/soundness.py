@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .compiler import EncodingPlan, ProtocolPlan, compile_problem
 from .decision import DecisionMatrix, best_options, build_matrix
@@ -68,14 +68,11 @@ def run_end_to_end(
     return readout(run, plan), plan, protocol, run
 
 
-@dataclass
-class SoundnessResult:
+class SoundnessResult(NamedTuple):
     trials: int
     agreements: int
     elapsed: float
-    failures: list[tuple[int, str, tuple[int, ...], tuple[int, ...]]] = field(
-        default_factory=list
-    )
+    failures: tuple[tuple[int, str, tuple[int, ...], tuple[int, ...]], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -109,4 +106,4 @@ def verify_soundness(
             failures.append(
                 (index, dump_problem(matrix), report.chosen, tuple(best_options(matrix)))
             )
-    return SoundnessResult(trials, agreements, time.perf_counter() - started, failures)
+    return SoundnessResult(trials, agreements, time.perf_counter() - started, tuple(failures))

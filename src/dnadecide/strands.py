@@ -23,8 +23,8 @@ however many tubes it was split into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
 ALPHABET = frozenset("ACGT")
@@ -32,10 +32,6 @@ ALPHABET = frozenset("ACGT")
 
 class StrandError(ValueError):
     pass
-
-
-class AmbiguousAlignmentError(StrandError):
-    """Two strands admit more than one maximal perfect alignment."""
 
 
 def complement(seq: str) -> str:
@@ -62,15 +58,23 @@ def _check_alphabet(seq: str) -> None:
         raise StrandError(f"sequence contains non-ACGT symbols: {sorted(bad)}")
 
 
-@dataclass(frozen=True)
-class Strand:
-    """A single DNA strand, sequence given 5'->3', with a functional role tag."""
-
+class _StrandFields(NamedTuple):
     seq: str
-    role: str = ""
+    role: str
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.seq)
+
+class Strand(_StrandFields):
+    """A single DNA strand, sequence given 5'->3', with a functional role tag.
+
+    Its length is the sequence's, not the field count, so `_make` and
+    `_replace` do not work on it; build a new Strand instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, seq: str, role: str = "") -> "Strand":
+        _check_alphabet(seq)
+        return tuple.__new__(cls, (seq, role))
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -79,8 +83,13 @@ class Strand:
         return Strand(reverse_complement(self.seq), role or self.role)
 
 
-@dataclass(frozen=True)
-class Duplex:
+class _DuplexFields(NamedTuple):
+    top: Strand
+    bottom: Strand
+    offset: int
+
+
+class Duplex(_DuplexFields):
     """Two antiparallel strands annealed at a column offset.
 
     Columns are indexed along the top strand (top base t sits at column t).
@@ -90,24 +99,19 @@ class Duplex:
     left, a negative one hangs the bottom strand out past the top's 5' end.
     """
 
-    top: Strand
-    bottom: Strand
-    offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, top: Strand, bottom: Strand, offset: int = 0) -> "Duplex":
+        self = tuple.__new__(cls, (top, bottom, offset))
         lo, hi = self.ds_start, self.ds_end
         if hi - lo < 1:
             raise StrandError("strands do not overlap at this offset")
-        end = self.offset + len(self.bottom.seq)
-        paired = self.bottom.seq[end - hi : end - lo][::-1].translate(_COMPLEMENT)
-        if self.top.seq[lo:hi] == paired:
-            return
-        for c in range(lo, hi):
-            if self.top.seq[c] != complement(self.bottom_base(c)):
-                raise StrandError(
-                    f"mismatched pair at column {c}: "
-                    f"{self.top.seq[c]}/{self.bottom_base(c)}"
-                )
+        end = offset + len(bottom.seq)
+        paired = bottom.seq[end - hi : end - lo][::-1].translate(_COMPLEMENT)
+        if top.seq[lo:hi] != paired:
+            c = next(c for c in range(lo, hi) if top.seq[c] != complement(self.bottom_base(c)))
+            raise StrandError(f"mismatched pair at column {c}: {top.seq[c]}/{self.bottom_base(c)}")
+        return self
 
     # -- geometry --------------------------------------------------------
 
@@ -159,54 +163,28 @@ class Duplex:
         return Duplex(self.bottom, self.top, new_offset)
 
 
-def anneal(a: Strand, b: Strand, min_overlap: int = 10) -> Duplex | None:
-    """Align two strands at their single widest perfectly complementary window.
-
-    Returns None when no window of at least `min_overlap` pairs exists;
-    raises AmbiguousAlignmentError when the maximum is achieved twice.
-    """
-    best_width = 0
-    best_offsets: list[int] = []
-    for off in range(-(len(b.seq) - 1), len(a.seq)):
-        lo = max(0, off)
-        hi = min(len(a.seq), off + len(b.seq))
-        width = hi - lo
-        if width < max(min_overlap, 1):
-            continue
-        if all(
-            a.seq[c] == complement(b.seq[off + len(b.seq) - 1 - c])
-            for c in range(lo, hi)
-        ):
-            if width > best_width:
-                best_width, best_offsets = width, [off]
-            elif width == best_width:
-                best_offsets.append(off)
-    if not best_offsets:
-        return None
-    if len(best_offsets) > 1:
-        raise AmbiguousAlignmentError(
-            f"{len(best_offsets)} maximal alignments of width {best_width}"
-        )
-    return Duplex(a, b, best_offsets[0])
-
-
 # -- restriction sites ---------------------------------------------------
 
-@dataclass(frozen=True)
-class RecognitionSite:
-    """A palindromic six-base site cut bluntly at its center on both strands."""
-
+class _SiteFields(NamedTuple):
     enzyme: str
     site: str
     cut_offset: int = 3
 
-    def __post_init__(self) -> None:
+
+class RecognitionSite(_SiteFields):
+    """A palindromic six-base site cut bluntly at its center on both strands."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RecognitionSite":
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.site) != 6:
             raise StrandError(f"{self.enzyme}: recognition site must be 6 bases")
         if self.site != reverse_complement(self.site):
             raise StrandError(f"{self.enzyme}: site {self.site} is not palindromic")
         if self.cut_offset != 3:
             raise StrandError(f"{self.enzyme}: only blunt center cuts are modeled")
+        return self
 
 
 def scan(line: str, site: str, lo: int = 0, hi: int | None = None) -> list[int]:
@@ -313,26 +291,3 @@ def write_fasta(strands: list[Strand], width: int = 60) -> str:
         for k in range(0, len(s.seq), width):
             lines.append(s.seq[k : k + width])
     return "\n".join(lines) + "\n"
-
-
-def read_fasta(text: str) -> list[Strand]:
-    strands: list[Strand] = []
-    header: str | None = None
-    chunks: list[str] = []
-
-    def flush() -> None:
-        if header is not None:
-            strands.append(Strand("".join(chunks), header))
-
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            flush()
-            header = line[1:].strip()
-            chunks = []
-        else:
-            chunks.append(line)
-    flush()
-    return strands

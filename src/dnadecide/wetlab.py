@@ -21,8 +21,8 @@ set of enzymes that hit it, however many tubes digest it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .compiler import (
     ROLE_PRIMER_LEFT,
@@ -68,8 +68,7 @@ class CycleCountError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Species:
+class Species(NamedTuple):
     key: str
     structure: Strand | Duplex
     concentration: Fraction
@@ -87,8 +86,7 @@ class Species:
         return isinstance(self.structure, Duplex)
 
 
-@dataclass(frozen=True)
-class TubeState:
+class TubeState(NamedTuple):
     label: str
     plan: EncodingPlan
     species: dict[str, Species]
@@ -103,7 +101,7 @@ class TubeState:
         return [s for s in self.species.values() if s.status == ACTIVE]
 
     def _with(self, species: dict[str, Species], record: dict) -> "TubeState":
-        return replace(self, species=species, log=self.log + (record,))
+        return self._replace(species=species, log=self.log + (record,))
 
 
 def audit_json(tube: TubeState) -> str:
@@ -162,7 +160,7 @@ def apply_thresholds(tube: TubeState) -> TubeState:
             max_consumed = max(max_consumed, consumed)
             if consumed == 0:
                 continue
-            species[ch_key] = replace(species[ch_key], concentration=c - consumed)
+            species[ch_key] = species[ch_key]._replace(concentration=c - consumed)
             waste_key = f"waste:{ch_key}"
             waste_structure = species[th_key].structure
             species[waste_key] = Species(
@@ -173,8 +171,8 @@ def apply_thresholds(tube: TubeState) -> TubeState:
                 "consumed": str(consumed),
                 "remaining": str(c - consumed),
             }
-        species[th_key] = replace(
-            species[th_key], concentration=max(Fraction(0), dose - max_consumed)
+        species[th_key] = species[th_key]._replace(
+            concentration=max(Fraction(0), dose - max_consumed)
         )
     return tube._with(species, {"op": "thresholds", "displaced": detail})
 
@@ -214,7 +212,7 @@ def assemble(tube: TubeState) -> TubeState:
                 demand[r] = demand.get(r, Fraction(0)) + amount
     for key, used in demand.items():
         left = max(Fraction(0), snapshot[key] - used)
-        species[key] = replace(species[key], concentration=left)
+        species[key] = species[key]._replace(concentration=left)
     for (opt_label, out_label), amount in yields.items():
         top = plan.construct_top(opt_label, out_label)
         key = construct_key(opt_label, out_label)
@@ -368,16 +366,11 @@ def pcr(tube: TubeState, cycles: int, primers: tuple[Strand, Strand] | None = No
         top = duplex.top.seq
         left, right = top[: len(p1)], top[-len(p2) :]
         if (left in ends1 and right in ends2) or (left in ends2 and right in ends1):
-            species[key] = replace(
-                sp, concentration=sp.concentration * factor, amplified=True
-            )
+            species[key] = sp._replace(concentration=sp.concentration * factor, amplified=True)
             amplified.append(key)
     record = {"op": "pcr", "cycles": cycles, "amplified": sorted(amplified)}
-    return replace(
-        tube,
-        species=species,
-        log=tube.log + (record,),
-        pcr_cycles=tube.pcr_cycles + cycles,
+    return tube._replace(
+        species=species, log=tube.log + (record,), pcr_cycles=tube.pcr_cycles + cycles
     )
 
 

@@ -11,7 +11,6 @@ round-trips stay within 1 bp, the canonical run must finish in under
 import functools
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from conftest import make_ball_game
@@ -191,9 +190,9 @@ def test_criterion_7_conservation_suite():
         doses = {}
         for key in chance_keys + thresh_keys:
             conc = Fraction(rng.randint(0, 24), rng.randint(1, 8))
-            species[key] = replace(species[key], concentration=conc)
+            species[key] = species[key]._replace(concentration=conc)
             doses[key] = conc
-        settled = apply_thresholds(replace(pool, species=species))
+        settled = apply_thresholds(pool._replace(species=species))
         for out in matrix.outcomes:
             for opt in matrix.options:
                 ch = role_chance(opt.label, out.label)

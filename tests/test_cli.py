@@ -1,9 +1,14 @@
 """CLI behaviour: exit codes, outputs, and error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dnadecide
 from dnadecide.cli import main
 from dnadecide.formats import (
     ProblemFormatError,
@@ -210,6 +215,19 @@ def test_fixture_mode_reports_screening(capsys):
     assert "rejected reference" in out
 
 
+@pytest.mark.parametrize("library", ["core", "extended"])
+def test_fixture_compile_is_clean_for_every_seed(library, capsys):
+    redesigned = []
+    for seed in range(10):
+        assert main(["compile", "--fixture", "--seed", str(seed), "--enzymes", library]) == 0
+        out = capsys.readouterr().out
+        assert "encoding validation: 0 warning(s)" in out, seed
+        if "redesigned reference thresh pad: behind its toehold, window" in out:
+            redesigned.append(seed)
+    # joined to these seeds' toeholds, the kept pad repeats a probability window
+    assert redesigned == [1, 4, 6, 9]
+
+
 def test_fixture_fasta_carries_kept_reference_sequence(tmp_path, capsys):
     out_dir = tmp_path / "pinned"
     assert main(["compile", "--fixture", "--out", str(out_dir)]) == 0
@@ -310,9 +328,7 @@ def test_disagreement_exits_two(monkeypatch, capsys):
     real = cli_mod.readout
 
     def skewed(gel, plan, matrix=None):
-        report = real(gel, plan, matrix)
-        object.__setattr__(report, "oracle", (1,))
-        return report
+        return real(gel, plan, matrix)._replace(oracle=(1,))
 
     monkeypatch.setattr(cli_mod, "readout", skewed)
     assert main(["run"]) == 2
@@ -328,3 +344,31 @@ def test_verify_small_sweep_passes(capsys):
 def test_verify_zero_trials_passes_vacuously(capsys):
     assert main(["verify", "--count", "0"]) == 0
     assert "0/0 agree" in capsys.readouterr().out
+
+
+_IMPORT_PROBE = """
+import sys
+import dnadecide.cli
+heavy = ("dataclasses", "inspect", "dnadecide.soundness", "dnadecide.fixture")
+print([name for name in heavy if name in sys.modules])
+import dnadecide.soundness  # binds the submodule on the package, as any import does
+before = set(vars(dnadecide))
+print([name for name in dnadecide.__all__ if getattr(dnadecide, name, None) is None])
+print(sorted(set(vars(dnadecide)) - before))
+"""
+
+
+def test_cli_import_loads_neither_dataclasses_nor_the_sweep():
+    # every `dnadecide` process pays for this import before it does any work
+    src = Path(dnadecide.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded, unresolved, added = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert unresolved == "[]"
+    assert added == "[]"

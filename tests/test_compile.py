@@ -240,11 +240,8 @@ def test_flipped_derived_base_is_flagged(ball_plan, role):
     if isinstance(item, Duplex):
         # the constructor refuses a mispaired bottom, which a transcribed
         # plan may still hold, so build this one around the pairing check
-        mispaired = object.__new__(Duplex)
         bottom = Strand(_flip_last(item.bottom.seq), item.bottom.role)
-        for name, value in (("top", item.top), ("bottom", bottom), ("offset", item.offset)):
-            object.__setattr__(mispaired, name, value)
-        strands[role] = mispaired
+        strands[role] = tuple.__new__(Duplex, (item.top, bottom, item.offset))
     else:
         strands[role] = Strand(_flip_last(item.seq), item.role)
     broken = EncodingPlan(

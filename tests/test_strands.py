@@ -4,19 +4,15 @@ from hypothesis import given, strategies as st
 from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
     EXTENDED_BLUNT_CUTTERS,
-    AmbiguousAlignmentError,
     Duplex,
     RecognitionSite,
     Strand,
     StrandError,
-    anneal,
     complement,
     cut,
     find_sites,
     gc_fraction,
-    read_fasta,
     reverse_complement,
-    write_fasta,
 )
 
 PVUII = CORE_BLUNT_CUTTERS[0]
@@ -116,47 +112,6 @@ def test_swapped_preserves_molecule():
     sw = th.swapped()
     assert sw.ds_end - sw.ds_start == 10
     assert sw.span_length == 20
-
-
-# -- annealing ----------------------------------------------------------------
-
-def test_anneal_full_reverse_complement_is_blunt():
-    a = Strand("TGGTCTCGCCAAGGAAAATT")
-    d = anneal(a, a.reverse_complement(), min_overlap=10)
-    assert d is not None and d.is_blunt
-
-
-def test_anneal_printed_chance_strand_onto_option_rear():
-    # the linker is the positionwise complement of (option rear + next front),
-    # printed 3'->5'; reversing it gives the synthesized 5'->3' strand
-    option = Strand("TCTGACTCAGCTGAGATCCA", "option")
-    linker = Strand("GACTCTAGGTTGTAGTGCCT"[::-1], "chance")
-    d = anneal(option, linker, min_overlap=10)
-    assert d is not None
-    assert d.ds_end - d.ds_start == 10
-    assert (d.ds_start, d.ds_end) == (10, 20)
-
-
-def test_anneal_returns_none_without_window():
-    assert anneal(Strand("AAAAAAAAAA"), Strand("AAAAAAAAAA"), min_overlap=4) is None
-
-
-def test_anneal_ambiguous_alignment_raises():
-    a = Strand("ACGGAATTACGGAA")
-    b = Strand(reverse_complement("ACGGAA"))
-    with pytest.raises(AmbiguousAlignmentError):
-        anneal(a, b, min_overlap=6)
-
-
-@given(seqs.filter(lambda s: len(s) >= 10))
-def test_anneal_self_reverse_complement_round_trip(s):
-    # guard: skip strands whose full-length alignment is not unique
-    a = Strand(s)
-    try:
-        d = anneal(a, a.reverse_complement(), min_overlap=len(s))
-    except AmbiguousAlignmentError:
-        return
-    assert d is not None and d.is_blunt and d.top_line() == s
 
 
 # -- recognition sites and digestion -------------------------------------------
@@ -319,18 +274,3 @@ def test_mismatch_names_first_bad_column():
     with pytest.raises(StrandError, match=r"mismatched pair at column 5: T/T$"):
         Duplex(Strand("GG" + top), Strand(bottom), 2)
 
-
-# -- FASTA ----------------------------------------------------------------------
-
-def test_fasta_round_trip():
-    strands = [
-        Strand("TCTGACTCAGCTGAGATCCA", "option:one"),
-        Strand("A" * 130 + "C" * 20, "long"),
-    ]
-    assert read_fasta(write_fasta(strands)) == strands
-
-
-@given(st.lists(st.tuples(seqs, st.text(alphabet="abcdefgh:_-0123456789", min_size=1, max_size=12)), min_size=1, max_size=6))
-def test_fasta_round_trip_property(items):
-    strands = [Strand(seq, role) for seq, role in items]
-    assert read_fasta(write_fasta(strands)) == strands

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -338,10 +337,9 @@ def test_digest_table_misses_on_changed_species(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
     tube, enzymes = tubes[0], protocol.tube_enzymes[0]
-    doubled = replace(
-        tube,
+    doubled = tube._replace(
         species={
-            k: replace(sp, concentration=2 * sp.concentration)
+            k: sp._replace(concentration=2 * sp.concentration)
             for k, sp in tube.species.items()
         },
     )
