@@ -17,7 +17,6 @@ _SOURCES = {
         "best_options",
         "build_matrix",
         "expected_utility",
-        "to_network",
         "validate_matrix",
     ),
     "formats": ("dump_problem", "load_problem", "parse_problem"),

@@ -1,13 +1,13 @@
 """Translate a decision matrix into strand sequences and a bench protocol.
 
 The encoding realizes each root-to-termination path of the decision network
-as one ligatable construct: a shared choice arm, a 20-base option strand
-carrying that option's recognition site, a probability duplex whose core
-length encodes the outcome's rank, a 20-base utility strand carrying the
-outcome's site, and a shared termination arm. Short linker strands
-complement every junction so ligation yields fully double-stranded
-constructs. Probability weighting is done before assembly by threshold
-duplexes dosed at one minus the outcome probability.
+(`construct_roles`) as one ligatable construct: a shared choice arm, a
+20-base option strand carrying that option's recognition site, a
+probability duplex whose core length encodes the outcome's rank, a 20-base
+utility strand carrying the outcome's site, and a shared termination arm.
+Short linker strands complement every junction so ligation yields fully
+double-stranded constructs. Probability weighting is done before assembly
+by threshold duplexes dosed at one minus the outcome probability.
 
 `top_lengths` gives each independent top its designed length, and the
 geometry table (`_GEOMETRY`, spelled out by `derivations`) derives every
@@ -33,6 +33,7 @@ from .decision import (
     DecisionMatrix,
     Payoff,
     _slug,
+    role_chance,
     role_option,
     role_prob,
     role_util,
@@ -56,6 +57,12 @@ SITE_OFFSET = 7         # recognition site position inside a 20-base node
 WINDOW = 10             # uniqueness window width
 BASE_CONSTRUCT_LENGTH = 2 * ARM_LENGTH + 2 * NODE_LENGTH + 2 * OVERHANG_LENGTH
 
+# The gel, in base pairs: bands closer than the resolution merge, and the run
+# stops when the dye front reaches the stop fraction of the lane.
+GEL_RESOLUTION = 9
+DYE_FRONT_BP = 100
+DYE_STOP = Fraction(2, 3)
+
 ROLE_PRIMER_LEFT = "primer:left"
 ROLE_PRIMER_RIGHT = "primer:right"
 
@@ -74,6 +81,29 @@ def role_link_prob(outcome_label: str) -> str:
 
 def role_link_util(outcome_label: str) -> str:
     return f"link:util:{_slug(outcome_label)}"
+
+
+def construct_roles(option_label: str, outcome_label: str) -> tuple[str, ...]:
+    """The nine species one construct ligates, in order along its top.
+
+    The matrix unrolls into a single-source, single-sink DAG whose layers are
+    choice -> option -> chance -> probability -> utility -> termination.
+    Probability and utility nodes are shared across options, so the graph has
+    one root-to-sink path per (option, outcome) pair, and this is it. The
+    tops sit at the even positions; each odd position is the junction strand
+    (a junction row of `_GEOMETRY`) that pairs its two neighbours.
+    """
+    return (
+        ROLE_CHOICE,
+        role_link_choice(option_label),
+        role_option(option_label),
+        role_chance(option_label, outcome_label),
+        role_prob(outcome_label),
+        role_link_prob(outcome_label),
+        role_util(outcome_label),
+        role_link_util(outcome_label),
+        ROLE_TERM,
+    )
 
 
 class CompileError(Exception):
@@ -111,17 +141,13 @@ def middle_length_for_rank(rank: int) -> int:
     return length
 
 
-def probability_lengths(
-    probabilities: list[Fraction],
-    resolution: int = 9,
-    max_middle: int = 200,
-) -> list[int]:
+def probability_lengths(probabilities: list[Fraction], max_middle: int = 200) -> list[int]:
     """Assign a distinct, separable core length per outcome.
 
     More probable outcomes get shorter cores (they must win a band-intensity
     readout, not a race); ties break by declaration order. Consecutive
-    lengths from the doubling table differ by at least 9 bp, so any
-    resolution up to that is honored.
+    lengths from the doubling table differ by at least 9 bp, the gel's
+    resolution.
     """
     order = sorted(range(len(probabilities)), key=lambda j: (-probabilities[j], j))
     lengths = [0] * len(probabilities)
@@ -133,9 +159,9 @@ def probability_lengths(
                 f"outcome {j}: rank {rank} needs a {m} bp core, "
                 f"beyond the {max_middle} bp ladder range"
             )
-        if previous is not None and m - previous < resolution:
+        if previous is not None and m - previous < GEL_RESOLUTION:
             raise UnresolvableError(
-                f"cores {previous} and {m} bp closer than resolution {resolution}"
+                f"cores {previous} and {m} bp closer than resolution {GEL_RESOLUTION}"
             )
         lengths[j] = m
         previous = m
@@ -553,7 +579,7 @@ def check_pieces(
             found.append((name, EncodingViolation("derivation", (role,), f"not the {d.what}")))
     for opt in options:
         for out in outcomes:
-            path = [ROLE_CHOICE, role_option(opt), role_prob(out), role_util(out), ROLE_TERM]
+            path = construct_roles(opt, out)[::2]
             if not all(role in tops for role in path):
                 continue
             seq = "".join(tops[role] for role in path)
@@ -601,7 +627,6 @@ class EncodingPlan(NamedTuple):
     threshold_ratios: dict[str, Fraction]
     option_sites: dict[str, RecognitionSite]
     outcome_sites: dict[str, RecognitionSite]
-    base_length: int = BASE_CONSTRUCT_LENGTH
     fixture_notes: tuple[str, ...] = ()
 
     @property
@@ -613,18 +638,11 @@ class EncodingPlan(NamedTuple):
         return (self.strands[ROLE_PRIMER_LEFT], self.strands[ROLE_PRIMER_RIGHT])
 
     def construct_top(self, option_label: str, outcome_label: str) -> str:
-        choice = self.strands[ROLE_CHOICE].top.seq
-        term = self.strands[ROLE_TERM].top.seq
-        return (
-            choice
-            + self.strands[role_option(option_label)].seq
-            + self.strands[role_prob(outcome_label)].top.seq
-            + self.strands[role_util(outcome_label)].seq
-            + term
-        )
+        tops = (self.strands[r] for r in construct_roles(option_label, outcome_label)[::2])
+        return "".join(s.top.seq if isinstance(s, Duplex) else s.seq for s in tops)
 
     def construct_length(self, outcome_label: str) -> int:
-        return self.base_length + self.middle_lengths[outcome_label]
+        return BASE_CONSTRUCT_LENGTH + self.middle_lengths[outcome_label]
 
     def intensity_scale(self) -> int:
         return math.lcm(*(out.probability.denominator for out in self.matrix.outcomes))
@@ -663,7 +681,7 @@ class EncodingPlan(NamedTuple):
             "=============",
             f"options: {len(self.matrix.options)}   outcomes: {len(self.matrix.outcomes)}",
             f"seed: {self.seed}",
-            f"base construct length: {self.base_length} bp",
+            f"base construct length: {BASE_CONSTRUCT_LENGTH} bp",
             "",
             "outcomes:",
         ]
@@ -710,37 +728,27 @@ class ProtocolPlan(NamedTuple):
     threshold_doses: dict[str, Fraction]
     primer_seqs: tuple[str, str]
     pcr_cycles: int = 5
-    incubation_celsius: int = 37
-    ligase: str = "T4 DNA ligase"
-    stock_note: str = "0.1 ml of each strand stock at 0.1 ug/ul"
-    gel_agarose_percent: str = "2.5-3"
-    gel_dye_bp: int = 100
-    gel_dye_stop: Fraction = Fraction(2, 3)
 
     def describe(self) -> str:
         doses = ", ".join(f"{k}={v}" for k, v in self.threshold_doses.items())
         lines = [
             "protocol plan",
             "=============",
-            f"1. pool stocks ({self.stock_note}) for every encoding strand",
+            "1. pool stocks (0.1 ml of each strand stock at 0.1 ug/ul) for every encoding strand",
             f"2. add threshold duplexes at ratios {doses} and let displacement complete",
-            f"3. anneal and ligate surviving junctions with {self.ligase}",
+            "3. anneal and ligate surviving junctions with T4 DNA ligase",
             f"4. split the pool into {len(self.tube_labels)} tubes, one per option",
         ]
         for label, enzymes in zip(self.tube_labels, self.tube_enzymes):
-            lines.append(
-                f"   {label}: digest with {', '.join(enzymes)} "
-                f"at {self.incubation_celsius} C"
-            )
+            lines.append(f"   {label}: digest with {', '.join(enzymes)} at 37 C")
         left, right = self.primer_seqs
         lines.append(
             f"5. amplify {self.pcr_cycles} PCR cycles with primers {left} and {right}"
         )
         lines.append("6. purify, keeping amplified full-length constructs")
         lines.append(
-            f"7. run a {self.gel_agarose_percent}% agarose gel; "
-            f"stop when the {self.gel_dye_bp} bp dye front reaches "
-            f"{self.gel_dye_stop} of the lane"
+            f"7. run a 2.5-3% agarose gel; stop when the {DYE_FRONT_BP} bp dye front "
+            f"reaches {DYE_STOP} of the lane"
         )
         lines.append("8. read band lengths and intensities, then decide")
         return "\n".join(lines) + "\n"
@@ -752,14 +760,11 @@ def compile_problem(
     library: tuple[RecognitionSite, ...] = CORE_BLUNT_CUTTERS,
     use_fixture: bool = False,
     pcr_cycles: int = 5,
-    resolution: int = 9,
 ) -> tuple[EncodingPlan, ProtocolPlan]:
     """Full translation: matrix -> sequences, tube schedule, bench steps."""
     validate_matrix(matrix)
     ratios = {out.label: threshold_ratio(out.probability) for out in matrix.outcomes}
-    lengths = probability_lengths(
-        [out.probability for out in matrix.outcomes], resolution=resolution
-    )
+    lengths = probability_lengths([out.probability for out in matrix.outcomes])
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
     option_sites, outcome_sites = assign_enzymes(matrix, library)
 

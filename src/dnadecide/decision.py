@@ -63,10 +63,6 @@ class DecisionMatrix(NamedTuple):
     u_favorable: Fraction = Fraction(1)
     u_unfavorable: Fraction = Fraction(0)
 
-    @property
-    def probabilities(self) -> tuple[Fraction, ...]:
-        return tuple(o.probability for o in self.outcomes)
-
     def utility(self, payoff: Payoff) -> Fraction:
         return self.u_favorable if payoff is Payoff.FAVORABLE else self.u_unfavorable
 
@@ -165,12 +161,7 @@ def best_options(matrix: DecisionMatrix) -> list[int]:
     return [i for i, s in enumerate(scores) if s == top]
 
 
-# -- network view -------------------------------------------------------------
-#
-# The matrix unrolls into a single-source, single-sink DAG whose layers are
-# choice -> option -> chance -> probability -> utility -> termination.
-# Probability and utility nodes are shared across options, so the graph has
-# one root-to-sink path per (option, outcome) pair.
+# -- role keys ----------------------------------------------------------------
 
 ROLE_CHOICE = "choice"
 ROLE_TERM = "term"
@@ -194,47 +185,3 @@ def role_prob(outcome_label: str) -> str:
 
 def role_util(outcome_label: str) -> str:
     return f"util:{_slug(outcome_label)}"
-
-
-class DecisionNetwork(NamedTuple):
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    source: str = ROLE_CHOICE
-    sink: str = ROLE_TERM
-
-    def successors(self, node: str) -> list[str]:
-        return [b for a, b in self.edges if a == node]
-
-    def paths(self) -> list[tuple[str, ...]]:
-        """All source-to-sink paths, in deterministic edge order."""
-        found: list[tuple[str, ...]] = []
-        stack: list[tuple[str, ...]] = [(self.source,)]
-        while stack:
-            path = stack.pop()
-            if path[-1] == self.sink:
-                found.append(path)
-                continue
-            for nxt in reversed(self.successors(path[-1])):
-                stack.append(path + (nxt,))
-        return found
-
-
-def to_network(matrix: DecisionMatrix) -> DecisionNetwork:
-    nodes = [ROLE_CHOICE]
-    edges: list[tuple[str, str]] = []
-    for opt in matrix.options:
-        nodes.append(role_option(opt.label))
-        edges.append((ROLE_CHOICE, role_option(opt.label)))
-    for opt in matrix.options:
-        for out in matrix.outcomes:
-            nodes.append(role_chance(opt.label, out.label))
-            edges.append((role_option(opt.label), role_chance(opt.label, out.label)))
-            edges.append((role_chance(opt.label, out.label), role_prob(out.label)))
-    for out in matrix.outcomes:
-        nodes.append(role_prob(out.label))
-        edges.append((role_prob(out.label), role_util(out.label)))
-    for out in matrix.outcomes:
-        nodes.append(role_util(out.label))
-        edges.append((role_util(out.label), ROLE_TERM))
-    nodes.append(ROLE_TERM)
-    return DecisionNetwork(tuple(nodes), tuple(edges))

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .compiler import EncodingPlan
+from .compiler import DYE_FRONT_BP, DYE_STOP, GEL_RESOLUTION, EncodingPlan
 from .decision import DecisionMatrix, best_options
 from .wetlab import ACTIVE, TubeState
 
@@ -33,10 +33,9 @@ class UndecodableBandError(GelError):
 class _GelFields(NamedTuple):
     gel_length: float = 100.0
     ladder: tuple[int, ...] = tuple(range(10, 201, 10))
-    dye_length: int = 100
-    stop_fraction: Fraction = Fraction(2, 3)
-    resolution: int = 9
-    agarose_percent: str = "2.5-3"
+    dye_length: int = DYE_FRONT_BP
+    stop_fraction: Fraction = DYE_STOP
+    resolution: int = GEL_RESOLUTION
 
 
 class GelConfig(_GelFields):
@@ -55,10 +54,10 @@ class GelConfig(_GelFields):
         return max(self.ladder)
 
     @classmethod
-    def covering(cls, max_length: int, **kwargs) -> "GelConfig":
+    def covering(cls, max_length: int) -> "GelConfig":
         """Default config, with the ladder extended in 10 bp steps as needed."""
         top = max(200, 10 * math.ceil(max_length / 10))
-        return cls(ladder=tuple(range(10, top + 1, 10)), **kwargs)
+        return cls(ladder=tuple(range(10, top + 1, 10)))
 
 
 def migrate(length, config: GelConfig = GelConfig()) -> float:

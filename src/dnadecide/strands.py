@@ -79,9 +79,6 @@ class Strand(_StrandFields):
     def __len__(self) -> int:
         return len(self.seq)
 
-    def reverse_complement(self, role: str = "") -> "Strand":
-        return Strand(reverse_complement(self.seq), role or self.role)
-
 
 class _DuplexFields(NamedTuple):
     top: Strand
@@ -156,11 +153,6 @@ class Duplex(_DuplexFields):
             + self.top.seq
             + bottom[:right][::-1].translate(_COMPLEMENT)
         )
-
-    def swapped(self) -> "Duplex":
-        """The same molecule viewed with the bottom strand on top."""
-        new_offset = len(self.top.seq) - (self.offset + len(self.bottom.seq))
-        return Duplex(self.bottom, self.top, new_offset)
 
 
 # -- restriction sites ---------------------------------------------------

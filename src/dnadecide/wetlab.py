@@ -20,7 +20,6 @@ set of enzymes that hit it, however many tubes digest it.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,20 +28,10 @@ from .compiler import (
     ROLE_PRIMER_RIGHT,
     EncodingPlan,
     ProtocolPlan,
-    role_link_choice,
-    role_link_prob,
-    role_link_util,
+    construct_roles,
     role_thresh,
 )
-from .decision import (
-    ROLE_CHOICE,
-    ROLE_TERM,
-    _slug,
-    role_chance,
-    role_option,
-    role_prob,
-    role_util,
-)
+from .decision import _slug, role_chance
 from .strands import (
     Duplex,
     RecognitionSite,
@@ -97,20 +86,8 @@ class TubeState(NamedTuple):
         sp = self.species.get(key)
         return sp.concentration if sp else Fraction(0)
 
-    def active(self) -> list[Species]:
-        return [s for s in self.species.values() if s.status == ACTIVE]
-
     def _with(self, species: dict[str, Species], record: dict) -> "TubeState":
         return self._replace(species=species, log=self.log + (record,))
-
-
-def audit_json(tube: TubeState) -> str:
-    def default(x):
-        if isinstance(x, Fraction):
-            return str(x)
-        raise TypeError(f"not auditable: {x!r}")
-
-    return json.dumps(list(tube.log), indent=2, default=default, sort_keys=True)
 
 
 def mix(plan: EncodingPlan) -> TubeState:
@@ -177,21 +154,6 @@ def apply_thresholds(tube: TubeState) -> TubeState:
     return tube._with(species, {"op": "thresholds", "displaced": detail})
 
 
-def path_roles(option_label: str, outcome_label: str) -> list[str]:
-    """The nine species one construct consumes."""
-    return [
-        ROLE_CHOICE,
-        role_link_choice(option_label),
-        role_option(option_label),
-        role_chance(option_label, outcome_label),
-        role_prob(outcome_label),
-        role_link_prob(outcome_label),
-        role_util(outcome_label),
-        role_link_util(outcome_label),
-        ROLE_TERM,
-    ]
-
-
 def construct_key(option_label: str, outcome_label: str) -> str:
     return f"construct:{_slug(option_label)}:{_slug(outcome_label)}"
 
@@ -205,7 +167,7 @@ def assemble(tube: TubeState) -> TubeState:
     demand: dict[str, Fraction] = {}
     for opt in plan.matrix.options:
         for out in plan.matrix.outcomes:
-            roles = path_roles(opt.label, out.label)
+            roles = construct_roles(opt.label, out.label)
             amount = min(snapshot.get(r, Fraction(0)) for r in roles)
             yields[(opt.label, out.label)] = amount
             for r in roles:

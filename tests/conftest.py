@@ -22,6 +22,14 @@ def make_ball_game() -> DecisionMatrix:
     )
 
 
+def make_five_by_five() -> DecisionMatrix:
+    """Five equiprobable outcomes; option i is favorable on the first i + 1."""
+    return build_matrix(
+        outcomes=[(f"o{j}", Fraction(1, 5)) for j in range(5)],
+        options=[(f"a{i}", [f"o{j}" for j in range(i + 1)]) for i in range(5)],
+    )
+
+
 @pytest.fixture
 def ball_game() -> DecisionMatrix:
     return make_ball_game()

@@ -14,6 +14,7 @@ from dnadecide.compiler import (
     _Designer,
     assign_enzymes,
     compile_problem,
+    construct_roles,
     derivations,
     generate_sequences,
     middle_length_for_rank,
@@ -33,7 +34,7 @@ from dnadecide.strands import (
     gc_fraction,
     reverse_complement,
 )
-from tests.conftest import make_ball_game
+from tests.conftest import make_ball_game, make_five_by_five
 
 F = Fraction
 
@@ -127,6 +128,30 @@ def test_construct_lengths(ball_plan):
         for out in plan.matrix.outcomes:
             top = plan.construct_top(opt.label, out.label)
             assert len(top) == plan.construct_length(out.label)
+
+
+def test_construct_roles_follow_the_geometry(ball_plan):
+    # tops at the even positions, and between each two the junction strand
+    # the geometry table derives from exactly those two neighbours
+    plan, _ = ball_plan
+    options = [o.label for o in plan.matrix.options]
+    outcomes = [o.label for o in plan.matrix.outcomes]
+    table = derivations(options, outcomes)
+    tops = {r: (s.top if isinstance(s, Duplex) else s).seq for r, s in plan.strands.items()}
+    junctions = set()
+    for opt in options:
+        for out in outcomes:
+            roles = construct_roles(opt, out)
+            assert roles[::2] == ("choice", role_option(opt), role_prob(out), role_util(out), "term")
+            top = plan.construct_top(opt, out)
+            assert top == "".join(tops[r] for r in roles[::2])
+            for left, role, right in zip(roles[::2], roles[1::2], roles[2::2]):
+                rule = table[role]
+                assert rule.offset is None
+                assert [r for r, _, _ in rule.slices] == [left, right]
+                assert reverse_complement(plan.strands[role].seq) in top
+                junctions.add(role)
+    assert junctions == {role for role, rule in table.items() if len(rule.slices) == 2}
 
 
 def test_predicted_band_table(ball_plan):
@@ -257,13 +282,6 @@ def test_flipped_derived_base_is_flagged(ball_plan, role):
     assert any(v.kind == "derivation" and v.roles == (role,) for v in found), found
 
 
-def _five_by_five():
-    return build_matrix(
-        outcomes=[(f"o{j}", F(1, 5)) for j in range(5)],
-        options=[(f"a{i}", [f"o{j}" for j in range(i + 1)]) for i in range(5)],
-    )
-
-
 def _plan_text(plan, protocol) -> str:
     return plan.to_fasta() + plan.describe() + protocol.describe()
 
@@ -287,7 +305,7 @@ def test_outputs_are_byte_identical_to_reference(case, digest):
     elif case == "extended-5x5":  # a fixed 5x5 on the extended library, seeds 0-9
         text = "".join(
             _plan_text(*compile_problem(
-                _five_by_five(), seed=s, library=EXTENDED_BLUNT_CUTTERS
+                make_five_by_five(), seed=s, library=EXTENDED_BLUNT_CUTTERS
             ))
             for s in range(10)
         )
@@ -297,7 +315,7 @@ def test_outputs_are_byte_identical_to_reference(case, digest):
 
 
 def test_five_by_five_compiles_clean():
-    plan, _ = compile_problem(_five_by_five(), seed=3, library=EXTENDED_BLUNT_CUTTERS)
+    plan, _ = compile_problem(make_five_by_five(), seed=3, library=EXTENDED_BLUNT_CUTTERS)
     assert validate_encoding(plan) == []
     assert sorted(plan.middle_lengths.values()) == [7, 16, 34, 70, 142]
 

@@ -17,7 +17,6 @@ from dnadecide.decision import (
     best_options,
     build_matrix,
     expected_utility,
-    to_network,
     validate_matrix,
 )
 
@@ -238,50 +237,3 @@ def test_option_permutation_maps_the_argmax_set(m, rng):
     )
     expected = sorted(order.index(i) for i in best_options(m))
     assert best_options(permuted) == expected
-
-
-# -- network view -------------------------------------------------------------
-
-def test_ball_game_network_shape(ball_game):
-    net = to_network(ball_game)
-    assert net.source == "choice"
-    assert net.sink == "term"
-    # one source, one sink
-    froms = {a for a, _ in net.edges}
-    tos = {b for _, b in net.edges}
-    assert {n for n in net.nodes if n not in tos} == {"choice"}
-    assert {n for n in net.nodes if n not in froms} == {"term"}
-    assert len(net.paths()) == 9
-
-
-def test_network_shares_probability_nodes():
-    m = build_matrix(
-        outcomes=[("a", F(1, 2)), ("b", F(1, 4)), ("c", F(1, 4))],
-        options=[("x", ["a"]), ("y", ["b", "c"])],
-    )
-    net = to_network(m)
-    probs = [n for n in net.nodes if n.startswith("prob:")]
-    assert len(probs) == 3  # shared across options, not duplicated per option
-    assert len(net.paths()) == 6
-
-
-def test_trivial_network_single_path():
-    m = build_matrix(outcomes=[("only", F(1))], options=[("go", ["only"])])
-    net = to_network(m)
-    assert net.paths() == [
-        ("choice", "option:go", "chance:go:only", "prob:only", "util:only", "term")
-    ]
-
-
-@given(st.integers(1, 10), st.integers(1, 10))
-def test_network_path_count_is_options_times_outcomes(n_opt, n_out):
-    m = build_matrix(
-        outcomes=[(f"o{j}", F(1, n_out)) for j in range(n_out)],
-        options=[(f"a{i}", []) for i in range(n_opt)],
-    )
-    net = to_network(m)
-    paths = net.paths()
-    assert len(paths) == n_opt * n_out
-    assert len(set(paths)) == len(paths)
-    for p in paths:
-        assert p[0] == "choice" and p[-1] == "term" and len(p) == 6

@@ -102,18 +102,6 @@ def test_disjoint_strands_rejected():
         Duplex(Strand("AAAA"), Strand("TTTT"), 8)
 
 
-def test_swapped_preserves_molecule():
-    d = blunt("TCTGACTCAGCTGAGATCCA")
-    s = d.swapped()
-    assert s.top == d.bottom and s.bottom == d.top
-    assert s.span_length == d.span_length
-    # a one-sided overhang flips sides but keeps pairing width
-    th = Duplex(Strand("CTGAGATCCAGTTAGCAGGT"), Strand(reverse_complement("GTTAGCAGGT")), 10)
-    sw = th.swapped()
-    assert sw.ds_end - sw.ds_start == 10
-    assert sw.span_length == 20
-
-
 # -- recognition sites and digestion -------------------------------------------
 
 def test_catalog_sites_are_palindromic_blunt_six_cutters():
@@ -152,7 +140,8 @@ def test_site_in_overhang_is_not_cut():
 
 def test_find_sites_is_orientation_independent():
     d = blunt("TCTGACTCAGCTGAGATCCA")
-    sw = d.swapped()
+    # the same molecule viewed with the bottom strand on top
+    sw = Duplex(d.bottom, d.top, len(d.top) - d.offset - len(d.bottom))
     mirrored = sorted(d.span_length - 6 - p for p in find_sites(d, PVUII))
     assert sorted(find_sites(sw, PVUII)) == mirrored
 

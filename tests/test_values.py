@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from conftest import make_ball_game
 
-from dnadecide import compiler, decision, gel, soundness, wetlab
+from dnadecide import compiler, gel, soundness, wetlab
 from dnadecide.strands import Duplex, RecognitionSite, Strand
 
 
@@ -33,7 +33,6 @@ EXAMPLES = {
     "Outcome": lambda: make_ball_game().outcomes[0],
     "Option": lambda: make_ball_game().options[0],
     "DecisionMatrix": make_ball_game,
-    "DecisionNetwork": lambda: decision.to_network(make_ball_game()),
     "Derivation": lambda: compiler.derivations(["a"], ["b"])["chance:a:b"],
     "EncodingViolation": lambda: compiler.EncodingViolation("gc-range", ("x",), "low"),
     "Segment": lambda: compiler.Segment(("x",), "ACGTTG", {1: "CGT"}),
