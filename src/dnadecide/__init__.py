@@ -20,7 +20,7 @@ _SOURCES = {
         "validate_matrix",
     ),
     "formats": ("dump_problem", "load_problem", "parse_problem"),
-    "gel": ("DecisionReport", "GelConfig", "band_table", "readout", "render", "run_gel"),
+    "gel": ("DecisionReport", "band_table", "readout", "render", "run_gel"),
     "soundness": ("run_end_to_end", "verify_soundness"),
     "wetlab": ("run_protocol",),
 }

@@ -94,6 +94,20 @@ def _load_matrix(args):
     return load_problem(args.input)
 
 
+def _compile(args, **kwargs):
+    """Compile the problem the common options name, echoing any fixture notes."""
+    plan, protocol = compile_problem(
+        _load_matrix(args),
+        seed=args.seed,
+        library=_LIBRARIES[args.enzymes],
+        use_fixture=args.fixture,
+        **kwargs,
+    )
+    for note in plan.fixture_notes:
+        print(note)
+    return plan, protocol
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -103,15 +117,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_compile(args) -> int:
-    matrix = _load_matrix(args)
-    plan, protocol = compile_problem(
-        matrix,
-        seed=args.seed,
-        library=_LIBRARIES[args.enzymes],
-        use_fixture=args.fixture,
-    )
-    for note in plan.fixture_notes:
-        print(note)
+    plan, protocol = _compile(args)
     violations = validate_encoding(plan)
     for v in violations:
         print(f"warning: {v.kind}: {v.detail}")
@@ -124,25 +130,16 @@ def _cmd_compile(args) -> int:
         (out / "encoding.fasta").write_text(plan.to_fasta())
         (out / "plan.txt").write_text(plan.describe())
         (out / "protocol.txt").write_text(protocol.describe())
-        (out / "problem.json").write_text(dump_problem(matrix))
+        (out / "problem.json").write_text(dump_problem(plan.matrix))
         print(f"wrote encoding.fasta, plan.txt, protocol.txt, problem.json to {out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    matrix = _load_matrix(args)
-    plan, protocol = compile_problem(
-        matrix,
-        seed=args.seed,
-        library=_LIBRARIES[args.enzymes],
-        use_fixture=args.fixture,
-        pcr_cycles=args.cycles,
-    )
-    for note in plan.fixture_notes:
-        print(note)
-    tubes = run_protocol(plan, protocol, cycles=args.cycles)
+    plan, protocol = _compile(args, pcr_cycles=args.cycles)
+    tubes = run_protocol(plan, protocol)
     gel = run_gel(tubes)
-    report = readout(gel, plan, matrix)
+    report = readout(gel, plan)
     if args.outdir is not None:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -62,6 +62,7 @@ BASE_CONSTRUCT_LENGTH = 2 * ARM_LENGTH + 2 * NODE_LENGTH + 2 * OVERHANG_LENGTH
 GEL_RESOLUTION = 9
 DYE_FRONT_BP = 100
 DYE_STOP = Fraction(2, 3)
+MAX_CORE_LENGTH = 200  # longest probability core the ladder range admits
 
 ROLE_PRIMER_LEFT = "primer:left"
 ROLE_PRIMER_RIGHT = "primer:right"
@@ -141,7 +142,7 @@ def middle_length_for_rank(rank: int) -> int:
     return length
 
 
-def probability_lengths(probabilities: list[Fraction], max_middle: int = 200) -> list[int]:
+def probability_lengths(probabilities: list[Fraction]) -> list[int]:
     """Assign a distinct, separable core length per outcome.
 
     More probable outcomes get shorter cores (they must win a band-intensity
@@ -151,20 +152,14 @@ def probability_lengths(probabilities: list[Fraction], max_middle: int = 200) ->
     """
     order = sorted(range(len(probabilities)), key=lambda j: (-probabilities[j], j))
     lengths = [0] * len(probabilities)
-    previous = None
     for rank, j in enumerate(order):
         m = middle_length_for_rank(rank)
-        if m > max_middle:
+        if m > MAX_CORE_LENGTH:
             raise UnresolvableError(
                 f"outcome {j}: rank {rank} needs a {m} bp core, "
-                f"beyond the {max_middle} bp ladder range"
-            )
-        if previous is not None and m - previous < GEL_RESOLUTION:
-            raise UnresolvableError(
-                f"cores {previous} and {m} bp closer than resolution {GEL_RESOLUTION}"
+                f"beyond the {MAX_CORE_LENGTH} bp ladder range"
             )
         lengths[j] = m
-        previous = m
     return lengths
 
 
@@ -379,12 +374,14 @@ def violations(segment: Segment, context: RuleContext) -> list[EncodingViolation
 
 # -- sequence generation -------------------------------------------------------
 
+MAX_TRIES = 500  # candidates sampled for one segment before the designer gives up
+
+
 class _Designer:
     """Stateful rejection sampler for fresh segments."""
 
-    def __init__(self, rng, assigned_sites: list[str], max_tries: int = 500):
+    def __init__(self, rng, assigned_sites: list[str]):
         self.rng = rng
-        self.max_tries = max_tries
         self.context = RuleContext(tuple(assigned_sites), {})
 
     def adopt(self, role: str, seq: str) -> str:
@@ -443,7 +440,7 @@ class _Designer:
                 blocks.append((end - start, local))
         fresh_from = max(0, len(prefix) - WINDOW + 1)
         rejected: Counter[str] = Counter()
-        for _ in range(self.max_tries):
+        for _ in range(MAX_TRIES):
             seq = "".join(b for width, local in blocks for b in self._block(width, local))
             segment = Segment((role,), seq, sites, fresh_from, lefts, rights)
             found = violations(segment, self.context)
@@ -720,30 +717,32 @@ class EncodingPlan(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-class ProtocolPlan(NamedTuple):
-    """Ordered bench steps realizing the encoding."""
+def tube_label(index: int) -> str:
+    return f"tube-{index + 1}"
 
-    tube_labels: tuple[str, ...]
-    tube_enzymes: tuple[tuple[str, ...], ...]
-    threshold_doses: dict[str, Fraction]
-    primer_seqs: tuple[str, str]
-    pcr_cycles: int = 5
+
+class ProtocolPlan(NamedTuple):
+    """Ordered bench steps realizing the encoding, read from the plan."""
+
+    plan: EncodingPlan
+    pcr_cycles: int
 
     def describe(self) -> str:
-        doses = ", ".join(f"{k}={v}" for k, v in self.threshold_doses.items())
+        plan = self.plan
+        doses = ", ".join(f"{k}={v}" for k, v in plan.threshold_ratios.items())
         lines = [
             "protocol plan",
             "=============",
             "1. pool stocks (0.1 ml of each strand stock at 0.1 ug/ul) for every encoding strand",
             f"2. add threshold duplexes at ratios {doses} and let displacement complete",
             "3. anneal and ligate surviving junctions with T4 DNA ligase",
-            f"4. split the pool into {len(self.tube_labels)} tubes, one per option",
+            f"4. split the pool into {len(plan.matrix.options)} tubes, one per option",
         ]
-        for label, enzymes in zip(self.tube_labels, self.tube_enzymes):
-            lines.append(f"   {label}: digest with {', '.join(enzymes)} at 37 C")
-        left, right = self.primer_seqs
+        for i, enzymes in enumerate(plan.tube_enzymes):
+            lines.append(f"   {tube_label(i)}: digest with {', '.join(sorted(enzymes))} at 37 C")
+        left, right = plan.primers
         lines.append(
-            f"5. amplify {self.pcr_cycles} PCR cycles with primers {left} and {right}"
+            f"5. amplify {self.pcr_cycles} PCR cycles with primers {left.seq} and {right.seq}"
         )
         lines.append("6. purify, keeping amplified full-length constructs")
         lines.append(
@@ -789,11 +788,4 @@ def compile_problem(
         outcome_sites=outcome_sites,
         fixture_notes=tuple(notes),
     )
-    protocol = ProtocolPlan(
-        tube_labels=tuple(f"tube-{i + 1}" for i in range(len(matrix.options))),
-        tube_enzymes=tuple(tuple(sorted(t)) for t in plan.tube_enzymes),
-        threshold_doses=dict(ratios),
-        primer_seqs=(plan.primers[0].seq, plan.primers[1].seq),
-        pcr_cycles=pcr_cycles,
-    )
-    return plan, protocol
+    return plan, ProtocolPlan(plan, pcr_cycles)

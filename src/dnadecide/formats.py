@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .decision import DecisionMatrix, build_matrix, validate_matrix
+from .decision import DecisionMatrix, build_matrix
 
 
 class ProblemFormatError(ValueError):
@@ -90,8 +90,7 @@ def parse_problem(text: str) -> DecisionMatrix:
     u_fav = _fraction(utilities["favorable"], "utilities.favorable")
     u_unf = _fraction(utilities["unfavorable"], "utilities.unfavorable")
 
-    matrix = build_matrix(outcomes, options, u_favorable=u_fav, u_unfavorable=u_unf)
-    return validate_matrix(matrix)
+    return build_matrix(outcomes, options, u_favorable=u_fav, u_unfavorable=u_unf)
 
 
 def load_problem(path: str | Path) -> DecisionMatrix:

@@ -30,52 +30,31 @@ class UndecodableBandError(GelError):
     pass
 
 
-class _GelFields(NamedTuple):
-    gel_length: float = 100.0
-    ladder: tuple[int, ...] = tuple(range(10, 201, 10))
-    dye_length: int = DYE_FRONT_BP
-    stop_fraction: Fraction = DYE_STOP
-    resolution: int = GEL_RESOLUTION
+GEL_LENGTH = 100.0  # lane length, the unit of migration distances
 
 
-class GelConfig(_GelFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "GelConfig":
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.ladder or list(self.ladder) != sorted(set(self.ladder)):
-            raise GelError("ladder must be a non-empty ascending list of lengths")
-        if not 0 < self.stop_fraction <= 1:
-            raise GelError(f"stop fraction {self.stop_fraction} outside (0, 1]")
-        return self
-
-    @property
-    def max_length(self) -> int:
-        return max(self.ladder)
-
-    @classmethod
-    def covering(cls, max_length: int) -> "GelConfig":
-        """Default config, with the ladder extended in 10 bp steps as needed."""
-        top = max(200, 10 * math.ceil(max_length / 10))
-        return cls(ladder=tuple(range(10, top + 1, 10)))
+def ladder(longest: int) -> tuple[int, ...]:
+    """Rungs every 10 bp from 10 to 200 bp, extended in 10 bp steps to `longest`."""
+    top = max(200, 10 * math.ceil(longest / 10))
+    return tuple(range(10, top + 1, 10))
 
 
-def migrate(length, config: GelConfig = GelConfig()) -> float:
-    """Distance run by a fragment of this length, in gel-length units."""
+def migrate(length, top: int) -> float:
+    """Distance run by a fragment of this length beside a ladder topping at `top`."""
     value = float(length)
     if value <= 0:
         raise GelError(f"fragment length must be positive, got {length}")
-    span = math.log(config.max_length) - math.log(config.dye_length)
-    travel = math.log(config.max_length) - math.log(value)
-    distance = float(config.stop_fraction) * config.gel_length * travel / span
+    span = math.log(top) - math.log(DYE_FRONT_BP)
+    travel = math.log(top) - math.log(value)
+    distance = float(DYE_STOP) * GEL_LENGTH * travel / span
     return max(0.0, distance)
 
 
-def decode_length(distance: float, config: GelConfig = GelConfig()) -> float:
+def decode_length(distance: float, top: int) -> float:
     """Inverse of `migrate` (lengths above the ladder top all sit at zero)."""
-    span = math.log(config.max_length) - math.log(config.dye_length)
-    stop = float(config.stop_fraction) * config.gel_length
-    return math.exp(math.log(config.max_length) - distance * span / stop)
+    span = math.log(top) - math.log(DYE_FRONT_BP)
+    stop = float(DYE_STOP) * GEL_LENGTH
+    return math.exp(math.log(top) - distance * span / stop)
 
 
 class Band(NamedTuple):
@@ -91,14 +70,14 @@ class Lane(NamedTuple):
 
 
 class GelRun(NamedTuple):
-    config: GelConfig
+    ladder: tuple[int, ...]
     lanes: tuple[Lane, ...]
 
     def sample_lanes(self) -> tuple[Lane, ...]:
         return tuple(lane for lane in self.lanes if lane.label != "ladder")
 
 
-def _merge_bands(raw: list[tuple[Fraction, Fraction]], config: GelConfig) -> tuple[Band, ...]:
+def _merge_bands(raw: list[tuple[Fraction, Fraction]], top: int) -> tuple[Band, ...]:
     """Co-migrating species closer than the resolution fuse into one band."""
     bands: list[Band] = []
     cluster: list[tuple[Fraction, Fraction]] = []
@@ -108,10 +87,10 @@ def _merge_bands(raw: list[tuple[Fraction, Fraction]], config: GelConfig) -> tup
             return
         weight = sum(i for _, i in cluster)
         length = sum(l * i for l, i in cluster) / weight
-        bands.append(Band(length, weight, migrate(length, config)))
+        bands.append(Band(length, weight, migrate(length, top)))
 
     for length, intensity in sorted(raw):
-        if cluster and length - cluster[-1][0] < config.resolution:
+        if cluster and length - cluster[-1][0] < GEL_RESOLUTION:
             cluster.append((length, intensity))
         else:
             close()
@@ -120,32 +99,27 @@ def _merge_bands(raw: list[tuple[Fraction, Fraction]], config: GelConfig) -> tup
     return tuple(bands)
 
 
-def lane_from_tube(tube: TubeState, config: GelConfig) -> Lane:
+def lane_from_tube(tube: TubeState, top: int) -> Lane:
     raw = [
         (Fraction(sp.length), sp.concentration)
         for _, sp in sorted(tube.species.items())
         if sp.status == ACTIVE and sp.is_duplex and sp.concentration > 0
     ]
-    return Lane(tube.label, _merge_bands(raw, config), Fraction(2) ** tube.pcr_cycles)
+    return Lane(tube.label, _merge_bands(raw, top), Fraction(2) ** tube.pcr_cycles)
 
 
-def ladder_lane(config: GelConfig) -> Lane:
-    bands = tuple(
-        Band(Fraction(l), Fraction(1), migrate(l, config)) for l in config.ladder
-    )
+def ladder_lane(rungs: tuple[int, ...]) -> Lane:
+    bands = tuple(Band(Fraction(l), Fraction(1), migrate(l, rungs[-1])) for l in rungs)
     return Lane("ladder", bands)
 
 
-def run_gel(tubes: list[TubeState], config: GelConfig | None = None) -> GelRun:
-    """Image the tubes; the ladder runs in the last lane."""
-    if config is None:
-        longest = max(
-            (sp.length for t in tubes for sp in t.species.values() if sp.is_duplex),
-            default=200,
-        )
-        config = GelConfig.covering(longest)
-    lanes = tuple(lane_from_tube(t, config) for t in tubes) + (ladder_lane(config),)
-    return GelRun(config, lanes)
+def run_gel(tubes: list[TubeState]) -> GelRun:
+    """Image the tubes beside a ladder covering the longest duplex, in the last lane."""
+    rungs = ladder(
+        max((sp.length for t in tubes for sp in t.species.values() if sp.is_duplex), default=0)
+    )
+    lanes = tuple(lane_from_tube(t, rungs[-1]) for t in tubes) + (ladder_lane(rungs),)
+    return GelRun(rungs, lanes)
 
 
 def band_table(run: GelRun) -> str:
@@ -153,7 +127,7 @@ def band_table(run: GelRun) -> str:
     rows = ["lane\tlength_bp\trelative_intensity\tmigration_fraction"]
     for lane in run.lanes:
         for band in lane.bands:
-            frac = band.migration / run.config.gel_length
+            frac = band.migration / GEL_LENGTH
             rows.append(
                 f"{lane.label}\t{band.length}\t{band.intensity}\t{frac:.6f}"
             )
@@ -177,13 +151,12 @@ def render(run: GelRun, fmt: str = "svg") -> str:
 
 
 def _render_svg(run: GelRun) -> str:
-    config = run.config
     lane_w, margin, top, track = 90, 40, 30, 400
     width = 2 * margin + lane_w * len(run.lanes)
     height = top + track + 50
 
     def y(distance: float) -> float:
-        return top + track * distance / config.gel_length
+        return top + track * distance / GEL_LENGTH
 
     peak = max(
         (b.intensity for lane in run.sample_lanes() for b in lane.bands),
@@ -194,7 +167,7 @@ def _render_svg(run: GelRun) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#f4f1ea"/>',
     ]
-    dye_y = y(float(config.stop_fraction) * config.gel_length)
+    dye_y = y(float(DYE_STOP) * GEL_LENGTH)
     parts.append(
         f'<line x1="{margin}" y1="{dye_y:.2f}" x2="{width - margin}" y2="{dye_y:.2f}" '
         f'stroke="#4466aa" stroke-dasharray="4 3" stroke-width="1"/>'
@@ -211,7 +184,7 @@ def _render_svg(run: GelRun) -> str:
         )
         is_ladder = lane.label == "ladder"
         for band in lane.bands:
-            if band.migration > config.gel_length:
+            if band.migration > GEL_LENGTH:
                 continue  # ran off the end before the dye reached the stop line
             by = y(band.migration)
             if is_ladder:
@@ -234,17 +207,16 @@ def _render_svg(run: GelRun) -> str:
 
 
 def _render_text(run: GelRun) -> str:
-    config = run.config
     cols = 61
     lines = []
     for lane in run.lanes:
         track = ["."] * cols
         for band in lane.bands:
-            if band.migration > config.gel_length:
+            if band.migration > GEL_LENGTH:
                 continue
-            pos = round(band.migration / config.gel_length * (cols - 1))
+            pos = round(band.migration / GEL_LENGTH * (cols - 1))
             track[pos] = "|" if lane.label == "ladder" else "#"
-        dye = round(float(config.stop_fraction) * (cols - 1))
+        dye = round(float(DYE_STOP) * (cols - 1))
         if track[dye] == ".":
             track[dye] = ":"
         summary = ", ".join(
@@ -310,7 +282,7 @@ def readout(
     predicted = {
         out.label: plan.construct_length(out.label) for out in matrix.outcomes
     }
-    tolerance = run.config.resolution / 2
+    tolerance = GEL_RESOLUTION / 2
     totals = []
     estimates = []
     decoded_all = []
@@ -318,7 +290,7 @@ def readout(
         mass = Fraction(0)
         decoded = []
         for band in lane.bands:
-            apparent = decode_length(band.migration, run.config)
+            apparent = decode_length(band.migration, run.ladder[-1])
             hits = [
                 label
                 for label, length in predicted.items()

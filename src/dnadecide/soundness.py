@@ -53,14 +53,12 @@ def run_end_to_end(
     matrix: DecisionMatrix,
     seed: int = 0,
     cycles: int = 5,
-    use_fixture: bool = False,
 ) -> tuple[DecisionReport, EncodingPlan, ProtocolPlan, GelRun]:
     """Compile, simulate, image, and read out one problem."""
     plan, protocol = compile_problem(
         matrix,
         seed=seed,
         library=EXTENDED_BLUNT_CUTTERS,
-        use_fixture=use_fixture,
         pcr_cycles=cycles,
     )
     tubes = run_protocol(plan, protocol)

@@ -276,10 +276,13 @@ EXTENDED_BLUNT_CUTTERS: tuple[RecognitionSite, ...] = CORE_BLUNT_CUTTERS + (
 
 # -- FASTA ----------------------------------------------------------------
 
-def write_fasta(strands: list[Strand], width: int = 60) -> str:
+FASTA_WIDTH = 60  # sequence characters per line
+
+
+def write_fasta(strands: list[Strand]) -> str:
     lines = []
     for i, s in enumerate(strands):
         lines.append(f">{s.role or f'strand_{i}'}")
-        for k in range(0, len(s.seq), width):
-            lines.append(s.seq[k : k + width])
+        for k in range(0, len(s.seq), FASTA_WIDTH):
+            lines.append(s.seq[k : k + FASTA_WIDTH])
     return "\n".join(lines) + "\n"

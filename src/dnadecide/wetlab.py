@@ -30,6 +30,7 @@ from .compiler import (
     ProtocolPlan,
     construct_roles,
     role_thresh,
+    tube_label,
 )
 from .decision import _slug, role_chance
 from .strands import (
@@ -195,7 +196,7 @@ def split_tubes(tube: TubeState) -> list[TubeState]:
     """One aliquot per option; per-volume concentrations carry over unchanged."""
     tubes = []
     for i, opt in enumerate(tube.plan.matrix.options):
-        label = f"tube-{i + 1}"
+        label = tube_label(i)
         record = {"op": "split", "tube": label, "option": opt.label}
         tubes.append(
             TubeState(label, tube.plan, dict(tube.species), tube.log + (record,))
@@ -301,17 +302,15 @@ def digest(
     return tube._with(species, record)
 
 
-def pcr(tube: TubeState, cycles: int, primers: tuple[Strand, Strand] | None = None) -> TubeState:
-    """Exponential amplification of blunt duplexes whose ends match the primers."""
+def pcr(tube: TubeState, cycles: int) -> TubeState:
+    """Exponential amplification of blunt duplexes whose ends match the plan's primers."""
     if cycles < 0:
         raise CycleCountError(f"cycle count must be non-negative, got {cycles}")
     if cycles > MAX_PCR_CYCLES:
         raise CycleCountError(
             f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}"
         )
-    if primers is None:
-        primers = tube.plan.primers
-    p1, p2 = primers[0].seq, primers[1].seq
+    p1, p2 = (primer.seq for primer in tube.plan.primers)
     factor = Fraction(2) ** cycles
     # an end matches a primer read on either strand
     ends1 = (p1, reverse_complement(p1))
@@ -352,6 +351,6 @@ def run_protocol(
     tubes = split_tubes(pool)
     table = DigestTable(plan)
     out = []
-    for tube, enzymes in zip(tubes, protocol.tube_enzymes):
+    for tube, enzymes in zip(tubes, plan.tube_enzymes):
         out.append(purify(pcr(digest(tube, enzymes, table), n)))
     return out

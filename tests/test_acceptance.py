@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from conftest import make_ball_game
 
-from dnadecide.compiler import compile_problem
+from dnadecide.compiler import DYE_FRONT_BP, compile_problem
 from dnadecide.decision import best_options, role_chance, role_option, role_util
-from dnadecide.gel import GelConfig, _merge_bands, decode_length, migrate, readout, run_gel
+from dnadecide.gel import GEL_LENGTH, _merge_bands, decode_length, ladder, migrate, readout, run_gel
 from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
     Duplex,
@@ -223,15 +223,16 @@ def test_criterion_7_conservation_suite():
             )
             for _ in range(rng.randint(1, 15))
         ]
-        merged = _merge_bands(raw, GelConfig())
+        merged = _merge_bands(raw, 200)
         assert sum(b.intensity for b in merged) == sum(i for _, i in raw)
 
 
 @criterion(8, "gel calibration: dye at 2/3, monotone, 1 bp round trip")
 def test_criterion_8_gel_calibration():
-    cfg = GelConfig()
-    assert migrate(cfg.dye_length, cfg) == float(Fraction(2, 3)) * cfg.gel_length
-    distances = [migrate(l, cfg) for l in range(10, 201)]
+    rungs = ladder(200)
+    top = rungs[-1]
+    assert migrate(DYE_FRONT_BP, top) == float(Fraction(2, 3)) * GEL_LENGTH
+    distances = [migrate(l, top) for l in range(10, 201)]
     assert all(a > b for a, b in zip(distances, distances[1:]))
-    for rung in cfg.ladder:
-        assert abs(decode_length(migrate(rung, cfg), cfg) - rung) <= 1.0
+    for rung in rungs:
+        assert abs(decode_length(migrate(rung, top), top) - rung) <= 1.0

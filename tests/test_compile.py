@@ -376,24 +376,16 @@ def test_fixture_compile_repairs_and_reports(ball_game):
     assert "rejected reference" in notes and "kept reference" in notes
 
 
-def test_generation_failure_is_raised_not_looped():
+def test_generation_failure_is_raised_not_looped(monkeypatch):
     # an impossibly tight designer budget must fail loudly
     m = make_ball_game()
     option_sites, outcome_sites = assign_enzymes(m)
     middles = {o.label: l for o, l in zip(m.outcomes, [7, 16, 34])}
     import dnadecide.compiler as compiler
 
-    class _Tight(compiler._Designer):
-        def __init__(self, rng, assigned):
-            super().__init__(rng, assigned, max_tries=0)
-
-    original = compiler._Designer
-    compiler._Designer = _Tight
-    try:
-        with pytest.raises(GenerationFailedError):
-            generate_sequences(m, option_sites, outcome_sites, middles, seed=0)
-    finally:
-        compiler._Designer = original
+    monkeypatch.setattr(compiler, "MAX_TRIES", 0)
+    with pytest.raises(GenerationFailedError):
+        generate_sequences(m, option_sites, outcome_sites, middles, seed=0)
 
 
 def test_generation_failure_names_the_rule_that_ran_out():

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnadecide.compiler import compile_problem
+from dnadecide.compiler import DYE_FRONT_BP, DYE_STOP, GEL_RESOLUTION, compile_problem
 from dnadecide.gel import (
+    GEL_LENGTH,
     Band,
-    GelConfig,
     GelRun,
     Lane,
     UndecodableBandError,
     UnsupportedFormatError,
     band_table,
     decode_length,
+    ladder,
     ladder_lane,
     migrate,
     readout,
@@ -24,6 +25,10 @@ from dnadecide.gel import (
     run_gel,
 )
 from dnadecide.wetlab import run_protocol
+
+# the stock ladder, 10 to 200 bp, and its top rung
+STOCK = ladder(200)
+TOP = STOCK[-1]
 
 
 @pytest.fixture(scope="module")
@@ -39,66 +44,59 @@ def ball_lanes():
 
 
 def test_dye_lands_exactly_at_stop_fraction():
-    cfg = GelConfig()
-    assert migrate(cfg.dye_length, cfg) == float(cfg.stop_fraction) * cfg.gel_length
+    assert migrate(DYE_FRONT_BP, TOP) == float(DYE_STOP) * GEL_LENGTH
 
 
 def test_migration_strictly_decreases_across_ladder():
-    cfg = GelConfig()
-    distances = [migrate(l, cfg) for l in cfg.ladder]
+    distances = [migrate(l, TOP) for l in STOCK]
     assert all(a > b for a, b in zip(distances, distances[1:]))
 
 
 def test_longest_rung_stays_at_well():
-    cfg = GelConfig()
-    assert migrate(cfg.max_length, cfg) == 0.0
+    assert migrate(TOP, TOP) == 0.0
     # anything longer is clipped at the well rather than running backwards
-    assert migrate(500, cfg) == 0.0
+    assert migrate(500, TOP) == 0.0
 
 
 def test_short_fragments_run_past_the_dye():
-    cfg = GelConfig()
-    assert migrate(50, cfg) > migrate(cfg.dye_length, cfg)
+    assert migrate(50, TOP) > migrate(DYE_FRONT_BP, TOP)
 
 
 def test_ladder_round_trip_within_one_basepair():
-    cfg = GelConfig.covering(290)
-    for rung in cfg.ladder:
-        recovered = decode_length(migrate(rung, cfg), cfg)
+    rungs = ladder(290)
+    for rung in rungs:
+        recovered = decode_length(migrate(rung, rungs[-1]), rungs[-1])
         assert abs(recovered - rung) <= 1.0
 
 
-def test_covering_ladder_reaches_requested_length():
-    cfg = GelConfig.covering(282)
-    assert cfg.max_length == 290
-    assert GelConfig.covering(150).max_length == 200
+def test_ladder_reaches_requested_length():
+    assert ladder(282)[-1] == 290
+    assert ladder(150)[-1] == 200
 
 
 def test_nonpositive_length_rejected():
     from dnadecide.gel import GelError
 
     with pytest.raises(GelError):
-        migrate(0)
+        migrate(0, TOP)
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=10, max_value=200), st.integers(min_value=10, max_value=200))
 def test_migration_order_reverses_length_order(a, b):
-    cfg = GelConfig()
     if a < b:
-        assert migrate(a, cfg) > migrate(b, cfg)
+        assert migrate(a, TOP) > migrate(b, TOP)
     elif a == b:
-        assert migrate(a, cfg) == migrate(b, cfg)
+        assert migrate(a, TOP) == migrate(b, TOP)
 
 
 # -- band merging ---------------------------------------------------------------
 
 
 def _lane_of(pairs):
-    cfg = GelConfig()
     from dnadecide.gel import _merge_bands
 
-    return _merge_bands([(Fraction(l), Fraction(i)) for l, i in pairs], cfg)
+    return _merge_bands([(Fraction(l), Fraction(i)) for l, i in pairs], TOP)
 
 
 def test_bands_a_full_resolution_apart_stay_separate():
@@ -134,7 +132,7 @@ def test_merged_bands_respect_resolution_gap(pairs):
     bands = _lane_of(pairs)
     assert sum(b.intensity for b in bands) == sum(i for _, i in pairs)
     gaps = [b2.length - b1.length for b1, b2 in zip(bands, bands[1:])]
-    assert all(g >= GelConfig().resolution for g in gaps)
+    assert all(g >= GEL_RESOLUTION for g in gaps)
 
 
 # -- imaging the canonical run ----------------------------------------------
@@ -176,7 +174,7 @@ def test_band_table_is_exact_and_ordered(ball_lanes):
     assert lines[1].startswith("tube-1\t147\t128/9\t")
     body = [l.split("\t") for l in lines[1:]]
     ladder_rows = [r for r in body if r[0] == "ladder"]
-    assert len(ladder_rows) == len(run.config.ladder)
+    assert len(ladder_rows) == len(run.ladder)
     fractions = [float(r[3]) for r in body if r[0] == "tube-1"]
     assert fractions == sorted(fractions, reverse=True)
 
@@ -251,7 +249,7 @@ def test_readout_totals_keep_seven_six_five_proportion(ball_lanes):
 def test_empty_lanes_tie_at_zero(ball_lanes):
     plan, run = ball_lanes
     hollow = GelRun(
-        run.config,
+        run.ladder,
         tuple(Lane(l.label, (), l.scale) for l in run.sample_lanes())
         + (run.lanes[-1],),
     )
@@ -279,20 +277,19 @@ def test_readout_description_names_the_winner(ball_lanes):
 
 def test_alien_band_is_undecodable(ball_lanes):
     plan, run = ball_lanes
-    cfg = run.config
     stray = Lane(
         "tube-1",
-        (Band(Fraction(60), Fraction(1), migrate(60, cfg)),),
+        (Band(Fraction(60), Fraction(1), migrate(60, run.ladder[-1])),),
         scale=Fraction(32),
     )
-    doctored = GelRun(cfg, (stray,) + run.lanes[1:])
+    doctored = GelRun(run.ladder, (stray,) + run.lanes[1:])
     with pytest.raises(UndecodableBandError):
         readout(doctored, plan)
 
 
 def test_lane_count_mismatch_is_an_error(ball_lanes):
     plan, run = ball_lanes
-    short = GelRun(run.config, run.lanes[1:])
+    short = GelRun(run.ladder, run.lanes[1:])
     from dnadecide.gel import GelError
 
     with pytest.raises(GelError):
@@ -300,10 +297,9 @@ def test_lane_count_mismatch_is_an_error(ball_lanes):
 
 
 def test_ladder_lane_has_unit_intensities():
-    cfg = GelConfig()
-    lane = ladder_lane(cfg)
+    lane = ladder_lane(STOCK)
     assert lane.label == "ladder"
-    assert len(lane.bands) == len(cfg.ladder)
+    assert len(lane.bands) == len(STOCK)
     assert all(b.intensity == 1 for b in lane.bands)
 
 
@@ -312,14 +308,3 @@ def test_svg_annotates_ladder_rungs(ball_lanes):
     svg = render(run, "svg")
     assert ">200</text>" in svg
     assert ">100</text>" in svg
-
-
-def test_config_rejects_unsorted_ladder_and_bad_stop():
-    from dnadecide.gel import GelError
-
-    with pytest.raises(GelError):
-        GelConfig(ladder=(30, 20, 10))
-    with pytest.raises(GelError):
-        GelConfig(stop_fraction=Fraction(3, 2))
-    with pytest.raises(GelError):
-        GelConfig(ladder=())

@@ -4,8 +4,7 @@ Every record type is a `typing.NamedTuple`: its fields cannot be set, and
 equality and hashing are those of the tuple of its fields. The digest table
 keys species by that hash. That the validating types still refuse bad values on
 construction is pinned where each type is tested (`test_non_acgt_rejected`,
-`test_mismatch_rejected`, `test_invalid_sites_rejected`,
-`test_config_rejects_unsorted_ladder_and_bad_stop`).
+`test_mismatch_rejected`, `test_invalid_sites_rejected`).
 """
 
 from fractions import Fraction
@@ -41,7 +40,6 @@ EXAMPLES = {
     "ProtocolPlan": lambda: _run()[1],
     "Species": lambda: next(iter(_run()[2].species.values())),
     "TubeState": lambda: _run()[2],
-    "GelConfig": gel.GelConfig,
     "Band": lambda: _run()[3].lanes[0].bands[0],
     "Lane": lambda: _run()[3].lanes[0],
     "GelRun": lambda: _run()[3],

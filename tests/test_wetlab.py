@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from dnadecide.compiler import compile_problem
+from dnadecide.compiler import compile_problem, role_thresh
 from dnadecide.decision import Payoff, best_options, build_matrix, role_chance
 from dnadecide.gel import band_table, readout, render, run_gel
 from dnadecide.soundness import random_matrix
@@ -119,7 +120,7 @@ def test_digest_leaves_only_favorable_constructs(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
     survivors_by_tube = []
-    for tube, enzymes in zip(tubes, protocol.tube_enzymes):
+    for tube, enzymes in zip(tubes, plan.tube_enzymes):
         digested = digest(tube, enzymes)
         survivors = {
             k for k in digested.species if k.startswith("construct:")
@@ -142,7 +143,7 @@ def test_digest_leaves_only_favorable_constructs(ball_setup):
 def test_digest_fragment_lengths_conserve_parent(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    digested = digest(tubes[0], protocol.tube_enzymes[0])
+    digested = digest(tubes[0], plan.tube_enzymes[0])
     cut_record = digested.log[-1]["fragments"]
     assert cut_record  # seven of the nine constructs were cut
     for parent_key, lengths in cut_record.items():
@@ -166,7 +167,7 @@ def test_digest_unknown_enzyme(ball_setup):
 def test_pcr_doubles_per_cycle(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    digested = digest(tubes[0], protocol.tube_enzymes[0])
+    digested = digest(tubes[0], plan.tube_enzymes[0])
     amplified = pcr(digested, 5)
     assert amplified.concentration(construct_key("option-1", "red")) == F(128, 9)
     assert amplified.concentration(construct_key("option-1", "black")) == F(96, 9)
@@ -180,7 +181,7 @@ def test_pcr_doubles_per_cycle(ball_setup):
 def test_pcr_zero_cycles_still_marks_amplifiable(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    digested = digest(tubes[0], protocol.tube_enzymes[0])
+    digested = digest(tubes[0], plan.tube_enzymes[0])
     amplified = pcr(digested, 0)
     sp = amplified.species[construct_key("option-1", "red")]
     assert sp.amplified and sp.concentration == F(4, 9)
@@ -196,7 +197,7 @@ def test_pcr_negative_cycles_rejected(ball_setup):
 def test_pcr_cycle_ceiling(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    digested = digest(tubes[0], protocol.tube_enzymes[0])
+    digested = digest(tubes[0], plan.tube_enzymes[0])
     top = pcr(digested, MAX_PCR_CYCLES)
     assert top.pcr_cycles == MAX_PCR_CYCLES
     with pytest.raises(CycleCountError, match=f"at most {MAX_PCR_CYCLES}"):
@@ -206,16 +207,16 @@ def test_pcr_cycle_ceiling(ball_setup):
 def test_pcr_with_foreign_primers_amplifies_nothing(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    digested = digest(tubes[0], protocol.tube_enzymes[0])
-    foreign = (Strand("ACGTACGTAC", "p1"), Strand("TGCATGCATG", "p2"))
-    amplified = pcr(digested, 5, primers=foreign)
+    digested = digest(tubes[0], plan.tube_enzymes[0])
+    foreign = {"primer:left": Strand("ACGTACGTAC", "p1"), "primer:right": Strand("TGCATGCATG", "p2")}
+    amplified = pcr(digested._replace(plan=plan._replace(strands=plan.strands | foreign)), 5)
     assert all(not sp.amplified for sp in amplified.species.values())
 
 
 def test_purify_keeps_amplified_only_and_is_idempotent(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    done = purify(pcr(digest(tubes[0], protocol.tube_enzymes[0]), 5))
+    done = purify(pcr(digest(tubes[0], plan.tube_enzymes[0]), 5))
     assert set(done.species) == {
         construct_key("option-1", "red"),
         construct_key("option-1", "black"),
@@ -310,7 +311,7 @@ def test_shared_digest_table_equals_fresh_digests(draw):
     tubes = split_tubes(pool)
     table = DigestTable(plan)
     lengths = []
-    for tube, enzymes in zip(tubes, protocol.tube_enzymes):
+    for tube, enzymes in zip(tubes, plan.tube_enzymes):
         alone, shared = digest(tube, enzymes), digest(tube, enzymes, table)
         assert list(shared.species.items()) == list(alone.species.items())
         assert shared.log == alone.log
@@ -322,7 +323,7 @@ def test_shared_digest_table_equals_fresh_digests(draw):
     got = run_protocol(plan, protocol, n)
     want = [
         purify(pcr(digest(t, e), n))
-        for t, e in zip(split_tubes(pool), protocol.tube_enzymes)
+        for t, e in zip(split_tubes(pool), plan.tube_enzymes)
     ]
     assert len(got) == len(want) == len(m.options)
     for a, b in zip(got, want):
@@ -337,7 +338,7 @@ def test_digest_table_misses_on_changed_species(ball_setup):
     # the first tube must not hand its fragments to the second
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    tube, enzymes = tubes[0], protocol.tube_enzymes[0]
+    tube, enzymes = tubes[0], plan.tube_enzymes[0]
     doubled = tube._replace(
         species={
             k: sp._replace(concentration=2 * sp.concentration)
@@ -354,7 +355,7 @@ def test_digest_table_rejects_another_plan(ball_setup):
     tubes, _ = tube_states(plan, protocol)
     other, _ = compile_problem(make_ball_game(), seed=1)
     with pytest.raises(ValueError, match="another plan"):
-        digest(tubes[0], protocol.tube_enzymes[0], DigestTable(other))
+        digest(tubes[0], plan.tube_enzymes[0], DigestTable(other))
 
 
 def _run_text(matrix, seed, library) -> str:
@@ -382,3 +383,28 @@ def _run_text(matrix, seed, library) -> str:
 def test_run_outputs_are_byte_identical_to_reference(make, library, sha):
     text = "".join(_run_text(make(), seed, library) for seed in range(10))
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize(
+    "make, library, cycles",
+    [(make_ball_game, CORE_BLUNT_CUTTERS, 5), (make_five_by_five, EXTENDED_BLUNT_CUTTERS, 3)],
+    ids=["core", "extended-5x5"],
+)
+def test_simulator_runs_the_printed_protocol(make, library, cycles):
+    plan, protocol = compile_problem(make(), seed=0, library=library, pcr_cycles=cycles)
+    tubes = run_protocol(plan, protocol)
+    text = protocol.describe()
+    doses = re.search(r"^2\. add threshold duplexes at ratios (.*) and let ", text, re.M)[1]
+    printed_doses = [pair.rsplit("=", 1) for pair in doses.split(", ")]
+    digests = re.findall(r"^   (\S+): digest with (.*) at 37 C$", text, re.M)
+    amplify = re.search(r"^5\. amplify (\d+) PCR cycles with primers (\w+) and (\w+)$", text, re.M)
+    assert [amplify[2], amplify[3]] == [primer.seq for primer in plan.primers]
+    assert len(digests) == len(tubes) == len(plan.matrix.options)
+    for (label, enzymes), tube in zip(digests, tubes):
+        records = {record["op"]: record for record in tube.log}
+        assert list(records["mix"]["thresholds"].items()) == [
+            (role_thresh(outcome), dose) for outcome, dose in printed_doses
+        ]
+        assert label == records["split"]["tube"] == tube.label
+        assert enzymes.split(", ") == records["digest"]["enzymes"]
+        assert int(amplify[1]) == records["pcr"]["cycles"] == cycles
