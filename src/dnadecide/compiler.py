@@ -123,14 +123,8 @@ class GenerationFailedError(CompileError):
     """Rejection sampling exhausted its retry budget for one segment."""
 
 
-class ThresholdRangeError(CompileError):
-    pass
-
-
 def threshold_ratio(probability: Fraction) -> Fraction:
     """Threshold dose per unit of chance material: one minus the probability."""
-    if not 0 <= probability <= 1:
-        raise ThresholdRangeError(f"probability {probability} outside [0, 1]")
     return 1 - Fraction(probability)
 
 
@@ -380,14 +374,10 @@ MAX_TRIES = 500  # candidates sampled for one segment before the designer gives 
 class _Designer:
     """Stateful rejection sampler for fresh segments."""
 
-    def __init__(self, rng, assigned_sites: list[str]):
+    def __init__(self, rng, assigned_sites: list[str], notes: list[str] | None = None):
         self.rng = rng
         self.context = RuleContext(tuple(assigned_sites), {})
-
-    def adopt(self, role: str, seq: str) -> str:
-        """Place an externally supplied segment's windows without checks."""
-        self.context.place(Segment((role,), seq))
-        return seq
+        self.notes = [] if notes is None else notes
 
     def _block(self, length: int, fixed: dict[int, str]) -> list[str]:
         fixed_gc = sum(1 for b in fixed.values() if b in "GC")
@@ -417,6 +407,7 @@ class _Designer:
         rights: tuple[str, ...] = (),
         prefix: str = "",
         breaks: tuple[int, ...] = (),
+        pin: tuple[str, str] | None = None,
     ) -> str:
         """Sample a segment `violations` passes, keeping prefix and designed
         site bases verbatim; prefix windows copy placed material, so only
@@ -426,6 +417,10 @@ class _Designer:
         that functionally distinct regions (overhangs, duplex cores) are
         GC-balanced on their own. Running out of tries names the rules the
         candidates broke, with how many broke each.
+
+        A `pin`, (printed label, piece), is the first candidate: the piece
+        behind the prefix, judged like any other and also by its length. It
+        is placed verbatim if it passes; either verdict goes to `notes`.
         """
         sites = sites or {}
         fixed: dict[int, str] = dict(enumerate(prefix))
@@ -439,6 +434,17 @@ class _Designer:
                 local = {i - start: b for i, b in fixed.items() if start <= i < end}
                 blocks.append((end - start, local))
         fresh_from = max(0, len(prefix) - WINDOW + 1)
+        if pin is not None:
+            label, piece = pin
+            segment = Segment((role,), prefix + piece, sites, fresh_from, lefts, rights)
+            want = length - len(prefix)
+            reasons = [] if len(piece) == want else [f"{len(piece)} bases, expected {want}"]
+            reasons += [v.detail for v in violations(segment, self.context)]
+            if not reasons:
+                self.notes.append(f"kept reference {label} verbatim")
+                self.context.place(segment)
+                return segment.seq
+            self.notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
         rejected: Counter[str] = Counter()
         for _ in range(MAX_TRIES):
             seq = "".join(b for width, local in blocks for b in self._block(width, local))
@@ -458,30 +464,27 @@ def generate_sequences(
     outcome_sites: dict[str, RecognitionSite],
     middle_lengths: dict[str, int],
     seed: int = 0,
-    pins: dict[str, str] | None = None,
+    pins: dict[str, tuple[str, str]] | None = None,
     notes: list[str] | None = None,
 ) -> dict[str, Strand | Duplex]:
     """Build every strand and duplex of the encoding, deterministically.
 
     The designer samples the independent tops and the geometry table
-    derives the rest. `pins` maps role keys (plus 'pad:<outcome>' for
-    threshold pads) to sequences that are used verbatim; callers screen
-    pins themselves. A pad is judged again once joined to its toehold; one
-    that then breaks a rule is redesigned, and why is appended to `notes`.
+    derives the rest. `pins` maps a top's role to a reference piece,
+    (printed label, sequence), that the designer judges in place as the
+    first candidate for that top (a threshold's piece is its pad alone);
+    each verdict is appended to `notes`.
     """
-    pins = dict(pins or {})
+    pins = pins or {}
     assigned = [s.site for s in [*option_sites.values(), *outcome_sites.values()]]
-    d = _Designer(random.Random(seed), assigned)
+    d = _Designer(random.Random(seed), assigned, notes)
     options = [opt.label for opt in matrix.options]
     outcomes = [out.label for out in matrix.outcomes]
     lengths = top_lengths(options, middle_lengths)
     tops: dict[str, str] = {}
 
     def place(role: str, **constraints) -> None:
-        if role in pins:
-            tops[role] = d.adopt(role, pins[role])
-        else:
-            tops[role] = d.fresh(role, lengths[role], **constraints)
+        tops[role] = d.fresh(role, lengths[role], pin=pins.get(role), **constraints)
 
     place(ROLE_CHOICE)
     place(ROLE_TERM)
@@ -496,17 +499,7 @@ def generate_sequences(
         site = {SITE_OFFSET: outcome_sites[out].site}
         place(role_util(out), sites=site, lefts=(tops[role_prob(out)],), rights=(tops[ROLE_TERM],))
     for out in outcomes:
-        role, toehold = role_thresh(out), tops[role_prob(out)][:OVERHANG_LENGTH]
-        pad = pins.get(f"pad:{_slug(out)}")
-        if pad is not None:
-            joined = Segment((role,), toehold + pad, fresh_from=len(toehold) - WINDOW + 1)
-            found = violations(joined, d.context)
-            if not found:
-                pins[role] = joined.seq
-            elif notes is not None:
-                why = "; ".join(v.detail for v in found)
-                notes.append(f"redesigned reference thresh pad: behind its toehold, {why}")
-        place(role, prefix=toehold)
+        place(role_thresh(out), prefix=tops[role_prob(out)][:OVERHANG_LENGTH])
 
     plan: dict[str, Strand | Duplex] = {role: Strand(top, role) for role, top in tops.items()}
     for role, rule in derivations(options, outcomes).items():
@@ -767,14 +760,11 @@ def compile_problem(
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
     option_sites, outcome_sites = assign_enzymes(matrix, library)
 
-    pins: dict[str, str] = {}
-    notes: list[str] = []
+    pins, notes = {}, []
     if use_fixture:
-        from .fixture import screened_pins
+        from .fixture import reference_pins
 
-        pins, screened = screened_pins(matrix, option_sites, outcome_sites, middles)
-        notes += screened
-
+        pins = reference_pins(matrix)
     strands = generate_sequences(
         matrix, option_sites, outcome_sites, middles, seed=seed, pins=pins, notes=notes
     )

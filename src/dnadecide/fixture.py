@@ -15,26 +15,19 @@ load so that every sequence handed out is 5'->3'.
 from __future__ import annotations
 
 from .compiler import (
-    NODE_LENGTH,
     OVERHANG_LENGTH,
-    SITE_OFFSET,
-    RuleContext,
-    Segment,
     check_pieces,
     middle_length_for_rank,
-    top_lengths,
-    violations,
+    role_thresh,
 )
 from .decision import (
     ROLE_CHOICE,
     ROLE_TERM,
     DecisionMatrix,
-    _slug,
     role_option,
     role_prob,
     role_util,
 )
-from .strands import RecognitionSite
 
 KEEP, FLIP = "5to3", "3to5"
 
@@ -86,54 +79,22 @@ def assess_printed() -> list[str]:
     return findings
 
 
-def _screen(segment: Segment, length: int, context: RuleContext) -> list[str]:
-    """Reasons this piece cannot be pinned into a fresh plan: its length and
-    alphabet, then the sequence rules. A kept piece is placed in `context`."""
-    reasons = [] if len(segment.seq) == length else [f"{len(segment.seq)} bases, expected {length}"]
-    if set(segment.seq) - set("ACGT"):
-        return reasons + ["non-ACGT symbols"]
-    reasons += [v.detail for v in violations(segment, context)]
-    if not reasons:
-        context.place(segment)
-    return reasons
-
-
-def screened_pins(
-    matrix: DecisionMatrix,
-    option_sites: dict[str, RecognitionSite],
-    outcome_sites: dict[str, RecognitionSite],
-    middle_lengths: dict[str, int],
-) -> tuple[dict[str, str], tuple[str, ...]]:
-    """Reference pieces that survive standalone screening, as generator pins.
+def reference_pins(matrix: DecisionMatrix) -> dict[str, tuple[str, str]]:
+    """Reference pieces offered to the designer, by role: (printed label,
+    sequence), on the path of the first option and the first outcome.
 
     Only independent material can be pinned; duplex bottoms, linkers and
-    primers are always re-derived. A piece is screened by the same rules as
-    a designed segment. Every kept or rejected piece is reported.
+    primers are always re-derived, and a threshold pin is its pad alone. The
+    designer judges each pin where it would be placed, by the rules of a
+    designed candidate, and notes whether it kept or rejected it.
     """
     p = printed_pieces()
-    first_opt = matrix.options[0].label
-    first_out = matrix.outcomes[0].label
-    pad = f"pad:{_slug(first_out)}"
-    lengths = top_lengths([first_opt], {first_out: middle_lengths[first_out]})
-    lengths[pad] = NODE_LENGTH - OVERHANG_LENGTH
-    assigned = [s.site for s in option_sites.values()] + [s.site for s in outcome_sites.values()]
-    context = RuleContext(tuple(assigned), {})
-    candidates = [  # (role, piece, designed site, label)
-        (ROLE_CHOICE, p["choice.top"], None, "choice"),
-        (ROLE_TERM, p["term.top"], None, "term"),
-        (role_option(first_opt), p["option"], option_sites[first_opt].site, "option"),
-        (role_prob(first_out), p["prob.top"], None, "prob.top"),
-        (role_util(first_out), p["util"], outcome_sites[first_out].site, "util"),
-        (pad, p["thresh.top"][OVERHANG_LENGTH:], None, "thresh pad"),
-    ]
-    pins: dict[str, str] = {}
-    notes: list[str] = []
-    for key, seq, site, label in candidates:
-        segment = Segment((key,), seq, {SITE_OFFSET: site} if site else {})
-        reasons = _screen(segment, lengths[key], context)
-        if reasons:
-            notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
-        else:
-            pins[key] = seq
-            notes.append(f"kept reference {label} verbatim")
-    return pins, tuple(notes)
+    opt, out = matrix.options[0].label, matrix.outcomes[0].label
+    return {
+        ROLE_CHOICE: ("choice", p["choice.top"]),
+        ROLE_TERM: ("term", p["term.top"]),
+        role_option(opt): ("option", p["option"]),
+        role_prob(out): ("prob.top", p["prob.top"]),
+        role_util(out): ("util", p["util"]),
+        role_thresh(out): ("thresh pad", p["thresh.top"][OVERHANG_LENGTH:]),
+    }

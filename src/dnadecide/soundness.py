@@ -22,21 +22,22 @@ from .strands import EXTENDED_BLUNT_CUTTERS
 from .wetlab import run_protocol
 
 
-def random_matrix(
-    rng: random.Random,
-    max_options: int = 5,
-    max_outcomes: int = 5,
-    max_weight: int = 12,
-) -> DecisionMatrix:
+# the sweep's size limits: options and outcomes per problem, weight per outcome
+MAX_OPTIONS = 5
+MAX_OUTCOMES = 5
+MAX_WEIGHT = 12
+
+
+def random_matrix(rng: random.Random) -> DecisionMatrix:
     """A random problem with exact probabilities and binary utilities.
 
     Outcome probabilities are integer weights over a common denominator
-    (at most `max_outcomes * max_weight`, i.e. 60 by default), every
-    option marks a non-empty proper-or-full subset of outcomes favorable.
+    (at most `MAX_OUTCOMES * MAX_WEIGHT`, i.e. 60), every option marks a
+    non-empty proper-or-full subset of outcomes favorable.
     """
-    n_out = rng.randint(2, max_outcomes)
-    n_opt = rng.randint(2, max_options)
-    weights = [rng.randint(1, max_weight) for _ in range(n_out)]
+    n_out = rng.randint(2, MAX_OUTCOMES)
+    n_opt = rng.randint(2, MAX_OPTIONS)
+    weights = [rng.randint(1, MAX_WEIGHT) for _ in range(n_out)]
     total = sum(weights)
     outcomes = [(f"outcome-{i + 1}", Fraction(w, total)) for i, w in enumerate(weights)]
     labels = [lbl for lbl, _ in outcomes]
@@ -51,8 +52,8 @@ def random_matrix(
 
 def run_end_to_end(
     matrix: DecisionMatrix,
-    seed: int = 0,
-    cycles: int = 5,
+    seed: int,
+    cycles: int,
 ) -> tuple[DecisionReport, EncodingPlan, ProtocolPlan, GelRun]:
     """Compile, simulate, image, and read out one problem."""
     plan, protocol = compile_problem(

@@ -157,14 +157,17 @@ class Duplex(_DuplexFields):
 
 # -- restriction sites ---------------------------------------------------
 
+CUT_OFFSET = 3  # every modeled enzyme cuts bluntly between the site's bases 3 and 4
+
+
 class _SiteFields(NamedTuple):
     enzyme: str
     site: str
-    cut_offset: int = 3
 
 
 class RecognitionSite(_SiteFields):
-    """A palindromic six-base site cut bluntly at its center on both strands."""
+    """A palindromic six-base site cut bluntly at its center (`CUT_OFFSET`)
+    on both strands."""
 
     __slots__ = ()
 
@@ -174,8 +177,6 @@ class RecognitionSite(_SiteFields):
             raise StrandError(f"{self.enzyme}: recognition site must be 6 bases")
         if self.site != reverse_complement(self.site):
             raise StrandError(f"{self.enzyme}: site {self.site} is not palindromic")
-        if self.cut_offset != 3:
-            raise StrandError(f"{self.enzyme}: only blunt center cuts are modeled")
         return self
 
 
@@ -229,7 +230,7 @@ def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
             for p in scan(line, site.site, lo, hi)
             if not any(p < c < p + width for c in cols)
         ]
-        cols.extend(p + site.cut_offset for p in hits)
+        cols.extend(p + CUT_OFFSET for p in hits)
     if not cols:
         return [duplex]
     start = duplex.span_start

@@ -345,7 +345,12 @@ def purify(tube: TubeState) -> TubeState:
 def run_protocol(
     plan: EncodingPlan, protocol: ProtocolPlan, cycles: int | None = None
 ) -> list[TubeState]:
-    """mix -> thresholds -> assemble -> split -> (digest, pcr, purify) per tube."""
+    """mix -> thresholds -> assemble -> split -> (digest, pcr, purify) per tube.
+
+    `plan` must be the protocol's own plan; `cycles` overrides its PCR cycles.
+    """
+    if plan is not protocol.plan:
+        raise ValueError("protocol was compiled for another plan")
     n = cycles if cycles is not None else protocol.pcr_cycles
     pool = assemble(apply_thresholds(mix(plan)))
     tubes = split_tubes(pool)

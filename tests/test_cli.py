@@ -215,17 +215,30 @@ def test_fixture_mode_reports_screening(capsys):
     assert "rejected reference" in out
 
 
+# seeds 0-9, then every seed below 1000 whose kept pieces broke a rule next
+# to designed material when pinned pieces were screened on their own
 @pytest.mark.parametrize("library", ["core", "extended"])
 def test_fixture_compile_is_clean_for_every_seed(library, capsys):
     redesigned = []
-    for seed in range(10):
+    for seed in [*range(10), 237, 307, 374, 380, 539, 671, 736, 884]:
         assert main(["compile", "--fixture", "--seed", str(seed), "--enzymes", library]) == 0
         out = capsys.readouterr().out
         assert "encoding validation: 0 warning(s)" in out, seed
-        if "redesigned reference thresh pad: behind its toehold, window" in out:
+        # one verdict on the pad, echoed once and listed once in the plan
+        verdicts = [line for line in out.splitlines() if "reference thresh pad" in line]
+        assert len(verdicts) == 2 and verdicts[1] == "  - " + verdicts[0], seed
+        if seed < 10 and verdicts[0].startswith("rejected reference thresh pad: window"):
             redesigned.append(seed)
-    # joined to these seeds' toeholds, the kept pad repeats a probability window
+    # joined to these seeds' toeholds, the pad repeats a probability window
     assert redesigned == [1, 4, 6, 9]
+
+
+def test_fixture_run_agrees_where_a_kept_piece_met_a_designed_junction(capsys):
+    # the printed option piece behind this seed's choice arm spells a StuI
+    # site across the junction; kept, it cut option-1's constructs away
+    assert main(["run", "--fixture", "--seed", "380"]) == 0
+    out = capsys.readouterr().out
+    assert "rejected reference option: site AGGCCT spans the junction AGGCCTCTGA" in out
 
 
 def test_fixture_fasta_carries_kept_reference_sequence(tmp_path, capsys):

@@ -25,7 +25,7 @@ from dnadecide.compiler import (
     validate_encoding,
 )
 from dnadecide.decision import build_matrix, role_option, role_prob, role_util
-from dnadecide.fixture import assess_printed, printed_pieces, screened_pins
+from dnadecide.fixture import assess_printed, printed_pieces, reference_pins
 from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
     EXTENDED_BLUNT_CUTTERS,
@@ -345,22 +345,29 @@ def test_printed_reference_findings():
     assert "thresh.top" not in findings
 
 
-def test_printed_option_strand_is_kept_by_screening(ball_game):
-    from dnadecide.compiler import assign_enzymes, probability_lengths
-
-    option_sites, outcome_sites = assign_enzymes(ball_game)
-    lengths = probability_lengths([o.probability for o in ball_game.outcomes])
-    middles = {o.label: m for o, m in zip(ball_game.outcomes, lengths)}
-    pins, notes = screened_pins(ball_game, option_sites, outcome_sites, middles)
-    assert pins[role_option("option-1")] == printed_pieces()["option"]
-    assert pins["term"] == printed_pieces()["term.top"]
-    assert pins["pad:red"] == printed_pieces()["thresh.top"][10:]
-    assert "choice" not in pins
-    assert role_prob("red") not in pins
-    assert role_util("red") not in pins
-    text = "\n".join(notes)
-    assert "kept reference option verbatim" in text
-    assert "rejected reference util" in text
+def test_printed_option_strand_is_kept_in_place(ball_game):
+    pieces = printed_pieces()
+    pins = reference_pins(ball_game)
+    assert pins[role_option("option-1")] == ("option", pieces["option"])
+    assert pins[role_thresh("red")] == ("thresh pad", pieces["thresh.top"][10:])
+    plan, _ = compile_problem(ball_game, seed=0, use_fixture=True)
+    tops = {role: s.top.seq if isinstance(s, Duplex) else s.seq for role, s in plan.strands.items()}
+    assert tops[role_option("option-1")] == pieces["option"]
+    assert tops["term"] == pieces["term.top"]
+    assert tops[role_thresh("red")][10:] == pieces["thresh.top"][10:]
+    assert tops["choice"] != pieces["choice.top"]
+    assert tops[role_prob("red")] != pieces["prob.top"]
+    assert tops[role_util("red")] != pieces["util"]
+    # one verdict per piece, in the order the designer places them
+    assert plan.fixture_notes == (
+        "rejected reference choice: 39 bases, expected 40",
+        "kept reference term verbatim",
+        "kept reference option verbatim",
+        "rejected reference prob.top: 25 bases, expected 27",
+        "rejected reference util: 21 bases, expected 20; "
+        "designed site CACGTG not exactly once at offset 7",
+        "kept reference thresh pad verbatim",
+    )
 
 
 def test_fixture_compile_repairs_and_reports(ball_game):

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
+    CUT_OFFSET,
     EXTENDED_BLUNT_CUTTERS,
     Duplex,
     RecognitionSite,
@@ -111,7 +112,7 @@ def test_catalog_sites_are_palindromic_blunt_six_cutters():
     for s in EXTENDED_BLUNT_CUTTERS:
         assert len(s.site) == 6
         assert s.site == reverse_complement(s.site)
-        assert s.cut_offset == 3
+        assert CUT_OFFSET == len(s.site) // 2  # blunt, at the site's center
 
 
 def test_invalid_sites_rejected():
@@ -119,8 +120,6 @@ def test_invalid_sites_rejected():
         RecognitionSite("bad", "CAGCT")
     with pytest.raises(StrandError):
         RecognitionSite("bad", "CAGCTT")
-    with pytest.raises(StrandError):
-        RecognitionSite("bad", "CAGCTG", cut_offset=1)
 
 
 def test_find_sites_on_option_duplex():

@@ -358,6 +358,15 @@ def test_digest_table_rejects_another_plan(ball_setup):
         digest(tubes[0], plan.tube_enzymes[0], DigestTable(other))
 
 
+def test_run_protocol_rejects_another_plan(ball_setup):
+    # the ball game's plan with the 5x5's protocol: three tubes would be run
+    # at the other protocol's cycle count and read as agreeing
+    _, plan, _ = ball_setup
+    _, other = compile_problem(make_five_by_five(), library=EXTENDED_BLUNT_CUTTERS, pcr_cycles=2)
+    with pytest.raises(ValueError, match="another plan"):
+        run_protocol(plan, other)
+
+
 def _run_text(matrix, seed, library) -> str:
     plan, protocol = compile_problem(matrix, seed=seed, library=library)
     tubes = run_protocol(plan, protocol)
