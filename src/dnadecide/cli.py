@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--fixture",
             action="store_true",
-            help="seed the design from the screened reference sequences",
+            help="offer each reference piece as the designer's first candidate "
+            "for its top, judged in place",
         )
 
     p_compile = sub.add_parser(

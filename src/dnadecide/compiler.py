@@ -234,10 +234,11 @@ _GEOMETRY = (
 def derivations(options: list[str], outcomes: list[str]) -> dict[str, Derivation]:
     """The geometry table spelled out for these option and outcome labels."""
     table: dict[str, Derivation] = {}
+    option_slugs, outcome_slugs = [_slug(o) for o in options], [_slug(u) for u in outcomes]
     for role, offset, slices, what in _GEOMETRY:
-        for o in options if "{o}" in role else [""]:
-            for u in outcomes if "{u}" in role else [""]:
-                name = {"o": _slug(o), "u": _slug(u)}
+        for o in option_slugs if "{o}" in role else [""]:
+            for u in outcome_slugs if "{u}" in role else [""]:
+                name = {"o": o, "u": u}
                 table[role.format(**name)] = Derivation(
                     tuple((r.format(**name), a, b) for r, a, b in slices), what, offset
                 )
@@ -352,7 +353,7 @@ def violations(segment: Segment, context: RuleContext) -> list[EncodingViolation
             flag("site-extra" if hits else "site-missing",
                  f"designed site {site} not exactly once at offset {at}")
     for site in context.sites:
-        for i in scan(seq, site):
+        for i in scan(seq, site) if site in seq else ():
             if segment.sites.get(i) != site:
                 flag("stray-site", f"stray site {site} at {i}")
     joints = [left[-5:] + seq[:5] for left in segment.lefts]
@@ -379,24 +380,41 @@ class _Designer:
         self.context = RuleContext(tuple(assigned_sites), {})
         self.notes = [] if notes is None else notes
 
-    def _block(self, length: int, fixed: dict[int, str]) -> list[str]:
+    def _block(self, length: int, fixed: dict[int, str]) -> str:
+        """A GC-balanced block, drawn through `getrandbits` exactly as
+        `randint`, `sample` and `choice` would, so a seed's FASTA stays put."""
+        bits = self.rng.getrandbits
+
+        def below(n: int) -> int:  # Random._randbelow_with_getrandbits
+            k = n.bit_length()
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            return r
+
         fixed_gc = sum(1 for b in fixed.values() if b in "GC")
         free = [i for i in range(length) if i not in fixed]
-        lo = max(math.ceil(Fraction(2, 5) * length), fixed_gc)
-        hi = min(math.floor(Fraction(3, 5) * length), fixed_gc + len(free))
+        lo = max(-(-2 * length // 5), fixed_gc)
+        hi = min(3 * length // 5, fixed_gc + len(free))
         if lo > hi:
             raise GenerationFailedError(f"no GC-balanced fill for a {length}-base block")
-        target = self.rng.randint(lo, hi) - fixed_gc
-        gc_positions = set(self.rng.sample(free, target))
+        # randint(lo, hi), then sample's pool walk (a block's <= 10 free
+        # positions never reach sample's set-based branch)
+        target, n, gc = lo + below(hi - lo + 1) - fixed_gc, len(free), set()
+        for i in range(target):
+            j = below(n - i)
+            gc.add(free[j])
+            free[j] = free[n - i - 1]
         out = []
         for i in range(length):
             if i in fixed:
                 out.append(fixed[i])
-            elif i in gc_positions:
-                out.append(self.rng.choice("GC"))
-            else:
-                out.append(self.rng.choice("AT"))
-        return out
+                continue
+            r = bits(2)  # choice of a 2-letter string
+            while r >= 2:
+                r = bits(2)
+            out.append(("GC" if i in gc else "AT")[r])
+        return "".join(out)
 
     def fresh(
         self,
@@ -447,7 +465,7 @@ class _Designer:
             self.notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
         rejected: Counter[str] = Counter()
         for _ in range(MAX_TRIES):
-            seq = "".join(b for width, local in blocks for b in self._block(width, local))
+            seq = "".join([self._block(width, local) for width, local in blocks])
             segment = Segment((role,), seq, sites, fresh_from, lefts, rights)
             found = violations(segment, self.context)
             if not found:
@@ -515,12 +533,14 @@ def check_pieces(
     middle_lengths: dict[str, int],
     sites: dict[str, str],
     pieces: dict[str, str],
+    table: dict[str, Derivation],
 ) -> list[tuple[str, EncodingViolation]]:
     """Walk the geometry table and the sequence rules over an encoding's pieces.
 
     `pieces` maps strand names to sequences: a top or a free strand under
     its role, a duplex bottom under its role and a prime. `sites` gives the
-    option and utility tops their designed sites. Each finding comes with
+    option and utility tops their designed sites, and `table` is the
+    geometry table spelled out for these labels. Each finding comes with
     its strand, in this order: missing roles; lengths; on each top, the
     toehold copy of a threshold and the rules (stray sites aside); on each
     derived strand, GC and the derivation; stray sites, junctions included,
@@ -528,7 +548,6 @@ def check_pieces(
     """
     outcomes = list(middle_lengths)
     lengths = top_lengths(options, middle_lengths)
-    table = derivations(options, outcomes)
     parts = [(role, role, n, None) for role, n in lengths.items()]
     parts += [
         (role if d.offset is None else role + "'", role, d.length(lengths), d)
@@ -602,7 +621,7 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
             found.append(EncodingViolation("geometry", (role,), detail))
     sites = {role_option(o.label): plan.option_sites[o.label].site for o in matrix.options}
     sites.update({role_util(o.label): plan.outcome_sites[o.label].site for o in matrix.outcomes})
-    return found + [v for _, v in check_pieces(options, plan.middle_lengths, sites, pieces)]
+    return found + [v for _, v in check_pieces(options, plan.middle_lengths, sites, pieces, table)]
 
 
 # -- plan containers -----------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 from .compiler import (
     OVERHANG_LENGTH,
     check_pieces,
+    derivations,
     middle_length_for_rank,
     role_thresh,
 )
@@ -69,7 +70,8 @@ def assess_printed() -> list[str]:
     its path with a 7-base core, each named by its printed piece."""
     names = {strand: key for key, (strand, _, _) in _RAW.items()}
     pieces = {_RAW[key][0]: seq for key, seq in printed_pieces().items()}
-    found = check_pieces(["option-1"], {"red": middle_length_for_rank(0)}, _SITES, pieces)
+    table = derivations(["option-1"], ["red"])
+    found = check_pieces(["option-1"], {"red": middle_length_for_rank(0)}, _SITES, pieces, table)
     findings = []
     for strand, v in found:
         if v.kind == "site-missing":

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from dnadecide.compiler import (
     EncodingPlan,
     GenerationFailedError,
     LibraryExhaustedError,
+    RuleContext,
+    Segment,
     UnresolvableError,
     _Designer,
     assign_enzymes,
@@ -23,6 +26,7 @@ from dnadecide.compiler import (
     threshold_ratio,
     tube_schedule,
     validate_encoding,
+    violations,
 )
 from dnadecide.decision import build_matrix, role_option, role_prob, role_util
 from dnadecide.fixture import assess_printed, printed_pieces, reference_pins
@@ -403,3 +407,107 @@ def test_generation_failure_names_the_rule_that_ran_out():
     message = str(failure.value)
     assert message.startswith("could not place segment 'x': ")
     assert "site 500" in message.split(": ", 1)[1].split(", ")
+
+
+# -- the designer's random stream ----------------------------------------------
+
+def _reference_block(rng, length, fixed):
+    """The designer's block as `randint`, `sample` and `choice` draw it."""
+    fixed_gc = sum(1 for b in fixed.values() if b in "GC")
+    free = [i for i in range(length) if i not in fixed]
+    lo = max(math.ceil(Fraction(2, 5) * length), fixed_gc)
+    hi = min(math.floor(Fraction(3, 5) * length), fixed_gc + len(free))
+    target = rng.randint(lo, hi) - fixed_gc
+    gc_positions = set(rng.sample(free, target))
+    out = []
+    for i in range(length):
+        if i in fixed:
+            out.append(fixed[i])
+        elif i in gc_positions:
+            out.append(rng.choice("GC"))
+        else:
+            out.append(rng.choice("AT"))
+    return "".join(out)
+
+
+# each shape is the run of (width, fixed bases) blocks one segment draws in turn
+_BLOCK_SHAPES = {
+    "free 10-base block": [(10, {})],
+    "block holding part of a 6-base site": [
+        (10, {7: "C", 8: "A", 9: "G"}), (10, {0: "C", 1: "T", 2: "G"})
+    ],
+    "fully fixed prefix block": [(10, dict(enumerate("ACATCAGGAG")))],
+    "short tail block": [(7, {})],
+    # a 162-base probability top with breaks (10, 152): the 2-base block
+    # closes the core and the last block starts at the break
+    "block starting at a break": [(10, {})] * 15 + [(2, {}), (10, {})],
+}
+
+
+@pytest.mark.parametrize("shape", list(_BLOCK_SHAPES))
+def test_block_draws_the_stream_of_randint_sample_and_choice(shape):
+    for seed in range(200):
+        designer, reference = _Designer(random.Random(seed), []), random.Random(seed)
+        for width, fixed in _BLOCK_SHAPES[shape]:
+            block = designer._block(width, fixed)
+            assert block == _reference_block(reference, width, fixed), (
+                f"seed {seed}: the designer's block no longer matches randint/sample/"
+                "choice; this Python's random module draws differently, so every "
+                "seed's FASTA moves"
+            )
+            assert designer.rng.getstate() == reference.getstate(), (
+                f"seed {seed}: the designer's block consumed a different number of "
+                "random bits than randint/sample/choice"
+            )
+
+
+# -- site rules ----------------------------------------------------------------
+
+def _util_findings(seq, left=None, right=None):
+    """`violations` on util:red of the seed-0 ball game (GAGGAGT CACGTG
+    TAACTTG) between its probability top and the termination arm, against
+    all six assigned sites; None keeps the designed neighbour."""
+    plan, _ = compile_problem(make_ball_game(), seed=0)
+    tops = {role: s.top.seq if isinstance(s, Duplex) else s.seq for role, s in plan.strands.items()}
+    assert tops[role_util("red")] == "GAGGAGTCACGTGTAACTTG"
+    left = tops[role_prob("red")] if left is None else left(tops[role_prob("red")])
+    right = tops["term"] if right is None else right(tops["term"])
+    sites = tuple(s.site for s in [*plan.option_sites.values(), *plan.outcome_sites.values()])
+    segment = Segment(("util:red",), seq, {7: "CACGTG"}, 0, (left,), (right,))
+    return [tuple(v) for v in violations(segment, RuleContext(sites))]
+
+
+_ROLES = ("util:red",)
+_EXTRA = ("site-extra", _ROLES, "designed site CACGTG not exactly once at offset 7")
+
+
+@pytest.mark.parametrize(
+    "seq, left, right, expected",
+    [
+        ("GAGGAGTCACGTGTAACTTG", None, None, []),
+        ("CAGCTGTCACGTGTAACTTG", None, None,
+         [("stray-site", _ROLES, "stray site CAGCTG at 0")]),
+        ("GAGGAGTCAGCTGTAACTTG", None, None, [
+            ("site-missing", _ROLES, "designed site CACGTG not exactly once at offset 7"),
+            ("stray-site", _ROLES, "stray site CAGCTG at 7"),
+        ]),
+        ("GAGGAGTCACGTGTCAGCTG", None, None,
+         [("stray-site", _ROLES, "stray site CAGCTG at 14")]),
+        ("CAGCTGTCACGTGTGTTAAC", None, None, [
+            ("stray-site", _ROLES, "stray site CAGCTG at 0"),
+            ("stray-site", _ROLES, "stray site GTTAAC at 14"),
+        ]),
+        ("CACGTGTCACGTGTAACTTG", None, None,
+         [_EXTRA, ("stray-site", _ROLES, "stray site CACGTG at 0")]),
+        ("GAGGAGTCACGTGTCACGTG", None, None,
+         [_EXTRA, ("stray-site", _ROLES, "stray site CACGTG at 14")]),
+        ("CTGGAGTCACGTGTAACTTG", lambda top: top[:-3] + "CAG", None,
+         [("junction-site", _ROLES, "site CAGCTG spans the junction AACAGCTGGA")]),
+        ("GAGGAGTCACGTGTAACCAG", None, lambda top: "CTG" + top[3:],
+         [("junction-site", _ROLES, "site CAGCTG spans the junction ACCAGCTGAG")]),
+    ],
+    ids=["clean", "rival-at-0", "rival-in-the-middle", "rival-at-the-end",
+         "two-rivals", "own-at-0", "own-at-the-end", "left-junction", "right-junction"],
+)
+def test_planted_sites_give_exact_findings(seq, left, right, expected):
+    assert _util_findings(seq, left, right) == expected
