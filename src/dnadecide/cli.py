@@ -10,9 +10,7 @@ from pathlib import Path
 from .compiler import CompileError, compile_problem, validate_encoding
 from .decision import MatrixError
 from .formats import ProblemFormatError, dump_problem, load_problem, parse_problem
-from .gel import GelError, band_table, readout, render, run_gel
 from .strands import CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS
-from .wetlab import CycleCountError, UnknownEnzymeError, run_protocol
 
 _LIBRARIES = {"core": CORE_BLUNT_CUTTERS, "extended": EXTENDED_BLUNT_CUTTERS}
 
@@ -137,6 +135,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .gel import band_table, readout, render, run_gel  # only run loads the simulator
+    from .wetlab import run_protocol
+
     plan, protocol = _compile(args, pcr_cycles=args.cycles)
     tubes = run_protocol(plan, protocol)
     gel = run_gel(tubes)
@@ -169,6 +170,16 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 2
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """What a command raises on bad input. Only evaluated once a command has
+    raised, so `compile` never loads the simulator to name its errors."""
+    from .gel import GelError
+    from .wetlab import CycleCountError, UnknownEnzymeError
+
+    simulator = (GelError, UnknownEnzymeError, CycleCountError)
+    return (ProblemFormatError, MatrixError, CompileError, OSError) + simulator
+
+
 def main(argv: list[str] | None = None) -> int:
     """Exit codes: 0 success or agreement, 1 input or internal error,
     2 verification disagreement."""
@@ -184,15 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     try:
         return handler(args)
-    except (
-        ProblemFormatError,
-        MatrixError,
-        CompileError,
-        GelError,
-        UnknownEnzymeError,
-        CycleCountError,
-        OSError,
-    ) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -646,8 +646,9 @@ class EncodingPlan(NamedTuple):
     def primers(self) -> tuple[Strand, Strand]:
         return (self.strands[ROLE_PRIMER_LEFT], self.strands[ROLE_PRIMER_RIGHT])
 
-    def construct_top(self, option_label: str, outcome_label: str) -> str:
-        tops = (self.strands[r] for r in construct_roles(option_label, outcome_label)[::2])
+    def construct_top(self, roles: tuple[str, ...]) -> str:
+        """The top strand of the construct that `construct_roles` spells as `roles`."""
+        tops = (self.strands[r] for r in roles[::2])
         return "".join(s.top.seq if isinstance(s, Duplex) else s.seq for s in tops)
 
     def construct_length(self, outcome_label: str) -> int:

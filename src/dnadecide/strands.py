@@ -11,14 +11,14 @@ complement of the matching bottom slice, `Duplex.top_line` is the top strand
 between its two complemented overhangs, and site scanning is a `str.find`
 loop over the double-stranded window (`scan`, which the compiler's sequence
 rules use as well). A digest with several enzymes is one
-`cut(duplex, *sites)` call that scans the line once per site and slices the
-duplex once; an instance of a later site is left uncut when an earlier
-site's cut column falls strictly inside it, as cutting site by site would.
-A site with no instance adds no cut column and blocks nothing, so cutting
-with only the `present_sites` of a duplex gives the same fragments; the
-protocol simulator uses that to scan each pooled duplex once for the whole
-library and to digest it once per distinct set of enzymes that hit it,
-however many tubes it was split into.
+`cut(duplex, *sites)` call; an instance of a later site is left uncut when
+an earlier site's cut column falls strictly inside it, as cutting site by
+site would. A site with no instance adds no cut column and blocks nothing,
+so cutting with only the sites a duplex holds gives the same fragments.
+The protocol simulator uses that: it scans each pooled duplex once for the
+whole library (`site_hits`), hands those instances to every `cut` of that
+duplex, and lets the cuts share one memo of slices, so each distinct
+column interval is sliced once however many enzyme sets cut the duplex.
 """
 
 from __future__ import annotations
@@ -200,14 +200,20 @@ def find_sites(duplex: Duplex, site: RecognitionSite) -> list[int]:
     return scan(duplex.top_line(), site.site, *_ds_window(duplex))
 
 
-def present_sites(duplex: Duplex, sites) -> tuple[RecognitionSite, ...]:
-    """The given sites with at least one instance in dsDNA, in the given order."""
+def site_hits(duplex: Duplex, sites) -> dict[RecognitionSite, list[int]]:
+    """Instances (span coordinates, in dsDNA) of each given site that has any,
+    in the given order."""
     line = duplex.top_line()
     lo, hi = _ds_window(duplex)
-    return tuple(site for site in sites if scan(line, site.site, lo, hi))
+    return {site: found for site in sites if (found := scan(line, site.site, lo, hi))}
 
 
-def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
+def cut(
+    duplex: Duplex,
+    *sites: RecognitionSite,
+    hits: dict[RecognitionSite, list[int]] | None = None,
+    pieces: dict[tuple[int, int], Duplex] | None = None,
+) -> list[Duplex]:
     """Digest with every given enzyme at once; fragments keep their strand roles.
 
     The result equals cutting with each site in turn, in the given order,
@@ -217,25 +223,30 @@ def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
     each other. With no instance to cut, the input comes back as the only
     fragment.
 
+    `hits`, the `site_hits` of this duplex for at least the given sites,
+    spares the scan. `pieces` memoizes fragments by column interval across
+    calls on this one duplex, so each distinct interval is sliced once.
+
     Base bookkeeping is exact: fragment span lengths always sum to the
     span length of the input.
     """
-    line = duplex.top_line()
-    lo, hi = _ds_window(duplex)
+    if hits is None:
+        hits = site_hits(duplex, sites)
     cols: list[int] = []
     for site in sites:
         width = len(site.site)
-        hits = [
-            p
-            for p in scan(line, site.site, lo, hi)
-            if not any(p < c < p + width for c in cols)
-        ]
-        cols.extend(p + CUT_OFFSET for p in hits)
+        found = [p for p in hits.get(site, ()) if not any(p < c < p + width for c in cols)]
+        cols.extend(p + CUT_OFFSET for p in found)
     if not cols:
         return [duplex]
     start = duplex.span_start
     bounds = [start] + sorted(start + c for c in cols) + [duplex.span_end]
-    return [_slice_columns(duplex, a, b) for a, b in zip(bounds, bounds[1:])]
+    pieces = {} if pieces is None else pieces
+    intervals = list(zip(bounds, bounds[1:]))
+    for a, b in intervals:
+        if (a, b) not in pieces:
+            pieces[a, b] = _slice_columns(duplex, a, b)
+    return [pieces[ab] for ab in intervals]
 
 
 def _slice_columns(d: Duplex, a: int, b: int) -> Duplex:

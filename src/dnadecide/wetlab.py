@@ -13,13 +13,18 @@ its nine constituents, and shared constituents are debited by total demand
 (floored at zero). Yields are nominal per-path numbers, which is exactly
 what a within-lane band comparison measures.
 
-The option tubes split from one pool share a `DigestTable`: each pooled
-duplex is scanned for the library's sites once, and cut once per distinct
-set of enzymes that hit it, however many tubes digest it.
+The option tubes split from one pool share one `DigestTable`, the fate
+table of the pool's active duplexes. Each is scanned for the library's
+sites once, cut once per distinct set of enzymes that hit it (each
+distinct column interval sliced once), and judged primer-flanked once, as
+is each of its fragments, however many tubes digest and amplify it. Per
+tube, digest and pcr run over those duplexes, not over every species of
+the tube, and build the tube's species and audit records from the table.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,8 +43,8 @@ from .strands import (
     RecognitionSite,
     Strand,
     cut,
-    present_sites,
     reverse_complement,
+    site_hits,
 )
 
 ACTIVE = "active"
@@ -160,25 +165,30 @@ def construct_key(option_label: str, outcome_label: str) -> str:
 
 
 def assemble(tube: TubeState) -> TubeState:
-    """Ligate every path into its full blunt construct at limiting yield."""
+    """Ligate every path into its full blunt construct at limiting yield.
+
+    Yields and debits are counted exactly, in integer units of one over
+    the least common denominator of the pooled concentrations.
+    """
     plan = tube.plan
     species = dict(tube.species)
-    snapshot = {k: s.concentration for k, s in species.items() if s.status == ACTIVE}
-    yields: dict[tuple[str, str], Fraction] = {}
-    demand: dict[str, Fraction] = {}
+    pooled = {k: s.concentration for k, s in species.items() if s.status == ACTIVE}
+    unit = math.lcm(*(c.denominator for c in pooled.values()))
+    have = {k: c.numerator * (unit // c.denominator) for k, c in pooled.items()}
+    paths = []  # (key, roles, yield) per construct
+    demand: dict[str, int] = {}
     for opt in plan.matrix.options:
         for out in plan.matrix.outcomes:
             roles = construct_roles(opt.label, out.label)
-            amount = min(snapshot.get(r, Fraction(0)) for r in roles)
-            yields[(opt.label, out.label)] = amount
+            amount = min(have.get(r, 0) for r in roles)
+            paths.append((construct_key(opt.label, out.label), roles, Fraction(amount, unit)))
             for r in roles:
-                demand[r] = demand.get(r, Fraction(0)) + amount
+                demand[r] = demand.get(r, 0) + amount
     for key, used in demand.items():
-        left = max(Fraction(0), snapshot[key] - used)
+        left = Fraction(max(0, have[key] - used), unit)
         species[key] = species[key]._replace(concentration=left)
-    for (opt_label, out_label), amount in yields.items():
-        top = plan.construct_top(opt_label, out_label)
-        key = construct_key(opt_label, out_label)
+    for key, roles, amount in paths:
+        top = plan.construct_top(roles)
         structure = Duplex(
             Strand(top, key + ".top"),
             Strand(reverse_complement(top), key + ".bottom"),
@@ -187,7 +197,7 @@ def assemble(tube: TubeState) -> TubeState:
         species[key] = Species(key, structure, amount)
     record = {
         "op": "assemble",
-        "yields": {construct_key(o, u): str(a) for (o, u), a in yields.items()},
+        "yields": {key: str(amount) for key, _, amount in paths},
     }
     return tube._with(species, record)
 
@@ -210,51 +220,128 @@ def _site_catalog(plan: EncodingPlan) -> dict[str, RecognitionSite]:
     return catalog
 
 
-class DigestTable:
-    """Digest results shared by the tubes split from one pool.
+class _Fate:
+    """What digest and pcr do to one active duplex, worked out once."""
 
-    For each duplex species it records which of the plan's enzymes have a
-    site in it (one scan over the whole catalog, in name order), and the
-    fragments each set of those enzymes cuts it into. Cutting with only
-    the enzymes that hit a duplex gives the same fragments as cutting with
-    all of a tube's enzymes, so tubes with different enzyme sets share
-    entries. Entries are keyed by the frozen species they were computed
-    from, so a hit is always what a fresh digest would build.
+    __slots__ = ("species", "primed", "hits", "mask", "cuts", "pieces")
+
+    def __init__(self, species: Species, primed: bool) -> None:
+        self.species = species
+        self.primed = primed  # both ends match the plan's primers: pcr amplifies it
+        self.hits: dict[RecognitionSite, list[int]] | None = None  # scanned on first digest
+        self.mask = 0  # the enzymes with a site in it
+        # enzyme mask -> (fragments by key, their lengths, (key, fate) of each)
+        self.cuts: dict[int, tuple] = {}
+        self.pieces: dict[tuple[int, int], Duplex] = {}  # `cut`'s slices, shared by its cuts
+
+
+class _View(NamedTuple):
+    values: list[Species]  # a species dict's values, in order
+    duplexes: list[tuple[str, _Fate]]  # (key, fate) of its active duplexes, in order
+
+
+class DigestTable:
+    """The fate table: what digest and pcr do to the species of one pool.
+
+    The tubes of one `run_protocol` split share one table. Every active
+    duplex it meets gets a fate: whether pcr amplifies it (both ends match
+    the plan's primers), and from the first digest that reaches it, the
+    library's site instances in it (one `site_hits` scan, in enzyme name
+    order). Each distinct set of enzymes that hits it is cut once, with
+    that scan and one memo of slices, and the fragments get fates of their
+    own. Cutting with only the enzymes that hit a duplex gives the same
+    fragments as cutting with all of a tube's enzymes, so tubes with
+    different enzyme sets share entries.
+
+    The fates are found through views: a species dict's active duplexes,
+    listed once. A view is keyed by the dict's keys in order and holds its
+    values, which a lookup checks (identity first, then equality), so a
+    changed species misses. Every tube split from the pool matches the
+    pool's view, and `digest` lists its own result's duplexes for `pcr`, so
+    per tube the steps run over the duplexes of the pool, not over all of
+    its species.
     """
 
     def __init__(self, plan: EncodingPlan) -> None:
         self.plan = plan
         self.catalog = _site_catalog(plan)
         self._library = [self.catalog[name] for name in sorted(self.catalog)]
-        # species -> (library sites present in it, enzymes -> (fragments, lengths))
-        self._entries: dict[Species, tuple[tuple[RecognitionSite, ...], dict]] = {}
+        # enzyme sets are bit masks over the library in name order
+        self._bits = {site.enzyme: 1 << i for i, site in enumerate(self._library)}
+        # an end matches a primer read on either strand
+        p1, p2 = (primer.seq for primer in plan.primers)
+        self._ends = ((p1, reverse_complement(p1)), (p2, reverse_complement(p2)))
+        self._views: dict[tuple[str, ...], _View] = {}
 
-    def fragments(
-        self, sp: Species, names: frozenset[str]
-    ) -> tuple[tuple[Species, ...], tuple[int, ...]] | None:
-        """The fragments the named enzymes cut `sp` into; None if none has a site.
+    def _fate(self, sp: Species) -> _Fate:
+        ends1, ends2 = self._ends
+        n1, n2 = len(ends1[0]), len(ends2[0])
+        duplex = sp.structure
+        top = duplex.top.seq
+        # blunt, and long enough to hold both primers
+        if duplex.offset or len(top) != len(duplex.bottom.seq) or len(top) < 2 * n1:
+            return _Fate(sp, False)
+        left, right = top[:n1], top[-n2:]
+        return _Fate(sp, (left in ends1 and right in ends2) or (left in ends2 and right in ends1))
+
+    def duplexes(self, species: dict[str, Species]) -> list[tuple[str, _Fate]]:
+        """(key, fate) of every active duplex in `species`, in order: from
+        its view where it has one, else by walking it (which adds one)."""
+        keys = tuple(species)
+        values = list(species.values())
+        view = self._views.get(keys)
+        if view is not None and view.values == values:
+            return view.duplexes
+        found = [
+            (key, self._fate(sp))
+            for key, sp in species.items()
+            if sp.status == ACTIVE and sp.is_duplex
+        ]
+        self._views[keys] = _View(values, found)
+        return found
+
+    def remember(self, species: dict[str, Species], duplexes: list[tuple[str, _Fate]]) -> None:
+        """Record `duplexes` as the view of `species`, which the caller built."""
+        self._views[tuple(species)] = _View(list(species.values()), duplexes)
+
+    def mask(self, enzyme_names) -> int:
+        """The named enzymes (all in this plan's library) as a bit mask."""
+        return sum(self._bits[name] for name in set(enzyme_names))
+
+    def fragments(self, fate: _Fate, mask: int) -> tuple | None:
+        """(fragments by key, their lengths, (key, fate) of each) that the
+        enzymes in `mask` cut a duplex into; None if none has a site in it.
 
         The first enzyme with a site cuts every instance of it, so a
         non-empty set always yields at least two fragments.
         """
-        entry = self._entries.get(sp)
-        if entry is None:
-            present = present_sites(sp.structure, self._library)
-            entry = self._entries[sp] = (present, {})
-        present, memo = entry
-        sites = tuple(site for site in present if site.enzyme in names)
-        if not sites:
+        if fate.hits is None:
+            fate.hits = site_hits(fate.species.structure, self._library)
+            fate.mask = self.mask(site.enzyme for site in fate.hits)
+        hit = fate.mask & mask
+        if not hit:
             return None
-        enzymes = tuple(site.enzyme for site in sites)
-        result = memo.get(enzymes)
-        if result is None:
-            pieces = cut(sp.structure, *sites)
-            frags = tuple(
-                Species(f"fragment:{sp.key}:{i}", piece, sp.concentration)
-                for i, piece in enumerate(pieces)
-            )
-            result = memo[enzymes] = (frags, tuple(p.span_length for p in pieces))
+        if hit in fate.cuts:
+            return fate.cuts[hit]
+        sp = fate.species
+        sites = [site for site in fate.hits if self._bits[site.enzyme] & hit]
+        pieces = cut(sp.structure, *sites, hits=fate.hits, pieces=fate.pieces)
+        frags = {}
+        fates = []
+        for i, piece in enumerate(pieces):
+            frag = Species(f"fragment:{sp.key}:{i}", piece, sp.concentration)
+            frags[frag.key] = frag
+            fates.append((frag.key, self._fate(frag)))
+        result = fate.cuts[hit] = (frags, tuple(p.span_length for p in pieces), fates)
         return result
+
+
+def _table(tube: TubeState, table: DigestTable | None) -> DigestTable:
+    if table is None:
+        return DigestTable(tube.plan)
+    if table.plan is not tube.plan:
+        raise ValueError("digest table was built for another plan")
+    return table
 
 
 def digest(
@@ -264,15 +351,12 @@ def digest(
 
     Each duplex is cut in one `cut` call with the named enzymes that have
     a site in it, in name order (which only matters where two sites
-    overlap). `table` holds the site scans and fragments of the tube's
-    pool: the tubes of one `run_protocol` split share one, so a duplex is
-    scanned once and cut once per distinct set of enzymes that hit it.
-    Without it the call starts a fresh table.
+    overlap). `table` holds the fates of the tube's pool: the tubes of one
+    `run_protocol` split share one, so a duplex is scanned once and cut
+    once per distinct set of enzymes that hit it. Without it the call
+    starts a fresh table.
     """
-    if table is None:
-        table = DigestTable(tube.plan)
-    elif table.plan is not tube.plan:
-        raise ValueError("digest table was built for another plan")
+    table = _table(tube, table)
     catalog = table.catalog
     ordered = sorted(enzyme_names)
     for name in ordered:
@@ -280,20 +364,24 @@ def digest(
             raise UnknownEnzymeError(
                 f"{name} is not in this plan's library: {sorted(catalog)}"
             )
-    names = frozenset(ordered)
+    mask = table.mask(ordered)
     species = dict(tube.species)
     cuts: dict[str, list[int]] = {}
-    for key, sp in list(species.items()):
-        if sp.status != ACTIVE or not sp.is_duplex:
-            continue
-        result = table.fragments(sp, names)
+    uncut, added = [], []
+    for key, fate in table.duplexes(tube.species):
+        result = table.fragments(fate, mask)
         if result is None:
+            uncut.append((key, fate))
             continue
-        frags, lengths = result
+        frags, lengths, fates = result
         del species[key]
-        for frag in frags:
-            species[frag.key] = frag
+        species.update(frags)
         cuts[key] = list(lengths)
+        added += fates
+    if len(species) == len(tube.species) - len(cuts) + len(added):
+        # no fragment took the key of another species, so these are the
+        # new tube's duplexes in its order
+        table.remember(species, uncut + added)
     record = {
         "op": "digest",
         "enzymes": ordered,
@@ -302,31 +390,25 @@ def digest(
     return tube._with(species, record)
 
 
-def pcr(tube: TubeState, cycles: int) -> TubeState:
-    """Exponential amplification of blunt duplexes whose ends match the plan's primers."""
+def pcr(tube: TubeState, cycles: int, table: DigestTable | None = None) -> TubeState:
+    """Exponential amplification of blunt duplexes whose ends match the plan's primers.
+
+    `table` holds each duplex's primer verdict, as for `digest`; without
+    it the call starts a fresh table.
+    """
     if cycles < 0:
         raise CycleCountError(f"cycle count must be non-negative, got {cycles}")
     if cycles > MAX_PCR_CYCLES:
         raise CycleCountError(
             f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}"
         )
-    p1, p2 = (primer.seq for primer in tube.plan.primers)
+    table = _table(tube, table)
     factor = Fraction(2) ** cycles
-    # an end matches a primer read on either strand
-    ends1 = (p1, reverse_complement(p1))
-    ends2 = (p2, reverse_complement(p2))
-
     species = dict(tube.species)
     amplified = []
-    for key, sp in list(species.items()):
-        if sp.status != ACTIVE or not sp.is_duplex:
-            continue
-        duplex = sp.structure
-        if not duplex.is_blunt or duplex.span_length < 2 * len(p1):
-            continue
-        top = duplex.top.seq
-        left, right = top[: len(p1)], top[-len(p2) :]
-        if (left in ends1 and right in ends2) or (left in ends2 and right in ends1):
+    for key, fate in table.duplexes(tube.species):
+        if fate.primed:
+            sp = species[key]
             species[key] = sp._replace(concentration=sp.concentration * factor, amplified=True)
             amplified.append(key)
     record = {"op": "pcr", "cycles": cycles, "amplified": sorted(amplified)}
@@ -337,8 +419,8 @@ def pcr(tube: TubeState, cycles: int) -> TubeState:
 
 def purify(tube: TubeState) -> TubeState:
     """Keep amplified material only; leftovers, fragments and waste wash out."""
-    kept = {k: s for k, s in tube.species.items() if s.status == ACTIVE and s.amplified}
-    removed = sorted(set(tube.species) - set(kept))
+    kept = {k: s for k, s in tube.species.items() if s.amplified and s.status == ACTIVE}
+    removed = sorted(tube.species.keys() - kept.keys())
     return tube._with(kept, {"op": "purify", "removed": removed})
 
 
@@ -357,5 +439,5 @@ def run_protocol(
     table = DigestTable(plan)
     out = []
     for tube, enzymes in zip(tubes, plan.tube_enzymes):
-        out.append(purify(pcr(digest(tube, enzymes, table), n)))
+        out.append(purify(pcr(digest(tube, enzymes, table), n, table)))
     return out

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,18 @@ def make_five_by_five() -> DecisionMatrix:
         outcomes=[(f"o{j}", Fraction(1, 5)) for j in range(5)],
         options=[(f"a{i}", [f"o{j}" for j in range(i + 1)]) for i in range(5)],
     )
+
+
+def make_widest(rng: random.Random) -> DecisionMatrix:
+    """13 options x 5 outcomes: every one of the 18 extended enzymes in use."""
+    weights = [rng.randint(1, 12) for _ in range(5)]
+    labels = [f"outcome-{j + 1}" for j in range(5)]
+    outcomes = [(lbl, Fraction(w, sum(weights))) for lbl, w in zip(labels, weights)]
+    options = [
+        (f"option-{i + 1}", [lbl for lbl in labels if rng.random() < 0.5])
+        for i in range(13)
+    ]
+    return build_matrix(outcomes, options)
 
 
 @pytest.fixture

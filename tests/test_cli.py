@@ -336,14 +336,14 @@ def test_verify_rejects_cycle_count_above_ceiling(capsys):
 
 
 def test_disagreement_exits_two(monkeypatch, capsys):
-    import dnadecide.cli as cli_mod
+    import dnadecide.gel as gel_mod  # `run` imports readout from here when it runs
 
-    real = cli_mod.readout
+    real = gel_mod.readout
 
     def skewed(gel, plan, matrix=None):
         return real(gel, plan, matrix)._replace(oracle=(1,))
 
-    monkeypatch.setattr(cli_mod, "readout", skewed)
+    monkeypatch.setattr(gel_mod, "readout", skewed)
     assert main(["run"]) == 2
     assert "disagrees" in capsys.readouterr().err
 
@@ -362,7 +362,10 @@ def test_verify_zero_trials_passes_vacuously(capsys):
 _IMPORT_PROBE = """
 import sys
 import dnadecide.cli
-heavy = ("dataclasses", "inspect", "dnadecide.soundness", "dnadecide.fixture")
+heavy = (
+    "dataclasses", "inspect", "dnadecide.soundness", "dnadecide.fixture",
+    "dnadecide.wetlab", "dnadecide.gel",
+)
 print([name for name in heavy if name in sys.modules])
 import dnadecide.soundness  # binds the submodule on the package, as any import does
 before = set(vars(dnadecide))

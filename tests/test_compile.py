@@ -130,7 +130,7 @@ def test_construct_lengths(ball_plan):
     ]
     for opt in plan.matrix.options:
         for out in plan.matrix.outcomes:
-            top = plan.construct_top(opt.label, out.label)
+            top = plan.construct_top(construct_roles(opt.label, out.label))
             assert len(top) == plan.construct_length(out.label)
 
 
@@ -147,7 +147,7 @@ def test_construct_roles_follow_the_geometry(ball_plan):
         for out in outcomes:
             roles = construct_roles(opt, out)
             assert roles[::2] == ("choice", role_option(opt), role_prob(out), role_util(out), "term")
-            top = plan.construct_top(opt, out)
+            top = plan.construct_top(roles)
             assert top == "".join(tops[r] for r in roles[::2])
             for left, role, right in zip(roles[::2], roles[1::2], roles[2::2]):
                 rule = table[role]

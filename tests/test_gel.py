@@ -1,6 +1,7 @@
 """Gel migration model, band merging, rendering, and the final readout."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnadecide.compiler import DYE_FRONT_BP, DYE_STOP, GEL_RESOLUTION, compile_problem
+from dnadecide.decision import expected_utility
 from dnadecide.gel import (
     GEL_LENGTH,
     Band,
@@ -24,7 +26,9 @@ from dnadecide.gel import (
     render,
     run_gel,
 )
+from dnadecide.soundness import random_matrix, run_end_to_end
 from dnadecide.wetlab import run_protocol
+from tests.conftest import make_widest
 
 # the stock ladder, 10 to 200 bp, and its top rung
 STOCK = ladder(200)
@@ -308,3 +312,25 @@ def test_svg_annotates_ladder_rungs(ball_lanes):
     svg = render(run, "svg")
     assert ">200</text>" in svg
     assert ">100</text>" in svg
+
+
+def test_every_band_and_estimate_is_exact():
+    # the readout checks only the argmax against the oracle, so a simulation
+    # that scaled, dropped or swapped a losing band would still agree there:
+    # every band, as (length, count of 1/intensity_scale units before
+    # amplification), must be a predicted band with a non-zero count, and
+    # every estimate the exact expected utility
+    rng = random.Random(11)
+    problems = [(random_matrix(rng), 3) for _ in range(200)]
+    problems.append((make_widest(random.Random("wide:0")), 5))
+    for seed, (matrix, cycles) in enumerate(problems):
+        report, plan, _, run = run_end_to_end(matrix, seed=seed, cycles=cycles)
+        scale = plan.intensity_scale()
+        bands = [
+            [(band.length, band.intensity / lane.scale * scale) for band in lane.bands]
+            for lane in run.sample_lanes()
+        ]
+        predicted = [[row for row in rows if row[1]] for rows in plan.predicted_bands()]
+        assert bands == predicted, f"problem {seed}"
+        exact = tuple(expected_utility(matrix, i) for i in range(len(matrix.options)))
+        assert report.estimates == exact, f"problem {seed}"

@@ -27,7 +27,7 @@ from dnadecide.wetlab import (
     run_protocol,
     split_tubes,
 )
-from tests.conftest import make_ball_game, make_five_by_five
+from tests.conftest import make_ball_game, make_five_by_five, make_widest
 
 F = Fraction
 
@@ -288,25 +288,15 @@ def test_random_matrices_survivors_match_favorability():
             assert have == want, f"trial {trial}, {opt.label}"
 
 
-def _widest_matrix(rng):
-    """13 options x 5 outcomes: every one of the 18 extended enzymes in use."""
-    weights = [rng.randint(1, 12) for _ in range(5)]
-    labels = [f"outcome-{j + 1}" for j in range(5)]
-    outcomes = [(lbl, F(w, sum(weights))) for lbl, w in zip(labels, weights)]
-    options = [
-        (f"option-{i + 1}", [lbl for lbl in labels if rng.random() < 0.5])
-        for i in range(13)
-    ]
-    return build_matrix(outcomes, options)
-
-
-@pytest.mark.parametrize("draw", range(5))
+@pytest.mark.parametrize("draw", range(6))
 def test_shared_digest_table_equals_fresh_digests(draw):
-    # run_protocol's tubes share one DigestTable; digesting each tube on its
-    # own, with nothing shared, must give the same species and the same log
-    rng = random.Random(2024 + draw)
-    m = _widest_matrix(rng) if draw == 4 else random_matrix(rng)
+    # run_protocol's tubes share one DigestTable; digesting and amplifying
+    # each tube on its own, with nothing shared, must give the same species
+    # and the same log at every step
+    rng = random.Random("wide:9973" if draw == 5 else 2024 + draw)
+    m = random_matrix(rng) if draw < 4 else make_widest(rng)
     plan, protocol = compile_problem(m, seed=draw, library=EXTENDED_BLUNT_CUTTERS)
+    n = protocol.pcr_cycles
     pool = assemble(apply_thresholds(mix(plan)))
     tubes = split_tubes(pool)
     table = DigestTable(plan)
@@ -316,10 +306,12 @@ def test_shared_digest_table_equals_fresh_digests(draw):
         assert list(shared.species.items()) == list(alone.species.items())
         assert shared.log == alone.log
         lengths.extend(shared.log[-1]["fragments"].values())
+        alone, shared = pcr(shared, n), pcr(shared, n, table)
+        assert list(shared.species.items()) == list(alone.species.items())
+        assert (shared.log, shared.pcr_cycles) == (alone.log, alone.pcr_cycles)
     # every audit record owns its lists, even where tubes share fragments
     assert len({id(lst) for lst in lengths}) == len(lengths)
 
-    n = protocol.pcr_cycles
     got = run_protocol(plan, protocol, n)
     want = [
         purify(pcr(digest(t, e), n))
@@ -329,25 +321,33 @@ def test_shared_digest_table_equals_fresh_digests(draw):
     for a, b in zip(got, want):
         assert list(a.species.items()) == list(b.species.items())
         assert a.log == b.log
-    if draw == 4:
+    if draw >= 4:
         assert readout(run_gel(got), plan, m).chosen == tuple(best_options(m))
 
 
 def test_digest_table_misses_on_changed_species(ball_setup):
     # same plan and structures, other concentrations: a table that has seen
-    # the first tube must not hand its fragments to the second
+    # the first tube must not hand its fragments or amplified species to the
+    # second, at any step
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
     tube, enzymes = tubes[0], plan.tube_enzymes[0]
-    doubled = tube._replace(
-        species={
-            k: sp._replace(concentration=2 * sp.concentration)
-            for k, sp in tube.species.items()
-        },
-    )
+
+    def doubled(t):
+        species = {k: sp._replace(concentration=2 * sp.concentration) for k, sp in t.species.items()}
+        return t._replace(species=species)
+
     table = DigestTable(plan)
-    digest(tube, enzymes, table)
-    assert digest(doubled, enzymes, table) == digest(doubled, enzymes)
+    pcr(digest(tube, enzymes, table), 5, table)
+    assert digest(doubled(tube), enzymes, table) == digest(doubled(tube), enzymes)
+    cut = doubled(digest(tube, enzymes))
+    assert pcr(cut, 5, table) == pcr(cut, 5)
+    # one amplifiable species changed in place of the one the table saw
+    key = construct_key("option-1", "red")
+    seen = digest(tube, enzymes, table)
+    changed = seen._replace(species=seen.species | {key: doubled(seen).species[key]})
+    assert pcr(changed, 5, table) == pcr(changed, 5)
+    assert pcr(changed, 5, table).concentration(key) == 2 * pcr(seen, 5).concentration(key)
 
 
 def test_digest_table_rejects_another_plan(ball_setup):
