@@ -77,35 +77,38 @@ class GelRun(NamedTuple):
         return tuple(lane for lane in self.lanes if lane.label != "ladder")
 
 
-def _merge_bands(raw: list[tuple[Fraction, Fraction]], top: int) -> tuple[Band, ...]:
-    """Co-migrating species closer than the resolution fuse into one band."""
+def _merge_bands(raw: list[tuple[int, int]], top: int, unit: int) -> tuple[Band, ...]:
+    """Co-migrating species closer than the resolution fuse into one band.
+
+    `raw` holds (length, count) pairs, counts in units of 1/`unit`."""
     bands: list[Band] = []
-    cluster: list[tuple[Fraction, Fraction]] = []
+    cluster: list[tuple[int, int]] = []
 
     def close() -> None:
         if not cluster:
             return
-        weight = sum(i for _, i in cluster)
-        length = sum(l * i for l, i in cluster) / weight
-        bands.append(Band(length, weight, migrate(length, top)))
+        weight = sum(c for _, c in cluster)
+        length = Fraction(sum(l * c for l, c in cluster), weight)
+        bands.append(Band(length, Fraction(weight, unit), migrate(length, top)))
 
-    for length, intensity in sorted(raw):
+    for length, count in sorted(raw):
         if cluster and length - cluster[-1][0] < GEL_RESOLUTION:
-            cluster.append((length, intensity))
+            cluster.append((length, count))
         else:
             close()
-            cluster = [(length, intensity)]
+            cluster = [(length, count)]
     close()
     return tuple(bands)
 
 
 def lane_from_tube(tube: TubeState, top: int) -> Lane:
     raw = [
-        (Fraction(sp.length), sp.concentration)
+        (sp.length, sp.count)
         for _, sp in sorted(tube.species.items())
-        if sp.status == ACTIVE and sp.is_duplex and sp.concentration > 0
+        if sp.status == ACTIVE and sp.is_duplex and sp.count > 0
     ]
-    return Lane(tube.label, _merge_bands(raw, top), Fraction(2) ** tube.pcr_cycles)
+    unit = tube.plan.intensity_scale()
+    return Lane(tube.label, _merge_bands(raw, top, unit), Fraction(2) ** tube.pcr_cycles)
 
 
 def ladder_lane(rungs: tuple[int, ...]) -> Lane:

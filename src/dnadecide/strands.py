@@ -23,7 +23,6 @@ column interval is sliced once however many enzyme sets cut the duplex.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 _COMPLEMENT = str.maketrans("ACGT", "TGCA")
@@ -43,11 +42,6 @@ def complement(seq: str) -> str:
 def reverse_complement(seq: str) -> str:
     """The paired strand written 5'->3'."""
     return complement(seq)[::-1]
-
-
-def gc_fraction(seq: str) -> Fraction:
-    _check_alphabet(seq)
-    return Fraction(sum(1 for b in seq if b in "GC"), len(seq))
 
 
 def _check_alphabet(seq: str) -> None:
@@ -256,7 +250,15 @@ def _slice_columns(d: Duplex, a: int, b: int) -> Duplex:
     lb = len(d.bottom.seq)
     top_seq = d.top.seq[ta:tb]
     bot_seq = d.bottom.seq[d.offset + lb - bb : d.offset + lb - ba]
-    return Duplex(Strand(top_seq, d.top.role), Strand(bot_seq, d.bottom.role), ba - ta)
+    return _derived(top_seq, d.top.role, bot_seq, d.bottom.role, ba - ta)
+
+
+def _derived(top: str, top_role: str, bottom: str, bottom_role: str, offset: int) -> Duplex:
+    """A duplex cut or copied from checked strands, built without the checks
+    of `Strand` and `Duplex` (only `_slice_columns` and `wetlab.assemble` use
+    it): the caller guarantees non-empty ACGT strands that pair at `offset`."""
+    pair = (tuple.__new__(Strand, (top, top_role)), tuple.__new__(Strand, (bottom, bottom_role)))
+    return tuple.__new__(Duplex, (*pair, offset))
 
 
 # The six cutters the canonical protocol draws from, then further blunt

@@ -1,14 +1,18 @@
 """Deterministic simulation of the bench protocol.
 
-Species concentrations are exact rationals in relative stock units (one
-pooled dose = 1). Operations never mutate a tube; each returns a fresh
-TubeState with an audit record appended, so a whole run is reproducible
-from its log. Thresholding follows pairwise dose semantics: a threshold
-dosed at ratio r holds back min(r, c) from EACH chance species it targets,
-the ratio being defined against that species' own stock.
+Each species' amount is an integer count of 1/`plan.intensity_scale()`
+of a stock (one pooled dose = scale counts): every dose is a whole number
+of them and PCR only doubles, so counting stays exact rational arithmetic.
+A `Fraction` is built only where an amount leaves the simulation: audit
+record text, `TubeState.concentration` and the gel's bands. Operations
+never mutate a tube; each returns a fresh TubeState with an audit record
+appended, so a whole run is reproducible from its log. Thresholding
+follows pairwise dose semantics: a threshold dosed at ratio r holds back
+min(r, c) from EACH chance species it targets, the ratio being defined
+against that species' own stock.
 
-Assembly uses limiting-reagent accounting against the concentrations at
-entry: every root-to-termination path yields construct at the minimum of
+Assembly uses limiting-reagent accounting against the counts at entry:
+every root-to-termination path yields construct at the minimum of
 its nine constituents, and shared constituents are debited by total demand
 (floored at zero). Yields are nominal per-path numbers, which is exactly
 what a within-lane band comparison measures.
@@ -24,7 +28,6 @@ the tube, and build the tube's species and audit records from the table.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -39,9 +42,11 @@ from .compiler import (
 )
 from .decision import _slug, role_chance
 from .strands import (
+    _COMPLEMENT,
     Duplex,
     RecognitionSite,
     Strand,
+    _derived,
     cut,
     reverse_complement,
     site_hits,
@@ -51,7 +56,7 @@ ACTIVE = "active"
 WASTE = "waste"
 
 # A bench PCR runs a few dozen cycles at most; past this the simulated
-# product is meaningless and 2**cycles only grows the exact rationals.
+# product is meaningless and `count << cycles` only grows the integer counts.
 MAX_PCR_CYCLES = 40
 
 
@@ -63,10 +68,14 @@ class CycleCountError(ValueError):
     pass
 
 
+class DoseError(ValueError):
+    pass
+
+
 class Species(NamedTuple):
     key: str
     structure: Strand | Duplex
-    concentration: Fraction
+    count: int  # amount, in units of 1/plan.intensity_scale() stock
     status: str = ACTIVE
     amplified: bool = False
 
@@ -89,15 +98,18 @@ class TubeState(NamedTuple):
     pcr_cycles: int = 0
 
     def concentration(self, key: str) -> Fraction:
+        """The species' amount in stock units (0 if it is not in the tube)."""
         sp = self.species.get(key)
-        return sp.concentration if sp else Fraction(0)
+        return Fraction(sp.count, self.plan.intensity_scale()) if sp else Fraction(0)
 
     def _with(self, species: dict[str, Species], record: dict) -> "TubeState":
         return self._replace(species=species, log=self.log + (record,))
 
 
 def mix(plan: EncodingPlan) -> TubeState:
-    """Pool every encoding species; thresholds go in at their dose ratios."""
+    """Pool every encoding species; thresholds go in at their dose ratios,
+    each a whole number of units (`DoseError` otherwise: never rounded)."""
+    unit = plan.intensity_scale()
     doses = {
         role_thresh(out.label): plan.threshold_ratios[out.label]
         for out in plan.matrix.outcomes
@@ -106,8 +118,10 @@ def mix(plan: EncodingPlan) -> TubeState:
     for role in plan.strands:
         if role in (ROLE_PRIMER_LEFT, ROLE_PRIMER_RIGHT):
             continue  # primers join at amplification, not in the pool
-        conc = doses.get(role, Fraction(1))
-        species[role] = Species(role, plan.strands[role], conc)
+        count = doses.get(role, 1) * unit
+        if count.denominator != 1:
+            raise DoseError(f"{role}: dose {doses[role]} is not a whole number of 1/{unit} units")
+        species[role] = Species(role, plan.strands[role], int(count))
     record = {
         "op": "mix",
         "species": len(species),
@@ -119,44 +133,43 @@ def mix(plan: EncodingPlan) -> TubeState:
 def apply_thresholds(tube: TubeState) -> TubeState:
     """Let each threshold sequester its outcome's chance strands.
 
-    Per chance species: consumed = min(dose, concentration); the consumed
+    Per chance species: consumed = min(dose, count); the consumed
     amount moves into an inert waste complex keyed by the chance species
     alone (chance keys are distinct, thresh+chance joins need not be).
     Material is conserved per chance species (active + waste before ==
     after).
     """
     plan = tube.plan
+    unit = plan.intensity_scale()
     species = dict(tube.species)
     detail: dict[str, dict] = {}
     for out in plan.matrix.outcomes:
         th_key = role_thresh(out.label)
         if th_key not in species:
             continue
-        dose = species[th_key].concentration
-        max_consumed = Fraction(0)
+        dose = species[th_key].count
+        max_consumed = 0
         for opt in plan.matrix.options:
             ch_key = role_chance(opt.label, out.label)
             if ch_key not in species:
                 continue
-            c = species[ch_key].concentration
+            c = species[ch_key].count
             consumed = min(dose, c)
             max_consumed = max(max_consumed, consumed)
             if consumed == 0:
                 continue
-            species[ch_key] = species[ch_key]._replace(concentration=c - consumed)
+            species[ch_key] = species[ch_key]._replace(count=c - consumed)
             waste_key = f"waste:{ch_key}"
             waste_structure = species[th_key].structure
             species[waste_key] = Species(
                 waste_key, waste_structure, consumed, status=WASTE
             )
             detail[ch_key] = {
-                "dose": str(dose),
-                "consumed": str(consumed),
-                "remaining": str(c - consumed),
+                "dose": str(Fraction(dose, unit)),
+                "consumed": str(Fraction(consumed, unit)),
+                "remaining": str(Fraction(c - consumed, unit)),
             }
-        species[th_key] = species[th_key]._replace(
-            concentration=max(Fraction(0), dose - max_consumed)
-        )
+        species[th_key] = species[th_key]._replace(count=max(0, dose - max_consumed))
     return tube._with(species, {"op": "thresholds", "displaced": detail})
 
 
@@ -167,43 +180,38 @@ def construct_key(option_label: str, outcome_label: str) -> str:
 def assemble(tube: TubeState) -> TubeState:
     """Ligate every path into its full blunt construct at limiting yield.
 
-    Yields and debits are counted exactly, in integer units of one over
-    the least common denominator of the pooled concentrations.
+    Each construct's strands are joined from checked pooled strands, so
+    they are built through `strands`' trusted path without re-checking.
     """
     plan = tube.plan
+    unit = plan.intensity_scale()
     species = dict(tube.species)
-    pooled = {k: s.concentration for k, s in species.items() if s.status == ACTIVE}
-    unit = math.lcm(*(c.denominator for c in pooled.values()))
-    have = {k: c.numerator * (unit // c.denominator) for k, c in pooled.items()}
+    have = {k: s.count for k, s in species.items() if s.status == ACTIVE}
     paths = []  # (key, roles, yield) per construct
     demand: dict[str, int] = {}
     for opt in plan.matrix.options:
         for out in plan.matrix.outcomes:
             roles = construct_roles(opt.label, out.label)
             amount = min(have.get(r, 0) for r in roles)
-            paths.append((construct_key(opt.label, out.label), roles, Fraction(amount, unit)))
+            paths.append((construct_key(opt.label, out.label), roles, amount))
             for r in roles:
                 demand[r] = demand.get(r, 0) + amount
     for key, used in demand.items():
-        left = Fraction(max(0, have[key] - used), unit)
-        species[key] = species[key]._replace(concentration=left)
+        species[key] = species[key]._replace(count=max(0, have[key] - used))
     for key, roles, amount in paths:
         top = plan.construct_top(roles)
-        structure = Duplex(
-            Strand(top, key + ".top"),
-            Strand(reverse_complement(top), key + ".bottom"),
-            0,
-        )
+        bottom = top[::-1].translate(_COMPLEMENT)
+        structure = _derived(top, key + ".top", bottom, key + ".bottom", 0)
         species[key] = Species(key, structure, amount)
     record = {
         "op": "assemble",
-        "yields": {key: str(amount) for key, _, amount in paths},
+        "yields": {key: str(Fraction(amount, unit)) for key, _, amount in paths},
     }
     return tube._with(species, record)
 
 
 def split_tubes(tube: TubeState) -> list[TubeState]:
-    """One aliquot per option; per-volume concentrations carry over unchanged."""
+    """One aliquot per option; per-volume counts carry over unchanged."""
     tubes = []
     for i, opt in enumerate(tube.plan.matrix.options):
         label = tube_label(i)
@@ -329,7 +337,7 @@ class DigestTable:
         frags = {}
         fates = []
         for i, piece in enumerate(pieces):
-            frag = Species(f"fragment:{sp.key}:{i}", piece, sp.concentration)
+            frag = Species(f"fragment:{sp.key}:{i}", piece, sp.count)
             frags[frag.key] = frag
             fates.append((frag.key, self._fate(frag)))
         result = fate.cuts[hit] = (frags, tuple(p.span_length for p in pieces), fates)
@@ -403,13 +411,12 @@ def pcr(tube: TubeState, cycles: int, table: DigestTable | None = None) -> TubeS
             f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}"
         )
     table = _table(tube, table)
-    factor = Fraction(2) ** cycles
     species = dict(tube.species)
     amplified = []
     for key, fate in table.duplexes(tube.species):
         if fate.primed:
             sp = species[key]
-            species[key] = sp._replace(concentration=sp.concentration * factor, amplified=True)
+            species[key] = sp._replace(count=sp.count << cycles, amplified=True)
             amplified.append(key)
     record = {"op": "pcr", "cycles": cycles, "amplified": sorted(amplified)}
     return tube._replace(

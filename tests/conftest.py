@@ -7,6 +7,11 @@ import pytest
 from dnadecide.decision import DecisionMatrix, build_matrix
 
 
+def gc_fraction(seq: str) -> Fraction:
+    """Share of G and C bases in a non-empty sequence."""
+    return Fraction(sum(1 for b in seq if b in "GC"), len(seq))
+
+
 def make_ball_game() -> DecisionMatrix:
     """Urn draw with three outcomes (4/9, 1/3, 2/9) and three two-favorable options."""
     return build_matrix(

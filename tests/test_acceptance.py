@@ -121,23 +121,23 @@ def test_criterion_4_pcr_arithmetic():
 
     unit = Fraction(1, plan.intensity_scale())
     survivors = sorted(
-        sp.concentration for sp in digested.species.values()
-        if sp.key.startswith("construct:")
+        digested.concentration(key) for key in digested.species
+        if key.startswith("construct:")
     )
     assert survivors[1] - survivors[0] == unit
 
     after = pcr(digested, 5)
     grown = sorted(
-        sp.concentration for sp in after.species.values()
-        if sp.key.startswith("construct:")
+        after.concentration(key) for key in after.species
+        if key.startswith("construct:")
     )
     assert grown[1] - grown[0] == 32 * unit
 
     for n in range(11):
         staged = pcr(digested, n)
-        for key, sp in staged.species.items():
+        for key in staged.species:
             if key.startswith("construct:"):
-                assert sp.concentration == digested.species[key].concentration * 2**n
+                assert staged.concentration(key) == digested.concentration(key) * 2**n
 
 
 @criterion(5, "each designed 20 bp duplex cuts into two 10 bp blunt halves")
@@ -181,25 +181,25 @@ def test_criterion_7_conservation_suite():
     matrix, plan, _, _ = _canonical()
     rng = random.Random(7)
 
-    # displacement: per chance species, active + waste is unchanged
+    # displacement: per chance species, active + waste is unchanged; counts
+    # are of 1/scale units, drawn over 0 to 24 stock units
     pool = mix(plan)
+    scale = plan.intensity_scale()
     chance_keys = [k for k in pool.species if k.startswith("chance:")]
     thresh_keys = [k for k in pool.species if k.startswith("thresh:")]
     for _ in range(1000):
         species = dict(pool.species)
         doses = {}
         for key in chance_keys + thresh_keys:
-            conc = Fraction(rng.randint(0, 24), rng.randint(1, 8))
-            species[key] = species[key]._replace(concentration=conc)
-            doses[key] = conc
+            count = rng.randint(0, 24 * scale)
+            species[key] = species[key]._replace(count=count)
+            doses[key] = count
         settled = apply_thresholds(pool._replace(species=species))
         for out in matrix.outcomes:
             for opt in matrix.options:
                 ch = role_chance(opt.label, out.label)
                 waste = settled.species.get(f"waste:{ch}")
-                total = settled.species[ch].concentration + (
-                    waste.concentration if waste else 0
-                )
+                total = settled.species[ch].count + (waste.count if waste else 0)
                 assert total == doses[ch]
 
     # digestion: fragment lengths partition the parent span
@@ -214,17 +214,15 @@ def test_criterion_7_conservation_suite():
         assert len(pieces) >= 2
         assert sum(p.span_length for p in pieces) == duplex.span_length
 
-    # band merging: total intensity is preserved
+    # band merging: total intensity is preserved; counts of 1/9 units,
+    # intensities from 1/9 to 40
     for _ in range(1000):
         raw = [
-            (
-                Fraction(rng.randint(20, 300)),
-                Fraction(rng.randint(1, 40), rng.randint(1, 9)),
-            )
+            (rng.randint(20, 300), rng.randint(1, 40 * 9))
             for _ in range(rng.randint(1, 15))
         ]
-        merged = _merge_bands(raw, 200)
-        assert sum(b.intensity for b in merged) == sum(i for _, i in raw)
+        merged = _merge_bands(raw, 200, 9)
+        assert sum(b.intensity for b in merged) == Fraction(sum(c for _, c in raw), 9)
 
 
 @criterion(8, "gel calibration: dye at 2/3, monotone, 1 bp round trip")

@@ -35,10 +35,9 @@ from dnadecide.strands import (
     EXTENDED_BLUNT_CUTTERS,
     Duplex,
     Strand,
-    gc_fraction,
     reverse_complement,
 )
-from tests.conftest import make_ball_game, make_five_by_five
+from tests.conftest import gc_fraction, make_ball_game, make_five_by_five
 
 F = Fraction
 

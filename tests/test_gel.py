@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dnadecide.compiler import DYE_FRONT_BP, DYE_STOP, GEL_RESOLUTION, compile_problem
-from dnadecide.decision import expected_utility
+from dnadecide.decision import build_matrix, expected_utility
 from dnadecide.gel import (
     GEL_LENGTH,
     Band,
@@ -28,7 +28,7 @@ from dnadecide.gel import (
 )
 from dnadecide.soundness import random_matrix, run_end_to_end
 from dnadecide.wetlab import run_protocol
-from tests.conftest import make_widest
+from tests.conftest import make_ball_game, make_widest
 
 # the stock ladder, 10 to 200 bp, and its top rung
 STOCK = ladder(200)
@@ -97,10 +97,10 @@ def test_migration_order_reverses_length_order(a, b):
 # -- band merging ---------------------------------------------------------------
 
 
-def _lane_of(pairs):
+def _lane_of(pairs, unit=1):
     from dnadecide.gel import _merge_bands
 
-    return _merge_bands([(Fraction(l), Fraction(i)) for l, i in pairs], TOP)
+    return _merge_bands(pairs, TOP, unit)
 
 
 def test_bands_a_full_resolution_apart_stay_separate():
@@ -126,15 +126,16 @@ def test_merge_conserves_total_intensity():
     st.lists(
         st.tuples(
             st.integers(min_value=20, max_value=300),
-            st.fractions(min_value=Fraction(1, 9), max_value=4),
+            st.integers(min_value=1, max_value=36),
         ),
         min_size=1,
         max_size=12,
     )
 )
 def test_merged_bands_respect_resolution_gap(pairs):
-    bands = _lane_of(pairs)
-    assert sum(b.intensity for b in bands) == sum(i for _, i in pairs)
+    # counts of 1/9 units: intensities from 1/9 to 4
+    bands = _lane_of(pairs, 9)
+    assert sum(b.intensity for b in bands) == Fraction(sum(c for _, c in pairs), 9)
     gaps = [b2.length - b1.length for b1, b2 in zip(bands, bands[1:])]
     assert all(g >= GEL_RESOLUTION for g in gaps)
 
@@ -314,23 +315,44 @@ def test_svg_annotates_ladder_rungs(ball_lanes):
     assert ">100</text>" in svg
 
 
+def _assert_exact(matrix, plan, run, report, name):
+    scale = plan.intensity_scale()
+    bands = [
+        [(band.length, band.intensity / lane.scale * scale) for band in lane.bands]
+        for lane in run.sample_lanes()
+    ]
+    predicted = [[row for row in rows if row[1]] for rows in plan.predicted_bands()]
+    assert bands == predicted, name
+    exact = tuple(expected_utility(matrix, i) for i in range(len(matrix.options)))
+    assert report.estimates == exact, name
+
+
 def test_every_band_and_estimate_is_exact():
     # the readout checks only the argmax against the oracle, so a simulation
     # that scaled, dropped or swapped a losing band would still agree there:
     # every band, as (length, count of 1/intensity_scale units before
     # amplification), must be a predicted band with a non-zero count, and
     # every estimate the exact expected utility
+    matrix = make_ball_game()
+    plan, protocol = compile_problem(matrix, seed=0)  # the canonical `dnadecide run`
+    run = run_gel(run_protocol(plan, protocol))
+    _assert_exact(matrix, plan, run, readout(run, plan), "canonical")
+
+    # the reading pinned for a favorable outcome that never happens:
+    # `predicted_bands` keeps it as a count-0 row, and the lane shows no
+    # band for it
+    matrix = build_matrix(
+        outcomes=[("never", Fraction(0)), ("heads", Fraction(2, 3)), ("tails", Fraction(1, 3))],
+        options=[("bet-never", ["never", "heads"]), ("bet-tails", ["tails"])],
+    )
+    report, plan, _, run = run_end_to_end(matrix, seed=0, cycles=3)
+    assert (plan.construct_length("never"), 0) in plan.predicted_bands()[0]
+    assert [band.length for band in run.sample_lanes()[0].bands] == [plan.construct_length("heads")]
+    _assert_exact(matrix, plan, run, report, "zero probability")
+
     rng = random.Random(11)
     problems = [(random_matrix(rng), 3) for _ in range(200)]
     problems.append((make_widest(random.Random("wide:0")), 5))
     for seed, (matrix, cycles) in enumerate(problems):
         report, plan, _, run = run_end_to_end(matrix, seed=seed, cycles=cycles)
-        scale = plan.intensity_scale()
-        bands = [
-            [(band.length, band.intensity / lane.scale * scale) for band in lane.bands]
-            for lane in run.sample_lanes()
-        ]
-        predicted = [[row for row in rows if row[1]] for rows in plan.predicted_bands()]
-        assert bands == predicted, f"problem {seed}"
-        exact = tuple(expected_utility(matrix, i) for i in range(len(matrix.options)))
-        assert report.estimates == exact, f"problem {seed}"
+        _assert_exact(matrix, plan, run, report, f"problem {seed}")

@@ -12,9 +12,9 @@ from dnadecide.strands import (
     complement,
     cut,
     find_sites,
-    gc_fraction,
     reverse_complement,
 )
+from tests.conftest import gc_fraction
 
 PVUII = CORE_BLUNT_CUTTERS[0]
 

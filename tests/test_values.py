@@ -7,8 +7,6 @@ construction is pinned where each type is tested (`test_non_acgt_rejected`,
 `test_mismatch_rejected`, `test_invalid_sites_rejected`).
 """
 
-from fractions import Fraction
-
 import pytest
 from conftest import make_ball_game
 
@@ -78,15 +76,15 @@ def test_hash_is_the_hash_of_the_field_tuple():
     # values, depends on this hash
     site = RecognitionSite("PvuII", "CAGCTG")
     assert hash(site) == hash(("PvuII", "CAGCTG"))
-    species = wetlab.Species("k", Strand("ACGT"), Fraction(1, 2))
-    assert hash(species) == hash(("k", ("ACGT", ""), Fraction(1, 2), wetlab.ACTIVE, False))
-    assert species != species._replace(concentration=Fraction(1, 3))
+    species = wetlab.Species("k", Strand("ACGT"), 3)
+    assert hash(species) == hash(("k", ("ACGT", ""), 3, wetlab.ACTIVE, False))
+    assert species != species._replace(count=2)
 
 
 def test_replace_keeps_the_type_and_the_other_fields():
     plan, _, tube, _, _ = _run()
     species = next(iter(tube.species.values()))
-    doubled = species._replace(concentration=2 * species.concentration)
+    doubled = species._replace(count=2 * species.count)
     assert type(doubled) is wetlab.Species
     assert doubled[:2] + doubled[3:] == species[:2] + species[3:]
     emptied = tube._replace(species={})

@@ -10,12 +10,19 @@ from dnadecide.compiler import compile_problem, role_thresh
 from dnadecide.decision import Payoff, best_options, build_matrix, role_chance
 from dnadecide.gel import band_table, readout, render, run_gel
 from dnadecide.soundness import random_matrix
-from dnadecide.strands import CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS, Strand
+from dnadecide.strands import (
+    CORE_BLUNT_CUTTERS,
+    EXTENDED_BLUNT_CUTTERS,
+    Duplex,
+    Strand,
+    reverse_complement,
+)
 from dnadecide.wetlab import (
     MAX_PCR_CYCLES,
     WASTE,
     CycleCountError,
     DigestTable,
+    DoseError,
     UnknownEnzymeError,
     apply_thresholds,
     assemble,
@@ -49,6 +56,82 @@ def test_mix_doses(ball_setup):
     assert pool.concentration("thresh:white") == F(7, 9)
     assert "primer:left" not in pool.species
     assert len(pool.species) == 32
+
+
+def test_mix_rejects_a_dose_of_part_units(ball_setup):
+    # 1/7 is no whole number of the ball game's 1/9 units: mix names the
+    # species instead of rounding its count
+    _, plan, _ = ball_setup
+    ratios = dict(plan.threshold_ratios, black=F(1, 7))
+    with pytest.raises(DoseError, match="thresh:black: dose 1/7"):
+        mix(plan._replace(threshold_ratios=ratios))
+
+
+def _every_stage(plan, cycles):
+    """The pool after each pooled step, then each tube split, digested,
+    amplified and purified, as `run_protocol` runs them."""
+    table = DigestTable(plan)
+    states = [mix(plan)]
+    states.append(apply_thresholds(states[-1]))
+    states.append(assemble(states[-1]))
+    for tube, enzymes in zip(split_tubes(states[-1]), plan.tube_enzymes):
+        cut = digest(tube, enzymes, table)
+        grown = pcr(cut, cycles, table)
+        states += [tube, cut, grown, purify(grown)]
+    return states
+
+
+def test_every_count_is_an_int():
+    # a Fraction that slipped into a count would still compare equal to the
+    # int it should be, so the type is checked
+    problems = [
+        (make_ball_game(), CORE_BLUNT_CUTTERS),
+        (make_widest(random.Random("wide:0")), EXTENDED_BLUNT_CUTTERS),
+    ]
+    for matrix, library in problems:
+        plan, protocol = compile_problem(matrix, seed=0, library=library)
+        for state in _every_stage(plan, protocol.pcr_cycles):
+            assert all(type(sp.count) is int for sp in state.species.values()), state.log[-1]
+
+
+def test_trusted_duplexes_equal_checked_rebuilds():
+    # assemble and cut build constructs and fragments without the public
+    # constructors' checks; each must come out of Strand and Duplex, checks
+    # and all, as the same value, and a duplex's fragments must tile it
+    problems = [
+        (make_ball_game(), CORE_BLUNT_CUTTERS),
+        (make_ball_game(), EXTENDED_BLUNT_CUTTERS),
+    ]
+    rng = random.Random(12)
+    problems += [(random_matrix(rng), EXTENDED_BLUNT_CUTTERS) for _ in range(50)]
+    checked = 0
+    for seed, (matrix, library) in enumerate(problems):
+        plan, protocol = compile_problem(matrix, seed=seed, library=library)
+        states = _every_stage(plan, protocol.pcr_cycles)
+        for before, state in zip(states, states[1:]):
+            record = state.log[-1]
+            if record["op"] not in ("assemble", "digest"):
+                continue
+            for key, lengths in record.get("fragments", {}).items():
+                frags = (f"fragment:{key}:{i}" for i in range(len(lengths)))
+                pieces = [state.species[frag].structure for frag in frags]
+                parent = before.species[key].structure
+                assert "".join(p.top.seq for p in pieces) == parent.top.seq, key
+                assert "".join(p.bottom.seq for p in pieces[::-1]) == parent.bottom.seq, key
+            for key, sp in state.species.items():
+                if not sp.is_duplex:
+                    continue
+                d = sp.structure
+                rebuilt = Duplex(
+                    Strand(d.top.seq, d.top.role), Strand(d.bottom.seq, d.bottom.role), d.offset
+                )
+                assert rebuilt == d and (type(d), type(d.top), type(d.bottom)) == (
+                    Duplex, Strand, Strand
+                ), key
+                if key.startswith("construct:"):
+                    assert d.offset == 0 and d.bottom.seq == reverse_complement(d.top.seq), key
+                checked += 1
+    assert checked > 10_000
 
 
 def test_thresholds_displace_chance_strands(ball_setup):
@@ -154,7 +237,7 @@ def test_digest_fragment_lengths_conserve_parent(ball_setup):
     frag = next(k for k in digested.species if k.startswith("fragment:construct:"))
     parent = frag[len("fragment:") :].rsplit(":", 1)[0]
     out_label = parent.split(":")[-1]
-    assert digested.species[frag].concentration == tubes[0].concentration(parent)
+    assert digested.concentration(frag) == tubes[0].concentration(parent)
 
 
 def test_digest_unknown_enzyme(ball_setup):
@@ -175,7 +258,7 @@ def test_pcr_doubles_per_cycle(ball_setup):
     for key, sp in amplified.species.items():
         if key.startswith("fragment:"):
             assert not sp.amplified
-            assert sp.concentration == digested.species[key].concentration
+            assert sp.count == digested.species[key].count
 
 
 def test_pcr_zero_cycles_still_marks_amplifiable(ball_setup):
@@ -183,8 +266,8 @@ def test_pcr_zero_cycles_still_marks_amplifiable(ball_setup):
     tubes, _ = tube_states(plan, protocol)
     digested = digest(tubes[0], plan.tube_enzymes[0])
     amplified = pcr(digested, 0)
-    sp = amplified.species[construct_key("option-1", "red")]
-    assert sp.amplified and sp.concentration == F(4, 9)
+    key = construct_key("option-1", "red")
+    assert amplified.species[key].amplified and amplified.concentration(key) == F(4, 9)
 
 
 def test_pcr_negative_cycles_rejected(ball_setup):
@@ -229,7 +312,7 @@ def test_run_protocol_reproduces_band_concentrations(ball_setup):
     _, plan, protocol = ball_setup
     tubes = run_protocol(plan, protocol, cycles=5)
     final = [
-        sorted((sp.length, sp.concentration) for sp in t.species.values())
+        sorted((sp.length, t.concentration(key)) for key, sp in t.species.items())
         for t in tubes
     ]
     assert final == [
@@ -250,7 +333,7 @@ def test_single_option_certain_outcome():
     assert len(tubes) == 1
     (sp,) = tubes[0].species.values()
     assert sp.length == 147
-    assert sp.concentration == 32
+    assert tubes[0].concentration(sp.key) == 32
 
 
 def test_audit_log_is_deterministic(ball_setup):
@@ -284,7 +367,7 @@ def test_random_matrices_survivors_match_favorability():
                 for out, pay in zip(m.outcomes, opt.payoffs)
                 if pay is Payoff.FAVORABLE and out.probability > 0
             }
-            have = {k: sp.concentration for k, sp in tube.species.items()}
+            have = {k: tube.concentration(k) for k in tube.species}
             assert have == want, f"trial {trial}, {opt.label}"
 
 
@@ -334,7 +417,7 @@ def test_digest_table_misses_on_changed_species(ball_setup):
     tube, enzymes = tubes[0], plan.tube_enzymes[0]
 
     def doubled(t):
-        species = {k: sp._replace(concentration=2 * sp.concentration) for k, sp in t.species.items()}
+        species = {k: sp._replace(count=2 * sp.count) for k, sp in t.species.items()}
         return t._replace(species=species)
 
     table = DigestTable(plan)
