@@ -15,6 +15,12 @@ from .strands import CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS
 _LIBRARIES = {"core": CORE_BLUNT_CUTTERS, "extended": EXTENDED_BLUNT_CUTTERS}
 
 
+def _trial_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number of trials, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnadecide",
@@ -79,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="sweep random problems end to end against the exact oracle"
     )
-    p_verify.add_argument("--count", type=int, default=200, help="number of trials")
+    p_verify.add_argument("--count", type=_trial_count, default=200, help="number of trials")
     p_verify.add_argument("--seed", type=int, default=0, help="sweep seed")
     p_verify.add_argument("--cycles", type=int, default=3, help="PCR cycles per trial")
 

@@ -519,9 +519,9 @@ def generate_sequences(
     for out in outcomes:
         place(role_thresh(out), prefix=tops[role_prob(out)][:OVERHANG_LENGTH])
 
-    plan: dict[str, Strand | Duplex] = {role: Strand(top, role) for role, top in tops.items()}
+    plan: dict[str, Strand | Duplex] = {role: Strand(top) for role, top in tops.items()}
     for role, rule in derivations(options, outcomes).items():
-        strand = Strand(rule.derive(tops), role if rule.offset is None else role + "'")
+        strand = Strand(rule.derive(tops))
         plan[role] = strand if rule.offset is None else Duplex(plan[role], strand, rule.offset)
     return plan
 
@@ -612,10 +612,10 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
     pieces: dict[str, str] = {}
     for role, item in strands.items():
         duplex = isinstance(item, Duplex)
-        pieces[role] = item.top.seq if duplex else item.seq
+        pieces[role] = item.top if duplex else item
         offset = table[role].offset if role in table else None
         if duplex and item.offset == offset:
-            pieces[role + "'"] = item.bottom.seq
+            pieces[role + "'"] = item.bottom
         elif offset is not None:
             detail = f"must be a duplex paired from column {offset}"
             found.append(EncodingViolation("geometry", (role,), detail))
@@ -649,7 +649,7 @@ class EncodingPlan(NamedTuple):
     def construct_top(self, roles: tuple[str, ...]) -> str:
         """The top strand of the construct that `construct_roles` spells as `roles`."""
         tops = (self.strands[r] for r in roles[::2])
-        return "".join(s.top.seq if isinstance(s, Duplex) else s.seq for s in tops)
+        return "".join(s.top if isinstance(s, Duplex) else s for s in tops)
 
     def construct_length(self, outcome_label: str) -> int:
         return BASE_CONSTRUCT_LENGTH + self.middle_lengths[outcome_label]
@@ -671,15 +671,14 @@ class EncodingPlan(NamedTuple):
             table.append(rows)
         return table
 
-    def all_strands(self) -> list[Strand]:
-        flat: list[Strand] = []
-        for role in sorted(self.strands):
-            item = self.strands[role]
+    def all_strands(self) -> list[tuple[str, Strand]]:
+        """(name, sequence) per strand, by plan key; a duplex gives key.top and key.bottom."""
+        flat: list[tuple[str, Strand]] = []
+        for role, item in sorted(self.strands.items()):
             if isinstance(item, Duplex):
-                flat.append(Strand(item.top.seq, role + ".top"))
-                flat.append(Strand(item.bottom.seq, role + ".bottom"))
+                flat += [(role + ".top", item.top), (role + ".bottom", item.bottom)]
             else:
-                flat.append(item)
+                flat.append((role, item))
         return flat
 
     def to_fasta(self) -> str:
@@ -721,7 +720,7 @@ class EncodingPlan(NamedTuple):
             )
             lines.append(f"    tube digested with: {', '.join(sorted(enzymes))}")
         left, right = self.primers
-        lines.append(f"primers: {left.seq} / {right.seq}")
+        lines.append(f"primers: {left} / {right}")
         lines.append(f"species: {len(self.all_strands())} strands")
         if self.fixture_notes:
             lines.append("reference-material notes:")
@@ -755,7 +754,7 @@ class ProtocolPlan(NamedTuple):
             lines.append(f"   {tube_label(i)}: digest with {', '.join(sorted(enzymes))} at 37 C")
         left, right = plan.primers
         lines.append(
-            f"5. amplify {self.pcr_cycles} PCR cycles with primers {left.seq} and {right.seq}"
+            f"5. amplify {self.pcr_cycles} PCR cycles with primers {left} and {right}"
         )
         lines.append("6. purify, keeping amplified full-length constructs")
         lines.append(

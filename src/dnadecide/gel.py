@@ -273,10 +273,12 @@ def readout(
     Band lengths are recovered from migration distances via the ladder
     calibration, matched to predicted construct lengths within half the gel
     resolution, and their intensities (normalized by amplification) sum to
-    each option's favorable probability mass.
+    each option's favorable probability mass. `matrix`, if given, must be
+    the plan's own: the plan's construct lengths decode the bands.
     """
-    if matrix is None:
-        matrix = plan.matrix
+    if matrix is not None and matrix is not plan.matrix:
+        raise GelError("matrix is not the one the plan was compiled for")
+    matrix = plan.matrix
     lanes = run.sample_lanes()
     if len(lanes) != len(matrix.options):
         raise GelError(

@@ -1,6 +1,8 @@
 """Sequence-level substrate: strands, antiparallel duplexes, recognition sites.
 
-Strands are stored 5'->3'. A duplex lays its bottom strand antiparallel under
+A strand is its sequence, stored 5'->3': a `str` whose constructor checks
+the ACGT alphabet. It carries no name; a plan names each strand by the key
+it is stored under. A duplex lays its bottom strand antiparallel under
 the top one at an integer column offset, so sticky ends fall out of the
 geometry instead of being tracked separately. Recognition sites here are the
 palindromic six-base blunt mid-cutters used by the protocol compiler.
@@ -52,26 +54,14 @@ def _check_alphabet(seq: str) -> None:
         raise StrandError(f"sequence contains non-ACGT symbols: {sorted(bad)}")
 
 
-class _StrandFields(NamedTuple):
-    seq: str
-    role: str
-
-
-class Strand(_StrandFields):
-    """A single DNA strand, sequence given 5'->3', with a functional role tag.
-
-    Its length is the sequence's, not the field count, so `_make` and
-    `_replace` do not work on it; build a new Strand instead.
-    """
+class Strand(str):
+    """A single DNA strand: its sequence, given 5'->3', checked to be ACGT."""
 
     __slots__ = ()
 
-    def __new__(cls, seq: str, role: str = "") -> "Strand":
+    def __new__(cls, seq: str) -> "Strand":
         _check_alphabet(seq)
-        return tuple.__new__(cls, (seq, role))
-
-    def __len__(self) -> int:
-        return len(self.seq)
+        return str.__new__(cls, seq)
 
 
 class _DuplexFields(NamedTuple):
@@ -92,16 +82,16 @@ class Duplex(_DuplexFields):
 
     __slots__ = ()
 
-    def __new__(cls, top: Strand, bottom: Strand, offset: int = 0) -> "Duplex":
-        self = tuple.__new__(cls, (top, bottom, offset))
+    def __new__(cls, top: str, bottom: str, offset: int = 0) -> "Duplex":
+        self = tuple.__new__(cls, (Strand(top), Strand(bottom), offset))
         lo, hi = self.ds_start, self.ds_end
         if hi - lo < 1:
             raise StrandError("strands do not overlap at this offset")
-        end = offset + len(bottom.seq)
-        paired = bottom.seq[end - hi : end - lo][::-1].translate(_COMPLEMENT)
-        if top.seq[lo:hi] != paired:
-            c = next(c for c in range(lo, hi) if top.seq[c] != complement(self.bottom_base(c)))
-            raise StrandError(f"mismatched pair at column {c}: {top.seq[c]}/{self.bottom_base(c)}")
+        end = offset + len(bottom)
+        paired = bottom[end - hi : end - lo][::-1].translate(_COMPLEMENT)
+        if top[lo:hi] != paired:
+            c = next(c for c in range(lo, hi) if top[c] != complement(self.bottom_base(c)))
+            raise StrandError(f"mismatched pair at column {c}: {top[c]}/{self.bottom_base(c)}")
         return self
 
     # -- geometry --------------------------------------------------------
@@ -112,7 +102,7 @@ class Duplex(_DuplexFields):
 
     @property
     def span_end(self) -> int:
-        return max(len(self.top.seq), self.offset + len(self.bottom.seq))
+        return max(len(self.top), self.offset + len(self.bottom))
 
     @property
     def span_length(self) -> int:
@@ -124,14 +114,14 @@ class Duplex(_DuplexFields):
 
     @property
     def ds_end(self) -> int:
-        return min(len(self.top.seq), self.offset + len(self.bottom.seq))
+        return min(len(self.top), self.offset + len(self.bottom))
 
     @property
     def is_blunt(self) -> bool:
-        return self.offset == 0 and len(self.top.seq) == len(self.bottom.seq)
+        return self.offset == 0 and len(self.top) == len(self.bottom)
 
     def bottom_base(self, column: int) -> str:
-        return self.bottom.seq[self.offset + len(self.bottom.seq) - 1 - column]
+        return self.bottom[self.offset + len(self.bottom) - 1 - column]
 
     def top_line(self) -> str:
         """Sequence content across the whole span, read in top-strand orientation.
@@ -139,12 +129,12 @@ class Duplex(_DuplexFields):
         Columns outside the top strand carry the complement of the bottom
         strand's overhang, which reads back to front along the columns.
         """
-        bottom = self.bottom.seq
+        bottom = self.bottom
         left = max(0, -self.offset)
-        right = max(0, self.offset + len(bottom) - len(self.top.seq))
+        right = max(0, self.offset + len(bottom) - len(self.top))
         return (
             bottom[len(bottom) - left :][::-1].translate(_COMPLEMENT)
-            + self.top.seq
+            + self.top
             + bottom[:right][::-1].translate(_COMPLEMENT)
         )
 
@@ -208,7 +198,7 @@ def cut(
     hits: dict[RecognitionSite, list[int]] | None = None,
     pieces: dict[tuple[int, int], Duplex] | None = None,
 ) -> list[Duplex]:
-    """Digest with every given enzyme at once; fragments keep their strand roles.
+    """Digest with every given enzyme at once.
 
     The result equals cutting with each site in turn, in the given order,
     and re-cutting every fragment: a site instance is cut unless an earlier
@@ -245,20 +235,18 @@ def cut(
 
 def _slice_columns(d: Duplex, a: int, b: int) -> Duplex:
     """Fragment covering top-strand columns [a, b)."""
-    ta, tb = max(a, 0), min(b, len(d.top.seq))
-    ba, bb = max(a, d.offset), min(b, d.offset + len(d.bottom.seq))
-    lb = len(d.bottom.seq)
-    top_seq = d.top.seq[ta:tb]
-    bot_seq = d.bottom.seq[d.offset + lb - bb : d.offset + lb - ba]
-    return _derived(top_seq, d.top.role, bot_seq, d.bottom.role, ba - ta)
+    ta, tb = max(a, 0), min(b, len(d.top))
+    ba, bb = max(a, d.offset), min(b, d.offset + len(d.bottom))
+    lb = len(d.bottom)
+    bottom = d.bottom[d.offset + lb - bb : d.offset + lb - ba]
+    return _derived(d.top[ta:tb], bottom, ba - ta)
 
 
-def _derived(top: str, top_role: str, bottom: str, bottom_role: str, offset: int) -> Duplex:
+def _derived(top: str, bottom: str, offset: int) -> Duplex:
     """A duplex cut or copied from checked strands, built without the checks
     of `Strand` and `Duplex` (only `_slice_columns` and `wetlab.assemble` use
     it): the caller guarantees non-empty ACGT strands that pair at `offset`."""
-    pair = (tuple.__new__(Strand, (top, top_role)), tuple.__new__(Strand, (bottom, bottom_role)))
-    return tuple.__new__(Duplex, (*pair, offset))
+    return tuple.__new__(Duplex, (str.__new__(Strand, top), str.__new__(Strand, bottom), offset))
 
 
 # The six cutters the canonical protocol draws from, then further blunt
@@ -293,10 +281,11 @@ EXTENDED_BLUNT_CUTTERS: tuple[RecognitionSite, ...] = CORE_BLUNT_CUTTERS + (
 FASTA_WIDTH = 60  # sequence characters per line
 
 
-def write_fasta(strands: list[Strand]) -> str:
+def write_fasta(records) -> str:
+    """FASTA text for (name, sequence) records, in the given order."""
     lines = []
-    for i, s in enumerate(strands):
-        lines.append(f">{s.role or f'strand_{i}'}")
-        for k in range(0, len(s.seq), FASTA_WIDTH):
-            lines.append(s.seq[k : k + FASTA_WIDTH])
+    for name, seq in records:
+        lines.append(f">{name}")
+        for k in range(0, len(seq), FASTA_WIDTH):
+            lines.append(seq[k : k + FASTA_WIDTH])
     return "\n".join(lines) + "\n"

@@ -83,7 +83,7 @@ class Species(NamedTuple):
     def length(self) -> int:
         if isinstance(self.structure, Duplex):
             return self.structure.span_length
-        return len(self.structure.seq)
+        return len(self.structure)
 
     @property
     def is_duplex(self) -> bool:
@@ -201,8 +201,7 @@ def assemble(tube: TubeState) -> TubeState:
     for key, roles, amount in paths:
         top = plan.construct_top(roles)
         bottom = top[::-1].translate(_COMPLEMENT)
-        structure = _derived(top, key + ".top", bottom, key + ".bottom", 0)
-        species[key] = Species(key, structure, amount)
+        species[key] = Species(key, _derived(top, bottom, 0), amount)
     record = {
         "op": "assemble",
         "yields": {key: str(Fraction(amount, unit)) for key, _, amount in paths},
@@ -277,7 +276,7 @@ class DigestTable:
         # enzyme sets are bit masks over the library in name order
         self._bits = {site.enzyme: 1 << i for i, site in enumerate(self._library)}
         # an end matches a primer read on either strand
-        p1, p2 = (primer.seq for primer in plan.primers)
+        p1, p2 = plan.primers
         self._ends = ((p1, reverse_complement(p1)), (p2, reverse_complement(p2)))
         self._views: dict[tuple[str, ...], _View] = {}
 
@@ -285,9 +284,9 @@ class DigestTable:
         ends1, ends2 = self._ends
         n1, n2 = len(ends1[0]), len(ends2[0])
         duplex = sp.structure
-        top = duplex.top.seq
+        top = duplex.top
         # blunt, and long enough to hold both primers
-        if duplex.offset or len(top) != len(duplex.bottom.seq) or len(top) < 2 * n1:
+        if not duplex.is_blunt or len(top) < 2 * n1:
             return _Fate(sp, False)
         left, right = top[:n1], top[-n2:]
         return _Fate(sp, (left in ends1 and right in ends2) or (left in ends2 and right in ends1))

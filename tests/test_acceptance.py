@@ -144,10 +144,10 @@ def test_criterion_4_pcr_arithmetic():
 def test_criterion_5_digestion_geometry():
     matrix, plan, _, _ = _canonical()
     assignments = [
-        (plan.strands[role_option(o.label)].seq, plan.option_sites[o.label])
+        (plan.strands[role_option(o.label)], plan.option_sites[o.label])
         for o in matrix.options
     ] + [
-        (plan.strands[role_util(o.label)].seq, plan.outcome_sites[o.label])
+        (plan.strands[role_util(o.label)], plan.outcome_sites[o.label])
         for o in matrix.outcomes
     ]
     assert len(assignments) == 6

@@ -348,6 +348,16 @@ def test_disagreement_exits_two(monkeypatch, capsys):
     assert "disagrees" in capsys.readouterr().err
 
 
+def test_verify_counts_report_agreement(monkeypatch, capsys):
+    # the sweep judges each trial by `DecisionReport.agreement` alone, so a
+    # stricter agreement reaches `verify` with no second edit
+    import dnadecide.gel as gel_mod
+
+    monkeypatch.setattr(gel_mod.DecisionReport, "agreement", property(lambda report: False))
+    assert main(["verify", "--count", "2"]) == 2
+    assert "0/2 agree" in capsys.readouterr().out
+
+
 def test_verify_small_sweep_passes(capsys):
     assert main(["verify", "--count", "8", "--seed", "3", "--cycles", "2"]) == 0
     out = capsys.readouterr().out
@@ -357,6 +367,14 @@ def test_verify_small_sweep_passes(capsys):
 def test_verify_zero_trials_passes_vacuously(capsys):
     assert main(["verify", "--count", "0"]) == 0
     assert "0/0 agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["-3", "three"])
+def test_verify_rejects_a_bad_trial_count(count, capsys):
+    # -3 used to print "0/-3 agree" and exit 2, the code for oracle disagreement
+    assert main(["verify", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert "--count" in captured.err and "agree" not in captured.out
 
 
 _IMPORT_PROBE = """

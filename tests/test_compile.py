@@ -140,7 +140,7 @@ def test_construct_roles_follow_the_geometry(ball_plan):
     options = [o.label for o in plan.matrix.options]
     outcomes = [o.label for o in plan.matrix.outcomes]
     table = derivations(options, outcomes)
-    tops = {r: (s.top if isinstance(s, Duplex) else s).seq for r, s in plan.strands.items()}
+    tops = {r: s.top if isinstance(s, Duplex) else s for r, s in plan.strands.items()}
     junctions = set()
     for opt in options:
         for out in outcomes:
@@ -152,7 +152,7 @@ def test_construct_roles_follow_the_geometry(ball_plan):
                 rule = table[role]
                 assert rule.offset is None
                 assert [r for r, _, _ in rule.slices] == [left, right]
-                assert reverse_complement(plan.strands[role].seq) in top
+                assert reverse_complement(plan.strands[role]) in top
                 junctions.add(role)
     assert junctions == {role for role, rule in table.items() if len(rule.slices) == 2}
 
@@ -178,36 +178,36 @@ def test_compile_is_deterministic():
 def test_option_strands_carry_their_sites(ball_plan):
     plan, _ = ball_plan
     for opt in plan.matrix.options:
-        seq = plan.strands[role_option(opt.label)].seq
+        seq = plan.strands[role_option(opt.label)]
         site = plan.option_sites[opt.label].site
         assert seq.find(site) == 7
         assert len(seq) == 20
     for out in plan.matrix.outcomes:
-        seq = plan.strands[role_util(out.label)].seq
+        seq = plan.strands[role_util(out.label)]
         assert seq.find(plan.outcome_sites[out.label].site) == 7
 
 
 def test_gc_fractions_in_range(ball_plan):
     plan, _ = ball_plan
-    for strand in plan.all_strands():
-        assert F(2, 5) <= gc_fraction(strand.seq) <= F(3, 5), strand.role
+    for name, seq in plan.all_strands():
+        assert F(2, 5) <= gc_fraction(seq) <= F(3, 5), name
 
 
 def test_threshold_toehold_copies_probability_front(ball_plan):
     plan, _ = ball_plan
     for out in plan.matrix.outcomes:
         th = plan.strands[role_thresh(out.label)]
-        front = plan.strands[role_prob(out.label)].top.seq[:10]
-        assert th.top.seq[:10] == front
+        front = plan.strands[role_prob(out.label)].top[:10]
+        assert th.top[:10] == front
         assert th.offset == 10
-        assert th.bottom.seq == reverse_complement(th.top.seq[10:])
+        assert th.bottom == reverse_complement(th.top[10:])
 
 
 def test_primers_match_construct_ends(ball_plan):
     plan, _ = ball_plan
     left, right = plan.primers
-    assert left.seq == reverse_complement(plan.strands["choice"].top.seq[:10])
-    assert right.seq == reverse_complement(plan.strands["term"].top.seq[-10:])
+    assert left == reverse_complement(plan.strands["choice"].top[:10])
+    assert right == reverse_complement(plan.strands["term"].top[-10:])
 
 
 def test_protocol_text_mentions_all_steps(ball_plan):
@@ -268,10 +268,10 @@ def test_flipped_derived_base_is_flagged(ball_plan, role):
     if isinstance(item, Duplex):
         # the constructor refuses a mispaired bottom, which a transcribed
         # plan may still hold, so build this one around the pairing check
-        bottom = Strand(_flip_last(item.bottom.seq), item.bottom.role)
+        bottom = Strand(_flip_last(item.bottom))
         strands[role] = tuple.__new__(Duplex, (item.top, bottom, item.offset))
     else:
-        strands[role] = Strand(_flip_last(item.seq), item.role)
+        strands[role] = Strand(_flip_last(item))
     broken = EncodingPlan(
         matrix=plan.matrix,
         seed=plan.seed,
@@ -354,7 +354,7 @@ def test_printed_option_strand_is_kept_in_place(ball_game):
     assert pins[role_option("option-1")] == ("option", pieces["option"])
     assert pins[role_thresh("red")] == ("thresh pad", pieces["thresh.top"][10:])
     plan, _ = compile_problem(ball_game, seed=0, use_fixture=True)
-    tops = {role: s.top.seq if isinstance(s, Duplex) else s.seq for role, s in plan.strands.items()}
+    tops = {role: s.top if isinstance(s, Duplex) else s for role, s in plan.strands.items()}
     assert tops[role_option("option-1")] == pieces["option"]
     assert tops["term"] == pieces["term.top"]
     assert tops[role_thresh("red")][10:] == pieces["thresh.top"][10:]
@@ -376,12 +376,12 @@ def test_printed_option_strand_is_kept_in_place(ball_game):
 def test_fixture_compile_repairs_and_reports(ball_game):
     plan, _ = compile_problem(ball_game, seed=0, use_fixture=True)
     assert validate_encoding(plan) == []
-    assert plan.strands[role_option("option-1")].seq == printed_pieces()["option"]
-    assert plan.strands["term"].top.seq == printed_pieces()["term.top"]
-    assert plan.strands[role_thresh("red")].top.seq[10:] == printed_pieces()["thresh.top"][10:]
+    assert plan.strands[role_option("option-1")] == printed_pieces()["option"]
+    assert plan.strands["term"].top == printed_pieces()["term.top"]
+    assert plan.strands[role_thresh("red")].top[10:] == printed_pieces()["thresh.top"][10:]
     # defective pieces were regenerated, not copied
-    assert plan.strands["choice"].top.seq != printed_pieces()["choice.top"]
-    assert len(plan.strands["choice"].top.seq) == 40
+    assert plan.strands["choice"].top != printed_pieces()["choice.top"]
+    assert len(plan.strands["choice"].top) == 40
     notes = "\n".join(plan.fixture_notes)
     assert "rejected reference" in notes and "kept reference" in notes
 
@@ -467,7 +467,7 @@ def _util_findings(seq, left=None, right=None):
     TAACTTG) between its probability top and the termination arm, against
     all six assigned sites; None keeps the designed neighbour."""
     plan, _ = compile_problem(make_ball_game(), seed=0)
-    tops = {role: s.top.seq if isinstance(s, Duplex) else s.seq for role, s in plan.strands.items()}
+    tops = {role: s.top if isinstance(s, Duplex) else s for role, s in plan.strands.items()}
     assert tops[role_util("red")] == "GAGGAGTCACGTGTAACTTG"
     left = tops[role_prob("red")] if left is None else left(tops[role_prob("red")])
     right = tops["term"] if right is None else right(tops["term"])

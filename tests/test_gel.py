@@ -301,6 +301,18 @@ def test_lane_count_mismatch_is_an_error(ball_lanes):
         readout(short, plan)
 
 
+def test_readout_refuses_another_matrix(ball_lanes):
+    # the plan's construct lengths decode the bands, so another matrix (here
+    # the options in reverse order) would be read silently against them
+    plan, run = ball_lanes
+    from dnadecide.gel import GelError
+
+    reordered = plan.matrix._replace(options=plan.matrix.options[::-1])
+    with pytest.raises(GelError, match="matrix"):
+        readout(run, plan, reordered)
+    assert readout(run, plan, plan.matrix) == readout(run, plan)
+
+
 def test_ladder_lane_has_unit_intensities():
     lane = ladder_lane(STOCK)
     assert lane.label == "ladder"

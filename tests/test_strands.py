@@ -21,8 +21,8 @@ PVUII = CORE_BLUNT_CUTTERS[0]
 seqs = st.text(alphabet="ACGT", min_size=1, max_size=80)
 
 
-def blunt(seq: str, role: str = "x") -> Duplex:
-    return Duplex(Strand(seq, role), Strand(reverse_complement(seq), role + "'"), 0)
+def blunt(seq: str) -> Duplex:
+    return Duplex(Strand(seq), Strand(reverse_complement(seq)), 0)
 
 
 def test_complement_examples():
@@ -79,7 +79,7 @@ def test_offset_duplex_has_single_stranded_toehold():
     assert not d.is_blunt
     assert (d.ds_start, d.ds_end) == (10, 20)
     assert d.span_length == 20
-    assert d.top_line() == top.seq
+    assert d.top_line() == top
 
 
 def test_negative_offset_hangs_bottom_out_left():
@@ -90,12 +90,20 @@ def test_negative_offset_hangs_bottom_out_left():
     assert d.span_start == -2
     assert d.span_length == 12
     assert (d.ds_start, d.ds_end) == (0, 10)
-    assert d.top_line() == "TT" + top.seq
+    assert d.top_line() == "TT" + top
 
 
 def test_mismatch_rejected():
     with pytest.raises(StrandError):
         Duplex(Strand("AAAA"), Strand("AAAA"), 0)
+
+
+def test_duplex_checks_the_alphabet_of_plain_strings():
+    # "AN" and "NT" would pair, N against N, if only the pairing were checked
+    with pytest.raises(StrandError, match="non-ACGT"):
+        Duplex("AN", "NT", 0)
+    d = Duplex("AC", "GT", 0)
+    assert (type(d.top), type(d.bottom)) == (Strand, Strand)
 
 
 def test_disjoint_strands_rejected():
@@ -206,7 +214,7 @@ def duplexes(draw):
         ("" if left_on_top else left) + core + ("" if right_on_top else right)
     )
     offset = len(left) if left_on_top else -len(left)
-    return Duplex(Strand(top, "t"), Strand(reverse_complement(bottom_cols), "b"), offset)
+    return Duplex(Strand(top), Strand(reverse_complement(bottom_cols)), offset)
 
 
 def cut_one_site_at_a_time(d, sites):
@@ -245,7 +253,7 @@ def test_cut_without_sites_returns_input():
 @given(duplexes())
 def test_top_line_matches_per_column_definition(d):
     expected = "".join(
-        d.top.seq[c] if 0 <= c < len(d.top.seq) else complement(d.bottom_base(c))
+        d.top[c] if 0 <= c < len(d.top) else complement(d.bottom_base(c))
         for c in range(d.span_start, d.span_end)
     )
     assert d.top_line() == expected

@@ -2,7 +2,8 @@
 
 Every record type is a `typing.NamedTuple`: its fields cannot be set, and
 equality and hashing are those of the tuple of its fields. The digest table
-keys species by that hash. That the validating types still refuse bad values on
+keys species by that hash. A `Strand` is no record: it is a `str` that checks
+its alphabet. That the validating types still refuse bad values on
 construction is pinned where each type is tested (`test_non_acgt_rejected`,
 `test_mismatch_rejected`, `test_invalid_sites_rejected`).
 """
@@ -11,7 +12,7 @@ import pytest
 from conftest import make_ball_game
 
 from dnadecide import compiler, gel, soundness, wetlab
-from dnadecide.strands import Duplex, RecognitionSite, Strand
+from dnadecide.strands import Duplex, RecognitionSite, Strand, StrandError
 
 
 def _run():
@@ -24,7 +25,7 @@ def _run():
 
 # class name -> a factory that builds the same value afresh on every call
 EXAMPLES = {
-    "Strand": lambda: Strand("ACGTTG", "x"),
+    "Strand": lambda: Strand("ACGTTG"),
     "Duplex": lambda: Duplex(Strand("GGACGT"), Strand("ACGT"), 2),
     "RecognitionSite": lambda: RecognitionSite("PvuII", "CAGCTG"),
     "Outcome": lambda: make_ball_game().outcomes[0],
@@ -53,9 +54,10 @@ UNHASHABLE = {"Segment", "RuleContext", "EncodingPlan", "ProtocolPlan", "TubeSta
 def test_fields_and_new_attributes_cannot_be_set(name):
     value = EXAMPLES[name]()
     assert type(value).__name__ == name
-    field = value._fields[0]
-    with pytest.raises(AttributeError):
-        setattr(value, field, getattr(value, field))
+    if name != "Strand":  # a Strand is a str: its sequence is its only content
+        field = value._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
     with pytest.raises(AttributeError):
         value.note = "extra"
 
@@ -77,7 +79,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     site = RecognitionSite("PvuII", "CAGCTG")
     assert hash(site) == hash(("PvuII", "CAGCTG"))
     species = wetlab.Species("k", Strand("ACGT"), 3)
-    assert hash(species) == hash(("k", ("ACGT", ""), 3, wetlab.ACTIVE, False))
+    assert hash(species) == hash(("k", "ACGT", 3, wetlab.ACTIVE, False))
     assert species != species._replace(count=2)
 
 
@@ -101,6 +103,16 @@ def test_no_mutable_default_is_shared():
 
 def test_strand_length_is_its_sequence_length():
     assert len(Strand("ACGTACGTAC")) == 10
+
+
+def test_strand_is_its_sequence():
+    strand = Strand("ACGTTG")
+    assert isinstance(strand, str) and strand == "ACGTTG" and hash(strand) == hash("ACGTTG")
+    assert str(strand) == f"{strand}" == "ACGTTG"
+    with pytest.raises(StrandError):
+        Strand("ACGN")
+    with pytest.raises(StrandError):
+        Strand("")
 
 
 def test_plan_describe_methods_live_on_their_own_classes():

@@ -116,20 +116,18 @@ def test_trusted_duplexes_equal_checked_rebuilds():
                 frags = (f"fragment:{key}:{i}" for i in range(len(lengths)))
                 pieces = [state.species[frag].structure for frag in frags]
                 parent = before.species[key].structure
-                assert "".join(p.top.seq for p in pieces) == parent.top.seq, key
-                assert "".join(p.bottom.seq for p in pieces[::-1]) == parent.bottom.seq, key
+                assert "".join(p.top for p in pieces) == parent.top, key
+                assert "".join(p.bottom for p in pieces[::-1]) == parent.bottom, key
             for key, sp in state.species.items():
                 if not sp.is_duplex:
                     continue
                 d = sp.structure
-                rebuilt = Duplex(
-                    Strand(d.top.seq, d.top.role), Strand(d.bottom.seq, d.bottom.role), d.offset
-                )
+                rebuilt = Duplex(Strand(d.top), Strand(d.bottom), d.offset)
                 assert rebuilt == d and (type(d), type(d.top), type(d.bottom)) == (
                     Duplex, Strand, Strand
                 ), key
                 if key.startswith("construct:"):
-                    assert d.offset == 0 and d.bottom.seq == reverse_complement(d.top.seq), key
+                    assert d.offset == 0 and d.bottom == reverse_complement(d.top), key
                 checked += 1
     assert checked > 10_000
 
@@ -291,7 +289,7 @@ def test_pcr_with_foreign_primers_amplifies_nothing(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
     digested = digest(tubes[0], plan.tube_enzymes[0])
-    foreign = {"primer:left": Strand("ACGTACGTAC", "p1"), "primer:right": Strand("TGCATGCATG", "p2")}
+    foreign = {"primer:left": Strand("ACGTACGTAC"), "primer:right": Strand("TGCATGCATG")}
     amplified = pcr(digested._replace(plan=plan._replace(strands=plan.strands | foreign)), 5)
     assert all(not sp.amplified for sp in amplified.species.values())
 
@@ -490,7 +488,7 @@ def test_simulator_runs_the_printed_protocol(make, library, cycles):
     printed_doses = [pair.rsplit("=", 1) for pair in doses.split(", ")]
     digests = re.findall(r"^   (\S+): digest with (.*) at 37 C$", text, re.M)
     amplify = re.search(r"^5\. amplify (\d+) PCR cycles with primers (\w+) and (\w+)$", text, re.M)
-    assert [amplify[2], amplify[3]] == [primer.seq for primer in plan.primers]
+    assert [amplify[2], amplify[3]] == list(plan.primers)
     assert len(digests) == len(tubes) == len(plan.matrix.options)
     for (label, enzymes), tube in zip(digests, tubes):
         records = {record["op"]: record for record in tube.log}
