@@ -8,9 +8,9 @@ A problem file looks like:
       "utilities": {"favorable": "1", "unfavorable": "0"}
     }
 
-Probabilities and utilities are exact rationals written as strings
-("4/9", "1", "0.5" is not accepted). The "utilities" block is optional
-and defaults to 1 for favorable and 0 for unfavorable outcomes.
+Probabilities and utilities are exact rationals written as strings ("4/9",
+"1", "0.5", "5e-1"); a JSON number such as 0.5 is refused. The "utilities"
+block is optional and defaults to 1 for favorable and 0 for unfavorable outcomes.
 """
 
 from __future__ import annotations
@@ -94,7 +94,11 @@ def parse_problem(text: str) -> DecisionMatrix:
 
 
 def load_problem(path: str | Path) -> DecisionMatrix:
-    return parse_problem(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_problem(text)
 
 
 def dump_problem(matrix: DecisionMatrix) -> str:

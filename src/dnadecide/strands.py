@@ -18,9 +18,9 @@ an earlier site's cut column falls strictly inside it, as cutting site by
 site would. A site with no instance adds no cut column and blocks nothing,
 so cutting with only the sites a duplex holds gives the same fragments.
 The protocol simulator uses that: it scans each pooled duplex once for the
-whole library (`site_hits`), hands those instances to every `cut` of that
-duplex, and lets the cuts share one memo of slices, so each distinct
-column interval is sliced once however many enzyme sets cut the duplex.
+whole library (`site_hits`, one `str.find` loop per site) and hands those
+instances to every `cut` of it. The cuts share one memo of slices; each
+slices only a column interval the memo lacks, straight into `_derived`.
 """
 
 from __future__ import annotations
@@ -189,7 +189,13 @@ def site_hits(duplex: Duplex, sites) -> dict[RecognitionSite, list[int]]:
     in the given order."""
     line = duplex.top_line()
     lo, hi = _ds_window(duplex)
-    return {site: found for site in sites if (found := scan(line, site.site, lo, hi))}
+    found: dict[RecognitionSite, list[int]] = {}
+    for site in sites:
+        p = line.find(site.site, lo, hi)
+        while p != -1:
+            found.setdefault(site, []).append(p)
+            p = line.find(site.site, p + 1, hi)
+    return found
 
 
 def cut(
@@ -218,34 +224,33 @@ def cut(
         hits = site_hits(duplex, sites)
     cols: list[int] = []
     for site in sites:
-        width = len(site.site)
-        found = [p for p in hits.get(site, ()) if not any(p < c < p + width for c in cols)]
-        cols.extend(p + CUT_OFFSET for p in found)
+        width, earlier = len(site.site), cols[:]
+        for p in hits.get(site, ()):
+            for c in earlier:
+                if p < c < p + width:
+                    break
+            else:
+                cols.append(p + CUT_OFFSET)
     if not cols:
         return [duplex]
-    start = duplex.span_start
-    bounds = [start] + sorted(start + c for c in cols) + [duplex.span_end]
+    top, bottom, offset = duplex
+    end = offset + len(bottom)  # one past the bottom strand's last column
+    a = start = min(0, offset)
     pieces = {} if pieces is None else pieces
-    intervals = list(zip(bounds, bounds[1:]))
-    for a, b in intervals:
-        if (a, b) not in pieces:
-            pieces[a, b] = _slice_columns(duplex, a, b)
-    return [pieces[ab] for ab in intervals]
-
-
-def _slice_columns(d: Duplex, a: int, b: int) -> Duplex:
-    """Fragment covering top-strand columns [a, b)."""
-    ta, tb = max(a, 0), min(b, len(d.top))
-    ba, bb = max(a, d.offset), min(b, d.offset + len(d.bottom))
-    lb = len(d.bottom)
-    bottom = d.bottom[d.offset + lb - bb : d.offset + lb - ba]
-    return _derived(d.top[ta:tb], bottom, ba - ta)
+    out = []
+    for b in sorted(start + c for c in cols) + [max(len(top), end)]:
+        if (a, b) not in pieces:  # top columns [a, b) and the bottom bases paired under them
+            ta, ba = max(a, 0), max(a, offset)
+            pieces[a, b] = _derived(top[ta:b], bottom[end - min(b, end) : end - ba], ba - ta)
+        out.append(pieces[a, b])
+        a = b
+    return out
 
 
 def _derived(top: str, bottom: str, offset: int) -> Duplex:
     """A duplex cut or copied from checked strands, built without the checks
-    of `Strand` and `Duplex` (only `_slice_columns` and `wetlab.assemble` use
-    it): the caller guarantees non-empty ACGT strands that pair at `offset`."""
+    of `Strand` and `Duplex` (only `cut` and `wetlab.assemble` use it): the
+    caller guarantees non-empty ACGT strands that pair at `offset`."""
     return tuple.__new__(Duplex, (str.__new__(Strand, top), str.__new__(Strand, bottom), offset))
 
 

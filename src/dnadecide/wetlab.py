@@ -3,13 +3,13 @@
 Each species' amount is an integer count of 1/`plan.intensity_scale()`
 of a stock (one pooled dose = scale counts): every dose is a whole number
 of them and PCR only doubles, so counting stays exact rational arithmetic.
-A `Fraction` is built only where an amount leaves the simulation: audit
-record text, `TubeState.concentration` and the gel's bands. Operations
-never mutate a tube; each returns a fresh TubeState with an audit record
-appended, so a whole run is reproducible from its log. Thresholding
-follows pairwise dose semantics: a threshold dosed at ratio r holds back
-min(r, c) from EACH chance species it targets, the ratio being defined
-against that species' own stock.
+Audit records spell each amount as a reduced ratio (`_ratio`, one gcd); a
+`Fraction` is built only for `TubeState.concentration` and the gel's bands.
+Operations never mutate a tube; each returns a fresh TubeState with an
+audit record appended, so a whole run is reproducible from its log.
+Thresholding follows pairwise dose semantics: a threshold dosed at ratio r
+holds back min(r, c) from EACH chance species it targets, the ratio being
+defined against that species' own stock.
 
 Assembly uses limiting-reagent accounting against the counts at entry:
 every root-to-termination path yields construct at the minimum of
@@ -19,16 +19,17 @@ what a within-lane band comparison measures.
 
 The option tubes split from one pool share one `DigestTable`, the fate
 table of the pool's active duplexes. Each is scanned for the library's
-sites once, cut once per distinct set of enzymes that hit it (each
-distinct column interval sliced once), and judged primer-flanked once, as
-is each of its fragments, however many tubes digest and amplify it. Per
-tube, digest and pcr run over those duplexes, not over every species of
-the tube, and build the tube's species and audit records from the table.
+sites once and cut once per distinct set of enzymes that hit it (each
+distinct column interval sliced once); one pass over a cut's fragments
+builds each one's species, span length and primer verdict. Per tube,
+digest and pcr run over those duplexes, not over every species of the
+tube; digest reads each one's enzyme mask and cut memo from its fate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .compiler import (
@@ -106,6 +107,12 @@ class TubeState(NamedTuple):
         return self._replace(species=species, log=self.log + (record,))
 
 
+def _ratio(count: int, unit: int) -> str:
+    """`str(Fraction(count, unit))` for audit text, without building the Fraction."""
+    g = gcd(count, unit)
+    return f"{count // g}" if g == unit else f"{count // g}/{unit // g}"
+
+
 def mix(plan: EncodingPlan) -> TubeState:
     """Pool every encoding species; thresholds go in at their dose ratios,
     each a whole number of units (`DoseError` otherwise: never rounded)."""
@@ -160,14 +167,11 @@ def apply_thresholds(tube: TubeState) -> TubeState:
                 continue
             species[ch_key] = species[ch_key]._replace(count=c - consumed)
             waste_key = f"waste:{ch_key}"
-            waste_structure = species[th_key].structure
-            species[waste_key] = Species(
-                waste_key, waste_structure, consumed, status=WASTE
-            )
+            species[waste_key] = Species(waste_key, species[th_key].structure, consumed, WASTE)
             detail[ch_key] = {
-                "dose": str(Fraction(dose, unit)),
-                "consumed": str(Fraction(consumed, unit)),
-                "remaining": str(Fraction(c - consumed, unit)),
+                "dose": _ratio(dose, unit),
+                "consumed": _ratio(consumed, unit),
+                "remaining": _ratio(c - consumed, unit),
             }
         species[th_key] = species[th_key]._replace(count=max(0, dose - max_consumed))
     return tube._with(species, {"op": "thresholds", "displaced": detail})
@@ -202,11 +206,8 @@ def assemble(tube: TubeState) -> TubeState:
         top = plan.construct_top(roles)
         bottom = top[::-1].translate(_COMPLEMENT)
         species[key] = Species(key, _derived(top, bottom, 0), amount)
-    record = {
-        "op": "assemble",
-        "yields": {key: str(Fraction(amount, unit)) for key, _, amount in paths},
-    }
-    return tube._with(species, record)
+    yields = {key: _ratio(amount, unit) for key, _, amount in paths}
+    return tube._with(species, {"op": "assemble", "yields": yields})
 
 
 def split_tubes(tube: TubeState) -> list[TubeState]:
@@ -221,12 +222,6 @@ def split_tubes(tube: TubeState) -> list[TubeState]:
     return tubes
 
 
-def _site_catalog(plan: EncodingPlan) -> dict[str, RecognitionSite]:
-    catalog = {s.enzyme: s for s in plan.option_sites.values()}
-    catalog.update({s.enzyme: s for s in plan.outcome_sites.values()})
-    return catalog
-
-
 class _Fate:
     """What digest and pcr do to one active duplex, worked out once."""
 
@@ -235,11 +230,10 @@ class _Fate:
     def __init__(self, species: Species, primed: bool) -> None:
         self.species = species
         self.primed = primed  # both ends match the plan's primers: pcr amplifies it
-        self.hits: dict[RecognitionSite, list[int]] | None = None  # scanned on first digest
-        self.mask = 0  # the enzymes with a site in it
-        # enzyme mask -> (fragments by key, their lengths, (key, fate) of each)
-        self.cuts: dict[int, tuple] = {}
-        self.pieces: dict[tuple[int, int], Duplex] = {}  # `cut`'s slices, shared by its cuts
+        # the library's site instances in it; `DigestTable.scan` sets them on the
+        # first digest, with `mask` (the enzymes with a site in it), `cuts`
+        # (enzyme mask -> `DigestTable.fragments`) and `pieces` (`cut`'s slices)
+        self.hits: dict[RecognitionSite, list[int]] | None = None
 
 
 class _View(NamedTuple):
@@ -255,10 +249,10 @@ class DigestTable:
     the plan's primers), and from the first digest that reaches it, the
     library's site instances in it (one `site_hits` scan, in enzyme name
     order). Each distinct set of enzymes that hits it is cut once, with
-    that scan and one memo of slices, and the fragments get fates of their
-    own. Cutting with only the enzymes that hit a duplex gives the same
-    fragments as cutting with all of a tube's enzymes, so tubes with
-    different enzyme sets share entries.
+    that scan and one memo of slices; one pass over the fragments builds
+    each one's species, length and fate. Cutting with only the enzymes
+    that hit a duplex gives the same fragments as cutting with all of a
+    tube's enzymes, so tubes with different enzyme sets share entries.
 
     The fates are found through views: a species dict's active duplexes,
     listed once. A view is keyed by the dict's keys in order and holds its
@@ -271,25 +265,24 @@ class DigestTable:
 
     def __init__(self, plan: EncodingPlan) -> None:
         self.plan = plan
-        self.catalog = _site_catalog(plan)
+        sites = (*plan.option_sites.values(), *plan.outcome_sites.values())
+        self.catalog = {site.enzyme: site for site in sites}
         self._library = [self.catalog[name] for name in sorted(self.catalog)]
         # enzyme sets are bit masks over the library in name order
         self._bits = {site.enzyme: 1 << i for i, site in enumerate(self._library)}
-        # an end matches a primer read on either strand
+        # the (left, right) ends pcr amplifies: a primer at each, read on either strand
         p1, p2 = plan.primers
-        self._ends = ((p1, reverse_complement(p1)), (p2, reverse_complement(p2)))
+        e1, e2 = (p1, reverse_complement(p1)), (p2, reverse_complement(p2))
+        self._ends = {(left, right) for x, y in ((e1, e2), (e2, e1)) for left in x for right in y}
+        self._n1, self._n2 = len(p1), len(p2)
         self._views: dict[tuple[str, ...], _View] = {}
 
-    def _fate(self, sp: Species) -> _Fate:
-        ends1, ends2 = self._ends
-        n1, n2 = len(ends1[0]), len(ends2[0])
-        duplex = sp.structure
-        top = duplex.top
-        # blunt, and long enough to hold both primers
-        if not duplex.is_blunt or len(top) < 2 * n1:
-            return _Fate(sp, False)
-        left, right = top[:n1], top[-n2:]
-        return _Fate(sp, (left in ends1 and right in ends2) or (left in ends2 and right in ends1))
+    def _primed(self, duplex: Duplex) -> bool:
+        """Blunt, long enough to hold both primers, and flanked by them."""
+        top, bottom, offset = duplex
+        n1, n2 = self._n1, self._n2
+        blunt = offset == 0 and len(top) == len(bottom)
+        return blunt and len(top) >= 2 * n1 and (top[:n1], top[-n2:]) in self._ends
 
     def duplexes(self, species: dict[str, Species]) -> list[tuple[str, _Fate]]:
         """(key, fate) of every active duplex in `species`, in order: from
@@ -300,7 +293,7 @@ class DigestTable:
         if view is not None and view.values == values:
             return view.duplexes
         found = [
-            (key, self._fate(sp))
+            (key, _Fate(sp, self._primed(sp.structure)))
             for key, sp in species.items()
             if sp.status == ACTIVE and sp.is_duplex
         ]
@@ -315,31 +308,25 @@ class DigestTable:
         """The named enzymes (all in this plan's library) as a bit mask."""
         return sum(self._bits[name] for name in set(enzyme_names))
 
-    def fragments(self, fate: _Fate, mask: int) -> tuple | None:
-        """(fragments by key, their lengths, (key, fate) of each) that the
-        enzymes in `mask` cut a duplex into; None if none has a site in it.
+    def scan(self, fate: _Fate) -> None:
+        """Find the library's sites in a fate's duplex, once."""
+        fate.hits = site_hits(fate.species.structure, self._library)
+        fate.mask = sum(self._bits[site.enzyme] for site in fate.hits)
+        fate.cuts, fate.pieces = {}, {}
 
-        The first enzyme with a site cuts every instance of it, so a
-        non-empty set always yields at least two fragments.
-        """
-        if fate.hits is None:
-            fate.hits = site_hits(fate.species.structure, self._library)
-            fate.mask = self.mask(site.enzyme for site in fate.hits)
-        hit = fate.mask & mask
-        if not hit:
-            return None
-        if hit in fate.cuts:
-            return fate.cuts[hit]
+    def fragments(self, fate: _Fate, hit: int) -> tuple:
+        """(fragments by key, their lengths, (key, fate) of each) that `hit`, a
+        non-empty part of a scanned fate's `mask`, cuts its duplex into; kept in `cuts`."""
         sp = fate.species
         sites = [site for site in fate.hits if self._bits[site.enzyme] & hit]
-        pieces = cut(sp.structure, *sites, hits=fate.hits, pieces=fate.pieces)
-        frags = {}
-        fates = []
-        for i, piece in enumerate(pieces):
-            frag = Species(f"fragment:{sp.key}:{i}", piece, sp.count)
-            frags[frag.key] = frag
-            fates.append((frag.key, self._fate(frag)))
-        result = fate.cuts[hit] = (frags, tuple(p.span_length for p in pieces), fates)
+        frags, lengths, fates = {}, [], []
+        for i, piece in enumerate(cut(sp.structure, *sites, hits=fate.hits, pieces=fate.pieces)):
+            top, bottom, offset = piece
+            key = f"fragment:{sp.key}:{i}"
+            frags[key] = frag = Species(key, piece, sp.count)
+            lengths.append(max(len(top), offset + len(bottom)) - min(0, offset))
+            fates.append((key, _Fate(frag, self._primed(piece))))
+        fate.cuts[hit] = result = (frags, lengths, fates)
         return result
 
 
@@ -375,12 +362,15 @@ def digest(
     species = dict(tube.species)
     cuts: dict[str, list[int]] = {}
     uncut, added = [], []
-    for key, fate in table.duplexes(tube.species):
-        result = table.fragments(fate, mask)
-        if result is None:
-            uncut.append((key, fate))
+    for entry in table.duplexes(tube.species):
+        key, fate = entry
+        if fate.hits is None:
+            table.scan(fate)
+        hit = fate.mask & mask
+        if not hit:
+            uncut.append(entry)
             continue
-        frags, lengths, fates = result
+        frags, lengths, fates = fate.cuts.get(hit) or table.fragments(fate, hit)
         del species[key]
         species.update(frags)
         cuts[key] = list(lengths)
@@ -389,12 +379,7 @@ def digest(
         # no fragment took the key of another species, so these are the
         # new tube's duplexes in its order
         table.remember(species, uncut + added)
-    record = {
-        "op": "digest",
-        "enzymes": ordered,
-        "fragments": cuts,
-    }
-    return tube._with(species, record)
+    return tube._with(species, {"op": "digest", "enzymes": ordered, "fragments": cuts})
 
 
 def pcr(tube: TubeState, cycles: int, table: DigestTable | None = None) -> TubeState:
@@ -425,8 +410,13 @@ def pcr(tube: TubeState, cycles: int, table: DigestTable | None = None) -> TubeS
 
 def purify(tube: TubeState) -> TubeState:
     """Keep amplified material only; leftovers, fragments and waste wash out."""
-    kept = {k: s for k, s in tube.species.items() if s.amplified and s.status == ACTIVE}
-    removed = sorted(tube.species.keys() - kept.keys())
+    kept, removed = {}, []
+    for key, sp in tube.species.items():
+        if sp.amplified and sp.status == ACTIVE:
+            kept[key] = sp
+        else:
+            removed.append(key)
+    removed.sort()
     return tube._with(kept, {"op": "purify", "removed": removed})
 
 

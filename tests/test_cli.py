@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,21 @@ def test_float_probability_rejected():
     )
     with pytest.raises(ProblemFormatError, match="rational written as a string"):
         parse_problem(bad)
+
+
+@pytest.mark.parametrize("written", ["0.5", " 1/2 ", "5e-1", "1/2"])
+def test_decimal_and_rational_strings_parse_exactly(written):
+    doc = {
+        "outcomes": [
+            {"label": "heads", "probability": written},
+            {"label": "tails", "probability": "1/2"},
+        ],
+        "options": [{"label": "o", "favorable": ["heads"]}],
+        "utilities": {"favorable": written, "unfavorable": "0"},
+    }
+    matrix = parse_problem(json.dumps(doc))
+    assert matrix.outcomes[0].probability == Fraction(1, 2)
+    assert matrix.u_favorable == Fraction(1, 2)
 
 
 def test_missing_options_key_rejected():
@@ -189,6 +205,17 @@ def test_malformed_input_exits_one_and_names_field(tmp_path, capsys):
     assert main(["run", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert "outcomes[0].probability" in err
+
+
+def test_input_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+    with pytest.raises(ProblemFormatError, match="bad.json: not UTF-8"):
+        load_problem(path)
+    assert main(["run", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json: not UTF-8" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_missing_input_file_exits_one(capsys):

@@ -245,6 +245,25 @@ def test_straddling_site_is_cut_only_by_the_earlier_enzyme():
         assert cut(d, *order) == cut_one_site_at_a_time(d, order)
 
 
+def test_instances_of_one_site_never_block_each_other():
+    # not a library site: ATATAT overlaps itself two bases on, which no
+    # library site does, so its second instance starts inside the first's cut
+    self_overlapping = RecognitionSite("AtaT", "ATATAT")
+    d = blunt("GGGG" + "ATATATAT" + "GGGG")
+    assert find_sites(d, self_overlapping) == [4, 6]
+    assert [f.top_line() for f in cut(d, self_overlapping)] == ["GGGGATA", "TA", "TATGGGG"]
+
+
+@given(duplexes(), site_lists)
+def test_cut_fragments_are_checked_slices_of_the_parent(d, sites):
+    frags = cut(d, *sites)
+    for f in frags:
+        assert Duplex(Strand(f.top), Strand(f.bottom), f.offset) == f
+    assert "".join(f.top for f in frags) == d.top
+    assert "".join(f.bottom for f in reversed(frags)) == d.bottom
+    assert "".join(f.top_line() for f in frags) == d.top_line()
+
+
 def test_cut_without_sites_returns_input():
     d = blunt("TCTGACTCAGCTGAGATCCA")
     assert cut(d) == [d]

@@ -23,7 +23,9 @@ from dnadecide.wetlab import (
     CycleCountError,
     DigestTable,
     DoseError,
+    Species,
     UnknownEnzymeError,
+    _ratio,
     apply_thresholds,
     assemble,
     construct_key,
@@ -294,6 +296,28 @@ def test_pcr_with_foreign_primers_amplifies_nothing(ball_setup):
     assert all(not sp.amplified for sp in amplified.species.values())
 
 
+def test_digest_and_pcr_judge_any_duplex_geometry(ball_setup):
+    # the run's constructs are blunt and read primer-first; the same molecule
+    # read from its other strand is amplified too, and an overhanging duplex
+    # is cut into fragments whose recorded lengths are their spans
+    _, plan, protocol = ball_setup
+    tubes, _ = tube_states(plan, protocol)
+    tube, enzymes = tubes[0], plan.tube_enzymes[0]
+    cut_key = next(iter(digest(tube, enzymes).log[-1]["fragments"]))
+    d = tube.species[construct_key("option-1", "red")].structure
+    c = tube.species[cut_key].structure
+    added = {
+        "flipped": Species("flipped", Duplex(d.bottom, d.top, 0), 9),
+        "overhung": Species("overhung", Duplex(c.top, reverse_complement("GA" + c.top[:-4]), -2), 9),
+    }
+    digested = digest(tube._replace(species=tube.species | added), enzymes)
+    assert pcr(digested, 1).species["flipped"].amplified
+    lengths = digested.log[-1]["fragments"]["overhung"]
+    frags = [digested.species[f"fragment:overhung:{i}"] for i in range(len(lengths))]
+    assert lengths == [sp.length for sp in frags] and len(lengths) > 1
+    assert sum(lengths) == added["overhung"].length == len(c.top) + 2
+
+
 def test_purify_keeps_amplified_only_and_is_idempotent(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
@@ -458,21 +482,30 @@ def _run_text(matrix, seed, library) -> str:
 
 
 # sha256 of every tube's audit log, the band table, the SVG, the text gel and
-# the readout; a construct assembled in another order or from other roles
-# moves the log and the bands
+# the readout, over the given compile seeds; a construct assembled in another
+# order or from other roles moves the log and the bands. The 13x5 draws (one
+# per seed) run 13 tubes with all 18 extended enzymes.
 @pytest.mark.parametrize(
-    "make, library, sha",
+    "make, library, seeds, sha",
     [
-        (make_ball_game, CORE_BLUNT_CUTTERS,
+        (lambda seed: make_ball_game(), CORE_BLUNT_CUTTERS, range(10),
          "07dde8fb2fb147fc3816a70821b759d2d82559eede1cec4b3681bd5c4626ddfe"),
-        (make_five_by_five, EXTENDED_BLUNT_CUTTERS,
+        (lambda seed: make_five_by_five(), EXTENDED_BLUNT_CUTTERS, range(10),
          "a3cacf142b3dc52498b3cc661e32008888a93708ef71fc07c51262c8d340d2cd"),
+        (lambda seed: make_widest(random.Random(seed)), EXTENDED_BLUNT_CUTTERS, range(4),
+         "688e47de07495264a8549fb5ce040b9ff75fe7862650710d77a84b69a1f799a2"),
     ],
-    ids=["core", "extended-5x5"],
+    ids=["core", "extended-5x5", "extended-13x5"],
 )
-def test_run_outputs_are_byte_identical_to_reference(make, library, sha):
-    text = "".join(_run_text(make(), seed, library) for seed in range(10))
+def test_run_outputs_are_byte_identical_to_reference(make, library, seeds, sha):
+    text = "".join(_run_text(make(seed), seed, library) for seed in seeds)
     assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def test_audit_ratio_text_equals_the_fraction_text():
+    for d in range(1, 61):
+        for n in range(241):
+            assert _ratio(n, d) == str(Fraction(n, d)), (n, d)
 
 
 @pytest.mark.parametrize(
