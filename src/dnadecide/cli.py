@@ -117,7 +117,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
         print(f"wrote {out}")
 
 
@@ -132,10 +132,10 @@ def _cmd_compile(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "encoding.fasta").write_text(plan.to_fasta())
-        (out / "plan.txt").write_text(plan.describe())
-        (out / "protocol.txt").write_text(protocol.describe())
-        (out / "problem.json").write_text(dump_problem(plan.matrix))
+        (out / "encoding.fasta").write_text(plan.to_fasta(), encoding="utf-8")
+        (out / "plan.txt").write_text(plan.describe(), encoding="utf-8")
+        (out / "protocol.txt").write_text(protocol.describe(), encoding="utf-8")
+        (out / "problem.json").write_text(dump_problem(plan.matrix), encoding="utf-8")
         print(f"wrote encoding.fasta, plan.txt, protocol.txt, problem.json to {out}")
     return 0
 
@@ -151,10 +151,10 @@ def _cmd_run(args) -> int:
     if args.outdir is not None:
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.txt").write_text(report.describe())
-        (outdir / "bands.tsv").write_text(band_table(gel))
-        (outdir / "gel.svg").write_text(render(gel, "svg"))
-        (outdir / "gel.txt").write_text(render(gel, "text"))
+        (outdir / "report.txt").write_text(report.describe(), encoding="utf-8")
+        (outdir / "bands.tsv").write_text(band_table(gel), encoding="utf-8")
+        (outdir / "gel.svg").write_text(render(gel, "svg"), encoding="utf-8")
+        (outdir / "gel.txt").write_text(render(gel, "text"), encoding="utf-8")
         print(f"wrote report.txt, bands.tsv, gel.svg, gel.txt to {outdir}")
     if args.format == "tsv":
         _emit(band_table(gel), args.out)

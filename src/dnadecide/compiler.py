@@ -16,6 +16,9 @@ of the tops. The sequence rules live in `violations`. Sequence generation
 is rejection sampling of the tops under those rules and is deterministic
 for a given seed; `validate_encoding` and the reference checks in `fixture`
 judge material by the same table and rules.
+
+Each strand is named by a role key (`role_*`) that spells the slugs of the
+labels it serves; `derivations` refuses labels that would share a name.
 """
 
 from __future__ import annotations
@@ -27,18 +30,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .decision import (
-    ROLE_CHOICE,
-    ROLE_TERM,
-    DecisionMatrix,
-    Payoff,
-    _slug,
-    role_chance,
-    role_option,
-    role_prob,
-    role_util,
-    validate_matrix,
-)
+from .decision import DecisionMatrix, DuplicateLabelError, Payoff, validate_matrix
 from .strands import (
     CORE_BLUNT_CUTTERS,
     Duplex,
@@ -64,8 +56,33 @@ DYE_FRONT_BP = 100
 DYE_STOP = Fraction(2, 3)
 MAX_CORE_LENGTH = 200  # longest probability core the ladder range admits
 
+
+# -- strand names --------------------------------------------------------------
+
+ROLE_CHOICE = "choice"
+ROLE_TERM = "term"
 ROLE_PRIMER_LEFT = "primer:left"
 ROLE_PRIMER_RIGHT = "primer:right"
+
+
+def _slug(label: str) -> str:
+    return "_".join(label.split())
+
+
+def role_option(label: str) -> str:
+    return f"option:{_slug(label)}"
+
+
+def role_chance(option_label: str, outcome_label: str) -> str:
+    return f"chance:{_slug(option_label)}:{_slug(outcome_label)}"
+
+
+def role_prob(outcome_label: str) -> str:
+    return f"prob:{_slug(outcome_label)}"
+
+
+def role_util(outcome_label: str) -> str:
+    return f"util:{_slug(outcome_label)}"
 
 
 def role_thresh(outcome_label: str) -> str:
@@ -105,6 +122,11 @@ def construct_roles(option_label: str, outcome_label: str) -> tuple[str, ...]:
         role_link_util(outcome_label),
         ROLE_TERM,
     )
+
+
+def construct_key(option_label: str, outcome_label: str) -> str:
+    """The ligated construct of one path; unique whenever its chance strand's key is."""
+    return f"construct:{_slug(option_label)}:{_slug(outcome_label)}"
 
 
 class CompileError(Exception):
@@ -232,17 +254,42 @@ _GEOMETRY = (
 
 
 def derivations(options: list[str], outcomes: list[str]) -> dict[str, Derivation]:
-    """The geometry table spelled out for these option and outcome labels."""
+    """The geometry table spelled out for these option and outcome labels.
+
+    Every other key (an option or utility top, a construct) spells its
+    labels' slugs as a row here does, so a key spelled twice here is the one
+    check that refuses labels, or label pairs, that would share a strand.
+    """
     table: dict[str, Derivation] = {}
-    option_slugs, outcome_slugs = [_slug(o) for o in options], [_slug(u) for u in outcomes]
+    named_options = [(o, _slug(o)) for o in options]
+    named_outcomes = [(u, _slug(u)) for u in outcomes]
     for role, offset, slices, what in _GEOMETRY:
-        for o in option_slugs if "{o}" in role else [""]:
-            for u in outcome_slugs if "{u}" in role else [""]:
-                name = {"o": o, "u": u}
-                table[role.format(**name)] = Derivation(
+        row = (named_options if "{o}" in role else [("", "")],
+               named_outcomes if "{u}" in role else [("", "")])
+        for o, o_slug in row[0]:
+            for u, u_slug in row[1]:
+                name = {"o": o_slug, "u": u_slug}
+                key = role.format(**name)
+                if key in table:
+                    raise _collision(role, key, row, (o, u))
+                table[key] = Derivation(
                     tuple((r.format(**name), a, b) for r, a, b in slices), what, offset
                 )
     return table
+
+
+def _collision(role: str, key: str, row, pair: tuple[str, str]) -> DuplicateLabelError:
+    """Name the first (option, outcome) of `row`'s (label, slug) lists whose
+    `role` spells `key`, and `pair`, which spells it too."""
+    first = next((o, u) for o, o_slug in row[0] for u, u_slug in row[1]
+                 if role.format(o=o_slug, u=u_slug) == key)
+    if "{o}" in role and "{u}" in role:
+        names = (f"option {first[0]!r} with outcome {first[1]!r} and "
+                 f"option {pair[0]!r} with outcome {pair[1]!r}")
+    else:
+        family, k = ("option", 0) if "{o}" in role else ("outcome", 1)
+        names = f"{family} labels {first[k]!r} and {pair[k]!r}"
+    return DuplicateLabelError(f"{names} collide: both name their strands {key!r}")
 
 
 def top_lengths(options: list[str], middle_lengths: dict[str, int]) -> dict[str, int]:
@@ -481,6 +528,7 @@ def generate_sequences(
     option_sites: dict[str, RecognitionSite],
     outcome_sites: dict[str, RecognitionSite],
     middle_lengths: dict[str, int],
+    table: dict[str, Derivation],
     seed: int = 0,
     pins: dict[str, tuple[str, str]] | None = None,
     notes: list[str] | None = None,
@@ -488,10 +536,10 @@ def generate_sequences(
     """Build every strand and duplex of the encoding, deterministically.
 
     The designer samples the independent tops and the geometry table
-    derives the rest. `pins` maps a top's role to a reference piece,
-    (printed label, sequence), that the designer judges in place as the
-    first candidate for that top (a threshold's piece is its pad alone);
-    each verdict is appended to `notes`.
+    (`table`, from `derivations`) derives the rest. `pins` maps a top's
+    role to a reference piece, (printed label, sequence), that the designer
+    judges in place as the first candidate for that top (a threshold's
+    piece is its pad alone); each verdict is appended to `notes`.
     """
     pins = pins or {}
     assigned = [s.site for s in [*option_sites.values(), *outcome_sites.values()]]
@@ -520,7 +568,7 @@ def generate_sequences(
         place(role_thresh(out), prefix=tops[role_prob(out)][:OVERHANG_LENGTH])
 
     plan: dict[str, Strand | Duplex] = {role: Strand(top) for role, top in tops.items()}
-    for role, rule in derivations(options, outcomes).items():
+    for role, rule in table.items():
         strand = Strand(rule.derive(tops))
         plan[role] = strand if rule.offset is None else Duplex(plan[role], strand, rule.offset)
     return plan
@@ -602,8 +650,9 @@ def check_pieces(
 def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
     """Check a plan against the geometry table and the sequence rules.
 
-    Violations are returned as data, never raised; a freshly compiled plan
-    must come back clean, a transcribed reference may not.
+    Violations are returned as data, never raised (labels that would share a
+    strand are, as in `derivations`); a freshly compiled plan must come back
+    clean, a transcribed reference may not.
     """
     matrix, strands = plan.matrix, plan.strands
     options = [opt.label for opt in matrix.options]
@@ -616,8 +665,9 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
         offset = table[role].offset if role in table else None
         if duplex and item.offset == offset:
             pieces[role + "'"] = item.bottom
-        elif offset is not None:
-            detail = f"must be a duplex paired from column {offset}"
+        elif duplex or offset is not None:
+            detail = ("must be a single strand" if offset is None
+                      else f"must be a duplex paired from column {offset}")
             found.append(EncodingViolation("geometry", (role,), detail))
     sites = {role_option(o.label): plan.option_sites[o.label].site for o in matrix.options}
     sites.update({role_util(o.label): plan.outcome_sites[o.label].site for o in matrix.outcomes})
@@ -774,6 +824,8 @@ def compile_problem(
 ) -> tuple[EncodingPlan, ProtocolPlan]:
     """Full translation: matrix -> sequences, tube schedule, bench steps."""
     validate_matrix(matrix)
+    # the geometry table first: it refuses labels that would share a strand
+    table = derivations([o.label for o in matrix.options], [o.label for o in matrix.outcomes])
     ratios = {out.label: threshold_ratio(out.probability) for out in matrix.outcomes}
     lengths = probability_lengths([out.probability for out in matrix.outcomes])
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
@@ -785,7 +837,7 @@ def compile_problem(
 
         pins = reference_pins(matrix)
     strands = generate_sequences(
-        matrix, option_sites, outcome_sites, middles, seed=seed, pins=pins, notes=notes
+        matrix, option_sites, outcome_sites, middles, table, seed=seed, pins=pins, notes=notes
     )
     plan = EncodingPlan(
         matrix=matrix,

@@ -104,34 +104,9 @@ def validate_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
         ("outcome", [o.label for o in matrix.outcomes]),
         ("option", [o.label for o in matrix.options]),
     ):
-        # species are keyed by slug, so two labels with one slug would
-        # silently share (and overwrite) each other's strands
-        by_slug: dict[str, str] = {}
-        for lbl in labels:
-            slug = _slug(lbl)
-            other = by_slug.get(slug)
-            if other == lbl:
+        for i, lbl in enumerate(labels):
+            if lbl in labels[:i]:
                 raise DuplicateLabelError(f"duplicate {family} label {lbl!r}")
-            if other is not None:
-                raise DuplicateLabelError(
-                    f"{family} labels {other!r} and {lbl!r} collide: "
-                    f"both name their strands {slug!r}"
-                )
-            by_slug[slug] = lbl
-    # role keys join slugs with ':', which labels may contain too: options
-    # "a:b" and "a" with outcomes "c" and "b:c" would share one chance strand
-    by_role: dict[str, tuple[str, str]] = {}
-    for opt in matrix.options:
-        for out in matrix.outcomes:
-            role = role_chance(opt.label, out.label)
-            other = by_role.get(role)
-            if other is not None:
-                raise DuplicateLabelError(
-                    f"option {other[0]!r} with outcome {other[1]!r} and "
-                    f"option {opt.label!r} with outcome {out.label!r} collide: "
-                    f"both name their strands {role!r}"
-                )
-            by_role[role] = (opt.label, out.label)
     for opt in matrix.options:
         if len(opt.payoffs) != len(matrix.outcomes):
             raise MissingPayoffClassError(
@@ -160,28 +135,3 @@ def best_options(matrix: DecisionMatrix) -> list[int]:
     top = max(scores)
     return [i for i, s in enumerate(scores) if s == top]
 
-
-# -- role keys ----------------------------------------------------------------
-
-ROLE_CHOICE = "choice"
-ROLE_TERM = "term"
-
-
-def _slug(label: str) -> str:
-    return "_".join(label.split())
-
-
-def role_option(label: str) -> str:
-    return f"option:{_slug(label)}"
-
-
-def role_chance(option_label: str, outcome_label: str) -> str:
-    return f"chance:{_slug(option_label)}:{_slug(outcome_label)}"
-
-
-def role_prob(outcome_label: str) -> str:
-    return f"prob:{_slug(outcome_label)}"
-
-
-def role_util(outcome_label: str) -> str:
-    return f"util:{_slug(outcome_label)}"

@@ -16,19 +16,17 @@ from __future__ import annotations
 
 from .compiler import (
     OVERHANG_LENGTH,
+    ROLE_CHOICE,
+    ROLE_TERM,
     check_pieces,
     derivations,
     middle_length_for_rank,
-    role_thresh,
-)
-from .decision import (
-    ROLE_CHOICE,
-    ROLE_TERM,
-    DecisionMatrix,
     role_option,
     role_prob,
+    role_thresh,
     role_util,
 )
+from .decision import DecisionMatrix
 
 KEEP, FLIP = "5to3", "3to5"
 

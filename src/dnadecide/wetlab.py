@@ -37,11 +37,12 @@ from .compiler import (
     ROLE_PRIMER_RIGHT,
     EncodingPlan,
     ProtocolPlan,
+    construct_key,
     construct_roles,
+    role_chance,
     role_thresh,
     tube_label,
 )
-from .decision import _slug, role_chance
 from .strands import (
     _COMPLEMENT,
     Duplex,
@@ -175,10 +176,6 @@ def apply_thresholds(tube: TubeState) -> TubeState:
             }
         species[th_key] = species[th_key]._replace(count=max(0, dose - max_consumed))
     return tube._with(species, {"op": "thresholds", "displaced": detail})
-
-
-def construct_key(option_label: str, outcome_label: str) -> str:
-    return f"construct:{_slug(option_label)}:{_slug(outcome_label)}"
 
 
 def assemble(tube: TubeState) -> TubeState:

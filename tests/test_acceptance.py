@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from conftest import make_ball_game
 
-from dnadecide.compiler import DYE_FRONT_BP, compile_problem
-from dnadecide.decision import best_options, role_chance, role_option, role_util
+from dnadecide.compiler import DYE_FRONT_BP, compile_problem, role_chance, role_option, role_util
+from dnadecide.decision import best_options
 from dnadecide.gel import GEL_LENGTH, _merge_bands, decode_length, ladder, migrate, readout, run_gel
 from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,

@@ -351,6 +351,41 @@ def test_colliding_role_keys_exit_one(tmp_path, capsys):
     assert "'a:b'" in err and "'b:c'" in err and "chance:a:b:c" in err
 
 
+def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
+    # with UTF-8 mode off, the C locale's codec is ASCII; labels reach plan.txt,
+    # report.txt and the gel, and writing them used to raise UnicodeEncodeError
+    doc = {
+        "outcomes": [
+            {"label": "rouge é", "probability": "1/3"},
+            {"label": "noir", "probability": "2/3"},
+        ],
+        "options": [
+            {"label": "choix α", "favorable": ["rouge é"]},
+            {"label": "b", "favorable": ["noir"]},
+        ],
+    }
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = Path(dnadecide.__file__).resolve().parents[1]
+    env = dict(
+        os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0", PYTHONIOENCODING="utf-8"
+    )
+    for argv in (
+        ["compile", "--out", str(tmp_path / "design")],
+        ["run", "--outdir", str(tmp_path / "run")],
+        ["run", "--out", str(tmp_path / "report.txt")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "dnadecide.cli", *argv, "--input", str(path)],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert "rouge é" in (tmp_path / "design" / "plan.txt").read_text(encoding="utf-8")
+    report = (tmp_path / "run" / "report.txt").read_text(encoding="utf-8")
+    assert "choix α" in report
+    assert (tmp_path / "report.txt").read_text(encoding="utf-8") == report
+
+
 def test_run_rejects_cycle_count_above_ceiling(capsys):
     # 2**100000 used to surface as an uncaught ValueError from Fraction.__str__
     assert main(["run", "--cycles", "100000"]) == 1

@@ -1,10 +1,11 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dnadecide.compiler import (
     BASE_CONSTRUCT_LENGTH,
@@ -28,7 +29,8 @@ from dnadecide.compiler import (
     validate_encoding,
     violations,
 )
-from dnadecide.decision import build_matrix, role_option, role_prob, role_util
+from dnadecide.compiler import _slug, construct_key, role_chance, role_option, role_prob, role_util
+from dnadecide.decision import DuplicateLabelError, build_matrix
 from dnadecide.fixture import assess_printed, printed_pieces, reference_pins
 from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
@@ -395,7 +397,8 @@ def test_generation_failure_is_raised_not_looped(monkeypatch):
 
     monkeypatch.setattr(compiler, "MAX_TRIES", 0)
     with pytest.raises(GenerationFailedError):
-        generate_sequences(m, option_sites, outcome_sites, middles, seed=0)
+        table = derivations(["option-1", "option-2", "option-3"], list(middles))
+        generate_sequences(m, option_sites, outcome_sites, middles, table, seed=0)
 
 
 def test_generation_failure_names_the_rule_that_ran_out():
@@ -510,3 +513,101 @@ _EXTRA = ("site-extra", _ROLES, "designed site CACGTG not exactly once at offset
 )
 def test_planted_sites_give_exact_findings(seq, left, right, expected):
     assert _util_findings(seq, left, right) == expected
+
+
+@pytest.mark.parametrize("role", ["option:option-1", "link:prob:red"])
+def test_duplex_at_a_single_strand_role_is_flagged(ball_plan, role):
+    plan, _ = ball_plan
+    strand = plan.strands[role]
+    duplexed = {**plan.strands, role: Duplex(strand, reverse_complement(strand), 0)}
+    findings = validate_encoding(plan._replace(strands=duplexed))
+    assert [str(v) for v in findings] == [f"[geometry] {role}: must be a single strand"]
+
+
+# -- label collisions: distinct labels that would name one strand ---------------
+
+def test_labels_with_colliding_slugs_rejected():
+    # "red ball" and "red_ball" would key the same strands
+    with pytest.raises(DuplicateLabelError, match="'red ball' and 'red_ball'"):
+        compile_problem(build_matrix(
+            outcomes=[("red ball", F(1, 2)), ("red_ball", F(1, 2))],
+            options=[("x", ["red ball"])],
+        ))
+    with pytest.raises(DuplicateLabelError, match="option labels 'go  left' and 'go left'"):
+        compile_problem(build_matrix(
+            outcomes=[("a", F(1))],
+            options=[("go  left", ["a"]), ("go left", [])],
+        ))
+    # the same slug in different namespaces is fine
+    compile_problem(build_matrix(outcomes=[("a b", F(1))], options=[("a_b", ["a b"])]))
+
+
+def test_pairs_with_colliding_role_keys_rejected():
+    # "a:b" x "c" and "a" x "b:c" would both key chance:a:b:c
+    with pytest.raises(
+        DuplicateLabelError,
+        match="option 'a:b' with outcome 'c' and option 'a' with outcome 'b:c'",
+    ):
+        compile_problem(build_matrix(
+            outcomes=[("c", F(2, 3)), ("b:c", F(1, 3))],
+            options=[("a:b", ["c"]), ("a", ["b:c"])],
+        ))
+    # a ':' that makes no two keys equal is fine
+    compile_problem(build_matrix(outcomes=[("c", F(1))], options=[("a:b", ["c"]), ("a", [])]))
+
+
+def test_colliding_labels_are_named_before_any_other_compile_step():
+    # six outcomes need a core beyond the ladder; the collision is refused first
+    distinct = [(u, F(1, 6)) for u in ["red ball", "c", "d", "e", "f", "g"]]
+    with pytest.raises(UnresolvableError):
+        compile_problem(build_matrix(distinct, [("x", [])]))
+    colliding = [*distinct[:5], ("red_ball", F(1, 6))]
+    with pytest.raises(DuplicateLabelError, match="outcome labels 'red ball' and 'red_ball'"):
+        compile_problem(build_matrix(colliding, [("x", [])]))
+
+
+_LABELS = st.text(alphabet="ab _:", min_size=1, max_size=3)
+_ONE_LABEL = re.compile(
+    r"(option|outcome) labels '([^']*)' and '([^']*)' collide: both name their strands '([^']*)'"
+)
+_ONE_PAIR = re.compile(
+    r"option '([^']*)' with outcome '([^']*)' and option '([^']*)' with outcome '([^']*)' "
+    r"collide: both name their strands '([^']*)'"
+)
+
+
+@st.composite
+def _label_soup_problems(draw):
+    outcomes = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+    options = draw(st.lists(_LABELS, min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(outcomes), max_size=len(outcomes)))
+    favorable = [draw(st.lists(st.sampled_from(outcomes), unique=True)) for _ in options]
+    total = sum(weights)
+    return [(u, F(w, total)) for u, w in zip(outcomes, weights)], list(zip(options, favorable))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_label_soup_problems())
+@example(([("a b", F(1, 2)), ("a_b", F(1, 2))], [("a", ["a b"])]))
+@example(([("a", F(1))], [(" a", ["a"]), ("a", [])]))
+@example(([("b", F(1, 2)), ("b:b", F(1, 2))], [("a:b", ["b"]), ("a", [])]))
+def test_every_strand_key_is_distinct_or_the_labels_are_named(problem):
+    outcomes, options = problem
+    matrix = build_matrix(outcomes, options)  # distinct labels always make a matrix
+    try:
+        plan, _ = compile_problem(matrix, library=EXTENDED_BLUNT_CUTTERS)
+    except DuplicateLabelError as exc:
+        one = _ONE_LABEL.fullmatch(str(exc))
+        if one:
+            family, first, second, key = one.groups()
+            assert first != second and _slug(first) == _slug(second)
+            family_labels = outcomes if family == "outcome" else options
+            assert {first, second} <= {lbl for lbl, _ in family_labels}
+            assert key.endswith(":" + _slug(first))
+        else:
+            o1, u1, o2, u2, key = _ONE_PAIR.fullmatch(str(exc)).groups()
+            assert (o1, u1) != (o2, u2) and role_chance(o1, u1) == role_chance(o2, u2) == key
+        return
+    n, m = len(options), len(outcomes)
+    assert len(plan.strands) == 4 + 2 * n + 5 * m + n * m
+    assert len({construct_key(o, u) for o, _ in options for u, _ in outcomes}) == n * m

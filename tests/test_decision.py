@@ -109,36 +109,6 @@ def test_duplicate_labels_rejected():
         )
 
 
-def test_labels_with_colliding_slugs_rejected():
-    # "red ball" and "red_ball" would key the same strands
-    with pytest.raises(DuplicateLabelError, match="'red ball' and 'red_ball'"):
-        build_matrix(
-            outcomes=[("red ball", F(1, 2)), ("red_ball", F(1, 2))],
-            options=[("x", ["red ball"])],
-        )
-    with pytest.raises(DuplicateLabelError, match="option labels 'go  left' and 'go left'"):
-        build_matrix(
-            outcomes=[("a", F(1))],
-            options=[("go  left", ["a"]), ("go left", [])],
-        )
-    # the same slug in different namespaces is fine
-    build_matrix(outcomes=[("a b", F(1))], options=[("a_b", ["a b"])])
-
-
-def test_pairs_with_colliding_role_keys_rejected():
-    # "a:b" x "c" and "a" x "b:c" would both key chance:a:b:c
-    with pytest.raises(
-        DuplicateLabelError,
-        match="option 'a:b' with outcome 'c' and option 'a' with outcome 'b:c'",
-    ):
-        build_matrix(
-            outcomes=[("c", F(2, 3)), ("b:c", F(1, 3))],
-            options=[("a:b", ["c"]), ("a", ["b:c"])],
-        )
-    # a ':' that makes no two keys equal is fine
-    build_matrix(outcomes=[("c", F(1))], options=[("a:b", ["c"]), ("a", [])])
-
-
 def test_missing_payoff_class_rejected():
     m = DecisionMatrix(
         outcomes=(Outcome("a", F(1, 2)), Outcome("b", F(1, 2))),

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from dnadecide.compiler import compile_problem, role_thresh
-from dnadecide.decision import Payoff, best_options, build_matrix, role_chance
+from dnadecide.compiler import compile_problem, role_chance, role_thresh
+from dnadecide.decision import Payoff, best_options, build_matrix
 from dnadecide.gel import band_table, readout, render, run_gel
 from dnadecide.soundness import random_matrix
 from dnadecide.strands import (
