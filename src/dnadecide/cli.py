@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from importlib import resources
 from pathlib import Path
@@ -188,7 +189,9 @@ def _input_errors() -> tuple[type[Exception], ...]:
 
 def main(argv: list[str] | None = None) -> int:
     """Exit codes: 0 success or agreement, 1 input or internal error,
-    2 verification disagreement."""
+    2 verification disagreement. Stdout is UTF-8, as the artifacts are."""
+    if isinstance(sys.stdout, io.TextIOWrapper):  # not a caller's own text buffer
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,13 +9,14 @@ Short linker strands complement every junction so ligation yields fully
 double-stranded constructs. Probability weighting is done before assembly
 by threshold duplexes dosed at one minus the outcome probability.
 
-`top_lengths` gives each independent top its designed length, and the
-geometry table (`_GEOMETRY`, spelled out by `derivations`) derives every
-other strand (duplex bottoms, linkers, chance strands, primers) from slices
-of the tops. The sequence rules live in `violations`. Sequence generation
-is rejection sampling of the tops under those rules and is deterministic
-for a given seed; `validate_encoding` and the reference checks in `fixture`
-judge material by the same table and rules.
+One rule sheet (`_top_rules`) gives each independent top, in design order,
+its designed length, designed site and ligated neighbours, and the geometry
+table (`_GEOMETRY`, spelled out by `derivations`) derives every other strand
+(duplex bottoms, linkers, chance strands, primers) from slices of the tops.
+The sequence rules live in `violations`. Sequence generation is rejection
+sampling of each top under its sheet's constraints and is deterministic for
+a given seed. The designer and the validator (`validate_encoding`, and the
+reference checks in `fixture`) read the same rule sheet, table and rules.
 
 Each strand is named by a role key (`role_*`) that spells the slugs of the
 labels it serves; `derivations` refuses labels that would share a name.
@@ -292,15 +293,37 @@ def _collision(role: str, key: str, row, pair: tuple[str, str]) -> DuplicateLabe
     return DuplicateLabelError(f"{names} collide: both name their strands {key!r}")
 
 
-def top_lengths(options: list[str], middle_lengths: dict[str, int]) -> dict[str, int]:
-    """Designed length of every independent top."""
-    lengths = {ROLE_CHOICE: ARM_LENGTH, ROLE_TERM: ARM_LENGTH}
-    lengths.update((role_option(opt), NODE_LENGTH) for opt in options)
+def _designed_sites(
+    matrix: DecisionMatrix,
+    option_sites: dict[str, RecognitionSite],
+    outcome_sites: dict[str, RecognitionSite],
+) -> dict[str, str]:
+    """The designed site of each option and utility top, by role; its values
+    are the assigned sites, options first."""
+    sites = {role_option(opt.label): option_sites[opt.label].site for opt in matrix.options}
+    sites.update((role_util(out.label), outcome_sites[out.label].site) for out in matrix.outcomes)
+    return sites
+
+
+def _top_rules(options: list[str], middle_lengths: dict[str, int], sites: dict[str, str],
+               tops: dict[str, str]):
+    """The rule sheet: each independent top in design order, with its
+    designed length and the `_Designer.fresh` constraints it is designed and
+    judged under. A neighbour is read from `tops` when its top is reached, so
+    the designer sees every top placed before; a missing one reads as ""."""
+    yield ROLE_CHOICE, ARM_LENGTH, {}
+    yield ROLE_TERM, ARM_LENGTH, {}
+    for opt in options:
+        role = role_option(opt)
+        yield role, _N, {"sites": {SITE_OFFSET: sites[role]}, "lefts": (tops.get(ROLE_CHOICE, ""),)}
+    option_tops = tuple(tops.get(role_option(opt), "") for opt in options)
     for out, m in middle_lengths.items():
-        lengths[role_prob(out)] = 2 * OVERHANG_LENGTH + m
-        lengths[role_util(out)] = NODE_LENGTH
-    lengths.update((role_thresh(out), NODE_LENGTH) for out in middle_lengths)
-    return lengths
+        yield role_prob(out), 2 * _H + m, {"lefts": option_tops, "breaks": (_H, _H + m)}
+    for out in middle_lengths:
+        role, left, right = role_util(out), tops.get(role_prob(out), ""), tops.get(ROLE_TERM, "")
+        yield role, _N, {"sites": {SITE_OFFSET: sites[role]}, "lefts": (left,), "rights": (right,)}
+    for out in middle_lengths:
+        yield role_thresh(out), _N, {"prefix": tops.get(role_prob(out), "")[:_H]}
 
 
 # -- sequence rules ------------------------------------------------------------
@@ -542,30 +565,12 @@ def generate_sequences(
     piece is its pad alone); each verdict is appended to `notes`.
     """
     pins = pins or {}
-    assigned = [s.site for s in [*option_sites.values(), *outcome_sites.values()]]
-    d = _Designer(random.Random(seed), assigned, notes)
+    sites = _designed_sites(matrix, option_sites, outcome_sites)
+    d = _Designer(random.Random(seed), list(sites.values()), notes)
     options = [opt.label for opt in matrix.options]
-    outcomes = [out.label for out in matrix.outcomes]
-    lengths = top_lengths(options, middle_lengths)
     tops: dict[str, str] = {}
-
-    def place(role: str, **constraints) -> None:
-        tops[role] = d.fresh(role, lengths[role], pin=pins.get(role), **constraints)
-
-    place(ROLE_CHOICE)
-    place(ROLE_TERM)
-    for opt in options:
-        site = {SITE_OFFSET: option_sites[opt].site}
-        place(role_option(opt), sites=site, lefts=(tops[ROLE_CHOICE],))
-    option_tops = tuple(tops[role_option(opt)] for opt in options)
-    for out in outcomes:
-        core = (OVERHANG_LENGTH, OVERHANG_LENGTH + middle_lengths[out])
-        place(role_prob(out), lefts=option_tops, breaks=core)
-    for out in outcomes:
-        site = {SITE_OFFSET: outcome_sites[out].site}
-        place(role_util(out), sites=site, lefts=(tops[role_prob(out)],), rights=(tops[ROLE_TERM],))
-    for out in outcomes:
-        place(role_thresh(out), prefix=tops[role_prob(out)][:OVERHANG_LENGTH])
+    for role, length, rules in _top_rules(options, middle_lengths, sites, tops):
+        tops[role] = d.fresh(role, length, pin=pins.get(role), **rules)
 
     plan: dict[str, Strand | Duplex] = {role: Strand(top) for role, top in tops.items()}
     for role, rule in table.items():
@@ -583,26 +588,27 @@ def check_pieces(
     pieces: dict[str, str],
     table: dict[str, Derivation],
 ) -> list[tuple[str, EncodingViolation]]:
-    """Walk the geometry table and the sequence rules over an encoding's pieces.
+    """Walk the rule sheet and the geometry table over an encoding's pieces.
 
     `pieces` maps strand names to sequences: a top or a free strand under
     its role, a duplex bottom under its role and a prime. `sites` gives the
     option and utility tops their designed sites, and `table` is the
-    geometry table spelled out for these labels. Each finding comes with
-    its strand, in this order: missing roles; lengths; on each top, the
-    toehold copy of a threshold and the rules (stray sites aside); on each
-    derived strand, GC and the derivation; stray sites, junctions included,
-    over every assembled construct.
+    geometry table spelled out for these labels. Each top is judged as the
+    designer placed it, by its rules in `_top_rules`, with its neighbours
+    read from `pieces`; every junction is judged on the top to its right
+    (the utility top also judges its right one). Each finding comes with its
+    strand, in this order: missing roles; lengths; on each top in design
+    order, the toehold copy of a threshold and the rules (windows, sites,
+    junctions, GC); on each derived strand, GC and the derivation.
     """
-    outcomes = list(middle_lengths)
-    lengths = top_lengths(options, middle_lengths)
-    parts = [(role, role, n, None) for role, n in lengths.items()]
+    rules = list(_top_rules(options, middle_lengths, sites, pieces))
+    lengths = {role: n for role, n, _ in rules}
+    parts = [(role, role, n, rule) for role, n, rule in rules]
     parts += [
         (role if d.offset is None else role + "'", role, d.length(lengths), d)
         for role, d in table.items()
     ]
     parts = [part for part in parts if part[0] in pieces]
-    tops = {role: pieces[role] for role in lengths if role in pieces}
     found = [
         (role, EncodingViolation("geometry", (role,), "missing role"))
         for role in {**lengths, **table}
@@ -614,36 +620,26 @@ def check_pieces(
         if len(pieces[name]) != n
     ]
     # a threshold toehold is a designed copy of either half of a chance junction
-    toeholds = {tops[role_prob(out)][:_H] for out in outcomes if role_prob(out) in tops}
-    toeholds |= {tops[role_option(opt)][_H:] for opt in options if role_option(opt) in tops}
-    thresholds = {role_thresh(out) for out in outcomes}
+    toeholds = {pieces[role_prob(out)][:_H] for out in middle_lengths if role_prob(out) in pieces}
+    toeholds |= {pieces[role_option(opt)][_H:] for opt in options if role_option(opt) in pieces}
     context = RuleContext(tuple(sites.values()), {})
     bare = RuleContext(context.sites)
-    for name, role, _, d in parts:
+    for name, role, _, rule in parts:
         seq = pieces[name]
-        if d is None:
-            copied = role in thresholds and seq[:_H] in toeholds
-            if role in thresholds and not copied:
-                detail = "toehold copies neither the option rear nor the probability front"
+        if isinstance(rule, Derivation):
+            found += [(name, v) for v in violations(Segment((role,), seq), bare) if v.rule == "gc"]
+            if all(r in pieces for r, _, _ in rule.slices) and seq != rule.derive(pieces):
+                detail = f"not the {rule.what}"
                 found.append((name, EncodingViolation("derivation", (role,), detail)))
-            own = {SITE_OFFSET: sites[role]} if role in sites else {}
-            segment = Segment((role,), seq, own, _H - WINDOW + 1 if copied else 0)
-            found += [(name, v) for v in violations(segment, context) if v.kind != "stray-site"]
-            context.place(segment)
             continue
-        found += [(name, v) for v in violations(Segment((role,), seq), bare) if v.rule == "gc"]
-        if all(r in tops for r, _, _ in d.slices) and seq != d.derive(tops):
-            found.append((name, EncodingViolation("derivation", (role,), f"not the {d.what}")))
-    for opt in options:
-        for out in outcomes:
-            path = construct_roles(opt, out)[::2]
-            if not all(role in tops for role in path):
-                continue
-            seq = "".join(tops[role] for role in path)
-            util_at = len(seq) - len(tops[ROLE_TERM]) - len(tops[path[3]]) + SITE_OFFSET
-            own = {len(tops[ROLE_CHOICE]) + SITE_OFFSET: sites[path[1]], util_at: sites[path[3]]}
-            construct = Segment((path[1], path[3]), seq, own)
-            found += [(path[1], v) for v in violations(construct, bare) if v.kind == "stray-site"]
+        copied = "prefix" in rule and seq[:_H] in toeholds
+        if "prefix" in rule and not copied:
+            detail = "toehold copies neither the option rear nor the probability front"
+            found.append((name, EncodingViolation("derivation", (role,), detail)))
+        segment = Segment((role,), seq, rule.get("sites", {}), _H - WINDOW + 1 if copied else 0,
+                          rule.get("lefts", ()), rule.get("rights", ()))
+        found += [(name, v) for v in violations(segment, context)]
+        context.place(segment)
     return found
 
 
@@ -669,8 +665,7 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
             detail = ("must be a single strand" if offset is None
                       else f"must be a duplex paired from column {offset}")
             found.append(EncodingViolation("geometry", (role,), detail))
-    sites = {role_option(o.label): plan.option_sites[o.label].site for o in matrix.options}
-    sites.update({role_util(o.label): plan.outcome_sites[o.label].site for o in matrix.outcomes})
+    sites = _designed_sites(matrix, plan.option_sites, plan.outcome_sites)
     return found + [v for _, v in check_pieces(options, plan.middle_lengths, sites, pieces, table)]
 
 

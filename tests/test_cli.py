@@ -386,6 +386,33 @@ def test_artifacts_are_utf8_under_an_ascii_locale(tmp_path):
     assert (tmp_path / "report.txt").read_text(encoding="utf-8") == report
 
 
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_stdout_is_utf8_under_an_ascii_locale(tmp_path, command):
+    # with no PYTHONIOENCODING the C locale's stdout codec is ASCII; printing
+    # the plan or the report used to die in a UnicodeEncodeError traceback
+    doc = {
+        "outcomes": [
+            {"label": "rouge é", "probability": "1/3"},
+            {"label": "noir", "probability": "2/3"},
+        ],
+        "options": [
+            {"label": "choix α", "favorable": ["rouge é"]},
+            {"label": "b", "favorable": ["noir"]},
+        ],
+    }
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = Path(dnadecide.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "dnadecide.cli", command, "--input", str(path)],
+        env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "choix α" in proc.stdout
+
+
 def test_run_rejects_cycle_count_above_ceiling(capsys):
     # 2**100000 used to surface as an uncaught ValueError from Fraction.__str__
     assert main(["run", "--cycles", "100000"]) == 1

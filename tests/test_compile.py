@@ -515,6 +515,66 @@ def test_planted_sites_give_exact_findings(seq, left, right, expected):
     assert _util_findings(seq, left, right) == expected
 
 
+# -- one rule sheet: validation judges each top as the designer placed it ------
+
+def _with_tops(plan, edit):
+    """`plan` with its independent tops edited in place by `edit` and every
+    other strand derived again, so that only the edited tops break a rule."""
+    table = derivations([o.label for o in plan.matrix.options], list(plan.middle_lengths))
+    tops = {role: s.top if isinstance(s, Duplex) else s for role, s in plan.strands.items()
+            if role not in table or table[role].offset is not None}
+    edit(tops)
+    strands = {role: Strand(top) for role, top in tops.items()}
+    for role, d in table.items():
+        strand = Strand(d.derive(tops))
+        strands[role] = strand if d.offset is None else Duplex(strands[role], strand, d.offset)
+    return plan._replace(strands=strands)
+
+
+_BALL_TOPS = [
+    "choice", "term", *(role_option(f"option-{i}") for i in (1, 2, 3)),
+    *(family(out) for family in (role_prob, role_util, role_thresh)
+      for out in ("red", "black", "white")),
+]
+
+
+@pytest.mark.parametrize("role", _BALL_TOPS)
+def test_a_planted_stray_site_is_found_once_on_its_top(ball_plan, role):
+    # offset 14 is clear of a node's designed site (7-12) and of a
+    # threshold's toehold (0-9); a shared top used to be blamed once per
+    # construct through it, and a threshold top was never judged for sites
+    plan, _ = ball_plan
+    assigned = [s.site for s in [*plan.option_sites.values(), *plan.outcome_sites.values()]]
+    strand = plan.strands[role]
+    top = strand.top if isinstance(strand, Duplex) else strand
+    rival = next(site for site in assigned if site not in top)
+
+    def plant(tops):
+        tops[role] = tops[role][:14] + rival + tops[role][20:]
+
+    found = validate_encoding(_with_tops(plan, plant))
+    assert [str(v) for v in found if v.rule in ("site", "junction")] == [
+        f"[stray-site] {role}: stray site {rival} at 14"
+    ]
+
+
+def test_a_planted_junction_site_is_found_once_on_the_judged_top(ball_plan):
+    # the choice | option-1 junction is judged on option-1, its right side
+    plan, _ = ball_plan
+    rival = plan.outcome_sites["white"].site
+
+    def plant(tops):
+        tops["choice"] = tops["choice"][:-3] + rival[:3]
+        tops["option:option-1"] = rival[3:] + tops["option:option-1"][3:]
+
+    edited = _with_tops(plan, plant)
+    joint = edited.strands["choice"].top[-5:] + edited.strands["option:option-1"][:5]
+    found = validate_encoding(edited)
+    assert [str(v) for v in found if v.rule in ("site", "junction")] == [
+        f"[junction-site] option:option-1: site {rival} spans the junction {joint}"
+    ]
+
+
 @pytest.mark.parametrize("role", ["option:option-1", "link:prob:red"])
 def test_duplex_at_a_single_strand_role_is_flagged(ball_plan, role):
     plan, _ = ball_plan
