@@ -42,6 +42,10 @@ def _fraction(raw, where: str) -> Fraction:
 def _string(raw, where: str) -> str:
     if not isinstance(raw, str) or not raw:
         raise ProblemFormatError(f"{where}: expected a non-empty string")
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate escape such as "\ud800"
+        raise ProblemFormatError(f"{where}: not encodable as UTF-8: {exc.reason}") from None
     return raw
 
 

@@ -17,13 +17,13 @@ its nine constituents, and shared constituents are debited by total demand
 (floored at zero). Yields are nominal per-path numbers, which is exactly
 what a within-lane band comparison measures.
 
-The option tubes split from one pool share one `DigestTable`, the fate
-table of the pool's active duplexes. Each is scanned for the library's
-sites once and cut once per distinct set of enzymes that hit it (each
-distinct column interval sliced once); one pass over a cut's fragments
-builds each one's species, span length and primer verdict. Per tube,
-digest and pcr run over those duplexes, not over every species of the
-tube; digest reads each one's enzyme mask and cut memo from its fate.
+`digest`, `pcr` and `purify` are the single steps, each walking its own
+tube. `run_protocol` does not call them: its option tubes, split from one
+pool, share the pool's `DigestTable`, which walks the pool once, scans each
+active duplex for the library's sites once and cuts it once per distinct
+set of enzymes that hits it. Each tube's digest, pcr and purify then run
+as one pass over that table, writing the same audit records as the single
+steps and building a species only for a fragment that survives purify.
 """
 
 from __future__ import annotations
@@ -219,184 +219,78 @@ def split_tubes(tube: TubeState) -> list[TubeState]:
     return tubes
 
 
-class _Fate:
-    """What digest and pcr do to one active duplex, worked out once."""
-
-    __slots__ = ("species", "primed", "hits", "mask", "cuts", "pieces")
-
-    def __init__(self, species: Species, primed: bool) -> None:
-        self.species = species
-        self.primed = primed  # both ends match the plan's primers: pcr amplifies it
-        # the library's site instances in it; `DigestTable.scan` sets them on the
-        # first digest, with `mask` (the enzymes with a site in it), `cuts`
-        # (enzyme mask -> `DigestTable.fragments`) and `pieces` (`cut`'s slices)
-        self.hits: dict[RecognitionSite, list[int]] | None = None
+def _library(plan: EncodingPlan) -> dict[str, RecognitionSite]:
+    """The plan's library: each enzyme's site, by enzyme name in name order."""
+    sites = (*plan.option_sites.values(), *plan.outcome_sites.values())
+    return {site.enzyme: site for site in sorted(sites)}
 
 
-class _View(NamedTuple):
-    values: list[Species]  # a species dict's values, in order
-    duplexes: list[tuple[str, _Fate]]  # (key, fate) of its active duplexes, in order
-
-
-class DigestTable:
-    """The fate table: what digest and pcr do to the species of one pool.
-
-    The tubes of one `run_protocol` split share one table. Every active
-    duplex it meets gets a fate: whether pcr amplifies it (both ends match
-    the plan's primers), and from the first digest that reaches it, the
-    library's site instances in it (one `site_hits` scan, in enzyme name
-    order). Each distinct set of enzymes that hits it is cut once, with
-    that scan and one memo of slices; one pass over the fragments builds
-    each one's species, length and fate. Cutting with only the enzymes
-    that hit a duplex gives the same fragments as cutting with all of a
-    tube's enzymes, so tubes with different enzyme sets share entries.
-
-    The fates are found through views: a species dict's active duplexes,
-    listed once. A view is keyed by the dict's keys in order and holds its
-    values, which a lookup checks (identity first, then equality), so a
-    changed species misses. Every tube split from the pool matches the
-    pool's view, and `digest` lists its own result's duplexes for `pcr`, so
-    per tube the steps run over the duplexes of the pool, not over all of
-    its species.
-    """
-
-    def __init__(self, plan: EncodingPlan) -> None:
-        self.plan = plan
-        sites = (*plan.option_sites.values(), *plan.outcome_sites.values())
-        self.catalog = {site.enzyme: site for site in sites}
-        self._library = [self.catalog[name] for name in sorted(self.catalog)]
-        # enzyme sets are bit masks over the library in name order
-        self._bits = {site.enzyme: 1 << i for i, site in enumerate(self._library)}
-        # the (left, right) ends pcr amplifies: a primer at each, read on either strand
-        p1, p2 = plan.primers
-        e1, e2 = (p1, reverse_complement(p1)), (p2, reverse_complement(p2))
-        self._ends = {(left, right) for x, y in ((e1, e2), (e2, e1)) for left in x for right in y}
-        self._n1, self._n2 = len(p1), len(p2)
-        self._views: dict[tuple[str, ...], _View] = {}
-
-    def _primed(self, duplex: Duplex) -> bool:
-        """Blunt, long enough to hold both primers, and flanked by them."""
-        top, bottom, offset = duplex
-        n1, n2 = self._n1, self._n2
-        blunt = offset == 0 and len(top) == len(bottom)
-        return blunt and len(top) >= 2 * n1 and (top[:n1], top[-n2:]) in self._ends
-
-    def duplexes(self, species: dict[str, Species]) -> list[tuple[str, _Fate]]:
-        """(key, fate) of every active duplex in `species`, in order: from
-        its view where it has one, else by walking it (which adds one)."""
-        keys = tuple(species)
-        values = list(species.values())
-        view = self._views.get(keys)
-        if view is not None and view.values == values:
-            return view.duplexes
-        found = [
-            (key, _Fate(sp, self._primed(sp.structure)))
-            for key, sp in species.items()
-            if sp.status == ACTIVE and sp.is_duplex
-        ]
-        self._views[keys] = _View(values, found)
-        return found
-
-    def remember(self, species: dict[str, Species], duplexes: list[tuple[str, _Fate]]) -> None:
-        """Record `duplexes` as the view of `species`, which the caller built."""
-        self._views[tuple(species)] = _View(list(species.values()), duplexes)
-
-    def mask(self, enzyme_names) -> int:
-        """The named enzymes (all in this plan's library) as a bit mask."""
-        return sum(self._bits[name] for name in set(enzyme_names))
-
-    def scan(self, fate: _Fate) -> None:
-        """Find the library's sites in a fate's duplex, once."""
-        fate.hits = site_hits(fate.species.structure, self._library)
-        fate.mask = sum(self._bits[site.enzyme] for site in fate.hits)
-        fate.cuts, fate.pieces = {}, {}
-
-    def fragments(self, fate: _Fate, hit: int) -> tuple:
-        """(fragments by key, their lengths, (key, fate) of each) that `hit`, a
-        non-empty part of a scanned fate's `mask`, cuts its duplex into; kept in `cuts`."""
-        sp = fate.species
-        sites = [site for site in fate.hits if self._bits[site.enzyme] & hit]
-        frags, lengths, fates = {}, [], []
-        for i, piece in enumerate(cut(sp.structure, *sites, hits=fate.hits, pieces=fate.pieces)):
-            top, bottom, offset = piece
-            key = f"fragment:{sp.key}:{i}"
-            frags[key] = frag = Species(key, piece, sp.count)
-            lengths.append(max(len(top), offset + len(bottom)) - min(0, offset))
-            fates.append((key, _Fate(frag, self._primed(piece))))
-        fate.cuts[hit] = result = (frags, lengths, fates)
-        return result
-
-
-def _table(tube: TubeState, table: DigestTable | None) -> DigestTable:
-    if table is None:
-        return DigestTable(tube.plan)
-    if table.plan is not tube.plan:
-        raise ValueError("digest table was built for another plan")
-    return table
-
-
-def digest(
-    tube: TubeState, enzyme_names, table: DigestTable | None = None
-) -> TubeState:
-    """Cut every active duplex with all named enzymes at once, to completion.
-
-    Each duplex is cut in one `cut` call with the named enzymes that have
-    a site in it, in name order (which only matters where two sites
-    overlap). `table` holds the fates of the tube's pool: the tubes of one
-    `run_protocol` split share one, so a duplex is scanned once and cut
-    once per distinct set of enzymes that hit it. Without it the call
-    starts a fresh table.
-    """
-    table = _table(tube, table)
-    catalog = table.catalog
+def _ordered(library: dict[str, RecognitionSite], enzyme_names) -> list[str]:
+    """The named enzymes in name order, each checked to be in the library."""
     ordered = sorted(enzyme_names)
     for name in ordered:
-        if name not in catalog:
-            raise UnknownEnzymeError(
-                f"{name} is not in this plan's library: {sorted(catalog)}"
-            )
-    mask = table.mask(ordered)
-    species = dict(tube.species)
-    cuts: dict[str, list[int]] = {}
-    uncut, added = [], []
-    for entry in table.duplexes(tube.species):
-        key, fate = entry
-        if fate.hits is None:
-            table.scan(fate)
-        hit = fate.mask & mask
-        if not hit:
-            uncut.append(entry)
-            continue
-        frags, lengths, fates = fate.cuts.get(hit) or table.fragments(fate, hit)
-        del species[key]
-        species.update(frags)
-        cuts[key] = list(lengths)
-        added += fates
-    if len(species) == len(tube.species) - len(cuts) + len(added):
-        # no fragment took the key of another species, so these are the
-        # new tube's duplexes in its order
-        table.remember(species, uncut + added)
-    return tube._with(species, {"op": "digest", "enzymes": ordered, "fragments": cuts})
+        if name not in library:
+            raise UnknownEnzymeError(f"{name} is not in this plan's library: {list(library)}")
+    return ordered
 
 
-def pcr(tube: TubeState, cycles: int, table: DigestTable | None = None) -> TubeState:
-    """Exponential amplification of blunt duplexes whose ends match the plan's primers.
+def _primer_rule(plan: EncodingPlan):
+    """Whether pcr amplifies a duplex: blunt, long enough to hold both
+    primers, and flanked by them (a primer at each end, read on either strand)."""
+    p1, p2 = plan.primers
+    e1, e2 = (p1, reverse_complement(p1)), (p2, reverse_complement(p2))
+    ends = {(left, right) for x, y in ((e1, e2), (e2, e1)) for left in x for right in y}
+    n1, n2 = len(p1), len(p2)
 
-    `table` holds each duplex's primer verdict, as for `digest`; without
-    it the call starts a fresh table.
-    """
+    def primed(duplex: Duplex) -> bool:
+        top, bottom, offset = duplex
+        blunt = offset == 0 and len(top) == len(bottom)
+        return blunt and len(top) >= 2 * n1 and (top[:n1], top[-n2:]) in ends
+
+    return primed
+
+
+def _check_cycles(cycles: int) -> None:
     if cycles < 0:
         raise CycleCountError(f"cycle count must be non-negative, got {cycles}")
     if cycles > MAX_PCR_CYCLES:
-        raise CycleCountError(
-            f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}"
-        )
-    table = _table(tube, table)
+        raise CycleCountError(f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}")
+
+
+def digest(tube: TubeState, enzyme_names) -> TubeState:
+    """Cut every active duplex with all named enzymes at once, to completion.
+
+    Each duplex is cut in one `cut` call with the named enzymes in name
+    order (which only matters where two sites overlap); its fragments
+    replace it, after the tube's other species.
+    """
+    library = _library(tube.plan)
+    ordered = _ordered(library, enzyme_names)
+    sites = [library[name] for name in ordered]
+    species = dict(tube.species)
+    cuts: dict[str, list[int]] = {}
+    for key, sp in tube.species.items():
+        if sp.status != ACTIVE or not sp.is_duplex:
+            continue
+        pieces = cut(sp.structure, *sites)
+        if len(pieces) == 1:
+            continue
+        del species[key]
+        for i, piece in enumerate(pieces):
+            frag = f"fragment:{key}:{i}"
+            species[frag] = Species(frag, piece, sp.count)
+        cuts[key] = [piece.span_length for piece in pieces]
+    return tube._with(species, {"op": "digest", "enzymes": ordered, "fragments": cuts})
+
+
+def pcr(tube: TubeState, cycles: int) -> TubeState:
+    """Exponential amplification of blunt duplexes whose ends match the plan's primers."""
+    _check_cycles(cycles)
+    primed = _primer_rule(tube.plan)
     species = dict(tube.species)
     amplified = []
-    for key, fate in table.duplexes(tube.species):
-        if fate.primed:
-            sp = species[key]
+    for key, sp in tube.species.items():
+        if sp.status == ACTIVE and sp.is_duplex and primed(sp.structure):
             species[key] = sp._replace(count=sp.count << cycles, amplified=True)
             amplified.append(key)
     record = {"op": "pcr", "cycles": cycles, "amplified": sorted(amplified)}
@@ -417,20 +311,124 @@ def purify(tube: TubeState) -> TubeState:
     return tube._with(kept, {"op": "purify", "removed": removed})
 
 
+class _Fate:
+    """What digest, pcr and purify do to one active duplex of a pool, worked out once."""
+
+    __slots__ = ("key", "species", "primed", "hits", "mask", "cuts", "pieces")
+
+    def __init__(self, key: str, species: Species, primed: bool, hits, mask: int) -> None:
+        self.key, self.species, self.primed = key, species, primed
+        self.hits = hits  # the library's site instances in it (`site_hits`)
+        self.mask = mask  # the enzymes with a site in it, as a bit mask
+        self.cuts: dict[int, tuple] = {}  # enzyme mask -> `DigestTable.fragments`
+        self.pieces: dict = {}  # `cut`'s slice memo, shared by its cuts
+
+
+class DigestTable:
+    """The fate table of one pool: what digest, pcr and purify do to it.
+
+    Built from the pool in one walk: every active duplex gets a fate (its
+    pcr primer verdict, and the library's site instances in it, from one
+    `site_hits` scan in enzyme name order); every other species is only
+    ever washed out. Each distinct set of enzymes that hits a duplex cuts it
+    once, and what the fragments come to is kept: their span lengths, the
+    keys of those purify washes out, and the primer-flanked ones pcr
+    amplifies. Cutting with only the enzymes that hit a duplex gives the
+    same fragments as cutting with all of a tube's enzymes, so tubes with
+    different enzyme sets share cuts.
+    """
+
+    def __init__(self, pool: TubeState) -> None:
+        plan = self.plan = pool.plan
+        self._library = _library(plan)
+        sites = list(self._library.values())
+        # enzyme sets are bit masks over the library in name order
+        self._bits = {name: 1 << i for i, name in enumerate(self._library)}
+        self._primed = _primer_rule(plan)
+        self.fates, washed = [], []
+        for key, sp in pool.species.items():
+            if sp.status != ACTIVE or not sp.is_duplex:
+                washed.append(key)
+                continue
+            hits = site_hits(sp.structure, sites)
+            mask = sum(self._bits[site.enzyme] for site in hits)
+            self.fates.append(_Fate(key, sp, self._primed(sp.structure), hits, mask))
+        # sorted once, so each tube's removed list sorts as a few runs
+        self._washed = sorted(washed)
+
+    def fragments(self, fate: _Fate, hit: int) -> tuple:
+        """(span lengths, keys washed out, (key, piece) of each primed one)
+        of the fragments that `hit`, a non-empty part of the fate's mask,
+        cuts its duplex into; kept in the fate's `cuts`."""
+        sites = [site for site in fate.hits if self._bits[site.enzyme] & hit]
+        pieces = cut(fate.species.structure, *sites, hits=fate.hits, pieces=fate.pieces)
+        lengths, washed, primed = [], [], []
+        for i, piece in enumerate(pieces):
+            key = f"fragment:{fate.key}:{i}"
+            lengths.append(piece.span_length)
+            if self._primed(piece):
+                primed.append((key, piece))
+            else:
+                washed.append(key)
+        fate.cuts[hit] = result = (lengths, washed, primed)
+        return result
+
+    def purified(self, tube: TubeState, enzyme_names, cycles: int) -> TubeState:
+        """`purify(pcr(digest(tube, enzyme_names), cycles))` of an aliquot of
+        the table's pool (from `split_tubes`), in one pass over its fates.
+
+        The same audit records come out, and the survivors in the same
+        order: the uncut primed duplexes in pool order, then the primed
+        fragments. No fragment key can be a pool key (those are role,
+        `construct:` and `waste:` keys), so no fragment replaces a species.
+        """
+        if tube.plan is not self.plan:
+            raise ValueError("digest table was built for another plan")
+        ordered = _ordered(self._library, enzyme_names)
+        _check_cycles(cycles)
+        mask = sum(self._bits[name] for name in ordered)
+        kept, frags, cuts, removed = {}, {}, {}, self._washed[:]
+        for fate in self.fates:
+            hit = fate.mask & mask
+            if not hit:
+                if fate.primed:
+                    sp = fate.species
+                    kept[fate.key] = sp._replace(count=sp.count << cycles, amplified=True)
+                else:
+                    removed.append(fate.key)
+                continue
+            lengths, washed, primed = fate.cuts.get(hit) or self.fragments(fate, hit)
+            cuts[fate.key] = lengths[:]  # each audit record owns its lists
+            removed += washed
+            if primed:
+                count = fate.species.count << cycles
+                for key, piece in primed:
+                    frags[key] = Species(key, piece, count, ACTIVE, True)
+        kept.update(frags)
+        removed.sort()
+        log = tube.log + (
+            {"op": "digest", "enzymes": ordered, "fragments": cuts},
+            {"op": "pcr", "cycles": cycles, "amplified": sorted(kept)},
+            {"op": "purify", "removed": removed},
+        )
+        return tube._replace(species=kept, log=log, pcr_cycles=tube.pcr_cycles + cycles)
+
+
 def run_protocol(
     plan: EncodingPlan, protocol: ProtocolPlan, cycles: int | None = None
 ) -> list[TubeState]:
     """mix -> thresholds -> assemble -> split -> (digest, pcr, purify) per tube.
 
-    `plan` must be the protocol's own plan; `cycles` overrides its PCR cycles.
+    `plan` must be the protocol's own plan; `cycles` overrides its PCR
+    cycles. The tubes share the pool's `DigestTable`, which runs each
+    tube's last three steps in one pass.
     """
     if plan is not protocol.plan:
         raise ValueError("protocol was compiled for another plan")
     n = cycles if cycles is not None else protocol.pcr_cycles
     pool = assemble(apply_thresholds(mix(plan)))
-    tubes = split_tubes(pool)
-    table = DigestTable(plan)
-    out = []
-    for tube, enzymes in zip(tubes, plan.tube_enzymes):
-        out.append(purify(pcr(digest(tube, enzymes, table), n, table)))
-    return out
+    table = DigestTable(pool)
+    return [
+        table.purified(tube, enzymes, n)
+        for tube, enzymes in zip(split_tubes(pool), plan.tube_enzymes)
+    ]

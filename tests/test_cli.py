@@ -413,6 +413,31 @@ def test_stdout_is_utf8_under_an_ascii_locale(tmp_path, command):
     assert "choix α" in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["compile", "run"])
+@pytest.mark.parametrize(
+    "field, outcome, favorable",
+    [("outcomes[0].label", "r\ud800", "r\ud800"), ("options[1].favorable[0]", "r", "b\udfff")],
+    ids=["outcome-label", "favorable-entry"],
+)
+def test_a_lone_surrogate_exits_one_naming_the_field(tmp_path, command, field, outcome, favorable):
+    # JSON may escape half of a surrogate pair; such a label parsed, then died
+    # in a UnicodeEncodeError traceback at the first print or artifact write
+    doc = {
+        "outcomes": [{"label": outcome, "probability": "1/2"}, {"label": "b", "probability": "1/2"}],
+        "options": [{"label": "x", "favorable": [outcome]}, {"label": "y", "favorable": [favorable]}],
+    }
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII, with the \ud800 escape
+    src = Path(dnadecide.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnadecide.cli", command, "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and f"{field}: not encodable as UTF-8" in proc.stderr
+
+
 def test_run_rejects_cycle_count_above_ceiling(capsys):
     # 2**100000 used to surface as an uncaught ValueError from Fraction.__str__
     assert main(["run", "--cycles", "100000"]) == 1

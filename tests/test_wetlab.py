@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dnadecide.compiler import compile_problem, role_chance, role_thresh
+from dnadecide.compiler import ProtocolPlan, compile_problem, role_chance, role_thresh
 from dnadecide.decision import Payoff, best_options, build_matrix
 from dnadecide.gel import band_table, readout, render, run_gel
 from dnadecide.soundness import random_matrix
@@ -70,17 +70,16 @@ def test_mix_rejects_a_dose_of_part_units(ball_setup):
 
 
 def _every_stage(plan, cycles):
-    """The pool after each pooled step, then each tube split, digested,
-    amplified and purified, as `run_protocol` runs them."""
-    table = DigestTable(plan)
+    """The pool after each pooled step, each tube split, digested, amplified
+    and purified by the single steps, then `run_protocol`'s tubes."""
     states = [mix(plan)]
     states.append(apply_thresholds(states[-1]))
     states.append(assemble(states[-1]))
     for tube, enzymes in zip(split_tubes(states[-1]), plan.tube_enzymes):
-        cut = digest(tube, enzymes, table)
-        grown = pcr(cut, cycles, table)
+        cut = digest(tube, enzymes)
+        grown = pcr(cut, cycles)
         states += [tube, cut, grown, purify(grown)]
-    return states
+    return states + run_protocol(plan, ProtocolPlan(plan, cycles))
 
 
 def test_every_count_is_an_int():
@@ -112,7 +111,7 @@ def test_trusted_duplexes_equal_checked_rebuilds():
         states = _every_stage(plan, protocol.pcr_cycles)
         for before, state in zip(states, states[1:]):
             record = state.log[-1]
-            if record["op"] not in ("assemble", "digest"):
+            if record["op"] not in ("assemble", "digest", "purify"):
                 continue
             for key, lengths in record.get("fragments", {}).items():
                 frags = (f"fragment:{key}:{i}" for i in range(len(lengths)))
@@ -393,74 +392,79 @@ def test_random_matrices_survivors_match_favorability():
             assert have == want, f"trial {trial}, {opt.label}"
 
 
+def _single_steps(plan, cycles):
+    """Each option tube of `plan` through digest, pcr and purify, one step
+    at a time and with nothing shared between tubes."""
+    pool = assemble(apply_thresholds(mix(plan)))
+    return [purify(pcr(digest(t, e), cycles)) for t, e in zip(split_tubes(pool), plan.tube_enzymes)]
+
+
+def _assert_run_equals_single_steps(plan, protocol, cycles):
+    """`run_protocol`'s tubes equal the single steps' (species in order,
+    log and cycle count), and every audit record owns its lists."""
+    got, want = run_protocol(plan, protocol, cycles), _single_steps(plan, cycles)
+    assert len(got) == len(want) == len(plan.matrix.options)
+    for a, b in zip(got, want):
+        assert list(a.species.items()) == list(b.species.items())
+        assert (a.label, a.log, a.pcr_cycles) == (b.label, b.log, b.pcr_cycles)
+    lists = []
+    for tube in got:
+        cut, grown, kept = tube.log[-3:]
+        lists += [cut["enzymes"], *cut["fragments"].values(), grown["amplified"], kept["removed"]]
+    # even where tubes share a duplex's fragments
+    assert len({id(lst) for lst in lists}) == len(lists)
+    return got
+
+
 @pytest.mark.parametrize("draw", range(6))
 def test_shared_digest_table_equals_fresh_digests(draw):
-    # run_protocol's tubes share one DigestTable; digesting and amplifying
-    # each tube on its own, with nothing shared, must give the same species
-    # and the same log at every step
+    # run_protocol's tubes share one DigestTable and run digest, pcr and
+    # purify as one pass over it; the single steps on each tube, with
+    # nothing shared, must give the same species in the same order and the
+    # same log
     rng = random.Random("wide:9973" if draw == 5 else 2024 + draw)
     m = random_matrix(rng) if draw < 4 else make_widest(rng)
     plan, protocol = compile_problem(m, seed=draw, library=EXTENDED_BLUNT_CUTTERS)
-    n = protocol.pcr_cycles
-    pool = assemble(apply_thresholds(mix(plan)))
-    tubes = split_tubes(pool)
-    table = DigestTable(plan)
-    lengths = []
-    for tube, enzymes in zip(tubes, plan.tube_enzymes):
-        alone, shared = digest(tube, enzymes), digest(tube, enzymes, table)
-        assert list(shared.species.items()) == list(alone.species.items())
-        assert shared.log == alone.log
-        lengths.extend(shared.log[-1]["fragments"].values())
-        alone, shared = pcr(shared, n), pcr(shared, n, table)
-        assert list(shared.species.items()) == list(alone.species.items())
-        assert (shared.log, shared.pcr_cycles) == (alone.log, alone.pcr_cycles)
-    # every audit record owns its lists, even where tubes share fragments
-    assert len({id(lst) for lst in lengths}) == len(lengths)
-
-    got = run_protocol(plan, protocol, n)
-    want = [
-        purify(pcr(digest(t, e), n))
-        for t, e in zip(split_tubes(pool), plan.tube_enzymes)
-    ]
-    assert len(got) == len(want) == len(m.options)
-    for a, b in zip(got, want):
-        assert list(a.species.items()) == list(b.species.items())
-        assert a.log == b.log
+    got = _assert_run_equals_single_steps(plan, protocol, protocol.pcr_cycles)
     if draw >= 4:
         assert readout(run_gel(got), plan, m).chosen == tuple(best_options(m))
 
 
 def test_digest_table_misses_on_changed_species(ball_setup):
-    # same plan and structures, other concentrations: a table that has seen
-    # the first tube must not hand its fragments or amplified species to the
-    # second, at any step
+    # the same plan's strands at other threshold doses: the pools share
+    # every structure, site and cut but not their counts, and each run must
+    # match the single steps on its own pool
     _, plan, protocol = ball_setup
-    tubes, _ = tube_states(plan, protocol)
-    tube, enzymes = tubes[0], plan.tube_enzymes[0]
-
-    def doubled(t):
-        species = {k: sp._replace(count=2 * sp.count) for k, sp in t.species.items()}
-        return t._replace(species=species)
-
-    table = DigestTable(plan)
-    pcr(digest(tube, enzymes, table), 5, table)
-    assert digest(doubled(tube), enzymes, table) == digest(doubled(tube), enzymes)
-    cut = doubled(digest(tube, enzymes))
-    assert pcr(cut, 5, table) == pcr(cut, 5)
-    # one amplifiable species changed in place of the one the table saw
+    changed = plan._replace(threshold_ratios={"red": F(1, 3), "black": F(4, 9), "white": F(1, 9)})
     key = construct_key("option-1", "red")
-    seen = digest(tube, enzymes, table)
-    changed = seen._replace(species=seen.species | {key: doubled(seen).species[key]})
-    assert pcr(changed, 5, table) == pcr(changed, 5)
-    assert pcr(changed, 5, table).concentration(key) == 2 * pcr(seen, 5).concentration(key)
+    for p, survivor in ((plan, F(4, 9) * 32), (changed, F(2, 3) * 32)):
+        tubes = _assert_run_equals_single_steps(p, protocol._replace(plan=p), 5)
+        assert tubes[0].concentration(key) == survivor
 
 
 def test_digest_table_rejects_another_plan(ball_setup):
     _, plan, protocol = ball_setup
-    tubes, _ = tube_states(plan, protocol)
-    other, _ = compile_problem(make_ball_game(), seed=1)
+    other, other_protocol = compile_problem(make_ball_game(), seed=1)
+    table = DigestTable(assemble(apply_thresholds(mix(plan))))
+    foreign = split_tubes(assemble(apply_thresholds(mix(other))))[0]
     with pytest.raises(ValueError, match="another plan"):
-        digest(tubes[0], plan.tube_enzymes[0], DigestTable(other))
+        table.purified(foreign, plan.tube_enzymes[0], 5)
+    for p, proto in ((plan, protocol), (other, other_protocol)):
+        _assert_run_equals_single_steps(p, proto, 5)
+
+
+def test_run_protocol_keeps_primed_fragments_as_the_single_steps_do(ball_setup):
+    # a right primer on the first 10 bases of option-1's top flanks fragment
+    # 0 of every option-1 construct, so the rival tubes, which cut at
+    # option-1's site, keep fragments through purify
+    _, plan, protocol = ball_setup
+    primer = Strand(plan.strands["option:option-1"][:10])
+    primed = plan._replace(strands=plan.strands | {"primer:right": primer})
+    tubes = _assert_run_equals_single_steps(primed, protocol._replace(plan=primed), 5)
+    kept = [[k for k in t.species if k.startswith("fragment:")] for t in tubes]
+    assert [len(k) for k in kept[1:]] == [3, 3]
+    assert all(k.endswith(":0") and ":option-1:" in k for k in kept[1] + kept[2])
+    assert all(t.species[k].amplified for t, ks in zip(tubes, kept) for k in ks)
 
 
 def test_run_protocol_rejects_another_plan(ball_setup):
