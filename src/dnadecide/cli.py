@@ -5,12 +5,11 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .compiler import CompileError, compile_problem, validate_encoding
 from .decision import MatrixError
-from .formats import ProblemFormatError, dump_problem, load_problem, parse_problem
+from .formats import ProblemFormatError, dump_problem, load_problem
 from .strands import CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS
 
 _LIBRARIES = {"core": CORE_BLUNT_CUTTERS, "extended": EXTENDED_BLUNT_CUTTERS}
@@ -94,9 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_matrix(args):
-    if args.input is None:
-        text = resources.files("dnadecide").joinpath("data/ballgame.json").read_text()
-        return parse_problem(text)
+    if args.input is None:  # the bundled ball game, shipped as package data
+        return load_problem(Path(__file__).with_name("data") / "ballgame.json")
     return load_problem(args.input)
 
 

@@ -763,7 +763,7 @@ class EncodingPlan(NamedTuple):
                 f"  {opt.label}: enzyme {site.enzyme} ({site.site}), "
                 f"favorable [{', '.join(fav)}], predicted bands [{band_text}]"
             )
-            lines.append(f"    tube digested with: {', '.join(sorted(enzymes))}")
+            lines.append(f"    tube digested with: {', '.join(sorted(enzymes)) or 'none'}")
         left, right = self.primers
         lines.append(f"primers: {left} / {right}")
         lines.append(f"species: {len(self.all_strands())} strands")
@@ -787,16 +787,21 @@ class ProtocolPlan(NamedTuple):
     def describe(self) -> str:
         plan = self.plan
         doses = ", ".join(f"{k}={v}" for k, v in plan.threshold_ratios.items())
+        n = len(plan.matrix.options)
         lines = [
             "protocol plan",
             "=============",
             "1. pool stocks (0.1 ml of each strand stock at 0.1 ug/ul) for every encoding strand",
             f"2. add threshold duplexes at ratios {doses} and let displacement complete",
             "3. anneal and ligate surviving junctions with T4 DNA ligase",
-            f"4. split the pool into {len(plan.matrix.options)} tubes, one per option",
+            f"4. split the pool into {n} tube{'s' * (n != 1)}, one per option",
         ]
         for i, enzymes in enumerate(plan.tube_enzymes):
-            lines.append(f"   {tube_label(i)}: digest with {', '.join(sorted(enzymes))} at 37 C")
+            if enzymes:
+                step = f"digest with {', '.join(sorted(enzymes))} at 37 C"
+            else:  # only a one-option tube has no rival and may have no unfavorable outcome
+                step = "no digest (no enzyme cuts this tube)"
+            lines.append(f"   {tube_label(i)}: {step}")
         left, right = plan.primers
         lines.append(
             f"5. amplify {self.pcr_cycles} PCR cycles with primers {left} and {right}"

@@ -9,18 +9,17 @@ palindromic six-base blunt mid-cutters used by the protocol compiler.
 
 The duplex primitives work on whole slices rather than one base at a time:
 the pairing check compares the top strand's paired slice with the reverse
-complement of the matching bottom slice, `Duplex.top_line` is the top strand
-between its two complemented overhangs, and site scanning is a `str.find`
-loop over the double-stranded window (`scan`, which the compiler's sequence
-rules use as well). A digest with several enzymes is one
+complement of the matching bottom slice, and `Duplex.top_line` is the top
+strand between its two complemented overhangs. `site_hits` is the one
+duplex scanner: a `str.find` loop per site over the double-stranded window
+of that line (`scan` is the same loop over a bare sequence, for the
+compiler's sequence rules). A digest with several enzymes is one
 `cut(duplex, *sites)` call; an instance of a later site is left uncut when
 an earlier site's cut column falls strictly inside it, as cutting site by
 site would. A site with no instance adds no cut column and blocks nothing,
 so cutting with only the sites a duplex holds gives the same fragments.
 The protocol simulator uses that: it scans each pooled duplex once for the
-whole library (`site_hits`, one `str.find` loop per site) and hands those
-instances to every `cut` of it. The cuts share one memo of slices; each
-slices only a column interval the memo lacks, straight into `_derived`.
+whole library and hands those instances to every `cut` of it.
 """
 
 from __future__ import annotations
@@ -164,31 +163,26 @@ class RecognitionSite(_SiteFields):
         return self
 
 
-def scan(line: str, site: str, lo: int = 0, hi: int | None = None) -> list[int]:
-    """Start positions of `site` lying wholly inside line[lo:hi], ascending."""
+def scan(seq: str, site: str) -> list[int]:
+    """Start positions of `site` in `seq`, ascending."""
     hits = []
-    p = line.find(site, lo, hi)
+    p = seq.find(site)
     while p != -1:
         hits.append(p)
-        p = line.find(site, p + 1, hi)
+        p = seq.find(site, p + 1)
     return hits
-
-
-def _ds_window(duplex: Duplex) -> tuple[int, int]:
-    """The double-stranded columns, in span coordinates (0 = span start)."""
-    return duplex.ds_start - duplex.span_start, duplex.ds_end - duplex.span_start
 
 
 def find_sites(duplex: Duplex, site: RecognitionSite) -> list[int]:
     """Start positions (span coordinates) of site instances lying fully in dsDNA."""
-    return scan(duplex.top_line(), site.site, *_ds_window(duplex))
+    return site_hits(duplex, (site,)).get(site, [])
 
 
 def site_hits(duplex: Duplex, sites) -> dict[RecognitionSite, list[int]]:
     """Instances (span coordinates, in dsDNA) of each given site that has any,
     in the given order."""
-    line = duplex.top_line()
-    lo, hi = _ds_window(duplex)
+    line, start = duplex.top_line(), duplex.span_start
+    lo, hi = duplex.ds_start - start, duplex.ds_end - start  # the dsDNA columns
     found: dict[RecognitionSite, list[int]] = {}
     for site in sites:
         p = line.find(site.site, lo, hi)
@@ -202,7 +196,6 @@ def cut(
     duplex: Duplex,
     *sites: RecognitionSite,
     hits: dict[RecognitionSite, list[int]] | None = None,
-    pieces: dict[tuple[int, int], Duplex] | None = None,
 ) -> list[Duplex]:
     """Digest with every given enzyme at once.
 
@@ -214,8 +207,7 @@ def cut(
     fragment.
 
     `hits`, the `site_hits` of this duplex for at least the given sites,
-    spares the scan. `pieces` memoizes fragments by column interval across
-    calls on this one duplex, so each distinct interval is sliced once.
+    spares the scan.
 
     Base bookkeeping is exact: fragment span lengths always sum to the
     span length of the input.
@@ -236,13 +228,10 @@ def cut(
     top, bottom, offset = duplex
     end = offset + len(bottom)  # one past the bottom strand's last column
     a = start = min(0, offset)
-    pieces = {} if pieces is None else pieces
     out = []
     for b in sorted(start + c for c in cols) + [max(len(top), end)]:
-        if (a, b) not in pieces:  # top columns [a, b) and the bottom bases paired under them
-            ta, ba = max(a, 0), max(a, offset)
-            pieces[a, b] = _derived(top[ta:b], bottom[end - min(b, end) : end - ba], ba - ta)
-        out.append(pieces[a, b])
+        ta, ba = max(a, 0), max(a, offset)  # top columns [a, b) and the bottom bases under them
+        out.append(_derived(top[ta:b], bottom[end - min(b, end) : end - ba], ba - ta))
         a = b
     return out
 

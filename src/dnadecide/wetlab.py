@@ -18,12 +18,13 @@ its nine constituents, and shared constituents are debited by total demand
 what a within-lane band comparison measures.
 
 `digest`, `pcr` and `purify` are the single steps, each walking its own
-tube. `run_protocol` does not call them: its option tubes, split from one
-pool, share the pool's `DigestTable`, which walks the pool once, scans each
-active duplex for the library's sites once and cuts it once per distinct
-set of enzymes that hits it. Each tube's digest, pcr and purify then run
-as one pass over that table, writing the same audit records as the single
-steps and building a species only for a fragment that survives purify.
+tube. `run_protocol` does not call them: its option tubes share the pool's
+species mapping (no step edits a mapping in place) and the pool's
+`DigestTable`, which walks the pool once, scans each active duplex for the
+library's sites once and cuts it once per distinct set of enzymes that
+hits it. Each tube's digest, pcr and purify then run as one pass over that
+table, writing the same audit records as the single steps and building a
+species only for a fragment that survives purify.
 """
 
 from __future__ import annotations
@@ -208,14 +209,13 @@ def assemble(tube: TubeState) -> TubeState:
 
 
 def split_tubes(tube: TubeState) -> list[TubeState]:
-    """One aliquot per option; per-volume counts carry over unchanged."""
+    """One aliquot per option; per-volume counts carry over unchanged, so
+    every aliquot shares the pool's own species mapping."""
     tubes = []
     for i, opt in enumerate(tube.plan.matrix.options):
         label = tube_label(i)
         record = {"op": "split", "tube": label, "option": opt.label}
-        tubes.append(
-            TubeState(label, tube.plan, dict(tube.species), tube.log + (record,))
-        )
+        tubes.append(TubeState(label, tube.plan, tube.species, tube.log + (record,)))
     return tubes
 
 
@@ -243,9 +243,8 @@ def _primer_rule(plan: EncodingPlan):
     n1, n2 = len(p1), len(p2)
 
     def primed(duplex: Duplex) -> bool:
-        top, bottom, offset = duplex
-        blunt = offset == 0 and len(top) == len(bottom)
-        return blunt and len(top) >= 2 * n1 and (top[:n1], top[-n2:]) in ends
+        top = duplex.top
+        return duplex.is_blunt and len(top) >= 2 * n1 and (top[:n1], top[-n2:]) in ends
 
     return primed
 
@@ -314,14 +313,13 @@ def purify(tube: TubeState) -> TubeState:
 class _Fate:
     """What digest, pcr and purify do to one active duplex of a pool, worked out once."""
 
-    __slots__ = ("key", "species", "primed", "hits", "mask", "cuts", "pieces")
+    __slots__ = ("key", "species", "primed", "hits", "mask", "cuts")
 
     def __init__(self, key: str, species: Species, primed: bool, hits, mask: int) -> None:
         self.key, self.species, self.primed = key, species, primed
         self.hits = hits  # the library's site instances in it (`site_hits`)
         self.mask = mask  # the enzymes with a site in it, as a bit mask
         self.cuts: dict[int, tuple] = {}  # enzyme mask -> `DigestTable.fragments`
-        self.pieces: dict = {}  # `cut`'s slice memo, shared by its cuts
 
 
 class DigestTable:
@@ -340,6 +338,7 @@ class DigestTable:
 
     def __init__(self, pool: TubeState) -> None:
         plan = self.plan = pool.plan
+        self._species = pool.species
         self._library = _library(plan)
         sites = list(self._library.values())
         # enzyme sets are bit masks over the library in name order
@@ -361,7 +360,7 @@ class DigestTable:
         of the fragments that `hit`, a non-empty part of the fate's mask,
         cuts its duplex into; kept in the fate's `cuts`."""
         sites = [site for site in fate.hits if self._bits[site.enzyme] & hit]
-        pieces = cut(fate.species.structure, *sites, hits=fate.hits, pieces=fate.pieces)
+        pieces = cut(fate.species.structure, *sites, hits=fate.hits)
         lengths, washed, primed = [], [], []
         for i, piece in enumerate(pieces):
             key = f"fragment:{fate.key}:{i}"
@@ -377,13 +376,16 @@ class DigestTable:
         """`purify(pcr(digest(tube, enzyme_names), cycles))` of an aliquot of
         the table's pool (from `split_tubes`), in one pass over its fates.
 
+        The pass reads the pool's fates, not the tube's species, so it
+        refuses a tube of another plan or with species other than the pool's.
+
         The same audit records come out, and the survivors in the same
         order: the uncut primed duplexes in pool order, then the primed
         fragments. No fragment key can be a pool key (those are role,
         `construct:` and `waste:` keys), so no fragment replaces a species.
         """
-        if tube.plan is not self.plan:
-            raise ValueError("digest table was built for another plan")
+        if tube.plan is not self.plan or tube.species != self._species:
+            raise ValueError("digest table was built for another plan or other species")
         ordered = _ordered(self._library, enzyme_names)
         _check_cycles(cycles)
         mask = sum(self._bits[name] for name in ordered)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,12 +12,15 @@ import pytest
 
 import dnadecide
 from dnadecide.cli import main
+from dnadecide.compiler import compile_problem
 from dnadecide.formats import (
     ProblemFormatError,
     dump_problem,
     load_problem,
     parse_problem,
 )
+from dnadecide.gel import readout, run_gel
+from dnadecide.wetlab import run_protocol
 
 
 # -- problem files ------------------------------------------------------------
@@ -294,6 +298,28 @@ def test_run_writes_full_artifact_set(tmp_path, capsys):
     assert "chosen: option-1" in (outdir / "report.txt").read_text()
 
 
+def test_one_option_problem_says_its_tube_has_no_digest(tmp_path, capsys):
+    # with no rival and no unfavorable outcome, the one tube gets no enzyme
+    doc = {
+        "outcomes": [{"label": "a", "probability": "1/2"}, {"label": "b", "probability": "1/2"}],
+        "options": [{"label": "x", "favorable": ["a", "b"]}],
+    }
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compile", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "    tube digested with: none\n" in out
+    assert "4. split the pool into 1 tube, one per option\n" in out
+    assert "   tube-1: no digest (no enzyme cuts this tube)\n" in out
+    assert not re.search(r"digest(ed)? with:? *(,|at 37 C|$)", out, re.MULTILINE)
+    assert main(["run", "--input", str(path)]) == 0
+    assert "matches the exact oracle" in capsys.readouterr().out
+    plan, protocol = compile_problem(load_problem(path))
+    (tube,) = run_protocol(plan, protocol)
+    assert tube.log[-3] == {"op": "digest", "enzymes": [], "fragments": {}}
+    assert readout(run_gel([tube]), plan).agreement
+
+
 def test_uniform_tie_reported_and_exits_zero(tmp_path, capsys):
     doc = {
         "outcomes": [
@@ -496,7 +522,7 @@ import sys
 import dnadecide.cli
 heavy = (
     "dataclasses", "inspect", "dnadecide.soundness", "dnadecide.fixture",
-    "dnadecide.wetlab", "dnadecide.gel",
+    "dnadecide.wetlab", "dnadecide.gel", "importlib.resources", "tempfile",
 )
 print([name for name in heavy if name in sys.modules])
 import dnadecide.soundness  # binds the submodule on the package, as any import does
@@ -507,10 +533,11 @@ print(sorted(set(vars(dnadecide)) - before))
 
 
 def test_cli_import_loads_neither_dataclasses_nor_the_sweep():
-    # every `dnadecide` process pays for this import before it does any work
+    # every `dnadecide` process pays for this import before it does any work;
+    # -S, since site .pth files may import some of these before any test code
     src = Path(dnadecide.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
+        [sys.executable, "-S", "-c", _IMPORT_PROBE],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,

@@ -13,6 +13,7 @@ from dnadecide.strands import (
     cut,
     find_sites,
     reverse_complement,
+    site_hits,
 )
 from tests.conftest import gc_fraction
 
@@ -267,6 +268,47 @@ def test_cut_fragments_are_checked_slices_of_the_parent(d, sites):
 def test_cut_without_sites_returns_input():
     d = blunt("TCTGACTCAGCTGAGATCCA")
     assert cut(d) == [d]
+
+
+@st.composite
+def duplexes_over_sites(draw):
+    """(duplex, its dsDNA columns, sites in some order) over a line dense in
+    a few library sites: the window's edges fall near chunk boundaries, so
+    instances lie inside it, in either overhang, or across an edge."""
+    library = st.sampled_from(EXTENDED_BLUNT_CUTTERS)
+    planted = draw(st.lists(library, min_size=1, max_size=3, unique=True))
+    filler = st.text(alphabet="ACGT", min_size=1, max_size=4)
+    chunk = st.one_of(st.sampled_from([s.site for s in planted]), filler)
+    left, mid, right = ("".join(draw(st.lists(chunk, min_size=n, max_size=6))) for n in (0, 1, 0))
+    line = left + mid + right
+    lo = min(max(0, len(left) + draw(st.integers(-5, 5))), len(line) - 1)
+    hi = min(max(lo + 1, len(left + mid) + draw(st.integers(-5, 5))), len(line))
+    # each overhang hangs off the top strand or off the bottom one
+    left_on_top, right_on_top = draw(st.booleans()), draw(st.booleans())
+    ts, te = (0 if left_on_top else lo), (len(line) if right_on_top else hi)
+    bs, be = (lo if left_on_top else 0), (hi if right_on_top else len(line))
+    d = Duplex(Strand(line[ts:te]), Strand(reverse_complement(line[bs:be])), bs - ts)
+    assert (d.top_line(), d.ds_start - d.span_start, d.ds_end - d.span_start) == (line, lo, hi)
+    others = draw(st.lists(library, max_size=4))
+    sites = draw(st.permutations(list(dict.fromkeys(planted + others))))
+    return d, lo, hi, sites
+
+
+@given(duplexes_over_sites())
+def test_site_hits_finds_every_instance_in_dsdna(drawn):
+    d, lo, hi, sites = drawn
+    line = d.top_line()
+    want = {}
+    for site in sites:
+        at = [p for p in range(lo, hi - 5) if line[p : p + 6] == site.site]
+        if at:
+            want[site] = at
+    got = site_hits(d, sites)
+    assert list(got.items()) == list(want.items())  # keys in the given order, only sites found
+    for at in got.values():
+        assert at == sorted(at) and all(lo <= p and p + 6 <= hi for p in at)
+    for site in sites:
+        assert find_sites(d, site) == site_hits(d, [site]).get(site, [])
 
 
 @given(duplexes())

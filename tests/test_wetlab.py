@@ -446,11 +446,42 @@ def test_digest_table_rejects_another_plan(ball_setup):
     _, plan, protocol = ball_setup
     other, other_protocol = compile_problem(make_ball_game(), seed=1)
     table = DigestTable(assemble(apply_thresholds(mix(plan))))
-    foreign = split_tubes(assemble(apply_thresholds(mix(other))))[0]
-    with pytest.raises(ValueError, match="another plan"):
-        table.purified(foreign, plan.tube_enzymes[0], 5)
+    # primers join at pcr, not in the pool: another right primer leaves the
+    # pool's species equal, but not what the pass would amplify
+    primed = plan._replace(strands=plan.strands | {"primer:right": plan.strands["primer:left"]})
+    for p in (other, primed):
+        foreign = split_tubes(assemble(apply_thresholds(mix(p))))[0]
+        with pytest.raises(ValueError, match="another plan"):
+            table.purified(foreign, plan.tube_enzymes[0], 5)
     for p, proto in ((plan, protocol), (other, other_protocol)):
         _assert_run_equals_single_steps(p, proto, 5)
+
+
+def test_digest_table_rejects_a_tube_with_other_species(ball_setup):
+    # the pass reads the pool's fates, not the tube's species: a tube of the
+    # same plan with option-1/red doubled would come back developed as the
+    # pool (128/9) where the single steps keep 256/9
+    _, plan, _ = ball_setup
+    pool = assemble(apply_thresholds(mix(plan)))
+    tube, key = split_tubes(pool)[0], construct_key("option-1", "red")
+    species = dict(tube.species)
+    species[key] = species[key]._replace(count=2 * species[key].count)
+    doubled = tube._replace(species=species)
+    assert purify(pcr(digest(doubled, plan.tube_enzymes[0]), 5)).concentration(key) == F(256, 9)
+    with pytest.raises(ValueError, match="other species"):
+        DigestTable(pool).purified(doubled, plan.tube_enzymes[0], 5)
+
+
+def test_digest_table_accepts_an_equal_copy_of_the_pool_species(ball_setup):
+    _, plan, _ = ball_setup
+    pool = assemble(apply_thresholds(mix(plan)))
+    table, tube = DigestTable(pool), split_tubes(pool)[0]
+    assert tube.species is pool.species  # aliquots share the pool's mapping
+    copied = tube._replace(species=dict(tube.species))
+    got = table.purified(copied, plan.tube_enzymes[0], 5)
+    want = purify(pcr(digest(tube, plan.tube_enzymes[0]), 5))
+    assert list(got.species.items()) == list(want.species.items())
+    assert got.log == want.log
 
 
 def test_run_protocol_keeps_primed_fragments_as_the_single_steps_do(ball_setup):
