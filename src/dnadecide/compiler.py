@@ -351,7 +351,7 @@ class EncodingViolation(NamedTuple):
 
 
 class Segment(NamedTuple):
-    """A stretch of sequence judged by `violations`, reported under `roles`.
+    """A stretch of sequence judged by `violations`, reported under `role`.
 
     `sites` maps each designed site's offset to the site; the default, no
     sites, is a read-only mapping that every segment shares. Windows starting
@@ -359,7 +359,7 @@ class Segment(NamedTuple):
     judged nor placed. `lefts` and `rights` are the ligated neighbours.
     """
 
-    roles: tuple[str, ...]
+    role: str
     seq: str
     sites: dict[int, str] = MappingProxyType({})
     fresh_from: int = 0
@@ -374,7 +374,7 @@ class RuleContext(NamedTuple):
     windows: dict[str, list[tuple[str, int]]] | None = None
 
     def place(self, segment: Segment) -> None:
-        seq, role = segment.seq, segment.roles[0]
+        seq, role = segment.seq, segment.role
         for i in range(segment.fresh_from, len(seq) - WINDOW + 1):
             self.windows.setdefault(seq[i : i + WINDOW], []).append((role, i))
 
@@ -393,10 +393,10 @@ def violations(segment: Segment, context: RuleContext) -> list[EncodingViolation
         meets a left or right neighbour.
     (d) gc: the GC fraction stays within [2/5, 3/5].
     """
-    seq, role = segment.seq, segment.roles[0]
+    seq, role = segment.seq, segment.role
     found: list[EncodingViolation] = []
 
-    def flag(kind: str, detail: str, roles: tuple[str, ...] = segment.roles) -> None:
+    def flag(kind: str, detail: str, roles: tuple[str, ...] = (role,)) -> None:
         found.append(EncodingViolation(kind, roles, detail))
 
     if context.windows is not None:
@@ -524,7 +524,7 @@ class _Designer:
         fresh_from = max(0, len(prefix) - WINDOW + 1)
         if pin is not None:
             label, piece = pin
-            segment = Segment((role,), prefix + piece, sites, fresh_from, lefts, rights)
+            segment = Segment(role, prefix + piece, sites, fresh_from, lefts, rights)
             want = length - len(prefix)
             reasons = [] if len(piece) == want else [f"{len(piece)} bases, expected {want}"]
             reasons += [v.detail for v in violations(segment, self.context)]
@@ -536,7 +536,7 @@ class _Designer:
         rejected: Counter[str] = Counter()
         for _ in range(MAX_TRIES):
             seq = "".join([self._block(width, local) for width, local in blocks])
-            segment = Segment((role,), seq, sites, fresh_from, lefts, rights)
+            segment = Segment(role, seq, sites, fresh_from, lefts, rights)
             found = violations(segment, self.context)
             if not found:
                 self.context.place(segment)
@@ -627,7 +627,7 @@ def check_pieces(
     for name, role, _, rule in parts:
         seq = pieces[name]
         if isinstance(rule, Derivation):
-            found += [(name, v) for v in violations(Segment((role,), seq), bare) if v.rule == "gc"]
+            found += [(name, v) for v in violations(Segment(role, seq), bare) if v.rule == "gc"]
             if all(r in pieces for r, _, _ in rule.slices) and seq != rule.derive(pieces):
                 detail = f"not the {rule.what}"
                 found.append((name, EncodingViolation("derivation", (role,), detail)))
@@ -636,7 +636,7 @@ def check_pieces(
         if "prefix" in rule and not copied:
             detail = "toehold copies neither the option rear nor the probability front"
             found.append((name, EncodingViolation("derivation", (role,), detail)))
-        segment = Segment((role,), seq, rule.get("sites", {}), _H - WINDOW + 1 if copied else 0,
+        segment = Segment(role, seq, rule.get("sites", {}), _H - WINDOW + 1 if copied else 0,
                           rule.get("lefts", ()), rule.get("rights", ()))
         found += [(name, v) for v in violations(segment, context)]
         context.place(segment)

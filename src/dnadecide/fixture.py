@@ -2,10 +2,10 @@
 
 These pieces cover one representative path of the three-by-three encoding
 (first option, first outcome) plus that outcome's threshold and the two
-primers. They are kept verbatim, transcription defects included, because
-they double as a negative-control corpus: `assess_printed` walks them with
-the geometry table and rules of `validate_encoding` and must flag exactly
-what is wrong with them rather than silently repairing anything.
+primers. They are kept verbatim, transcription defects included: the
+tests use them as a negative-control corpus, judged by the geometry table
+and rules of `validate_encoding`, which must flag exactly what is wrong
+with them rather than silently repairing anything.
 
 Strands marked FLIP below were transcribed in displayed 3'->5' orientation
 (positionwise complements lying under a top strand) and are reversed on
@@ -18,9 +18,6 @@ from .compiler import (
     OVERHANG_LENGTH,
     ROLE_CHOICE,
     ROLE_TERM,
-    check_pieces,
-    derivations,
-    middle_length_for_rank,
     role_option,
     role_prob,
     role_thresh,
@@ -51,9 +48,6 @@ _RAW: dict[str, tuple[str, str, str]] = {
     "primer.right": ("primer:right", FLIP, "AGCGAGTGTT"),
 }
 
-# the designed sites of the transcribed option and utility strands
-_SITES = {"option:option-1": "CAGCTG", "util:red": "CACGTG"}
-
 
 def printed_pieces() -> dict[str, str]:
     """All reference strands, normalized to 5'->3'."""
@@ -61,22 +55,6 @@ def printed_pieces() -> dict[str, str]:
         key: seq if orient == KEEP else seq[::-1]
         for key, (_, orient, seq) in _RAW.items()
     }
-
-
-def assess_printed() -> list[str]:
-    """Findings on the reference set: every deviation from the geometry of
-    its path with a 7-base core, each named by its printed piece."""
-    names = {strand: key for key, (strand, _, _) in _RAW.items()}
-    pieces = {_RAW[key][0]: seq for key, seq in printed_pieces().items()}
-    table = derivations(["option-1"], ["red"])
-    found = check_pieces(["option-1"], {"red": middle_length_for_rank(0)}, _SITES, pieces, table)
-    findings = []
-    for strand, v in found:
-        if v.kind == "site-missing":
-            findings.append(f"{names[strand]}: designed site {_SITES[strand]} not present")
-        elif v.kind in ("geometry", "derivation", "site-extra"):
-            findings.append(f"{names[strand]}: {v.detail}")
-    return findings
 
 
 def reference_pins(matrix: DecisionMatrix) -> dict[str, tuple[str, str]]:

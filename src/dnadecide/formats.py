@@ -9,13 +9,16 @@ A problem file looks like:
     }
 
 Probabilities and utilities are exact rationals written as strings ("4/9",
-"1", "0.5", "5e-1"); a JSON number such as 0.5 is refused. The "utilities"
-block is optional and defaults to 1 for favorable and 0 for unfavorable outcomes.
+"1", "0.5", "5e-1"); a JSON number such as 0.5 is refused, as is a value
+Python will not print (over 4300 digits by default). The "utilities" block
+is optional and defaults to 1 for favorable and 0 for unfavorable outcomes.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,12 +34,20 @@ def _fraction(raw, where: str) -> Fraction:
         raise ProblemFormatError(
             f"{where}: expected a rational written as a string, got {type(raw).__name__}"
         )
+    # 10**limit is slow to build and too long to print; no limit (0) gets the default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    exponent = re.search(r"e[-+]?([\d_]+)\s*\Z", raw, re.IGNORECASE)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(limit)) or int(digits or 0) >= limit:
+        raise ProblemFormatError(f"{where}: exponent in {raw[:40]!r} must be below {limit}")
     try:
-        return Fraction(raw)
+        value = Fraction(raw)
+        str(value)  # refuses a numerator or denominator of more than `limit` digits
     except ZeroDivisionError:
         raise ProblemFormatError(f"{where}: denominator is zero in {raw!r}") from None
     except ValueError:
         raise ProblemFormatError(f"{where}: cannot parse {raw!r} as a rational") from None
+    return value
 
 
 def _string(raw, where: str) -> str:

@@ -233,7 +233,6 @@ def _render_text(run: GelRun) -> str:
 
 class DecisionReport(NamedTuple):
     option_labels: tuple[str, ...]
-    totals: tuple[Fraction, ...]
     estimates: tuple[Fraction, ...]
     chosen: tuple[int, ...]
     oracle: tuple[int, ...]
@@ -288,7 +287,6 @@ def readout(
         out.label: plan.construct_length(out.label) for out in matrix.outcomes
     }
     tolerance = GEL_RESOLUTION / 2
-    totals = []
     estimates = []
     decoded_all = []
     for lane, opt in zip(lanes, matrix.options):
@@ -308,7 +306,6 @@ def readout(
                 )
             decoded.append(hits[0])
             mass += band.intensity / lane.scale
-        totals.append(sum((b.intensity for b in lane.bands), Fraction(0)))
         estimates.append(
             matrix.u_unfavorable + (matrix.u_favorable - matrix.u_unfavorable) * mass
         )
@@ -317,7 +314,6 @@ def readout(
     chosen = tuple(i for i, e in enumerate(estimates) if e == top)
     return DecisionReport(
         option_labels=tuple(o.label for o in matrix.options),
-        totals=tuple(totals),
         estimates=tuple(estimates),
         chosen=chosen,
         oracle=tuple(best_options(matrix)),

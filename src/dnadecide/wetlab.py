@@ -4,7 +4,7 @@ Each species' amount is an integer count of 1/`plan.intensity_scale()`
 of a stock (one pooled dose = scale counts): every dose is a whole number
 of them and PCR only doubles, so counting stays exact rational arithmetic.
 Audit records spell each amount as a reduced ratio (`_ratio`, one gcd); a
-`Fraction` is built only for `TubeState.concentration` and the gel's bands.
+`Fraction` is built only for the gel's bands.
 Operations never mutate a tube; each returns a fresh TubeState with an
 audit record appended, so a whole run is reproducible from its log.
 Thresholding follows pairwise dose semantics: a threshold dosed at ratio r
@@ -23,13 +23,13 @@ species mapping (no step edits a mapping in place) and the pool's
 `DigestTable`, which walks the pool once, scans each active duplex for the
 library's sites once and cuts it once per distinct set of enzymes that
 hits it. Each tube's digest, pcr and purify then run as one pass over that
-table, writing the same audit records as the single steps and building a
-species only for a fragment that survives purify.
+table, writing the records the single steps write and building a species
+only for a fragment that survives purify. Purify's record names nothing:
+it keeps exactly what pcr's record lists as amplified.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -99,11 +99,6 @@ class TubeState(NamedTuple):
     species: dict[str, Species]
     log: tuple[dict, ...] = ()
     pcr_cycles: int = 0
-
-    def concentration(self, key: str) -> Fraction:
-        """The species' amount in stock units (0 if it is not in the tube)."""
-        sp = self.species.get(key)
-        return Fraction(sp.count, self.plan.intensity_scale()) if sp else Fraction(0)
 
     def _with(self, species: dict[str, Species], record: dict) -> "TubeState":
         return self._replace(species=species, log=self.log + (record,))
@@ -300,14 +295,8 @@ def pcr(tube: TubeState, cycles: int) -> TubeState:
 
 def purify(tube: TubeState) -> TubeState:
     """Keep amplified material only; leftovers, fragments and waste wash out."""
-    kept, removed = {}, []
-    for key, sp in tube.species.items():
-        if sp.amplified and sp.status == ACTIVE:
-            kept[key] = sp
-        else:
-            removed.append(key)
-    removed.sort()
-    return tube._with(kept, {"op": "purify", "removed": removed})
+    kept = {key: sp for key, sp in tube.species.items() if sp.amplified and sp.status == ACTIVE}
+    return tube._with(kept, {"op": "purify"})
 
 
 class _Fate:
@@ -319,7 +308,7 @@ class _Fate:
         self.key, self.species, self.primed = key, species, primed
         self.hits = hits  # the library's site instances in it (`site_hits`)
         self.mask = mask  # the enzymes with a site in it, as a bit mask
-        self.cuts: dict[int, tuple] = {}  # enzyme mask -> `DigestTable.fragments`
+        self.cuts: dict[int, tuple] = {}  # enzyme mask -> (span lengths, primed fragments)
 
 
 class DigestTable:
@@ -329,11 +318,10 @@ class DigestTable:
     pcr primer verdict, and the library's site instances in it, from one
     `site_hits` scan in enzyme name order); every other species is only
     ever washed out. Each distinct set of enzymes that hits a duplex cuts it
-    once, and what the fragments come to is kept: their span lengths, the
-    keys of those purify washes out, and the primer-flanked ones pcr
-    amplifies. Cutting with only the enzymes that hit a duplex gives the
-    same fragments as cutting with all of a tube's enzymes, so tubes with
-    different enzyme sets share cuts.
+    once, and what the fragments come to is kept: their span lengths and the
+    primer-flanked ones pcr amplifies. Cutting with only the enzymes that
+    hit a duplex gives the same fragments as cutting with all of a tube's
+    enzymes, so tubes with different enzyme sets share cuts.
     """
 
     def __init__(self, pool: TubeState) -> None:
@@ -344,32 +332,23 @@ class DigestTable:
         # enzyme sets are bit masks over the library in name order
         self._bits = {name: 1 << i for i, name in enumerate(self._library)}
         self._primed = _primer_rule(plan)
-        self.fates, washed = [], []
+        self.fates = []
         for key, sp in pool.species.items():
             if sp.status != ACTIVE or not sp.is_duplex:
-                washed.append(key)
                 continue
             hits = site_hits(sp.structure, sites)
             mask = sum(self._bits[site.enzyme] for site in hits)
             self.fates.append(_Fate(key, sp, self._primed(sp.structure), hits, mask))
-        # sorted once, so each tube's removed list sorts as a few runs
-        self._washed = sorted(washed)
 
     def fragments(self, fate: _Fate, hit: int) -> tuple:
-        """(span lengths, keys washed out, (key, piece) of each primed one)
-        of the fragments that `hit`, a non-empty part of the fate's mask,
-        cuts its duplex into; kept in the fate's `cuts`."""
+        """(span lengths, (key, piece) of each primed one) of the fragments
+        that `hit`, a non-empty part of the fate's mask, cuts its duplex
+        into; kept in the fate's `cuts`."""
         sites = [site for site in fate.hits if self._bits[site.enzyme] & hit]
         pieces = cut(fate.species.structure, *sites, hits=fate.hits)
-        lengths, washed, primed = [], [], []
-        for i, piece in enumerate(pieces):
-            key = f"fragment:{fate.key}:{i}"
-            lengths.append(piece.span_length)
-            if self._primed(piece):
-                primed.append((key, piece))
-            else:
-                washed.append(key)
-        fate.cuts[hit] = result = (lengths, washed, primed)
+        lengths = [piece.span_length for piece in pieces]
+        primed = [(f"fragment:{fate.key}:{i}", p) for i, p in enumerate(pieces) if self._primed(p)]
+        fate.cuts[hit] = result = (lengths, primed)
         return result
 
     def purified(self, tube: TubeState, enzyme_names, cycles: int) -> TubeState:
@@ -381,37 +360,34 @@ class DigestTable:
 
         The same audit records come out, and the survivors in the same
         order: the uncut primed duplexes in pool order, then the primed
-        fragments. No fragment key can be a pool key (those are role,
-        `construct:` and `waste:` keys), so no fragment replaces a species.
+        fragments; all else washes out. No fragment key can be a pool key
+        (those are role, `construct:` and `waste:` keys), so no fragment
+        replaces a species.
         """
         if tube.plan is not self.plan or tube.species != self._species:
             raise ValueError("digest table was built for another plan or other species")
         ordered = _ordered(self._library, enzyme_names)
         _check_cycles(cycles)
         mask = sum(self._bits[name] for name in ordered)
-        kept, frags, cuts, removed = {}, {}, {}, self._washed[:]
+        kept, frags, cuts = {}, {}, {}
         for fate in self.fates:
             hit = fate.mask & mask
             if not hit:
                 if fate.primed:
                     sp = fate.species
                     kept[fate.key] = sp._replace(count=sp.count << cycles, amplified=True)
-                else:
-                    removed.append(fate.key)
                 continue
-            lengths, washed, primed = fate.cuts.get(hit) or self.fragments(fate, hit)
+            lengths, primed = fate.cuts.get(hit) or self.fragments(fate, hit)
             cuts[fate.key] = lengths[:]  # each audit record owns its lists
-            removed += washed
             if primed:
                 count = fate.species.count << cycles
                 for key, piece in primed:
                     frags[key] = Species(key, piece, count, ACTIVE, True)
         kept.update(frags)
-        removed.sort()
         log = tube.log + (
             {"op": "digest", "enzymes": ordered, "fragments": cuts},
             {"op": "pcr", "cycles": cycles, "amplified": sorted(kept)},
-            {"op": "purify", "removed": removed},
+            {"op": "purify"},
         )
         return tube._replace(species=kept, log=log, pcr_cycles=tube.pcr_cycles + cycles)
 

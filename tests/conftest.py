@@ -5,11 +5,18 @@ from fractions import Fraction
 import pytest
 
 from dnadecide.decision import DecisionMatrix, build_matrix
+from dnadecide.wetlab import TubeState
 
 
 def gc_fraction(seq: str) -> Fraction:
     """Share of G and C bases in a non-empty sequence."""
     return Fraction(sum(1 for b in seq if b in "GC"), len(seq))
+
+
+def concentration(tube: TubeState, key: str) -> Fraction:
+    """A species' amount in stock units (0 if it is not in the tube)."""
+    sp = tube.species.get(key)
+    return Fraction(sp.count, tube.plan.intensity_scale()) if sp else Fraction(0)
 
 
 def make_ball_game() -> DecisionMatrix:

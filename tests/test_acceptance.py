@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import make_ball_game
+from conftest import concentration, make_ball_game
 
 from dnadecide.compiler import DYE_FRONT_BP, compile_problem, role_chance, role_option, role_util
 from dnadecide.decision import best_options
@@ -121,14 +121,14 @@ def test_criterion_4_pcr_arithmetic():
 
     unit = Fraction(1, plan.intensity_scale())
     survivors = sorted(
-        digested.concentration(key) for key in digested.species
+        concentration(digested, key) for key in digested.species
         if key.startswith("construct:")
     )
     assert survivors[1] - survivors[0] == unit
 
     after = pcr(digested, 5)
     grown = sorted(
-        after.concentration(key) for key in after.species
+        concentration(after, key) for key in after.species
         if key.startswith("construct:")
     )
     assert grown[1] - grown[0] == 32 * unit
@@ -137,7 +137,7 @@ def test_criterion_4_pcr_arithmetic():
         staged = pcr(digested, n)
         for key in staged.species:
             if key.startswith("construct:"):
-                assert staged.concentration(key) == digested.concentration(key) * 2**n
+                assert concentration(staged, key) == concentration(digested, key) * 2**n
 
 
 @criterion(5, "each designed 20 bp duplex cuts into two 10 bp blunt halves")

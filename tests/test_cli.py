@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -462,6 +463,39 @@ def test_a_lone_surrogate_exits_one_naming_the_field(tmp_path, command, field, o
     )
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr and f"{field}: not encodable as UTF-8" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("outcomes[0].probability", "1e-5000"),
+        ("outcomes[0].probability", "1e-10000000"),
+        ("utilities.favorable", "1e-5000"),
+    ],
+    ids=["probability", "probability-huge", "utility"],
+)
+def test_an_exponent_past_the_digit_limit_exits_one_naming_the_field(
+    tmp_path, capsys, field, value
+):
+    # 1e-5000 parsed, then died in a ValueError traceback where the run
+    # printed a number of more than 4300 digits; 1e-10000000 first spent
+    # seconds inside Fraction()
+    doc = {
+        "outcomes": [{"label": "r", "probability": "1/2"}, {"label": "b", "probability": "1/2"}],
+        "options": [{"label": "x", "favorable": ["r"]}, {"label": "y", "favorable": ["b"]}],
+        "utilities": {"favorable": "1", "unfavorable": "0"},
+    }
+    if field == "utilities.favorable":
+        doc["utilities"]["favorable"] = value
+    else:
+        doc["outcomes"][0]["probability"] = value
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["run", "--input", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
 
 
 def test_run_rejects_cycle_count_above_ceiling(capsys):

@@ -17,6 +17,7 @@ from dnadecide.compiler import (
     UnresolvableError,
     _Designer,
     assign_enzymes,
+    check_pieces,
     compile_problem,
     construct_roles,
     derivations,
@@ -31,7 +32,7 @@ from dnadecide.compiler import (
 )
 from dnadecide.compiler import _slug, construct_key, role_chance, role_option, role_prob, role_util
 from dnadecide.decision import DuplicateLabelError, build_matrix
-from dnadecide.fixture import assess_printed, printed_pieces, reference_pins
+from dnadecide.fixture import _RAW, printed_pieces, reference_pins
 from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
     EXTENDED_BLUNT_CUTTERS,
@@ -334,6 +335,26 @@ def test_random_seeds_generate_clean_ball_game_plans(seed):
 
 # -- reference material --------------------------------------------------------
 
+# the designed sites of the transcribed option and utility strands
+_SITES = {"option:option-1": "CAGCTG", "util:red": "CACGTG"}
+
+
+def assess_printed() -> list[str]:
+    """Findings on the reference set: every deviation from the geometry of
+    its path with a 7-base core, each named by its printed piece."""
+    names = {strand: key for key, (strand, _, _) in _RAW.items()}
+    pieces = {_RAW[key][0]: seq for key, seq in printed_pieces().items()}
+    table = derivations(["option-1"], ["red"])
+    found = check_pieces(["option-1"], {"red": middle_length_for_rank(0)}, _SITES, pieces, table)
+    findings = []
+    for strand, v in found:
+        if v.kind == "site-missing":
+            findings.append(f"{names[strand]}: designed site {_SITES[strand]} not present")
+        elif v.kind in ("geometry", "derivation", "site-extra"):
+            findings.append(f"{names[strand]}: {v.detail}")
+    return findings
+
+
 def test_printed_reference_findings():
     findings = "\n".join(assess_printed())
     assert "choice.top: 39 bases, expected 40" in findings
@@ -475,7 +496,7 @@ def _util_findings(seq, left=None, right=None):
     left = tops[role_prob("red")] if left is None else left(tops[role_prob("red")])
     right = tops["term"] if right is None else right(tops["term"])
     sites = tuple(s.site for s in [*plan.option_sites.values(), *plan.outcome_sites.values()])
-    segment = Segment(("util:red",), seq, {7: "CACGTG"}, 0, (left,), (right,))
+    segment = Segment("util:red", seq, {7: "CACGTG"}, 0, (left,), (right,))
     return [tuple(v) for v in violations(segment, RuleContext(sites))]
 
 

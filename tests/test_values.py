@@ -33,7 +33,7 @@ EXAMPLES = {
     "DecisionMatrix": make_ball_game,
     "Derivation": lambda: compiler.derivations(["a"], ["b"])["chance:a:b"],
     "EncodingViolation": lambda: compiler.EncodingViolation("gc-range", ("x",), "low"),
-    "Segment": lambda: compiler.Segment(("x",), "ACGTTG", {1: "CGT"}),
+    "Segment": lambda: compiler.Segment("x", "ACGTTG", {1: "CGT"}),
     "RuleContext": lambda: compiler.RuleContext(("CAGCTG",), {}),
     "EncodingPlan": lambda: _run()[0],
     "ProtocolPlan": lambda: _run()[1],
@@ -94,7 +94,7 @@ def test_replace_keeps_the_type_and_the_other_fields():
 
 
 def test_no_mutable_default_is_shared():
-    a, b = compiler.Segment(("x",), "ACGT"), compiler.Segment(("y",), "TTAA")
+    a, b = compiler.Segment("x", "ACGT"), compiler.Segment("y", "TTAA")
     with pytest.raises(TypeError):
         a.sites[0] = "A"
     assert not b.sites

@@ -36,7 +36,7 @@ from dnadecide.wetlab import (
     run_protocol,
     split_tubes,
 )
-from tests.conftest import make_ball_game, make_five_by_five, make_widest
+from tests.conftest import concentration, make_ball_game, make_five_by_five, make_widest
 
 F = Fraction
 
@@ -51,11 +51,11 @@ def ball_setup():
 def test_mix_doses(ball_setup):
     _, plan, _ = ball_setup
     pool = mix(plan)
-    assert pool.concentration("choice") == 1
-    assert pool.concentration("chance:option-2:white") == 1
-    assert pool.concentration("thresh:red") == F(5, 9)
-    assert pool.concentration("thresh:black") == F(2, 3)
-    assert pool.concentration("thresh:white") == F(7, 9)
+    assert concentration(pool, "choice") == 1
+    assert concentration(pool, "chance:option-2:white") == 1
+    assert concentration(pool, "thresh:red") == F(5, 9)
+    assert concentration(pool, "thresh:black") == F(2, 3)
+    assert concentration(pool, "thresh:white") == F(7, 9)
     assert "primer:left" not in pool.species
     assert len(pool.species) == 32
 
@@ -137,11 +137,11 @@ def test_thresholds_displace_chance_strands(ball_setup):
     _, plan, _ = ball_setup
     tube = apply_thresholds(mix(plan))
     for opt in plan.matrix.options:
-        assert tube.concentration(role_chance(opt.label, "red")) == F(4, 9)
-        assert tube.concentration(role_chance(opt.label, "black")) == F(1, 3)
-        assert tube.concentration(role_chance(opt.label, "white")) == F(2, 9)
-    assert tube.concentration("waste:chance:option-1:red") == F(5, 9)
-    assert tube.concentration("thresh:red") == 0
+        assert concentration(tube, role_chance(opt.label, "red")) == F(4, 9)
+        assert concentration(tube, role_chance(opt.label, "black")) == F(1, 3)
+        assert concentration(tube, role_chance(opt.label, "white")) == F(2, 9)
+    assert concentration(tube, "waste:chance:option-1:red") == F(5, 9)
+    assert concentration(tube, "thresh:red") == 0
 
 
 def test_threshold_conservation_per_chance_species(ball_setup):
@@ -151,8 +151,8 @@ def test_threshold_conservation_per_chance_species(ball_setup):
     for opt in plan.matrix.options:
         for out in plan.matrix.outcomes:
             key = role_chance(opt.label, out.label)
-            waste = after.concentration(f"waste:{key}")
-            assert after.concentration(key) + waste == before.concentration(key)
+            waste = concentration(after, f"waste:{key}")
+            assert concentration(after, key) + waste == concentration(before, key)
 
 
 def test_one_waste_species_per_consumed_chance_species():
@@ -166,13 +166,13 @@ def test_one_waste_species_per_consumed_chance_species():
     before = mix(plan)
     after = apply_thresholds(before)
     chance = [role_chance(o.label, u.label) for o in m.options for u in m.outcomes]
-    consumed = [k for k in chance if after.concentration(k) < before.concentration(k)]
+    consumed = [k for k in chance if concentration(after, k) < concentration(before, k)]
     assert len(set(chance)) == len(consumed) == 4
     waste = {k for k, sp in after.species.items() if sp.status == WASTE}
     assert waste == {f"waste:{k}" for k in consumed}
     for key in chance:
-        total = after.concentration(key) + after.concentration(f"waste:{key}")
-        assert total == before.concentration(key)
+        total = concentration(after, key) + concentration(after, f"waste:{key}")
+        assert total == concentration(before, key)
 
 
 def test_assemble_yields_probability_weighted_constructs(ball_setup):
@@ -181,7 +181,7 @@ def test_assemble_yields_probability_weighted_constructs(ball_setup):
     expected = {"red": F(4, 9), "black": F(1, 3), "white": F(2, 9)}
     for opt in plan.matrix.options:
         for out in plan.matrix.outcomes:
-            assert tube.concentration(construct_key(opt.label, out.label)) == expected[out.label]
+            assert concentration(tube, construct_key(opt.label, out.label)) == expected[out.label]
 
 
 def test_split_gives_one_tube_per_option(ball_setup):
@@ -190,7 +190,7 @@ def test_split_gives_one_tube_per_option(ball_setup):
     tubes = split_tubes(pool)
     assert [t.label for t in tubes] == ["tube-1", "tube-2", "tube-3"]
     for t in tubes:
-        assert t.concentration(construct_key("option-1", "red")) == F(4, 9)
+        assert concentration(t, construct_key("option-1", "red")) == F(4, 9)
 
 
 def tube_states(plan, protocol, cycles=5):
@@ -236,7 +236,7 @@ def test_digest_fragment_lengths_conserve_parent(ball_setup):
     frag = next(k for k in digested.species if k.startswith("fragment:construct:"))
     parent = frag[len("fragment:") :].rsplit(":", 1)[0]
     out_label = parent.split(":")[-1]
-    assert digested.concentration(frag) == tubes[0].concentration(parent)
+    assert concentration(digested, frag) == concentration(tubes[0], parent)
 
 
 def test_digest_unknown_enzyme(ball_setup):
@@ -251,8 +251,8 @@ def test_pcr_doubles_per_cycle(ball_setup):
     tubes, _ = tube_states(plan, protocol)
     digested = digest(tubes[0], plan.tube_enzymes[0])
     amplified = pcr(digested, 5)
-    assert amplified.concentration(construct_key("option-1", "red")) == F(128, 9)
-    assert amplified.concentration(construct_key("option-1", "black")) == F(96, 9)
+    assert concentration(amplified, construct_key("option-1", "red")) == F(128, 9)
+    assert concentration(amplified, construct_key("option-1", "black")) == F(96, 9)
     # fragments carry no primer ends, so they are untouched
     for key, sp in amplified.species.items():
         if key.startswith("fragment:"):
@@ -266,7 +266,7 @@ def test_pcr_zero_cycles_still_marks_amplifiable(ball_setup):
     digested = digest(tubes[0], plan.tube_enzymes[0])
     amplified = pcr(digested, 0)
     key = construct_key("option-1", "red")
-    assert amplified.species[key].amplified and amplified.concentration(key) == F(4, 9)
+    assert amplified.species[key].amplified and concentration(amplified, key) == F(4, 9)
 
 
 def test_pcr_negative_cycles_rejected(ball_setup):
@@ -333,7 +333,7 @@ def test_run_protocol_reproduces_band_concentrations(ball_setup):
     _, plan, protocol = ball_setup
     tubes = run_protocol(plan, protocol, cycles=5)
     final = [
-        sorted((sp.length, t.concentration(key)) for key, sp in t.species.items())
+        sorted((sp.length, concentration(t, key)) for key, sp in t.species.items())
         for t in tubes
     ]
     assert final == [
@@ -354,7 +354,7 @@ def test_single_option_certain_outcome():
     assert len(tubes) == 1
     (sp,) = tubes[0].species.values()
     assert sp.length == 147
-    assert tubes[0].concentration(sp.key) == 32
+    assert concentration(tubes[0], sp.key) == 32
 
 
 def test_audit_log_is_deterministic(ball_setup):
@@ -388,7 +388,7 @@ def test_random_matrices_survivors_match_favorability():
                 for out, pay in zip(m.outcomes, opt.payoffs)
                 if pay is Payoff.FAVORABLE and out.probability > 0
             }
-            have = {k: tube.concentration(k) for k in tube.species}
+            have = {k: concentration(tube, k) for k in tube.species}
             assert have == want, f"trial {trial}, {opt.label}"
 
 
@@ -409,8 +409,8 @@ def _assert_run_equals_single_steps(plan, protocol, cycles):
         assert (a.label, a.log, a.pcr_cycles) == (b.label, b.log, b.pcr_cycles)
     lists = []
     for tube in got:
-        cut, grown, kept = tube.log[-3:]
-        lists += [cut["enzymes"], *cut["fragments"].values(), grown["amplified"], kept["removed"]]
+        cut, grown = tube.log[-3:-1]
+        lists += [cut["enzymes"], *cut["fragments"].values(), grown["amplified"]]
     # even where tubes share a duplex's fragments
     assert len({id(lst) for lst in lists}) == len(lists)
     return got
@@ -430,6 +430,26 @@ def test_shared_digest_table_equals_fresh_digests(draw):
         assert readout(run_gel(got), plan, m).chosen == tuple(best_options(m))
 
 
+@pytest.mark.parametrize(
+    "make, library",
+    [
+        (make_ball_game, CORE_BLUNT_CUTTERS),
+        (make_five_by_five, EXTENDED_BLUNT_CUTTERS),
+        (lambda: make_widest(random.Random("wide:0")), EXTENDED_BLUNT_CUTTERS),
+    ],
+    ids=["core", "extended-5x5", "extended-13x5"],
+)
+def test_purify_keeps_exactly_what_pcr_amplified(make, library):
+    # purify's record names nothing: what it keeps is pcr's amplified list,
+    # and all else in the tube washed out
+    plan, protocol = compile_problem(make(), seed=0, library=library)
+    tubes = run_protocol(plan, protocol) + _single_steps(plan, protocol.pcr_cycles)
+    assert len(tubes) == 2 * len(plan.matrix.options)
+    for tube in tubes:
+        assert tube.log[-1] == {"op": "purify"}
+        assert sorted(tube.species) == tube.log[-2]["amplified"]
+
+
 def test_digest_table_misses_on_changed_species(ball_setup):
     # the same plan's strands at other threshold doses: the pools share
     # every structure, site and cut but not their counts, and each run must
@@ -439,7 +459,7 @@ def test_digest_table_misses_on_changed_species(ball_setup):
     key = construct_key("option-1", "red")
     for p, survivor in ((plan, F(4, 9) * 32), (changed, F(2, 3) * 32)):
         tubes = _assert_run_equals_single_steps(p, protocol._replace(plan=p), 5)
-        assert tubes[0].concentration(key) == survivor
+        assert concentration(tubes[0], key) == survivor
 
 
 def test_digest_table_rejects_another_plan(ball_setup):
@@ -467,7 +487,7 @@ def test_digest_table_rejects_a_tube_with_other_species(ball_setup):
     species = dict(tube.species)
     species[key] = species[key]._replace(count=2 * species[key].count)
     doubled = tube._replace(species=species)
-    assert purify(pcr(digest(doubled, plan.tube_enzymes[0]), 5)).concentration(key) == F(256, 9)
+    assert concentration(purify(pcr(digest(doubled, plan.tube_enzymes[0]), 5)), key) == F(256, 9)
     with pytest.raises(ValueError, match="other species"):
         DigestTable(pool).purified(doubled, plan.tube_enzymes[0], 5)
 
@@ -524,11 +544,11 @@ def _run_text(matrix, seed, library) -> str:
     "make, library, seeds, sha",
     [
         (lambda seed: make_ball_game(), CORE_BLUNT_CUTTERS, range(10),
-         "07dde8fb2fb147fc3816a70821b759d2d82559eede1cec4b3681bd5c4626ddfe"),
+         "35c23bee6986943f7ad7f386c2c2a0bb24794eec0b888633f4149b853a3b7f94"),
         (lambda seed: make_five_by_five(), EXTENDED_BLUNT_CUTTERS, range(10),
-         "a3cacf142b3dc52498b3cc661e32008888a93708ef71fc07c51262c8d340d2cd"),
+         "32bf7cebe40c036542d6015d08bb8685fd8cb6d1ad11bf318af1a5e1ef3a65ce"),
         (lambda seed: make_widest(random.Random(seed)), EXTENDED_BLUNT_CUTTERS, range(4),
-         "688e47de07495264a8549fb5ce040b9ff75fe7862650710d77a84b69a1f799a2"),
+         "8f33c5d8d63454dfb52699d0ece9d87ab6bdeca9b8d5680221d6521f7495e102"),
     ],
     ids=["core", "extended-5x5", "extended-13x5"],
 )
