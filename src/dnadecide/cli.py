@@ -99,7 +99,7 @@ def _load_matrix(args):
 
 
 def _compile(args, **kwargs):
-    """Compile the problem the common options name, echoing any fixture notes."""
+    """Compile the problem the common options name, echoing any fixture notes on stderr."""
     plan, protocol = compile_problem(
         _load_matrix(args),
         seed=args.seed,
@@ -108,7 +108,7 @@ def _compile(args, **kwargs):
         **kwargs,
     )
     for note in plan.fixture_notes:
-        print(note)
+        print(note, file=sys.stderr)
     return plan, protocol
 
 

@@ -90,16 +90,11 @@ def role_thresh(outcome_label: str) -> str:
     return f"thresh:{_slug(outcome_label)}"
 
 
-def role_link_choice(option_label: str) -> str:
-    return f"link:choice:{_slug(option_label)}"
-
-
-def role_link_prob(outcome_label: str) -> str:
-    return f"link:prob:{_slug(outcome_label)}"
-
-
-def role_link_util(outcome_label: str) -> str:
-    return f"link:util:{_slug(outcome_label)}"
+# One root-to-sink path of the decision network, its nine role names spelled
+# as `_GEOMETRY` spells them: {o} is the option's slug and {u} the outcome's.
+# A slug holds no whitespace, so one format and a split give the nine names.
+_PATH = ("choice link:choice:{o} option:{o} chance:{o}:{u} prob:{u} "
+         "link:prob:{u} util:{u} link:util:{u} term")
 
 
 def construct_roles(option_label: str, outcome_label: str) -> tuple[str, ...]:
@@ -108,21 +103,11 @@ def construct_roles(option_label: str, outcome_label: str) -> tuple[str, ...]:
     The matrix unrolls into a single-source, single-sink DAG whose layers are
     choice -> option -> chance -> probability -> utility -> termination.
     Probability and utility nodes are shared across options, so the graph has
-    one root-to-sink path per (option, outcome) pair, and this is it. The
-    tops sit at the even positions; each odd position is the junction strand
-    (a junction row of `_GEOMETRY`) that pairs its two neighbours.
+    one root-to-sink path per (option, outcome) pair, and `_PATH` spells it.
+    The tops sit at the even positions; each odd position is the junction
+    strand (a junction row of `_GEOMETRY`) that pairs its two neighbours.
     """
-    return (
-        ROLE_CHOICE,
-        role_link_choice(option_label),
-        role_option(option_label),
-        role_chance(option_label, outcome_label),
-        role_prob(outcome_label),
-        role_link_prob(outcome_label),
-        role_util(outcome_label),
-        role_link_util(outcome_label),
-        ROLE_TERM,
-    )
+    return tuple(_PATH.format(o=_slug(option_label), u=_slug(outcome_label)).split())
 
 
 def construct_key(option_label: str, outcome_label: str) -> str:
@@ -704,17 +689,12 @@ class EncodingPlan(NamedTuple):
 
     def predicted_bands(self) -> list[list[tuple[int, int]]]:
         """Per option: (construct length, relative count) for surviving paths."""
-        scale = self.intensity_scale()
-        table = []
-        for opt in self.matrix.options:
-            rows = []
-            for out, pay in zip(self.matrix.outcomes, opt.payoffs):
-                if pay is Payoff.FAVORABLE:
-                    count = out.probability * scale
-                    rows.append((self.construct_length(out.label), int(count)))
-            rows.sort()
-            table.append(rows)
-        return table
+        scale, outs = self.intensity_scale(), self.matrix.outcomes
+        return [
+            sorted((self.construct_length(outs[j].label), int(outs[j].probability * scale))
+                   for j in opt.favorable_indices())
+            for opt in self.matrix.options
+        ]
 
     def all_strands(self) -> list[tuple[str, Strand]]:
         """(name, sequence) per strand, by plan key; a duplex gives key.top and key.bottom."""
@@ -753,11 +733,7 @@ class EncodingPlan(NamedTuple):
             self.matrix.options, self.tube_enzymes, self.predicted_bands()
         ):
             site = self.option_sites[opt.label]
-            fav = [
-                out.label
-                for out, pay in zip(self.matrix.outcomes, opt.payoffs)
-                if pay is Payoff.FAVORABLE
-            ]
+            fav = [self.matrix.outcomes[j].label for j in opt.favorable_indices()]
             band_text = ", ".join(f"{length} bp x{count}" for length, count in bands)
             lines.append(
                 f"  {opt.label}: enzyme {site.enzyme} ({site.site}), "

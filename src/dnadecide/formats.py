@@ -9,14 +9,16 @@ A problem file looks like:
     }
 
 Probabilities and utilities are exact rationals written as strings ("4/9",
-"1", "0.5", "5e-1"); a JSON number such as 0.5 is refused, as is a value
-Python will not print (over 4300 digits by default). The "utilities" block
-is optional and defaults to 1 for favorable and 0 for unfavorable outcomes.
+"1", "0.5", "5e-1"); a JSON number such as 0.5 is refused, as is a value,
+or a sum or estimate of the values (`_check_scale`), that Python will not
+print (over 4300 digits by default). The "utilities" block is optional and
+defaults to 1 for favorable and 0 for unfavorable outcomes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -29,13 +31,29 @@ class ProblemFormatError(ValueError):
     """The problem file is malformed; the message names the offending field."""
 
 
+def _digit_limit() -> int:
+    # 10**limit is slow to build and too long to print; no limit (0) gets the default
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _check_scale(where: str, p_den: int, *utilities: Fraction) -> None:
+    """Refuse, at `where`, a problem whose sums and estimates Python will not
+    print. Each has a denominator dividing L*U and a numerator at most M*L*U
+    (L = `p_den` and U the lcms of the probability and utility denominators,
+    M the largest utility numerator), times under 20 digits of PCR gain,
+    band length and outcome count. Digits are counted from bits, to within one."""
+    u_den = math.lcm(*(u.denominator for u in utilities))
+    top = max([1, *(abs(u.numerator) for u in utilities)])
+    if (p_den * u_den * top).bit_length() * math.log10(2) > _digit_limit() - 20:
+        raise ProblemFormatError(f"{where}: with it, sums and estimates are too long to print")
+
+
 def _fraction(raw, where: str) -> Fraction:
     if not isinstance(raw, str):
         raise ProblemFormatError(
             f"{where}: expected a rational written as a string, got {type(raw).__name__}"
         )
-    # 10**limit is slow to build and too long to print; no limit (0) gets the default
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = _digit_limit()
     exponent = re.search(r"e[-+]?([\d_]+)\s*\Z", raw, re.IGNORECASE)
     digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
     if len(digits) > len(str(limit)) or int(digits or 0) >= limit:
@@ -76,12 +94,14 @@ def parse_problem(text: str) -> DecisionMatrix:
     if stray:
         raise ProblemFormatError(f"top level: unknown key {sorted(stray)[0]!r}")
 
-    outcomes = []
+    outcomes, p_den = [], 1
     for i, entry in enumerate(doc["outcomes"]):
         if not isinstance(entry, dict):
             raise ProblemFormatError(f"outcomes[{i}]: expected an object")
         label = _string(entry.get("label"), f"outcomes[{i}].label")
         prob = _fraction(entry.get("probability"), f"outcomes[{i}].probability")
+        p_den = math.lcm(p_den, prob.denominator)
+        _check_scale(f"outcomes[{i}].probability", p_den)
         outcomes.append((label, prob))
 
     options = []
@@ -103,7 +123,9 @@ def parse_problem(text: str) -> DecisionMatrix:
             "utilities: expected exactly the keys 'favorable' and 'unfavorable'"
         )
     u_fav = _fraction(utilities["favorable"], "utilities.favorable")
+    _check_scale("utilities.favorable", p_den, u_fav)
     u_unf = _fraction(utilities["unfavorable"], "utilities.unfavorable")
+    _check_scale("utilities.unfavorable", p_den, u_fav, u_unf)
 
     return build_matrix(outcomes, options, u_favorable=u_fav, u_unfavorable=u_unf)
 

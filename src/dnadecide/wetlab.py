@@ -1,21 +1,21 @@
 """Deterministic simulation of the bench protocol.
 
-Each species' amount is an integer count of 1/`plan.intensity_scale()`
-of a stock (one pooled dose = scale counts): every dose is a whole number
-of them and PCR only doubles, so counting stays exact rational arithmetic.
-Audit records spell each amount as a reduced ratio (`_ratio`, one gcd); a
-`Fraction` is built only for the gel's bands.
-Operations never mutate a tube; each returns a fresh TubeState with an
-audit record appended, so a whole run is reproducible from its log.
-Thresholding follows pairwise dose semantics: a threshold dosed at ratio r
-holds back min(r, c) from EACH chance species it targets, the ratio being
-defined against that species' own stock.
+A species is named by its key in a tube's mapping alone. Its amount is an
+integer count of 1/`plan.intensity_scale()` of a stock (one pooled dose =
+scale counts): every dose is a whole number of them and PCR only doubles,
+so counting stays exact rational arithmetic. Audit records spell each
+amount as a reduced ratio (`_ratio`, one gcd); a `Fraction` is built only
+for the gel's bands. Operations never mutate a tube; each returns a fresh
+TubeState with an audit record appended, so a run is reproducible from its
+log. Thresholding follows pairwise dose semantics: a threshold dosed at
+ratio r holds back min(r, c) from EACH chance species it targets, the
+ratio being defined against that species' own stock.
 
 Assembly uses limiting-reagent accounting against the counts at entry:
-every root-to-termination path yields construct at the minimum of
-its nine constituents, and shared constituents are debited by total demand
-(floored at zero). Yields are nominal per-path numbers, which is exactly
-what a within-lane band comparison measures.
+every path yields construct at the minimum of its nine constituents
+(`construct_roles`, all pooled by `mix`, so a missing one is a KeyError),
+and shared constituents are debited by total demand (floored at zero).
+Yields are nominal per-path numbers, as a within-lane band comparison reads.
 
 `digest`, `pcr` and `purify` are the single steps, each walking its own
 tube. `run_protocol` does not call them: its option tubes share the pool's
@@ -76,7 +76,6 @@ class DoseError(ValueError):
 
 
 class Species(NamedTuple):
-    key: str
     structure: Strand | Duplex
     count: int  # amount, in units of 1/plan.intensity_scale() stock
     status: str = ACTIVE
@@ -125,7 +124,7 @@ def mix(plan: EncodingPlan) -> TubeState:
         count = doses.get(role, 1) * unit
         if count.denominator != 1:
             raise DoseError(f"{role}: dose {doses[role]} is not a whole number of 1/{unit} units")
-        species[role] = Species(role, plan.strands[role], int(count))
+        species[role] = Species(plan.strands[role], int(count))
     record = {
         "op": "mix",
         "species": len(species),
@@ -149,22 +148,17 @@ def apply_thresholds(tube: TubeState) -> TubeState:
     detail: dict[str, dict] = {}
     for out in plan.matrix.outcomes:
         th_key = role_thresh(out.label)
-        if th_key not in species:
-            continue
         dose = species[th_key].count
         max_consumed = 0
         for opt in plan.matrix.options:
             ch_key = role_chance(opt.label, out.label)
-            if ch_key not in species:
-                continue
             c = species[ch_key].count
             consumed = min(dose, c)
             max_consumed = max(max_consumed, consumed)
             if consumed == 0:
                 continue
             species[ch_key] = species[ch_key]._replace(count=c - consumed)
-            waste_key = f"waste:{ch_key}"
-            species[waste_key] = Species(waste_key, species[th_key].structure, consumed, WASTE)
+            species[f"waste:{ch_key}"] = Species(species[th_key].structure, consumed, WASTE)
             detail[ch_key] = {
                 "dose": _ratio(dose, unit),
                 "consumed": _ratio(consumed, unit),
@@ -183,22 +177,21 @@ def assemble(tube: TubeState) -> TubeState:
     plan = tube.plan
     unit = plan.intensity_scale()
     species = dict(tube.species)
-    have = {k: s.count for k, s in species.items() if s.status == ACTIVE}
     paths = []  # (key, roles, yield) per construct
     demand: dict[str, int] = {}
     for opt in plan.matrix.options:
         for out in plan.matrix.outcomes:
             roles = construct_roles(opt.label, out.label)
-            amount = min(have.get(r, 0) for r in roles)
+            amount = min(tube.species[r].count for r in roles)
             paths.append((construct_key(opt.label, out.label), roles, amount))
             for r in roles:
                 demand[r] = demand.get(r, 0) + amount
     for key, used in demand.items():
-        species[key] = species[key]._replace(count=max(0, have[key] - used))
+        species[key] = species[key]._replace(count=max(0, species[key].count - used))
     for key, roles, amount in paths:
         top = plan.construct_top(roles)
         bottom = top[::-1].translate(_COMPLEMENT)
-        species[key] = Species(key, _derived(top, bottom, 0), amount)
+        species[key] = Species(_derived(top, bottom, 0), amount)
     yields = {key: _ratio(amount, unit) for key, _, amount in paths}
     return tube._with(species, {"op": "assemble", "yields": yields})
 
@@ -271,8 +264,7 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
             continue
         del species[key]
         for i, piece in enumerate(pieces):
-            frag = f"fragment:{key}:{i}"
-            species[frag] = Species(frag, piece, sp.count)
+            species[f"fragment:{key}:{i}"] = Species(piece, sp.count)
         cuts[key] = [piece.span_length for piece in pieces]
     return tube._with(species, {"op": "digest", "enzymes": ordered, "fragments": cuts})
 
@@ -382,7 +374,7 @@ class DigestTable:
             if primed:
                 count = fate.species.count << cycles
                 for key, piece in primed:
-                    frags[key] = Species(key, piece, count, ACTIVE, True)
+                    frags[key] = Species(piece, count, ACTIVE, True)
         kept.update(frags)
         log = tube.log + (
             {"op": "digest", "enzymes": ordered, "fragments": cuts},

@@ -254,12 +254,13 @@ def test_fixture_compile_is_clean_for_every_seed(library, capsys):
     redesigned = []
     for seed in [*range(10), 237, 307, 374, 380, 539, 671, 736, 884]:
         assert main(["compile", "--fixture", "--seed", str(seed), "--enzymes", library]) == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert "encoding validation: 0 warning(s)" in out, seed
-        # one verdict on the pad, echoed once and listed once in the plan
-        verdicts = [line for line in out.splitlines() if "reference thresh pad" in line]
-        assert len(verdicts) == 2 and verdicts[1] == "  - " + verdicts[0], seed
-        if seed < 10 and verdicts[0].startswith("rejected reference thresh pad: window"):
+        # one verdict on the pad, echoed once on stderr and listed once in the plan
+        echoed = [line for line in err.splitlines() if "reference thresh pad" in line]
+        listed = [line for line in out.splitlines() if "reference thresh pad" in line]
+        assert len(echoed) == 1 and listed == ["  - " + echoed[0]], seed
+        if seed < 10 and echoed[0].startswith("rejected reference thresh pad: window"):
             redesigned.append(seed)
     # joined to these seeds' toeholds, the pad repeats a probability window
     assert redesigned == [1, 4, 6, 9]
@@ -269,8 +270,20 @@ def test_fixture_run_agrees_where_a_kept_piece_met_a_designed_junction(capsys):
     # the printed option piece behind this seed's choice arm spells a StuI
     # site across the junction; kept, it cut option-1's constructs away
     assert main(["run", "--fixture", "--seed", "380"]) == 0
-    out = capsys.readouterr().out
-    assert "rejected reference option: site AGGCCT spans the junction AGGCCTCTGA" in out
+    err = capsys.readouterr().err
+    assert "rejected reference option: site AGGCCT spans the junction AGGCCTCTGA" in err
+
+
+@pytest.mark.parametrize("fmt", ["svg", "tsv", "text"])
+def test_fixture_run_stdout_is_the_artifact_alone(tmp_path, capsys, fmt):
+    # the six verdicts used to come first on stdout, ahead of the artifact
+    assert main(["run", "--fixture", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    path = tmp_path / f"gel.{fmt}"
+    assert main(["run", "--fixture", "--format", fmt, "--out", str(path)]) == 0
+    assert out == path.read_text(encoding="utf-8")
+    verdicts = [line for line in err.splitlines() if " reference " in line]
+    assert len(verdicts) == 6 and all(v.startswith(("kept ", "rejected ")) for v in verdicts)
 
 
 def test_fixture_fasta_carries_kept_reference_sequence(tmp_path, capsys):
@@ -496,6 +509,28 @@ def test_an_exponent_past_the_digit_limit_exits_one_naming_the_field(
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["utilities.unfavorable", "outcomes[1].probability"])
+def test_numbers_too_long_to_print_together_exit_one_naming_the_field(tmp_path, capsys, field):
+    # 1/a and 1/b each print, but with a and b coprime their estimates
+    # (as utilities) or their sum (as probabilities) have some 4400 digits;
+    # both died in a ValueError traceback
+    a, b = 10**2200 + 1, 10**2200 + 3
+    doc = {
+        "outcomes": [{"label": "r", "probability": "1/2"}, {"label": "b", "probability": "1/2"}],
+        "options": [{"label": "x", "favorable": ["r"]}, {"label": "y", "favorable": ["b"]}],
+    }
+    if field.startswith("utilities"):
+        doc["utilities"] = {"favorable": f"1/{a}", "unfavorable": f"1/{b}"}
+    else:
+        doc["outcomes"][0]["probability"], doc["outcomes"][1]["probability"] = f"1/{a}", f"1/{b}"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for command in ("compile", "run"):
+        assert main([command, "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "too long to print" in err and "Traceback" not in err
 
 
 def test_run_rejects_cycle_count_above_ceiling(capsys):

@@ -40,7 +40,7 @@ from dnadecide.strands import (
     Strand,
     reverse_complement,
 )
-from tests.conftest import gc_fraction, make_ball_game, make_five_by_five
+from conftest import gc_fraction, make_ball_game, make_five_by_five
 
 F = Fraction
 

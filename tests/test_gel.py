@@ -1,6 +1,5 @@
 """Gel migration model, band merging, rendering, and the final readout."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from dnadecide.gel import (
 )
 from dnadecide.soundness import random_matrix, run_end_to_end
 from dnadecide.wetlab import run_protocol
-from tests.conftest import make_ball_game, make_widest
+from conftest import make_ball_game, make_widest
 
 # the stock ladder, 10 to 200 bp, and its top rung
 STOCK = ladder(200)

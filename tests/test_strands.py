@@ -15,7 +15,7 @@ from dnadecide.strands import (
     reverse_complement,
     site_hits,
 )
-from tests.conftest import gc_fraction
+from conftest import gc_fraction
 
 PVUII = CORE_BLUNT_CUTTERS[0]
 

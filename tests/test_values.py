@@ -78,8 +78,8 @@ def test_hash_is_the_hash_of_the_field_tuple():
     # values, depends on this hash
     site = RecognitionSite("PvuII", "CAGCTG")
     assert hash(site) == hash(("PvuII", "CAGCTG"))
-    species = wetlab.Species("k", Strand("ACGT"), 3)
-    assert hash(species) == hash(("k", "ACGT", 3, wetlab.ACTIVE, False))
+    species = wetlab.Species(Strand("ACGT"), 3)
+    assert hash(species) == hash(("ACGT", 3, wetlab.ACTIVE, False))
     assert species != species._replace(count=2)
 
 
@@ -88,7 +88,7 @@ def test_replace_keeps_the_type_and_the_other_fields():
     species = next(iter(tube.species.values()))
     doubled = species._replace(count=2 * species.count)
     assert type(doubled) is wetlab.Species
-    assert doubled[:2] + doubled[3:] == species[:2] + species[3:]
+    assert doubled[:1] + doubled[2:] == species[:1] + species[2:]
     emptied = tube._replace(species={})
     assert type(emptied) is wetlab.TubeState and emptied.plan is plan and not emptied.species
 

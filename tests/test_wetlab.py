@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from dnadecide.compiler import ProtocolPlan, compile_problem, role_chance, role_thresh
+from dnadecide.compiler import (
+    ProtocolPlan,
+    compile_problem,
+    construct_roles,
+    derivations,
+    role_chance,
+    role_thresh,
+)
 from dnadecide.decision import Payoff, best_options, build_matrix
 from dnadecide.gel import band_table, readout, render, run_gel
 from dnadecide.soundness import random_matrix
@@ -36,7 +43,7 @@ from dnadecide.wetlab import (
     run_protocol,
     split_tubes,
 )
-from tests.conftest import concentration, make_ball_game, make_five_by_five, make_widest
+from conftest import concentration, make_ball_game, make_five_by_five, make_widest
 
 F = Fraction
 
@@ -184,6 +191,32 @@ def test_assemble_yields_probability_weighted_constructs(ball_setup):
             assert concentration(tube, construct_key(opt.label, out.label)) == expected[out.label]
 
 
+@pytest.mark.parametrize(
+    "make", [make_ball_game, lambda: make_widest(random.Random(7))], ids=["ball", "widest"]
+)
+def test_mix_pools_every_role_of_every_path(make):
+    # assemble reads each path's nine roles straight from the pool
+    matrix = make()
+    plan, _ = compile_problem(matrix, seed=0, library=EXTENDED_BLUNT_CUTTERS)
+    pool = mix(plan).species
+    table = derivations([o.label for o in matrix.options], [o.label for o in matrix.outcomes])
+    for opt in matrix.options:
+        for out in matrix.outcomes:
+            roles = construct_roles(opt.label, out.label)
+            assert set(roles) <= set(pool)
+            assert all(table[role].offset is None for role in roles[1::2])
+
+
+def test_assemble_refuses_a_pool_missing_a_path_role(ball_setup):
+    # a missing role is an error, never a count of 0 that yields empty constructs
+    _, plan, _ = ball_setup
+    tube = apply_thresholds(mix(plan))
+    species = dict(tube.species)
+    del species["link:prob:red"]
+    with pytest.raises(KeyError, match="link:prob:red"):
+        assemble(tube._replace(species=species))
+
+
 def test_split_gives_one_tube_per_option(ball_setup):
     _, plan, _ = ball_setup
     pool = assemble(apply_thresholds(mix(plan)))
@@ -306,8 +339,8 @@ def test_digest_and_pcr_judge_any_duplex_geometry(ball_setup):
     d = tube.species[construct_key("option-1", "red")].structure
     c = tube.species[cut_key].structure
     added = {
-        "flipped": Species("flipped", Duplex(d.bottom, d.top, 0), 9),
-        "overhung": Species("overhung", Duplex(c.top, reverse_complement("GA" + c.top[:-4]), -2), 9),
+        "flipped": Species(Duplex(d.bottom, d.top, 0), 9),
+        "overhung": Species(Duplex(c.top, reverse_complement("GA" + c.top[:-4]), -2), 9),
     }
     digested = digest(tube._replace(species=tube.species | added), enzymes)
     assert pcr(digested, 1).species["flipped"].amplified
@@ -352,9 +385,9 @@ def test_single_option_certain_outcome():
     plan, protocol = compile_problem(m, seed=1)
     tubes = run_protocol(plan, protocol)
     assert len(tubes) == 1
-    (sp,) = tubes[0].species.values()
+    ((key, sp),) = tubes[0].species.items()
     assert sp.length == 147
-    assert concentration(tubes[0], sp.key) == 32
+    assert concentration(tubes[0], key) == 32
 
 
 def test_audit_log_is_deterministic(ball_setup):
