@@ -18,12 +18,10 @@ and shared constituents are debited by total demand (floored at zero).
 Yields are nominal per-path numbers, as a within-lane band comparison reads.
 
 `digest`, `pcr` and `purify` are the single steps, each walking its own
-tube. `run_protocol` does not call them: its option tubes share the pool's
-species mapping (no step edits a mapping in place) and the pool's
-`DigestTable`, which walks the pool once, scans each active duplex for the
-library's sites once and cuts it once per distinct set of enzymes that
-hits it. Each tube's digest, pcr and purify then run as one pass over that
-table, writing the records the single steps write and building a species
+tube. `run_protocol` does not call them. It walks the pool once, scanning
+each active duplex for the library's sites once, and runs each option
+tube's digest, pcr and purify as one pass over those duplexes. A duplex is
+cut once per distinct set of enzymes that hits it, and a species is built
 only for a fragment that survives purify. Purify's record names nothing:
 it keeps exactly what pcr's record lists as amplified.
 """
@@ -213,15 +211,6 @@ def _library(plan: EncodingPlan) -> dict[str, RecognitionSite]:
     return {site.enzyme: site for site in sorted(sites)}
 
 
-def _ordered(library: dict[str, RecognitionSite], enzyme_names) -> list[str]:
-    """The named enzymes in name order, each checked to be in the library."""
-    ordered = sorted(enzyme_names)
-    for name in ordered:
-        if name not in library:
-            raise UnknownEnzymeError(f"{name} is not in this plan's library: {list(library)}")
-    return ordered
-
-
 def _primer_rule(plan: EncodingPlan):
     """Whether pcr amplifies a duplex: blunt, long enough to hold both
     primers, and flanked by them (a primer at each end, read on either strand)."""
@@ -252,7 +241,10 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
     replace it, after the tube's other species.
     """
     library = _library(tube.plan)
-    ordered = _ordered(library, enzyme_names)
+    ordered = sorted(enzyme_names)
+    for name in ordered:
+        if name not in library:
+            raise UnknownEnzymeError(f"{name} is not in this plan's library: {list(library)}")
     sites = [library[name] for name in ordered]
     species = dict(tube.species)
     cuts: dict[str, list[int]] = {}
@@ -291,114 +283,66 @@ def purify(tube: TubeState) -> TubeState:
     return tube._with(kept, {"op": "purify"})
 
 
-class _Fate:
-    """What digest, pcr and purify do to one active duplex of a pool, worked out once."""
-
-    __slots__ = ("key", "species", "primed", "hits", "mask", "cuts")
-
-    def __init__(self, key: str, species: Species, primed: bool, hits, mask: int) -> None:
-        self.key, self.species, self.primed = key, species, primed
-        self.hits = hits  # the library's site instances in it (`site_hits`)
-        self.mask = mask  # the enzymes with a site in it, as a bit mask
-        self.cuts: dict[int, tuple] = {}  # enzyme mask -> (span lengths, primed fragments)
-
-
-class DigestTable:
-    """The fate table of one pool: what digest, pcr and purify do to it.
-
-    Built from the pool in one walk: every active duplex gets a fate (its
-    pcr primer verdict, and the library's site instances in it, from one
-    `site_hits` scan in enzyme name order); every other species is only
-    ever washed out. Each distinct set of enzymes that hits a duplex cuts it
-    once, and what the fragments come to is kept: their span lengths and the
-    primer-flanked ones pcr amplifies. Cutting with only the enzymes that
-    hit a duplex gives the same fragments as cutting with all of a tube's
-    enzymes, so tubes with different enzyme sets share cuts.
-    """
-
-    def __init__(self, pool: TubeState) -> None:
-        plan = self.plan = pool.plan
-        self._species = pool.species
-        self._library = _library(plan)
-        sites = list(self._library.values())
-        # enzyme sets are bit masks over the library in name order
-        self._bits = {name: 1 << i for i, name in enumerate(self._library)}
-        self._primed = _primer_rule(plan)
-        self.fates = []
-        for key, sp in pool.species.items():
-            if sp.status != ACTIVE or not sp.is_duplex:
-                continue
-            hits = site_hits(sp.structure, sites)
-            mask = sum(self._bits[site.enzyme] for site in hits)
-            self.fates.append(_Fate(key, sp, self._primed(sp.structure), hits, mask))
-
-    def fragments(self, fate: _Fate, hit: int) -> tuple:
-        """(span lengths, (key, piece) of each primed one) of the fragments
-        that `hit`, a non-empty part of the fate's mask, cuts its duplex
-        into; kept in the fate's `cuts`."""
-        sites = [site for site in fate.hits if self._bits[site.enzyme] & hit]
-        pieces = cut(fate.species.structure, *sites, hits=fate.hits)
-        lengths = [piece.span_length for piece in pieces]
-        primed = [(f"fragment:{fate.key}:{i}", p) for i, p in enumerate(pieces) if self._primed(p)]
-        fate.cuts[hit] = result = (lengths, primed)
-        return result
-
-    def purified(self, tube: TubeState, enzyme_names, cycles: int) -> TubeState:
-        """`purify(pcr(digest(tube, enzyme_names), cycles))` of an aliquot of
-        the table's pool (from `split_tubes`), in one pass over its fates.
-
-        The pass reads the pool's fates, not the tube's species, so it
-        refuses a tube of another plan or with species other than the pool's.
-
-        The same audit records come out, and the survivors in the same
-        order: the uncut primed duplexes in pool order, then the primed
-        fragments; all else washes out. No fragment key can be a pool key
-        (those are role, `construct:` and `waste:` keys), so no fragment
-        replaces a species.
-        """
-        if tube.plan is not self.plan or tube.species != self._species:
-            raise ValueError("digest table was built for another plan or other species")
-        ordered = _ordered(self._library, enzyme_names)
-        _check_cycles(cycles)
-        mask = sum(self._bits[name] for name in ordered)
-        kept, frags, cuts = {}, {}, {}
-        for fate in self.fates:
-            hit = fate.mask & mask
-            if not hit:
-                if fate.primed:
-                    sp = fate.species
-                    kept[fate.key] = sp._replace(count=sp.count << cycles, amplified=True)
-                continue
-            lengths, primed = fate.cuts.get(hit) or self.fragments(fate, hit)
-            cuts[fate.key] = lengths[:]  # each audit record owns its lists
-            if primed:
-                count = fate.species.count << cycles
-                for key, piece in primed:
-                    frags[key] = Species(piece, count, ACTIVE, True)
-        kept.update(frags)
-        log = tube.log + (
-            {"op": "digest", "enzymes": ordered, "fragments": cuts},
-            {"op": "pcr", "cycles": cycles, "amplified": sorted(kept)},
-            {"op": "purify"},
-        )
-        return tube._replace(species=kept, log=log, pcr_cycles=tube.pcr_cycles + cycles)
-
-
 def run_protocol(
     plan: EncodingPlan, protocol: ProtocolPlan, cycles: int | None = None
 ) -> list[TubeState]:
     """mix -> thresholds -> assemble -> split -> (digest, pcr, purify) per tube.
 
     `plan` must be the protocol's own plan; `cycles` overrides its PCR
-    cycles. The tubes share the pool's `DigestTable`, which runs each
-    tube's last three steps in one pass.
+    cycles. Each tube's last three steps run as one pass over the pool's
+    fates and write the single steps' records. The survivors come in the
+    single steps' order: the uncut primed duplexes in pool order, then the
+    primed fragments. No fragment key can be a pool key (those are role,
+    `construct:` and `waste:` keys), so no fragment replaces a species.
     """
     if plan is not protocol.plan:
         raise ValueError("protocol was compiled for another plan")
     n = cycles if cycles is not None else protocol.pcr_cycles
+    _check_cycles(n)
     pool = assemble(apply_thresholds(mix(plan)))
-    table = DigestTable(pool)
-    return [
-        table.purified(tube, enzymes, n)
-        for tube, enzymes in zip(split_tubes(pool), plan.tube_enzymes)
-    ]
+    library = _library(plan)
+    sites = list(library.values())
+    bits = {name: 1 << i for i, name in enumerate(library)}  # enzyme sets as bit masks
+    primed = _primer_rule(plan)
+    # a fate per active duplex: key, species, primer verdict, site hits, the
+    # mask of the enzymes that hit it, and its cuts by the mask of the hitters
+    fates = []
+    for key, sp in pool.species.items():
+        if sp.status == ACTIVE and sp.is_duplex:
+            hits = site_hits(sp.structure, sites)
+            mask = sum(bits[site.enzyme] for site in hits)
+            fates.append((key, sp, primed(sp.structure), hits, mask, {}))
+    tubes = []
+    for tube, enzymes in zip(split_tubes(pool), plan.tube_enzymes):
+        ordered = sorted(enzymes)
+        tube_mask = sum(bits[name] for name in ordered)
+        kept, frags, cuts = {}, {}, {}
+        for key, sp, is_primed, hits, fate_mask, memo in fates:
+            hit = fate_mask & tube_mask
+            if not hit:
+                if is_primed:
+                    kept[key] = sp._replace(count=sp.count << n, amplified=True)
+                continue
+            done = memo.get(hit)
+            if done is None:
+                # cutting with only the enzymes that hit a duplex gives the
+                # same fragments as with all of a tube's, so tubes share cuts
+                pieces = cut(sp.structure, *[s for s in hits if bits[s.enzyme] & hit], hits=hits)
+                done = memo[hit] = (
+                    [piece.span_length for piece in pieces],
+                    [(f"fragment:{key}:{i}", p) for i, p in enumerate(pieces) if primed(p)],
+                )
+            lengths, survivors = done
+            cuts[key] = lengths[:]  # each audit record owns its lists
+            if survivors:
+                count = sp.count << n
+                for frag_key, piece in survivors:
+                    frags[frag_key] = Species(piece, count, ACTIVE, True)
+        kept.update(frags)
+        log = tube.log + (
+            {"op": "digest", "enzymes": ordered, "fragments": cuts},
+            {"op": "pcr", "cycles": n, "amplified": sorted(kept)},
+            {"op": "purify"},
+        )
+        tubes.append(tube._replace(species=kept, log=log, pcr_cycles=tube.pcr_cycles + n))
+    return tubes

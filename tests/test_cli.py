@@ -539,6 +539,12 @@ def test_run_rejects_cycle_count_above_ceiling(capsys):
     assert "cycle count must be at most" in capsys.readouterr().err
 
 
+def test_run_rejects_a_negative_cycle_count(capsys):
+    assert main(["run", "--cycles", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "non-negative" in err and "Traceback" not in err
+
+
 def test_verify_rejects_cycle_count_above_ceiling(capsys):
     assert main(["verify", "--count", "1", "--cycles", "100000"]) == 1
     assert "cycle count must be at most" in capsys.readouterr().err

@@ -28,7 +28,6 @@ from dnadecide.wetlab import (
     MAX_PCR_CYCLES,
     WASTE,
     CycleCountError,
-    DigestTable,
     DoseError,
     Species,
     UnknownEnzymeError,
@@ -223,10 +222,11 @@ def test_split_gives_one_tube_per_option(ball_setup):
     tubes = split_tubes(pool)
     assert [t.label for t in tubes] == ["tube-1", "tube-2", "tube-3"]
     for t in tubes:
+        assert t.species is pool.species  # aliquots share the pool's mapping
         assert concentration(t, construct_key("option-1", "red")) == F(4, 9)
 
 
-def tube_states(plan, protocol, cycles=5):
+def tube_states(plan, protocol):
     pool = assemble(apply_thresholds(mix(plan)))
     return split_tubes(pool), protocol
 
@@ -268,7 +268,6 @@ def test_digest_fragment_lengths_conserve_parent(ball_setup):
     # fragment concentration equals parent concentration
     frag = next(k for k in digested.species if k.startswith("fragment:construct:"))
     parent = frag[len("fragment:") :].rsplit(":", 1)[0]
-    out_label = parent.split(":")[-1]
     assert concentration(digested, frag) == concentration(tubes[0], parent)
 
 
@@ -317,6 +316,15 @@ def test_pcr_cycle_ceiling(ball_setup):
     assert top.pcr_cycles == MAX_PCR_CYCLES
     with pytest.raises(CycleCountError, match=f"at most {MAX_PCR_CYCLES}"):
         pcr(digested, MAX_PCR_CYCLES + 1)
+
+
+def test_run_protocol_rejects_a_cycle_count_out_of_range(ball_setup):
+    # run_protocol checks the count once for all its tubes, not through pcr
+    _, plan, protocol = ball_setup
+    for cycles, match in ((-1, "non-negative"), (MAX_PCR_CYCLES + 1, f"at most {MAX_PCR_CYCLES}")):
+        with pytest.raises(CycleCountError, match=match):
+            run_protocol(plan, protocol, cycles)
+    assert run_protocol(plan, protocol, MAX_PCR_CYCLES)[0].pcr_cycles == MAX_PCR_CYCLES
 
 
 def test_pcr_with_foreign_primers_amplifies_nothing(ball_setup):
@@ -451,10 +459,10 @@ def _assert_run_equals_single_steps(plan, protocol, cycles):
 
 @pytest.mark.parametrize("draw", range(6))
 def test_shared_digest_table_equals_fresh_digests(draw):
-    # run_protocol's tubes share one DigestTable and run digest, pcr and
-    # purify as one pass over it; the single steps on each tube, with
-    # nothing shared, must give the same species in the same order and the
-    # same log
+    # run_protocol's tubes share the pool's fates and cuts and run digest,
+    # pcr and purify as one pass over them; the single steps on each tube,
+    # with nothing shared, must give the same species in the same order and
+    # the same log
     rng = random.Random("wide:9973" if draw == 5 else 2024 + draw)
     m = random_matrix(rng) if draw < 4 else make_widest(rng)
     plan, protocol = compile_problem(m, seed=draw, library=EXTENDED_BLUNT_CUTTERS)
@@ -485,56 +493,14 @@ def test_purify_keeps_exactly_what_pcr_amplified(make, library):
 
 def test_digest_table_misses_on_changed_species(ball_setup):
     # the same plan's strands at other threshold doses: the pools share
-    # every structure, site and cut but not their counts, and each run must
-    # match the single steps on its own pool
+    # every structure, site and cut but not their counts, and each run's
+    # pass must read its own pool's counts, as the single steps do
     _, plan, protocol = ball_setup
     changed = plan._replace(threshold_ratios={"red": F(1, 3), "black": F(4, 9), "white": F(1, 9)})
     key = construct_key("option-1", "red")
     for p, survivor in ((plan, F(4, 9) * 32), (changed, F(2, 3) * 32)):
         tubes = _assert_run_equals_single_steps(p, protocol._replace(plan=p), 5)
         assert concentration(tubes[0], key) == survivor
-
-
-def test_digest_table_rejects_another_plan(ball_setup):
-    _, plan, protocol = ball_setup
-    other, other_protocol = compile_problem(make_ball_game(), seed=1)
-    table = DigestTable(assemble(apply_thresholds(mix(plan))))
-    # primers join at pcr, not in the pool: another right primer leaves the
-    # pool's species equal, but not what the pass would amplify
-    primed = plan._replace(strands=plan.strands | {"primer:right": plan.strands["primer:left"]})
-    for p in (other, primed):
-        foreign = split_tubes(assemble(apply_thresholds(mix(p))))[0]
-        with pytest.raises(ValueError, match="another plan"):
-            table.purified(foreign, plan.tube_enzymes[0], 5)
-    for p, proto in ((plan, protocol), (other, other_protocol)):
-        _assert_run_equals_single_steps(p, proto, 5)
-
-
-def test_digest_table_rejects_a_tube_with_other_species(ball_setup):
-    # the pass reads the pool's fates, not the tube's species: a tube of the
-    # same plan with option-1/red doubled would come back developed as the
-    # pool (128/9) where the single steps keep 256/9
-    _, plan, _ = ball_setup
-    pool = assemble(apply_thresholds(mix(plan)))
-    tube, key = split_tubes(pool)[0], construct_key("option-1", "red")
-    species = dict(tube.species)
-    species[key] = species[key]._replace(count=2 * species[key].count)
-    doubled = tube._replace(species=species)
-    assert concentration(purify(pcr(digest(doubled, plan.tube_enzymes[0]), 5)), key) == F(256, 9)
-    with pytest.raises(ValueError, match="other species"):
-        DigestTable(pool).purified(doubled, plan.tube_enzymes[0], 5)
-
-
-def test_digest_table_accepts_an_equal_copy_of_the_pool_species(ball_setup):
-    _, plan, _ = ball_setup
-    pool = assemble(apply_thresholds(mix(plan)))
-    table, tube = DigestTable(pool), split_tubes(pool)[0]
-    assert tube.species is pool.species  # aliquots share the pool's mapping
-    copied = tube._replace(species=dict(tube.species))
-    got = table.purified(copied, plan.tube_enzymes[0], 5)
-    want = purify(pcr(digest(tube, plan.tube_enzymes[0]), 5))
-    assert list(got.species.items()) == list(want.species.items())
-    assert got.log == want.log
 
 
 def test_run_protocol_keeps_primed_fragments_as_the_single_steps_do(ball_setup):
