@@ -28,7 +28,6 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .decision import DecisionMatrix, DuplicateLabelError, Payoff, validate_matrix
@@ -313,23 +312,10 @@ def _top_rules(options: list[str], middle_lengths: dict[str, int], sites: dict[s
 
 # -- sequence rules ------------------------------------------------------------
 
-_RULE_OF_KIND = {
-    **dict.fromkeys(("duplicate-window", "complement-window", "self-complement-window"), "window"),
-    **dict.fromkeys(("site-missing", "site-extra", "stray-site"), "site"),
-    "junction-site": "junction",
-    "gc-range": "gc",
-}
-
-
 class EncodingViolation(NamedTuple):
     kind: str
     roles: tuple[str, ...]
     detail: str
-
-    @property
-    def rule(self) -> str:
-        """The sequence rule broken; geometry and derivation name themselves."""
-        return _RULE_OF_KIND.get(self.kind, self.kind)
 
     def __str__(self) -> str:
         return f"[{self.kind}] {', '.join(self.roles)}: {self.detail}"
@@ -338,45 +324,50 @@ class EncodingViolation(NamedTuple):
 class Segment(NamedTuple):
     """A stretch of sequence judged by `violations`, reported under `role`.
 
-    `sites` maps each designed site's offset to the site; the default, no
-    sites, is a read-only mapping that every segment shares. Windows starting
+    `sites` maps each designed site's offset to the site. Windows starting
     before `fresh_from` are designed copies of placed material, neither
     judged nor placed. `lefts` and `rights` are the ligated neighbours.
     """
 
     role: str
     seq: str
-    sites: dict[int, str] = MappingProxyType({})
-    fresh_from: int = 0
-    lefts: tuple[str, ...] = ()
-    rights: tuple[str, ...] = ()
+    sites: dict[int, str]
+    fresh_from: int
+    lefts: tuple[str, ...]
+    rights: tuple[str, ...]
 
 
-class RuleContext(NamedTuple):
-    """The assigned sites and, unless None, every placed window's places."""
-
-    sites: tuple[str, ...]
-    windows: dict[str, list[tuple[str, int]]] | None = None
-
-    def place(self, segment: Segment) -> None:
-        seq, role = segment.seq, segment.role
-        for i in range(segment.fresh_from, len(seq) - WINDOW + 1):
-            self.windows.setdefault(seq[i : i + WINDOW], []).append((role, i))
+def _place(segment: Segment, windows: dict[str, list[tuple[str, int]]]) -> None:
+    """Record the segment's judged windows in `windows`, each with its places."""
+    seq, role = segment.seq, segment.role
+    for i in range(segment.fresh_from, len(seq) - WINDOW + 1):
+        windows.setdefault(seq[i : i + WINDOW], []).append((role, i))
 
 
-def violations(segment: Segment, context: RuleContext) -> list[EncodingViolation]:
+def _gc_violations(role: str, seq: str) -> list[EncodingViolation]:
+    """The GC rule: the GC fraction stays within [2/5, 3/5]."""
+    gc = seq.count("G") + seq.count("C")
+    if 2 * len(seq) <= 5 * gc <= 3 * len(seq):
+        return []
+    detail = f"GC fraction {Fraction(gc, len(seq))} outside [2/5, 3/5]"
+    return [EncodingViolation("gc-range", (role,), detail)]
+
+
+def violations(
+    segment: Segment, sites: tuple[str, ...], placed: dict[str, list[tuple[str, int]]]
+) -> list[EncodingViolation]:
     """Every rule the segment breaks; an empty list means it may be placed.
 
+    `sites` are the assigned sites and `placed` every placed window's places.
     (a) window: each 10-base window from `fresh_from` on is new: it was not
-        placed before, in `context` or earlier in the segment, it is not the
+        placed before, in `placed` or earlier in the segment, it is not the
         reverse complement of such a window, and it is not its own reverse
-        complement unless it covers a designed site. Skipped when the
-        context keeps no windows.
+        complement unless it covers a designed site.
     (b) site: each designed site occurs exactly once, at its offset, and no
         assigned site occurs anywhere else.
     (c) junction: no assigned site spans the 5 + 5 bases where the segment
         meets a left or right neighbour.
-    (d) gc: the GC fraction stays within [2/5, 3/5].
+    (d) gc: `_gc_violations`.
     """
     seq, role = segment.seq, segment.role
     found: list[EncodingViolation] = []
@@ -384,42 +375,38 @@ def violations(segment: Segment, context: RuleContext) -> list[EncodingViolation
     def flag(kind: str, detail: str, roles: tuple[str, ...] = (role,)) -> None:
         found.append(EncodingViolation(kind, roles, detail))
 
-    if context.windows is not None:
-        placed, local = context.windows, {}
-        n, rc_seq = len(seq), reverse_complement(seq)
-        for i in range(segment.fresh_from, n - WINDOW + 1):
-            w, rc = seq[i : i + WINDOW], rc_seq[n - WINDOW - i : n - i]
-            if w in placed or w in local:
-                loci = placed.get(w, []) + local.get(w, []) + [(role, i)]
-                flag("duplicate-window", f"window {w} occurs at {loci}", tuple(r for r, _ in loci))
-            elif w == rc:
-                if not any(i <= o and o + len(s) <= i + WINDOW for o, s in segment.sites.items()):
-                    flag("self-complement-window",
-                         f"window {w} at offset {i} is its own reverse complement", (role,))
-            elif rc in placed or rc in local:
-                pair = sorted([(w, [(role, i)]), (rc, placed.get(rc, []) + local.get(rc, []))])
-                flag("complement-window",
-                     f"windows {pair[0][0]} and {pair[1][0]} are reverse complements",
-                     tuple(r for _, loci in pair for r, _ in loci))
-            local.setdefault(w, []).append((role, i))
+    local: dict[str, list[tuple[str, int]]] = {}
+    n, rc_seq = len(seq), reverse_complement(seq)
+    for i in range(segment.fresh_from, n - WINDOW + 1):
+        w, rc = seq[i : i + WINDOW], rc_seq[n - WINDOW - i : n - i]
+        if w in placed or w in local:
+            loci = placed.get(w, []) + local.get(w, []) + [(role, i)]
+            flag("duplicate-window", f"window {w} occurs at {loci}", tuple(r for r, _ in loci))
+        elif w == rc:
+            if not any(i <= o and o + len(s) <= i + WINDOW for o, s in segment.sites.items()):
+                flag("self-complement-window",
+                     f"window {w} at offset {i} is its own reverse complement", (role,))
+        elif rc in placed or rc in local:
+            pair = sorted([(w, [(role, i)]), (rc, placed.get(rc, []) + local.get(rc, []))])
+            flag("complement-window",
+                 f"windows {pair[0][0]} and {pair[1][0]} are reverse complements",
+                 tuple(r for _, loci in pair for r, _ in loci))
+        local.setdefault(w, []).append((role, i))
     for at, site in segment.sites.items():
         hits = scan(seq, site)
         if hits != [at]:
             flag("site-extra" if hits else "site-missing",
                  f"designed site {site} not exactly once at offset {at}")
-    for site in context.sites:
+    for site in sites:
         for i in scan(seq, site) if site in seq else ():
             if segment.sites.get(i) != site:
                 flag("stray-site", f"stray site {site} at {i}")
     joints = [left[-5:] + seq[:5] for left in segment.lefts]
     for joint in joints + [seq[-5:] + right[:5] for right in segment.rights]:
-        for site in context.sites:
+        for site in sites:
             if site in joint:
                 flag("junction-site", f"site {site} spans the junction {joint}")
-    gc = seq.count("G") + seq.count("C")
-    if not 2 * len(seq) <= 5 * gc <= 3 * len(seq):
-        flag("gc-range", f"GC fraction {Fraction(gc, len(seq))} outside [2/5, 3/5]")
-    return found
+    return found + _gc_violations(role, seq)
 
 
 # -- sequence generation -------------------------------------------------------
@@ -432,7 +419,8 @@ class _Designer:
 
     def __init__(self, rng, assigned_sites: list[str], notes: list[str] | None = None):
         self.rng = rng
-        self.context = RuleContext(tuple(assigned_sites), {})
+        self.sites = tuple(assigned_sites)
+        self.windows: dict[str, list[tuple[str, int]]] = {}
         self.notes = [] if notes is None else notes
 
     def _block(self, length: int, fixed: dict[int, str]) -> str:
@@ -488,8 +476,8 @@ class _Designer:
 
         `breaks` restarts the 10-base GC blocking at interior positions so
         that functionally distinct regions (overhangs, duplex cores) are
-        GC-balanced on their own. Running out of tries names the rules the
-        candidates broke, with how many broke each.
+        GC-balanced on their own. Running out of tries names each kind of
+        finding the candidates drew, with how many drew it.
 
         A `pin`, (printed label, piece), is the first candidate: the piece
         behind the prefix, judged like any other and also by its length. It
@@ -512,22 +500,22 @@ class _Designer:
             segment = Segment(role, prefix + piece, sites, fresh_from, lefts, rights)
             want = length - len(prefix)
             reasons = [] if len(piece) == want else [f"{len(piece)} bases, expected {want}"]
-            reasons += [v.detail for v in violations(segment, self.context)]
+            reasons += [v.detail for v in violations(segment, self.sites, self.windows)]
             if not reasons:
                 self.notes.append(f"kept reference {label} verbatim")
-                self.context.place(segment)
+                _place(segment, self.windows)
                 return segment.seq
             self.notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
         rejected: Counter[str] = Counter()
         for _ in range(MAX_TRIES):
             seq = "".join([self._block(width, local) for width, local in blocks])
             segment = Segment(role, seq, sites, fresh_from, lefts, rights)
-            found = violations(segment, self.context)
+            found = violations(segment, self.sites, self.windows)
             if not found:
-                self.context.place(segment)
+                _place(segment, self.windows)
                 return segment.seq
-            rejected.update({v.rule for v in found})
-        tally = ", ".join(f"{rule} {n}" for rule, n in sorted(rejected.items()))
+            rejected.update({v.kind for v in found})
+        tally = ", ".join(f"{kind} {n}" for kind, n in sorted(rejected.items()))
         raise GenerationFailedError(f"could not place segment {role!r}: {tally}")
 
 
@@ -607,12 +595,11 @@ def check_pieces(
     # a threshold toehold is a designed copy of either half of a chance junction
     toeholds = {pieces[role_prob(out)][:_H] for out in middle_lengths if role_prob(out) in pieces}
     toeholds |= {pieces[role_option(opt)][_H:] for opt in options if role_option(opt) in pieces}
-    context = RuleContext(tuple(sites.values()), {})
-    bare = RuleContext(context.sites)
+    assigned, windows = tuple(sites.values()), {}
     for name, role, _, rule in parts:
         seq = pieces[name]
         if isinstance(rule, Derivation):
-            found += [(name, v) for v in violations(Segment(role, seq), bare) if v.rule == "gc"]
+            found += [(name, v) for v in _gc_violations(role, seq)]
             if all(r in pieces for r, _, _ in rule.slices) and seq != rule.derive(pieces):
                 detail = f"not the {rule.what}"
                 found.append((name, EncodingViolation("derivation", (role,), detail)))
@@ -623,8 +610,8 @@ def check_pieces(
             found.append((name, EncodingViolation("derivation", (role,), detail)))
         segment = Segment(role, seq, rule.get("sites", {}), _H - WINDOW + 1 if copied else 0,
                           rule.get("lefts", ()), rule.get("rights", ()))
-        found += [(name, v) for v in violations(segment, context)]
-        context.place(segment)
+        found += [(name, v) for v in violations(segment, assigned, windows)]
+        _place(segment, windows)
     return found
 
 

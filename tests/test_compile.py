@@ -12,7 +12,6 @@ from dnadecide.compiler import (
     EncodingPlan,
     GenerationFailedError,
     LibraryExhaustedError,
-    RuleContext,
     Segment,
     UnresolvableError,
     _Designer,
@@ -423,13 +422,13 @@ def test_generation_failure_is_raised_not_looped(monkeypatch):
 
 
 def test_generation_failure_names_the_rule_that_ran_out():
-    # the prefix holds an assigned site, so every candidate breaks the site rule
+    # the prefix holds an assigned site, so every candidate draws a stray-site finding
     designer = _Designer(random.Random(0), ["CAGCTG"])
     with pytest.raises(GenerationFailedError) as failure:
         designer.fresh("x", 20, prefix="CAGCTG")
     message = str(failure.value)
     assert message.startswith("could not place segment 'x': ")
-    assert "site 500" in message.split(": ", 1)[1].split(", ")
+    assert "stray-site 500" in message.split(": ", 1)[1].split(", ")
 
 
 # -- the designer's random stream ----------------------------------------------
@@ -497,7 +496,7 @@ def _util_findings(seq, left=None, right=None):
     right = tops["term"] if right is None else right(tops["term"])
     sites = tuple(s.site for s in [*plan.option_sites.values(), *plan.outcome_sites.values()])
     segment = Segment("util:red", seq, {7: "CACGTG"}, 0, (left,), (right,))
-    return [tuple(v) for v in violations(segment, RuleContext(sites))]
+    return [tuple(v) for v in violations(segment, sites, {})]
 
 
 _ROLES = ("util:red",)
@@ -574,7 +573,7 @@ def test_a_planted_stray_site_is_found_once_on_its_top(ball_plan, role):
         tops[role] = tops[role][:14] + rival + tops[role][20:]
 
     found = validate_encoding(_with_tops(plan, plant))
-    assert [str(v) for v in found if v.rule in ("site", "junction")] == [
+    assert [str(v) for v in found if v.kind in ("stray-site", "junction-site")] == [
         f"[stray-site] {role}: stray site {rival} at 14"
     ]
 
@@ -591,8 +590,32 @@ def test_a_planted_junction_site_is_found_once_on_the_judged_top(ball_plan):
     edited = _with_tops(plan, plant)
     joint = edited.strands["choice"].top[-5:] + edited.strands["option:option-1"][:5]
     found = validate_encoding(edited)
-    assert [str(v) for v in found if v.rule in ("site", "junction")] == [
+    assert [str(v) for v in found if v.kind in ("stray-site", "junction-site")] == [
         f"[junction-site] option:option-1: site {rival} spans the junction {joint}"
+    ]
+
+
+def test_a_derived_strand_is_judged_by_gc_and_derivation_alone(ball_plan):
+    # the linker holds PvuII's CAGCTG, yet a derived strand draws no site finding
+    plan, _ = ball_plan
+    linker = Strand("AAAAAAAAAACAGCTGAAAA")
+    found = validate_encoding(plan._replace(strands={**plan.strands, "link:prob:red": linker}))
+    assert [str(v) for v in found] == [
+        "[gc-range] link:prob:red: GC fraction 1/5 outside [2/5, 3/5]",
+        "[derivation] link:prob:red: not the complement of the probability-to-utility junction",
+    ]
+
+
+def test_an_at_rich_threshold_pad_breaks_gc_on_top_and_bottom(ball_plan):
+    plan, _ = ball_plan
+
+    def pad(tops):
+        tops[role_thresh("red")] = tops[role_thresh("red")][:10] + "ATATTATAAT"
+
+    found = validate_encoding(_with_tops(plan, pad))
+    assert [str(v) for v in found] == [
+        "[gc-range] thresh:red: GC fraction 3/10 outside [2/5, 3/5]",
+        "[gc-range] thresh:red: GC fraction 0 outside [2/5, 3/5]",
     ]
 
 

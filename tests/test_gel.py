@@ -337,14 +337,22 @@ def _assert_exact(matrix, plan, run, report, name):
     assert bands == predicted, name
     exact = tuple(expected_utility(matrix, i) for i in range(len(matrix.options)))
     assert report.estimates == exact, name
+    # `readout` matches a band within half the gel resolution, so a drift of
+    # several bp would still decode: each band must decode to its construct
+    # length up to float round-off (the largest seen is 5.7e-14 bp)
+    for lane, labels in zip(run.sample_lanes(), report.decoded):
+        for band, label in zip(lane.bands, labels, strict=True):
+            apparent = decode_length(band.migration, run.ladder[-1])
+            residual = apparent - plan.construct_length(label)
+            assert abs(residual) <= 1e-6, (name, lane.label, label, residual)
 
 
 def test_every_band_and_estimate_is_exact():
     # the readout checks only the argmax against the oracle, so a simulation
     # that scaled, dropped or swapped a losing band would still agree there:
     # every band, as (length, count of 1/intensity_scale units before
-    # amplification), must be a predicted band with a non-zero count, and
-    # every estimate the exact expected utility
+    # amplification), must be a predicted band with a non-zero count that
+    # decodes to its own length, and every estimate the exact expected utility
     matrix = make_ball_game()
     plan, protocol = compile_problem(matrix, seed=0)  # the canonical `dnadecide run`
     run = run_gel(run_protocol(plan, protocol))
@@ -368,3 +376,24 @@ def test_every_band_and_estimate_is_exact():
     for seed, (matrix, cycles) in enumerate(problems):
         report, plan, _, run = run_end_to_end(matrix, seed=seed, cycles=cycles)
         _assert_exact(matrix, plan, run, report, f"problem {seed}")
+
+
+def test_readout_ignores_the_design_seed_and_follows_the_option_order():
+    # two metamorphic relations: the design seed changes strand sequences,
+    # never the gel or the reading; reversing the options reverses every
+    # per-option output and maps the chosen indices to their mirror
+    rng = random.Random(1)
+    for trial in range(20):
+        matrix = random_matrix(rng)
+        report, _, _, run = run_end_to_end(matrix, seed=trial, cycles=3)
+        other, _, _, other_run = run_end_to_end(matrix, seed=trial + 10**6, cycles=3)
+        assert band_table(other_run) == band_table(run), trial
+        assert other.describe() == report.describe(), trial
+
+        flipped, _, _, _ = run_end_to_end(
+            matrix._replace(options=matrix.options[::-1]), seed=trial, cycles=3
+        )
+        last = len(matrix.options) - 1
+        assert flipped.estimates == report.estimates[::-1], trial
+        assert flipped.decoded == report.decoded[::-1], trial
+        assert flipped.chosen == tuple(sorted(last - i for i in report.chosen)), trial

@@ -33,8 +33,7 @@ EXAMPLES = {
     "DecisionMatrix": make_ball_game,
     "Derivation": lambda: compiler.derivations(["a"], ["b"])["chance:a:b"],
     "EncodingViolation": lambda: compiler.EncodingViolation("gc-range", ("x",), "low"),
-    "Segment": lambda: compiler.Segment("x", "ACGTTG", {1: "CGT"}),
-    "RuleContext": lambda: compiler.RuleContext(("CAGCTG",), {}),
+    "Segment": lambda: compiler.Segment("x", "ACGTTG", {1: "CGT"}, 0, (), ()),
     "EncodingPlan": lambda: _run()[0],
     "ProtocolPlan": lambda: _run()[1],
     "Species": lambda: next(iter(_run()[2].species.values())),
@@ -47,7 +46,7 @@ EXAMPLES = {
 }
 
 # these hold a dict, so they have no hash
-UNHASHABLE = {"Segment", "RuleContext", "EncodingPlan", "ProtocolPlan", "TubeState"}
+UNHASHABLE = {"Segment", "EncodingPlan", "ProtocolPlan", "TubeState"}
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
@@ -94,10 +93,6 @@ def test_replace_keeps_the_type_and_the_other_fields():
 
 
 def test_no_mutable_default_is_shared():
-    a, b = compiler.Segment("x", "ACGT"), compiler.Segment("y", "TTAA")
-    with pytest.raises(TypeError):
-        a.sites[0] = "A"
-    assert not b.sites
     assert soundness.SoundnessResult(0, 0, 0.0).failures == ()
 
 
