@@ -9,14 +9,14 @@ Short linker strands complement every junction so ligation yields fully
 double-stranded constructs. Probability weighting is done before assembly
 by threshold duplexes dosed at one minus the outcome probability.
 
-One rule sheet (`_top_rules`) gives each independent top, in design order,
-its designed length, designed site and ligated neighbours, and the geometry
-table (`_GEOMETRY`, spelled out by `derivations`) derives every other strand
-(duplex bottoms, linkers, chance strands, primers) from slices of the tops.
-The sequence rules live in `violations`. Sequence generation is rejection
-sampling of each top under its sheet's constraints and is deterministic for
-a given seed. The designer and the validator (`validate_encoding`, and the
-reference checks in `fixture`) read the same rule sheet, table and rules.
+One rule sheet (`_top_rules`) yields a `Top` record per independent top, in
+design order: its designed length, designed site and ligated neighbours. The
+geometry table (`_GEOMETRY`, spelled out by `derivations`) derives every
+other strand (duplex bottoms, linkers, chance strands, primers) from slices
+of the tops. The sequence rules live in `violations`. Sequence generation is
+rejection sampling of each top under its record and is deterministic for a
+given seed. The designer and the validator (`validate_encoding`) read the
+same records, table and rules.
 
 Each strand is named by a role key (`role_*`) that spells the slugs of the
 labels it serves; `derivations` refuses labels that would share a name.
@@ -289,25 +289,40 @@ def _designed_sites(
     return sites
 
 
+class Top(NamedTuple):
+    """One independent top as the rule sheet states it: its designed length,
+    its designed site at `SITE_OFFSET` ("" for none), its ligated neighbours,
+    the copied toehold of a threshold (None for every other top) and the
+    breaks of its GC blocking."""
+
+    role: str
+    length: int
+    site: str = ""
+    lefts: tuple[str, ...] = ()
+    rights: tuple[str, ...] = ()
+    prefix: str | None = None
+    breaks: tuple[int, ...] = ()
+
+
 def _top_rules(options: list[str], middle_lengths: dict[str, int], sites: dict[str, str],
                tops: dict[str, str]):
-    """The rule sheet: each independent top in design order, with its
-    designed length and the `_Designer.fresh` constraints it is designed and
-    judged under. A neighbour is read from `tops` when its top is reached, so
-    the designer sees every top placed before; a missing one reads as ""."""
-    yield ROLE_CHOICE, ARM_LENGTH, {}
-    yield ROLE_TERM, ARM_LENGTH, {}
+    """The rule sheet: one `Top` per independent top, in design order, which
+    the designer designs and the validator judges. A neighbour is read from
+    `tops` when its top is reached, so the designer sees every top placed
+    before; a missing one reads as ""."""
+    yield Top(ROLE_CHOICE, ARM_LENGTH)
+    yield Top(ROLE_TERM, ARM_LENGTH)
     for opt in options:
         role = role_option(opt)
-        yield role, _N, {"sites": {SITE_OFFSET: sites[role]}, "lefts": (tops.get(ROLE_CHOICE, ""),)}
+        yield Top(role, _N, sites[role], (tops.get(ROLE_CHOICE, ""),))
     option_tops = tuple(tops.get(role_option(opt), "") for opt in options)
     for out, m in middle_lengths.items():
-        yield role_prob(out), 2 * _H + m, {"lefts": option_tops, "breaks": (_H, _H + m)}
+        yield Top(role_prob(out), 2 * _H + m, lefts=option_tops, breaks=(_H, _H + m))
     for out in middle_lengths:
         role, left, right = role_util(out), tops.get(role_prob(out), ""), tops.get(ROLE_TERM, "")
-        yield role, _N, {"sites": {SITE_OFFSET: sites[role]}, "lefts": (left,), "rights": (right,)}
+        yield Top(role, _N, sites[role], (left,), (right,))
     for out in middle_lengths:
-        yield role_thresh(out), _N, {"prefix": tops.get(role_prob(out), "")[:_H]}
+        yield Top(role_thresh(out), _N, prefix=tops.get(role_prob(out), "")[:_H])
 
 
 # -- sequence rules ------------------------------------------------------------
@@ -321,26 +336,12 @@ class EncodingViolation(NamedTuple):
         return f"[{self.kind}] {', '.join(self.roles)}: {self.detail}"
 
 
-class Segment(NamedTuple):
-    """A stretch of sequence judged by `violations`, reported under `role`.
-
-    `sites` maps each designed site's offset to the site. Windows starting
-    before `fresh_from` are designed copies of placed material, neither
-    judged nor placed. `lefts` and `rights` are the ligated neighbours.
-    """
-
-    role: str
-    seq: str
-    sites: dict[int, str]
-    fresh_from: int
-    lefts: tuple[str, ...]
-    rights: tuple[str, ...]
+_Places = dict[str, list[tuple[str, int]]]  # each placed window's (role, offset) places
 
 
-def _place(segment: Segment, windows: dict[str, list[tuple[str, int]]]) -> None:
-    """Record the segment's judged windows in `windows`, each with its places."""
-    seq, role = segment.seq, segment.role
-    for i in range(segment.fresh_from, len(seq) - WINDOW + 1):
+def _place(role: str, seq: str, fresh_from: int, windows: _Places) -> None:
+    """Record the judged windows of a placed top in `windows`, each with its places."""
+    for i in range(fresh_from, len(seq) - WINDOW + 1):
         windows.setdefault(seq[i : i + WINDOW], []).append((role, i))
 
 
@@ -354,36 +355,38 @@ def _gc_violations(role: str, seq: str) -> list[EncodingViolation]:
 
 
 def violations(
-    segment: Segment, sites: tuple[str, ...], placed: dict[str, list[tuple[str, int]]]
+    top: Top, seq: str, fresh_from: int, sites: tuple[str, ...], placed: _Places
 ) -> list[EncodingViolation]:
-    """Every rule the segment breaks; an empty list means it may be placed.
+    """Every rule `seq`, as `top`, breaks; an empty list means it may be placed.
 
-    `sites` are the assigned sites and `placed` every placed window's places.
+    Windows starting before `fresh_from` are designed copies of placed
+    material, neither judged nor placed. `sites` are the assigned sites and
+    `placed` every placed window's places.
     (a) window: each 10-base window from `fresh_from` on is new: it was not
-        placed before, in `placed` or earlier in the segment, it is not the
+        placed before, in `placed` or earlier in `seq`, it is not the
         reverse complement of such a window, and it is not its own reverse
-        complement unless it covers a designed site.
-    (b) site: each designed site occurs exactly once, at its offset, and no
-        assigned site occurs anywhere else.
-    (c) junction: no assigned site spans the 5 + 5 bases where the segment
-        meets a left or right neighbour.
+        complement unless it covers the designed site.
+    (b) site: the designed site occurs exactly once, at `SITE_OFFSET`, and
+        no assigned site occurs anywhere else.
+    (c) junction: no assigned site spans the 5 + 5 bases where `seq` meets
+        a left or right neighbour.
     (d) gc: `_gc_violations`.
     """
-    seq, role = segment.seq, segment.role
+    role, own = top.role, top.site
     found: list[EncodingViolation] = []
 
     def flag(kind: str, detail: str, roles: tuple[str, ...] = (role,)) -> None:
         found.append(EncodingViolation(kind, roles, detail))
 
-    local: dict[str, list[tuple[str, int]]] = {}
+    local: _Places = {}
     n, rc_seq = len(seq), reverse_complement(seq)
-    for i in range(segment.fresh_from, n - WINDOW + 1):
+    for i in range(fresh_from, n - WINDOW + 1):
         w, rc = seq[i : i + WINDOW], rc_seq[n - WINDOW - i : n - i]
         if w in placed or w in local:
             loci = placed.get(w, []) + local.get(w, []) + [(role, i)]
             flag("duplicate-window", f"window {w} occurs at {loci}", tuple(r for r, _ in loci))
         elif w == rc:
-            if not any(i <= o and o + len(s) <= i + WINDOW for o, s in segment.sites.items()):
+            if not (own and i <= SITE_OFFSET and SITE_OFFSET + len(own) <= i + WINDOW):
                 flag("self-complement-window",
                      f"window {w} at offset {i} is its own reverse complement", (role,))
         elif rc in placed or rc in local:
@@ -392,17 +395,15 @@ def violations(
                  f"windows {pair[0][0]} and {pair[1][0]} are reverse complements",
                  tuple(r for _, loci in pair for r, _ in loci))
         local.setdefault(w, []).append((role, i))
-    for at, site in segment.sites.items():
-        hits = scan(seq, site)
-        if hits != [at]:
-            flag("site-extra" if hits else "site-missing",
-                 f"designed site {site} not exactly once at offset {at}")
+    if own and scan(seq, own) != [SITE_OFFSET]:
+        flag("site-extra" if own in seq else "site-missing",
+             f"designed site {own} not exactly once at offset {SITE_OFFSET}")
     for site in sites:
         for i in scan(seq, site) if site in seq else ():
-            if segment.sites.get(i) != site:
+            if i != SITE_OFFSET or site != own:
                 flag("stray-site", f"stray site {site} at {i}")
-    joints = [left[-5:] + seq[:5] for left in segment.lefts]
-    for joint in joints + [seq[-5:] + right[:5] for right in segment.rights]:
+    joints = [left[-5:] + seq[:5] for left in top.lefts]
+    for joint in joints + [seq[-5:] + right[:5] for right in top.rights]:
         for site in sites:
             if site in joint:
                 flag("junction-site", f"site {site} spans the junction {joint}")
@@ -420,7 +421,7 @@ class _Designer:
     def __init__(self, rng, assigned_sites: list[str], notes: list[str] | None = None):
         self.rng = rng
         self.sites = tuple(assigned_sites)
-        self.windows: dict[str, list[tuple[str, int]]] = {}
+        self.windows: _Places = {}
         self.notes = [] if notes is None else notes
 
     def _block(self, length: int, fixed: dict[int, str]) -> str:
@@ -459,35 +460,24 @@ class _Designer:
             out.append(("GC" if i in gc else "AT")[r])
         return "".join(out)
 
-    def fresh(
-        self,
-        role: str,
-        length: int,
-        sites: dict[int, str] | None = None,
-        lefts: tuple[str, ...] = (),
-        rights: tuple[str, ...] = (),
-        prefix: str = "",
-        breaks: tuple[int, ...] = (),
-        pin: tuple[str, str] | None = None,
-    ) -> str:
-        """Sample a segment `violations` passes, keeping prefix and designed
-        site bases verbatim; prefix windows copy placed material, so only
-        windows that add new bases are judged.
+    def fresh(self, top: Top, pin: tuple[str, str] | None = None) -> str:
+        """Sample a sequence for `top` that `violations` passes, keeping its
+        prefix and designed site bases verbatim; prefix windows copy placed
+        material, so only windows that add new bases are judged.
 
-        `breaks` restarts the 10-base GC blocking at interior positions so
-        that functionally distinct regions (overhangs, duplex cores) are
-        GC-balanced on their own. Running out of tries names each kind of
-        finding the candidates drew, with how many drew it.
+        The top's `breaks` restart the 10-base GC blocking at interior
+        positions so that functionally distinct regions (overhangs, duplex
+        cores) are GC-balanced on their own. Running out of tries names each
+        kind of finding the candidates drew, with how many drew it.
 
         A `pin`, (printed label, piece), is the first candidate: the piece
         behind the prefix, judged like any other and also by its length. It
         is placed verbatim if it passes; either verdict goes to `notes`.
         """
-        sites = sites or {}
+        role, prefix = top.role, top.prefix or ""
         fixed: dict[int, str] = dict(enumerate(prefix))
-        for at, site in sites.items():
-            fixed.update((at + k, b) for k, b in enumerate(site))
-        bounds = [0, *breaks, length]
+        fixed.update((SITE_OFFSET + k, b) for k, b in enumerate(top.site))
+        bounds = [0, *top.breaks, top.length]
         blocks = []  # (width, fixed bases by block offset) per 10-base block
         for lo, hi in zip(bounds, bounds[1:]):
             for start in range(lo, hi, 10):
@@ -497,23 +487,22 @@ class _Designer:
         fresh_from = max(0, len(prefix) - WINDOW + 1)
         if pin is not None:
             label, piece = pin
-            segment = Segment(role, prefix + piece, sites, fresh_from, lefts, rights)
-            want = length - len(prefix)
+            seq, want = prefix + piece, top.length - len(prefix)
             reasons = [] if len(piece) == want else [f"{len(piece)} bases, expected {want}"]
-            reasons += [v.detail for v in violations(segment, self.sites, self.windows)]
+            found = violations(top, seq, fresh_from, self.sites, self.windows)
+            reasons += [v.detail for v in found]
             if not reasons:
                 self.notes.append(f"kept reference {label} verbatim")
-                _place(segment, self.windows)
-                return segment.seq
+                _place(role, seq, fresh_from, self.windows)
+                return seq
             self.notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
         rejected: Counter[str] = Counter()
         for _ in range(MAX_TRIES):
             seq = "".join([self._block(width, local) for width, local in blocks])
-            segment = Segment(role, seq, sites, fresh_from, lefts, rights)
-            found = violations(segment, self.sites, self.windows)
+            found = violations(top, seq, fresh_from, self.sites, self.windows)
             if not found:
-                _place(segment, self.windows)
-                return segment.seq
+                _place(role, seq, fresh_from, self.windows)
+                return seq
             rejected.update({v.kind for v in found})
         tally = ", ".join(f"{kind} {n}" for kind, n in sorted(rejected.items()))
         raise GenerationFailedError(f"could not place segment {role!r}: {tally}")
@@ -542,8 +531,8 @@ def generate_sequences(
     d = _Designer(random.Random(seed), list(sites.values()), notes)
     options = [opt.label for opt in matrix.options]
     tops: dict[str, str] = {}
-    for role, length, rules in _top_rules(options, middle_lengths, sites, tops):
-        tops[role] = d.fresh(role, length, pin=pins.get(role), **rules)
+    for top in _top_rules(options, middle_lengths, sites, tops):
+        tops[top.role] = d.fresh(top, pins.get(top.role))
 
     plan: dict[str, Strand | Duplex] = {role: Strand(top) for role, top in tops.items()}
     for role, rule in table.items():
@@ -567,16 +556,16 @@ def check_pieces(
     its role, a duplex bottom under its role and a prime. `sites` gives the
     option and utility tops their designed sites, and `table` is the
     geometry table spelled out for these labels. Each top is judged as the
-    designer placed it, by its rules in `_top_rules`, with its neighbours
+    designer placed it, by its `Top` from `_top_rules`, with its neighbours
     read from `pieces`; every junction is judged on the top to its right
     (the utility top also judges its right one). Each finding comes with its
     strand, in this order: missing roles; lengths; on each top in design
     order, the toehold copy of a threshold and the rules (windows, sites,
     junctions, GC); on each derived strand, GC and the derivation.
     """
-    rules = list(_top_rules(options, middle_lengths, sites, pieces))
-    lengths = {role: n for role, n, _ in rules}
-    parts = [(role, role, n, rule) for role, n, rule in rules]
+    tops = list(_top_rules(options, middle_lengths, sites, pieces))
+    lengths = {top.role: top.length for top in tops}
+    parts = [(top.role, top.role, top.length, top) for top in tops]
     parts += [
         (role if d.offset is None else role + "'", role, d.length(lengths), d)
         for role, d in table.items()
@@ -604,14 +593,13 @@ def check_pieces(
                 detail = f"not the {rule.what}"
                 found.append((name, EncodingViolation("derivation", (role,), detail)))
             continue
-        copied = "prefix" in rule and seq[:_H] in toeholds
-        if "prefix" in rule and not copied:
+        copied = rule.prefix is not None and seq[:_H] in toeholds
+        if rule.prefix is not None and not copied:
             detail = "toehold copies neither the option rear nor the probability front"
             found.append((name, EncodingViolation("derivation", (role,), detail)))
-        segment = Segment(role, seq, rule.get("sites", {}), _H - WINDOW + 1 if copied else 0,
-                          rule.get("lefts", ()), rule.get("rights", ()))
-        found += [(name, v) for v in violations(segment, assigned, windows)]
-        _place(segment, windows)
+        fresh_from = _H - WINDOW + 1 if copied else 0
+        found += [(name, v) for v in violations(rule, seq, fresh_from, assigned, windows)]
+        _place(role, seq, fresh_from, windows)
     return found
 
 

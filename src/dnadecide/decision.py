@@ -76,14 +76,13 @@ def build_matrix(
     """Assemble a matrix from labels; each option lists its favorable outcomes."""
     outs = tuple(Outcome(lbl, Fraction(p)) for lbl, p in outcomes)
     labels = [o.label for o in outs]
-    opts = []
+    known, opts = set(labels), []
     for lbl, favorable in options:
-        unknown = [f for f in favorable if f not in labels]
+        unknown = [f for f in favorable if f not in known]
         if unknown:
             raise MatrixError(f"option {lbl!r} marks unknown outcome {unknown[0]!r} favorable")
-        payoffs = tuple(
-            Payoff.FAVORABLE if o in favorable else Payoff.UNFAVORABLE for o in labels
-        )
+        marked = set(favorable)
+        payoffs = tuple(Payoff.FAVORABLE if o in marked else Payoff.UNFAVORABLE for o in labels)
         opts.append(Option(lbl, payoffs))
     return validate_matrix(
         DecisionMatrix(outs, tuple(opts), Fraction(u_favorable), Fraction(u_unfavorable))
@@ -104,9 +103,11 @@ def validate_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
         ("outcome", [o.label for o in matrix.outcomes]),
         ("option", [o.label for o in matrix.options]),
     ):
-        for i, lbl in enumerate(labels):
-            if lbl in labels[:i]:
+        seen: set[str] = set()
+        for lbl in labels:
+            if lbl in seen:
                 raise DuplicateLabelError(f"duplicate {family} label {lbl!r}")
+            seen.add(lbl)
     for opt in matrix.options:
         if len(opt.payoffs) != len(matrix.outcomes):
             raise MissingPayoffClassError(

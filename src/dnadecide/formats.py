@@ -81,7 +81,7 @@ def _string(raw, where: str) -> str:
 def parse_problem(text: str) -> DecisionMatrix:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ProblemFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ProblemFormatError("top level: expected an object")

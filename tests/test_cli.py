@@ -478,6 +478,21 @@ def test_a_lone_surrogate_exits_one_naming_the_field(tmp_path, command, field, o
     assert "Traceback" not in proc.stderr and f"{field}: not encodable as UTF-8" in proc.stderr
 
 
+def test_input_nested_too_deep_exits_one_without_a_traceback(tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, past about 1,000
+    # levels; it escaped parse_problem as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    src = Path(dnadecide.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnadecide.cli", "run", "--input", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr and "not valid JSON" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

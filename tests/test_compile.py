@@ -12,7 +12,7 @@ from dnadecide.compiler import (
     EncodingPlan,
     GenerationFailedError,
     LibraryExhaustedError,
-    Segment,
+    Top,
     UnresolvableError,
     _Designer,
     assign_enzymes,
@@ -425,7 +425,7 @@ def test_generation_failure_names_the_rule_that_ran_out():
     # the prefix holds an assigned site, so every candidate draws a stray-site finding
     designer = _Designer(random.Random(0), ["CAGCTG"])
     with pytest.raises(GenerationFailedError) as failure:
-        designer.fresh("x", 20, prefix="CAGCTG")
+        designer.fresh(Top("x", 20, prefix="CAGCTG"))
     message = str(failure.value)
     assert message.startswith("could not place segment 'x': ")
     assert "stray-site 500" in message.split(": ", 1)[1].split(", ")
@@ -495,8 +495,8 @@ def _util_findings(seq, left=None, right=None):
     left = tops[role_prob("red")] if left is None else left(tops[role_prob("red")])
     right = tops["term"] if right is None else right(tops["term"])
     sites = tuple(s.site for s in [*plan.option_sites.values(), *plan.outcome_sites.values()])
-    segment = Segment("util:red", seq, {7: "CACGTG"}, 0, (left,), (right,))
-    return [tuple(v) for v in violations(segment, sites, {})]
+    top = Top("util:red", 20, "CACGTG", (left,), (right,))
+    return [tuple(v) for v in violations(top, seq, 0, sites, {})]
 
 
 _ROLES = ("util:red",)

@@ -109,6 +109,19 @@ def test_duplicate_labels_rejected():
         )
 
 
+def test_label_errors_name_the_first_bad_label_in_input_order():
+    quarters = [F(1, 4)] * 4
+    with pytest.raises(MatrixError, match="marks unknown outcome 'zz' favorable"):
+        build_matrix(outcomes=[("a", F(1))], options=[("x", ["a", "zz", "yy"]), ("y", ["ww"])])
+    # "b" is declared first, but "a" is the first label seen a second time
+    for outcomes, options, family, label in [
+        (["b", "a", "a", "b"], ["x"], "outcome", "a"),
+        (["a", "b", "c", "d"], ["y", "x", "x", "y"], "option", "x"),
+    ]:
+        with pytest.raises(DuplicateLabelError, match=f"duplicate {family} label '{label}'"):
+            build_matrix(list(zip(outcomes, quarters)), [(o, []) for o in options])
+
+
 def test_missing_payoff_class_rejected():
     m = DecisionMatrix(
         outcomes=(Outcome("a", F(1, 2)), Outcome("b", F(1, 2))),

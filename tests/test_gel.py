@@ -282,14 +282,18 @@ def test_readout_description_names_the_winner(ball_lanes):
 
 def test_alien_band_is_undecodable(ball_lanes):
     plan, run = ball_lanes
-    stray = Lane(
-        "tube-1",
-        (Band(Fraction(60), Fraction(1), migrate(60, run.ladder[-1])),),
-        scale=Fraction(32),
-    )
-    doctored = GelRun(run.ladder, (stray,) + run.lanes[1:])
-    with pytest.raises(UndecodableBandError):
-        readout(doctored, plan)
+    # 60 bp is far from every construct; 141.5 and 179.5 bp sit 5.5 bp outside
+    # the shortest (147 bp) and the longest (174 bp), beyond the 4.5 bp match
+    # window but within a 6.5 bp one
+    for length in (Fraction(60), Fraction(283, 2), Fraction(359, 2)):
+        stray = Lane(
+            "tube-1",
+            (Band(length, Fraction(1), migrate(length, run.ladder[-1])),),
+            scale=Fraction(32),
+        )
+        doctored = GelRun(run.ladder, (stray,) + run.lanes[1:])
+        with pytest.raises(UndecodableBandError):
+            readout(doctored, plan)
 
 
 def test_lane_count_mismatch_is_an_error(ball_lanes):
@@ -397,3 +401,33 @@ def test_readout_ignores_the_design_seed_and_follows_the_option_order():
         assert flipped.estimates == report.estimates[::-1], trial
         assert flipped.decoded == report.decoded[::-1], trial
         assert flipped.chosen == tuple(sorted(last - i for i in report.chosen)), trial
+
+
+def test_readout_ignores_the_outcome_order_and_follows_affine_utilities():
+    # two more metamorphic relations: where the probabilities are distinct,
+    # they alone rank the outcomes' cores, so reversing the outcomes (and
+    # every option's payoffs with them) moves no band and no reading; the
+    # positive affine map u -> 3/2 u - 7/5 of both utilities maps every
+    # estimate the same way and keeps the choice
+    def affine(u):
+        return Fraction(3, 2) * u - Fraction(7, 5)
+
+    rng = random.Random(1)
+    for trial in range(20):
+        matrix = random_matrix(rng)
+        report, _, _, run = run_end_to_end(matrix, seed=trial, cycles=3)
+        if len({out.probability for out in matrix.outcomes}) == len(matrix.outcomes):
+            reversed_outcomes = matrix._replace(
+                outcomes=matrix.outcomes[::-1],
+                options=tuple(opt._replace(payoffs=opt.payoffs[::-1]) for opt in matrix.options),
+            )
+            other, _, _, other_run = run_end_to_end(reversed_outcomes, seed=trial, cycles=3)
+            assert band_table(other_run) == band_table(run), trial
+            assert other.describe() == report.describe(), trial
+
+        scaled = matrix._replace(
+            u_favorable=affine(matrix.u_favorable), u_unfavorable=affine(matrix.u_unfavorable)
+        )
+        mapped, _, _, _ = run_end_to_end(scaled, seed=trial, cycles=3)
+        assert mapped.estimates == tuple(affine(e) for e in report.estimates), trial
+        assert mapped.chosen == report.chosen, trial

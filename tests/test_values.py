@@ -1,11 +1,12 @@
 """Value semantics of the record types.
 
 Every record type is a `typing.NamedTuple`: its fields cannot be set, and
-equality and hashing are those of the tuple of its fields. The digest table
-keys species by that hash. A `Strand` is no record: it is a `str` that checks
-its alphabet. That the validating types still refuse bad values on
-construction is pinned where each type is tested (`test_non_acgt_rejected`,
-`test_mismatch_rejected`, `test_invalid_sites_rejected`).
+equality and hashing are those of the tuple of its fields. The digest's site
+scan (`strands.site_hits`) keys its hits by that hash. A `Strand` is no
+record: it is a `str` that checks its alphabet. That the validating types
+still refuse bad values on construction is pinned where each type is tested
+(`test_non_acgt_rejected`, `test_mismatch_rejected`,
+`test_invalid_sites_rejected`).
 """
 
 import pytest
@@ -33,7 +34,7 @@ EXAMPLES = {
     "DecisionMatrix": make_ball_game,
     "Derivation": lambda: compiler.derivations(["a"], ["b"])["chance:a:b"],
     "EncodingViolation": lambda: compiler.EncodingViolation("gc-range", ("x",), "low"),
-    "Segment": lambda: compiler.Segment("x", "ACGTTG", {1: "CGT"}, 0, (), ()),
+    "Top": lambda: compiler.Top("util:x", 20, "CACGTG", ("ACGT",), ("TTGA",), None, (10,)),
     "EncodingPlan": lambda: _run()[0],
     "ProtocolPlan": lambda: _run()[1],
     "Species": lambda: next(iter(_run()[2].species.values())),
@@ -46,7 +47,7 @@ EXAMPLES = {
 }
 
 # these hold a dict, so they have no hash
-UNHASHABLE = {"Segment", "EncodingPlan", "ProtocolPlan", "TubeState"}
+UNHASHABLE = {"EncodingPlan", "ProtocolPlan", "TubeState"}
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
