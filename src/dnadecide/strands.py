@@ -16,10 +16,13 @@ of that line (`scan` is the same loop over a bare sequence, for the
 compiler's sequence rules). A digest with several enzymes is one
 `cut(duplex, *sites)` call; an instance of a later site is left uncut when
 an earlier site's cut column falls strictly inside it, as cutting site by
-site would. A site with no instance adds no cut column and blocks nothing,
-so cutting with only the sites a duplex holds gives the same fragments.
-The protocol simulator uses that: it scans each pooled duplex once for the
-whole library and hands those instances to every `cut` of it.
+site would. `cut_columns` states that rule and returns only the cut
+columns; `cut` builds the `fragment` between each two of them. A site with
+no instance adds no cut column and blocks nothing, so cutting with only the
+sites a duplex holds gives the same columns. The protocol simulator uses
+that: it scans each pooled duplex once for the whole library, hands those
+instances to `cut_columns`, and builds a fragment only for an interval
+that pcr would amplify.
 """
 
 from __future__ import annotations
@@ -192,25 +195,23 @@ def site_hits(duplex: Duplex, sites) -> dict[RecognitionSite, list[int]]:
     return found
 
 
-def cut(
+def cut_columns(
     duplex: Duplex,
     *sites: RecognitionSite,
     hits: dict[RecognitionSite, list[int]] | None = None,
-) -> list[Duplex]:
-    """Digest with every given enzyme at once.
+) -> list[int]:
+    """Where a digest with every given enzyme at once splits the duplex: its
+    cut columns in line coordinates (0 at the span's start, as `site_hits`
+    counts them), ascending.
 
-    The result equals cutting with each site in turn, in the given order,
-    and re-cutting every fragment: a site instance is cut unless an earlier
+    The cuts equal cutting with each site in turn, in the given order, and
+    re-cutting every fragment: a site instance is cut unless an earlier
     site's cut column falls strictly inside it, since that cut has already
     split it across two fragments. Instances of the same site never block
-    each other. With no instance to cut, the input comes back as the only
-    fragment.
+    each other.
 
     `hits`, the `site_hits` of this duplex for at least the given sites,
     spares the scan.
-
-    Base bookkeeping is exact: fragment span lengths always sum to the
-    span length of the input.
     """
     if hits is None:
         hits = site_hits(duplex, sites)
@@ -223,22 +224,40 @@ def cut(
                     break
             else:
                 cols.append(p + CUT_OFFSET)
+    cols.sort()
+    return cols
+
+
+def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
+    """Digest with every given enzyme at once: the fragments between the
+    `cut_columns`, left to right. With no instance to cut, the input comes
+    back as the only fragment.
+
+    Base bookkeeping is exact: fragment span lengths are the differences of
+    `[0, *cut_columns, span_length]`, so they sum to the input's.
+    """
+    cols = cut_columns(duplex, *sites)
     if not cols:
         return [duplex]
+    bounds = [0, *cols, duplex.span_length]
+    return [fragment(duplex, a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def fragment(duplex: Duplex, a: int, b: int) -> Duplex:
+    """The piece of `duplex` between line coordinates `a` < `b`, each a cut
+    column or an end of the span: the parent's bases in those columns, on
+    each strand."""
     top, bottom, offset = duplex
+    start = min(0, offset)
+    a, b = start + a, start + b  # duplex columns
     end = offset + len(bottom)  # one past the bottom strand's last column
-    a = start = min(0, offset)
-    out = []
-    for b in sorted(start + c for c in cols) + [max(len(top), end)]:
-        ta, ba = max(a, 0), max(a, offset)  # top columns [a, b) and the bottom bases under them
-        out.append(_derived(top[ta:b], bottom[end - min(b, end) : end - ba], ba - ta))
-        a = b
-    return out
+    ta, ba = max(a, 0), max(a, offset)  # top columns [a, b) and the bottom bases under them
+    return _derived(top[ta:b], bottom[end - min(b, end) : end - ba], ba - ta)
 
 
 def _derived(top: str, bottom: str, offset: int) -> Duplex:
     """A duplex cut or copied from checked strands, built without the checks
-    of `Strand` and `Duplex` (only `cut` and `wetlab.assemble` use it): the
+    of `Strand` and `Duplex` (only `fragment` and `wetlab.assemble` use it): the
     caller guarantees non-empty ACGT strands that pair at `offset`."""
     return tuple.__new__(Duplex, (str.__new__(Strand, top), str.__new__(Strand, bottom), offset))
 

@@ -18,12 +18,15 @@ and shared constituents are debited by total demand (floored at zero).
 Yields are nominal per-path numbers, as a within-lane band comparison reads.
 
 `digest`, `pcr` and `purify` are the single steps, each walking its own
-tube. `run_protocol` does not call them. It walks the pool once, scanning
-each active duplex for the library's sites once, and runs each option
-tube's digest, pcr and purify as one pass over those duplexes. A duplex is
-cut once per distinct set of enzymes that hits it, and a species is built
-only for a fragment that survives purify. Purify's record names nothing:
-it keeps exactly what pcr's record lists as amplified.
+tube (`digest` with `strands.cut`). `run_protocol` does not call them. It
+walks the pool once, scanning each active duplex for the library's sites
+once, and runs each option tube's digest, pcr and purify as one pass over
+those duplexes. A duplex's cut columns are taken once per distinct set of
+enzymes that hits it; the intervals between them give the digest record's
+span lengths, the primer rule reads the top strand of each blunt one, and
+a fragment duplex and its species are built only for a primed interval,
+the only kind that survives purify. Purify's record names nothing: it
+keeps exactly what pcr's record lists as amplified.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ from .strands import (
     Strand,
     _derived,
     cut,
+    cut_columns,
+    fragment,
     reverse_complement,
     site_hits,
 )
@@ -212,18 +217,18 @@ def _library(plan: EncodingPlan) -> dict[str, RecognitionSite]:
 
 
 def _primer_rule(plan: EncodingPlan):
-    """Whether pcr amplifies a duplex: blunt, long enough to hold both
-    primers, and flanked by them (a primer at each end, read on either strand)."""
+    """Whether pcr amplifies a blunt duplex with this top strand (it amplifies
+    no other duplex): long enough to hold both primers, and flanked by them
+    (a primer at each end, read on either strand)."""
     p1, p2 = plan.primers
     e1, e2 = (p1, reverse_complement(p1)), (p2, reverse_complement(p2))
     ends = {(left, right) for x, y in ((e1, e2), (e2, e1)) for left in x for right in y}
     n1, n2 = len(p1), len(p2)
 
-    def primed(duplex: Duplex) -> bool:
-        top = duplex.top
-        return duplex.is_blunt and len(top) >= 2 * n1 and (top[:n1], top[-n2:]) in ends
+    def flanked(top: str) -> bool:
+        return len(top) >= 2 * n1 and (top[:n1], top[-n2:]) in ends
 
-    return primed
+    return flanked
 
 
 def _check_cycles(cycles: int) -> None:
@@ -264,11 +269,12 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
 def pcr(tube: TubeState, cycles: int) -> TubeState:
     """Exponential amplification of blunt duplexes whose ends match the plan's primers."""
     _check_cycles(cycles)
-    primed = _primer_rule(tube.plan)
+    flanked = _primer_rule(tube.plan)
     species = dict(tube.species)
     amplified = []
     for key, sp in tube.species.items():
-        if sp.status == ACTIVE and sp.is_duplex and primed(sp.structure):
+        d = sp.structure
+        if sp.status == ACTIVE and sp.is_duplex and d.is_blunt and flanked(d.top):
             species[key] = sp._replace(count=sp.count << cycles, amplified=True)
             amplified.append(key)
     record = {"op": "pcr", "cycles": cycles, "amplified": sorted(amplified)}
@@ -290,9 +296,11 @@ def run_protocol(
 
     `plan` must be the protocol's own plan; `cycles` overrides its PCR
     cycles. Each tube's last three steps run as one pass over the pool's
-    fates and write the single steps' records. The survivors come in the
-    single steps' order: the uncut primed duplexes in pool order, then the
-    primed fragments. No fragment key can be a pool key (those are role,
+    fates and write the single steps' records; only a blunt interval between
+    a cut duplex's `cut_columns` that the primer rule keeps becomes a
+    fragment, the duplex `cut` would make. The survivors come in the single
+    steps' order: the uncut primed duplexes in pool order, then the primed
+    fragments. No fragment key can be a pool key (those are role,
     `construct:` and `waste:` keys), so no fragment replaces a species.
     """
     if plan is not protocol.plan:
@@ -303,15 +311,16 @@ def run_protocol(
     library = _library(plan)
     sites = list(library.values())
     bits = {name: 1 << i for i, name in enumerate(library)}  # enzyme sets as bit masks
-    primed = _primer_rule(plan)
+    flanked = _primer_rule(plan)
     # a fate per active duplex: key, species, primer verdict, site hits, the
     # mask of the enzymes that hit it, and its cuts by the mask of the hitters
     fates = []
     for key, sp in pool.species.items():
         if sp.status == ACTIVE and sp.is_duplex:
-            hits = site_hits(sp.structure, sites)
+            d = sp.structure
+            hits = site_hits(d, sites)
             mask = sum(bits[site.enzyme] for site in hits)
-            fates.append((key, sp, primed(sp.structure), hits, mask, {}))
+            fates.append((key, sp, d.is_blunt and flanked(d.top), hits, mask, {}))
     tubes = []
     for tube, enzymes in zip(split_tubes(pool), plan.tube_enzymes):
         ordered = sorted(enzymes)
@@ -326,12 +335,20 @@ def run_protocol(
             done = memo.get(hit)
             if done is None:
                 # cutting with only the enzymes that hit a duplex gives the
-                # same fragments as with all of a tube's, so tubes share cuts
-                pieces = cut(sp.structure, *[s for s in hits if bits[s.enzyme] & hit], hits=hits)
-                done = memo[hit] = (
-                    [piece.span_length for piece in pieces],
-                    [(f"fragment:{key}:{i}", p) for i, p in enumerate(pieces) if primed(p)],
-                )
+                # same cut columns as with all of a tube's, so tubes share cuts
+                d = sp.structure
+                cols = cut_columns(d, *[s for s in hits if bits[s.enzyme] & hit], hits=hits)
+                # an interval is blunt where it lies in the parent's dsDNA:
+                # between two cuts, or at an end where the parent is blunt
+                top, start = d.top, d.span_start
+                lo, hi = d.ds_start - start, d.ds_end - start
+                lengths, survivors, a = [], [], 0
+                for i, b in enumerate([*cols, d.span_length]):
+                    lengths.append(b - a)
+                    if lo <= a and b <= hi and flanked(top[start + a : start + b]):
+                        survivors.append((f"fragment:{key}:{i}", fragment(d, a, b)))
+                    a = b
+                done = memo[hit] = lengths, survivors
             lengths, survivors = done
             cuts[key] = lengths[:]  # each audit record owns its lists
             if survivors:

@@ -11,6 +11,7 @@ from dnadecide.strands import (
     StrandError,
     complement,
     cut,
+    cut_columns,
     find_sites,
     reverse_complement,
     site_hits,
@@ -263,6 +264,23 @@ def test_cut_fragments_are_checked_slices_of_the_parent(d, sites):
     assert "".join(f.top for f in frags) == d.top
     assert "".join(f.bottom for f in reversed(frags)) == d.bottom
     assert "".join(f.top_line() for f in frags) == d.top_line()
+
+
+@given(duplexes(), site_lists)
+def test_cut_columns_bound_the_fragments(d, sites):
+    # the simulator reads a digest's span lengths off the cut columns alone,
+    # takes an interval inside the parent's dsDNA as blunt, and reads its
+    # top strand off the parent without building the fragment
+    cols = cut_columns(d, *sites)
+    assert cols == sorted(cols)
+    bounds = [0, *cols, d.span_length]
+    frags = cut(d, *sites)
+    assert [f.span_length for f in frags] == [b - a for a, b in zip(bounds, bounds[1:])]
+    assert sum(f.span_length for f in frags) == d.span_length
+    lo, hi = d.ds_start - d.span_start, d.ds_end - d.span_start
+    for f, a, b in zip(frags, bounds, bounds[1:]):
+        assert f.top_line() == d.top_line()[a:b]
+        assert f.is_blunt == (lo <= a and b <= hi)
 
 
 def test_cut_without_sites_returns_input():

@@ -517,6 +517,33 @@ def test_run_protocol_keeps_primed_fragments_as_the_single_steps_do(ball_setup):
     assert all(t.species[k].amplified for t, ks in zip(tubes, kept) for k in ks)
 
 
+def test_run_protocol_keeps_only_the_blunt_primed_pieces_of_an_overhanging_duplex(ball_setup):
+    # option-2's tube cuts EcoRV (GAT|ATC) and PvuII (CAG|CTG). Planted in
+    # the dsDNA of prob:white, which has a 10-base top overhang at each end,
+    # the two sites bound an interior piece that reads primer:left ...
+    # primer:right, and it is kept. The left end piece reads the same primers
+    # but keeps the overhang, so pcr refuses it. thresh:white overhangs on
+    # the left only, so its right end piece is blunt and kept.
+    _, plan, protocol = ball_setup
+    p1, p2 = plan.primers[0], "ATCGGTTCAG"
+    assert p1.startswith("ATC") and plan.tube_enzymes[1] >= {"EcoRV", "PvuII"}
+    tail = reverse_complement(p2)  # ends with GAT, so GAT + p1 is an EcoRV site
+    core = tail + p1 + "TT" + p2 + "CTGAA"
+    thresh = p1 + tail + p1 + "TT" + p2
+    edited = plan._replace(strands=plan.strands | {
+        "primer:right": Strand(p2),
+        "prob:white": Duplex(p1 + core + "G" * 10, reverse_complement(core), 10),
+        "thresh:white": Duplex(thresh, reverse_complement(thresh[10:]), 10),
+    })
+    tubes = _assert_run_equals_single_steps(edited, protocol._replace(plan=edited), 5)
+    cuts = tubes[1].log[-3]["fragments"]
+    assert (cuts["prob:white"], cuts["thresh:white"]) == ([20, 22, 15], [20, 22])
+    kept = {k: sp.structure for k, sp in tubes[1].species.items() if ":white:" in k}
+    interior = p1 + "TT" + p2
+    assert kept["fragment:prob:white:1"].top == kept["fragment:thresh:white:1"].top == interior
+    assert "fragment:prob:white:0" not in kept and "fragment:thresh:white:0" not in kept
+
+
 def test_run_protocol_rejects_another_plan(ball_setup):
     # the ball game's plan with the 5x5's protocol: three tubes would be run
     # at the other protocol's cycle count and read as agreeing
