@@ -179,10 +179,9 @@ def _input_errors() -> tuple[type[Exception], ...]:
     """What a command raises on bad input. Only evaluated once a command has
     raised, so `compile` never loads the simulator to name its errors."""
     from .gel import GelError
-    from .wetlab import CycleCountError, UnknownEnzymeError
+    from .wetlab import CycleCountError
 
-    simulator = (GelError, UnknownEnzymeError, CycleCountError)
-    return (ProblemFormatError, MatrixError, CompileError, OSError) + simulator
+    return (ProblemFormatError, MatrixError, CompileError, OSError, GelError, CycleCountError)
 
 
 def main(argv: list[str] | None = None) -> int:

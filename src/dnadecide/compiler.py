@@ -167,34 +167,17 @@ def probability_lengths(probabilities: list[Fraction]) -> list[int]:
 def assign_enzymes(
     matrix: DecisionMatrix,
     library: tuple[RecognitionSite, ...] = CORE_BLUNT_CUTTERS,
-) -> tuple[dict[str, RecognitionSite], dict[str, RecognitionSite]]:
-    """One catalog enzyme per option, then one per outcome, in declaration order."""
-    need = len(matrix.options) + len(matrix.outcomes)
-    if need > len(library):
+) -> dict[str, RecognitionSite]:
+    """The plan's site map: one catalog enzyme, in catalog order, per top that
+    carries a site, keyed by the top's role: each option top (`option:{o}`)
+    in option order, then each utility top (`util:{u}`) in outcome order."""
+    roles = [role_option(opt.label) for opt in matrix.options]
+    roles += [role_util(out.label) for out in matrix.outcomes]
+    if len(roles) > len(library):
         raise LibraryExhaustedError(
-            f"need {need} distinct enzymes, library provides {len(library)}"
+            f"need {len(roles)} distinct enzymes, library provides {len(library)}"
         )
-    it = iter(library)
-    option_sites = {opt.label: next(it) for opt in matrix.options}
-    outcome_sites = {out.label: next(it) for out in matrix.outcomes}
-    return option_sites, outcome_sites
-
-
-def tube_schedule(
-    matrix: DecisionMatrix,
-    option_sites: dict[str, RecognitionSite],
-    outcome_sites: dict[str, RecognitionSite],
-) -> tuple[frozenset[str], ...]:
-    """Enzyme names per option tube: cut every rival option and every
-    outcome the tube's own option finds unfavorable."""
-    tubes = []
-    for opt in matrix.options:
-        enzymes = {option_sites[o.label].enzyme for o in matrix.options if o.label != opt.label}
-        for out, pay in zip(matrix.outcomes, opt.payoffs):
-            if pay is Payoff.UNFAVORABLE:
-                enzymes.add(outcome_sites[out.label].enzyme)
-        tubes.append(frozenset(enzymes))
-    return tuple(tubes)
+    return dict(zip(roles, library))
 
 
 # -- construct geometry --------------------------------------------------------
@@ -277,18 +260,6 @@ def _collision(role: str, key: str, row, pair: tuple[str, str]) -> DuplicateLabe
     return DuplicateLabelError(f"{names} collide: both name their strands {key!r}")
 
 
-def _designed_sites(
-    matrix: DecisionMatrix,
-    option_sites: dict[str, RecognitionSite],
-    outcome_sites: dict[str, RecognitionSite],
-) -> dict[str, str]:
-    """The designed site of each option and utility top, by role; its values
-    are the assigned sites, options first."""
-    sites = {role_option(opt.label): option_sites[opt.label].site for opt in matrix.options}
-    sites.update((role_util(out.label), outcome_sites[out.label].site) for out in matrix.outcomes)
-    return sites
-
-
 class Top(NamedTuple):
     """One independent top as the rule sheet states it: its designed length,
     its designed site at `SITE_OFFSET` ("" for none), its ligated neighbours,
@@ -304,8 +275,8 @@ class Top(NamedTuple):
     breaks: tuple[int, ...] = ()
 
 
-def _top_rules(options: list[str], middle_lengths: dict[str, int], sites: dict[str, str],
-               tops: dict[str, str]):
+def _top_rules(options: list[str], middle_lengths: dict[str, int],
+               sites: dict[str, RecognitionSite], tops: dict[str, str]):
     """The rule sheet: one `Top` per independent top, in design order, which
     the designer designs and the validator judges. A neighbour is read from
     `tops` when its top is reached, so the designer sees every top placed
@@ -314,13 +285,13 @@ def _top_rules(options: list[str], middle_lengths: dict[str, int], sites: dict[s
     yield Top(ROLE_TERM, ARM_LENGTH)
     for opt in options:
         role = role_option(opt)
-        yield Top(role, _N, sites[role], (tops.get(ROLE_CHOICE, ""),))
+        yield Top(role, _N, sites[role].site, (tops.get(ROLE_CHOICE, ""),))
     option_tops = tuple(tops.get(role_option(opt), "") for opt in options)
     for out, m in middle_lengths.items():
         yield Top(role_prob(out), 2 * _H + m, lefts=option_tops, breaks=(_H, _H + m))
     for out in middle_lengths:
         role, left, right = role_util(out), tops.get(role_prob(out), ""), tops.get(ROLE_TERM, "")
-        yield Top(role, _N, sites[role], (left,), (right,))
+        yield Top(role, _N, sites[role].site, (left,), (right,))
     for out in middle_lengths:
         yield Top(role_thresh(out), _N, prefix=tops.get(role_prob(out), "")[:_H])
 
@@ -510,8 +481,7 @@ class _Designer:
 
 def generate_sequences(
     matrix: DecisionMatrix,
-    option_sites: dict[str, RecognitionSite],
-    outcome_sites: dict[str, RecognitionSite],
+    sites: dict[str, RecognitionSite],
     middle_lengths: dict[str, int],
     table: dict[str, Derivation],
     seed: int = 0,
@@ -527,8 +497,7 @@ def generate_sequences(
     piece is its pad alone); each verdict is appended to `notes`.
     """
     pins = pins or {}
-    sites = _designed_sites(matrix, option_sites, outcome_sites)
-    d = _Designer(random.Random(seed), list(sites.values()), notes)
+    d = _Designer(random.Random(seed), [s.site for s in sites.values()], notes)
     options = [opt.label for opt in matrix.options]
     tops: dict[str, str] = {}
     for top in _top_rules(options, middle_lengths, sites, tops):
@@ -546,7 +515,7 @@ def generate_sequences(
 def check_pieces(
     options: list[str],
     middle_lengths: dict[str, int],
-    sites: dict[str, str],
+    sites: dict[str, RecognitionSite],
     pieces: dict[str, str],
     table: dict[str, Derivation],
 ) -> list[tuple[str, EncodingViolation]]:
@@ -584,7 +553,7 @@ def check_pieces(
     # a threshold toehold is a designed copy of either half of a chance junction
     toeholds = {pieces[role_prob(out)][:_H] for out in middle_lengths if role_prob(out) in pieces}
     toeholds |= {pieces[role_option(opt)][_H:] for opt in options if role_option(opt) in pieces}
-    assigned, windows = tuple(sites.values()), {}
+    assigned, windows = tuple(s.site for s in sites.values()), {}
     for name, role, _, rule in parts:
         seq = pieces[name]
         if isinstance(rule, Derivation):
@@ -610,7 +579,7 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
     strand are, as in `derivations`); a freshly compiled plan must come back
     clean, a transcribed reference may not.
     """
-    matrix, strands = plan.matrix, plan.strands
+    matrix, strands, sites = plan.matrix, plan.strands, plan.sites
     options = [opt.label for opt in matrix.options]
     table = derivations(options, list(plan.middle_lengths))
     found: list[EncodingViolation] = []
@@ -625,7 +594,6 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
             detail = ("must be a single strand" if offset is None
                       else f"must be a duplex paired from column {offset}")
             found.append(EncodingViolation("geometry", (role,), detail))
-    sites = _designed_sites(matrix, plan.option_sites, plan.outcome_sites)
     return found + [v for _, v in check_pieces(options, plan.middle_lengths, sites, pieces, table)]
 
 
@@ -639,13 +607,23 @@ class EncodingPlan(NamedTuple):
     strands: dict[str, Strand | Duplex]
     middle_lengths: dict[str, int]
     threshold_ratios: dict[str, Fraction]
-    option_sites: dict[str, RecognitionSite]
-    outcome_sites: dict[str, RecognitionSite]
+    sites: dict[str, RecognitionSite]  # by the role of the top carrying it, see `assign_enzymes`
     fixture_notes: tuple[str, ...] = ()
 
     @property
     def tube_enzymes(self) -> tuple[frozenset[str], ...]:
-        return tube_schedule(self.matrix, self.option_sites, self.outcome_sites)
+        """Enzyme names per option tube, read from `sites` (option tops
+        first, in option order): each tube cuts every rival option and every
+        outcome that its own option finds unfavorable."""
+        enzymes = [site.enzyme for site in self.sites.values()]
+        n = len(self.matrix.options)
+        rivals, outcomes = enzymes[:n], enzymes[n:]
+        return tuple(
+            frozenset(rivals[:i] + rivals[i + 1 :]).union(
+                e for e, pay in zip(outcomes, opt.payoffs) if pay is Payoff.UNFAVORABLE
+            )
+            for i, opt in enumerate(self.matrix.options)
+        )
 
     @property
     def primers(self) -> tuple[Strand, Strand]:
@@ -695,7 +673,7 @@ class EncodingPlan(NamedTuple):
             "outcomes:",
         ]
         for out in self.matrix.outcomes:
-            site = self.outcome_sites[out.label]
+            site = self.sites[role_util(out.label)]
             lines.append(
                 f"  {out.label}: probability {out.probability}, "
                 f"threshold ratio {self.threshold_ratios[out.label]}, "
@@ -707,7 +685,7 @@ class EncodingPlan(NamedTuple):
         for opt, enzymes, bands in zip(
             self.matrix.options, self.tube_enzymes, self.predicted_bands()
         ):
-            site = self.option_sites[opt.label]
+            site = self.sites[role_option(opt.label)]
             fav = [self.matrix.outcomes[j].label for j in opt.favorable_indices()]
             band_text = ", ".join(f"{length} bp x{count}" for length, count in bands)
             lines.append(
@@ -780,24 +758,21 @@ def compile_problem(
     ratios = {out.label: threshold_ratio(out.probability) for out in matrix.outcomes}
     lengths = probability_lengths([out.probability for out in matrix.outcomes])
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
-    option_sites, outcome_sites = assign_enzymes(matrix, library)
+    sites = assign_enzymes(matrix, library)
 
     pins, notes = {}, []
     if use_fixture:
         from .fixture import reference_pins
 
         pins = reference_pins(matrix)
-    strands = generate_sequences(
-        matrix, option_sites, outcome_sites, middles, table, seed=seed, pins=pins, notes=notes
-    )
+    strands = generate_sequences(matrix, sites, middles, table, seed=seed, pins=pins, notes=notes)
     plan = EncodingPlan(
         matrix=matrix,
         seed=seed,
         strands=strands,
         middle_lengths=middles,
         threshold_ratios=ratios,
-        option_sites=option_sites,
-        outcome_sites=outcome_sites,
+        sites=sites,
         fixture_notes=tuple(notes),
     )
     return plan, ProtocolPlan(plan, pcr_cycles)

@@ -104,7 +104,7 @@ def _merge_bands(raw: list[tuple[int, int]], top: int, unit: int) -> tuple[Band,
 def lane_from_tube(tube: TubeState, top: int) -> Lane:
     raw = [
         (sp.length, sp.count)
-        for _, sp in sorted(tube.species.items())
+        for sp in tube.species.values()
         if sp.status == ACTIVE and sp.is_duplex and sp.count > 0
     ]
     unit = tube.plan.intensity_scale()
@@ -289,7 +289,7 @@ def readout(
     tolerance = GEL_RESOLUTION / 2
     estimates = []
     decoded_all = []
-    for lane, opt in zip(lanes, matrix.options):
+    for lane in lanes:
         mass = Fraction(0)
         decoded = []
         for band in lane.bands:

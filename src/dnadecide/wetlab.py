@@ -212,8 +212,7 @@ def split_tubes(tube: TubeState) -> list[TubeState]:
 
 def _library(plan: EncodingPlan) -> dict[str, RecognitionSite]:
     """The plan's library: each enzyme's site, by enzyme name in name order."""
-    sites = (*plan.option_sites.values(), *plan.outcome_sites.values())
-    return {site.enzyme: site for site in sorted(sites)}
+    return {site.enzyme: site for site in sorted(plan.sites.values())}
 
 
 def _primer_rule(plan: EncodingPlan):

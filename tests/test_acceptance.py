@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from conftest import concentration, make_ball_game
 
-from dnadecide.compiler import DYE_FRONT_BP, compile_problem, role_chance, role_option, role_util
+from dnadecide.compiler import DYE_FRONT_BP, compile_problem, role_chance
 from dnadecide.decision import best_options
 from dnadecide.gel import GEL_LENGTH, _merge_bands, decode_length, ladder, migrate, readout, run_gel
 from dnadecide.strands import (
@@ -142,14 +142,8 @@ def test_criterion_4_pcr_arithmetic():
 
 @criterion(5, "each designed 20 bp duplex cuts into two 10 bp blunt halves")
 def test_criterion_5_digestion_geometry():
-    matrix, plan, _, _ = _canonical()
-    assignments = [
-        (plan.strands[role_option(o.label)], plan.option_sites[o.label])
-        for o in matrix.options
-    ] + [
-        (plan.strands[role_util(o.label)], plan.outcome_sites[o.label])
-        for o in matrix.outcomes
-    ]
+    _, plan, _, _ = _canonical()
+    assignments = [(plan.strands[role], site) for role, site in plan.sites.items()]
     assert len(assignments) == 6
     assert {site.enzyme for _, site in assignments} == {
         s.enzyme for s in CORE_BLUNT_CUTTERS

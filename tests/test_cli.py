@@ -10,10 +10,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
+
+from conftest import make_ball_game
 
 import dnadecide
 from dnadecide.cli import main
 from dnadecide.compiler import compile_problem
+from dnadecide.decision import build_matrix
 from dnadecide.formats import (
     ProblemFormatError,
     dump_problem,
@@ -27,10 +31,30 @@ from dnadecide.wetlab import run_protocol
 # -- problem files ------------------------------------------------------------
 
 
-def test_bundled_problem_round_trips(ball_game):
-    text = dump_problem(ball_game)
-    again = parse_problem(text)
-    assert again == ball_game
+# any label the parser accepts: non-empty, of any characters but lone surrogates
+_LABELS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@st.composite
+def _problems(draw):
+    """A matrix from the whole space the parser accepts: zero weights, empty
+    favorable lists, one option or one outcome, and affine utilities (negative
+    or equal ones too)."""
+    outcomes = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+    options = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(outcomes), max_size=len(outcomes)))
+    weights[draw(st.sampled_from(range(len(outcomes))))] += 1  # the weights sum above 0
+    favorable = [draw(st.lists(st.sampled_from(outcomes), unique=True)) for _ in options]
+    lo, hi = sorted(draw(st.fractions(-9, 9, max_denominator=12)) for _ in range(2))
+    total = sum(weights)
+    return build_matrix([(u, Fraction(w, total)) for u, w in zip(outcomes, weights)],
+                        list(zip(options, favorable)), u_favorable=hi, u_unfavorable=lo)
+
+
+@given(_problems())
+@example(make_ball_game())
+def test_bundled_problem_round_trips(matrix):
+    assert parse_problem(dump_problem(matrix)) == matrix
 
 
 def test_load_problem_reads_a_file(tmp_path, ball_game):

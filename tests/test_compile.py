@@ -25,7 +25,6 @@ from dnadecide.compiler import (
     probability_lengths,
     role_thresh,
     threshold_ratio,
-    tube_schedule,
     validate_encoding,
     violations,
 )
@@ -76,17 +75,16 @@ def test_probability_lengths_unresolvable_beyond_ladder():
 
 
 def test_enzyme_assignment_ball_game(ball_game):
-    option_sites, outcome_sites = assign_enzymes(ball_game)
-    assert [option_sites[o.label].enzyme for o in ball_game.options] == [
-        "PvuII",
-        "HpaI",
-        "StuI",
-    ]
-    assert [outcome_sites[o.label].enzyme for o in ball_game.outcomes] == [
-        "PmlI",
-        "EcoRV",
-        "ScaI",
-    ]
+    sites = assign_enzymes(ball_game)
+    assert {role: site.enzyme for role, site in sites.items()} == {
+        "option:option-1": "PvuII",
+        "option:option-2": "HpaI",
+        "option:option-3": "StuI",
+        "util:red": "PmlI",
+        "util:black": "EcoRV",
+        "util:white": "ScaI",
+    }
+    assert list(sites.values()) == list(CORE_BLUNT_CUTTERS)
 
 
 def test_enzyme_assignment_exhausts_library():
@@ -99,10 +97,9 @@ def test_enzyme_assignment_exhausts_library():
     assert assign_enzymes(m, EXTENDED_BLUNT_CUTTERS)
 
 
-def test_tube_schedule_ball_game(ball_game):
-    option_sites, outcome_sites = assign_enzymes(ball_game)
-    tubes = tube_schedule(ball_game, option_sites, outcome_sites)
-    assert tubes == (
+def test_tube_schedule_ball_game(ball_plan):
+    plan, _ = ball_plan
+    assert plan.tube_enzymes == (
         frozenset({"HpaI", "StuI", "ScaI"}),
         frozenset({"PvuII", "StuI", "EcoRV"}),
         frozenset({"PvuII", "HpaI", "PmlI"}),
@@ -181,12 +178,12 @@ def test_option_strands_carry_their_sites(ball_plan):
     plan, _ = ball_plan
     for opt in plan.matrix.options:
         seq = plan.strands[role_option(opt.label)]
-        site = plan.option_sites[opt.label].site
+        site = plan.sites[role_option(opt.label)].site
         assert seq.find(site) == 7
         assert len(seq) == 20
     for out in plan.matrix.outcomes:
         seq = plan.strands[role_util(out.label)]
-        assert seq.find(plan.outcome_sites[out.label].site) == 7
+        assert seq.find(plan.sites[role_util(out.label)].site) == 7
 
 
 def test_gc_fractions_in_range(ball_plan):
@@ -239,8 +236,7 @@ def test_duplicated_option_sequence_is_flagged(ball_plan):
         strands=dict(plan.strands),
         middle_lengths=plan.middle_lengths,
         threshold_ratios=plan.threshold_ratios,
-        option_sites=plan.option_sites,
-        outcome_sites=plan.outcome_sites,
+        sites=plan.sites,
     )
     one = broken.strands[role_option("option-1")]
     broken.strands[role_option("option-2")] = one
@@ -280,8 +276,7 @@ def test_flipped_derived_base_is_flagged(ball_plan, role):
         strands=strands,
         middle_lengths=plan.middle_lengths,
         threshold_ratios=plan.threshold_ratios,
-        option_sites=plan.option_sites,
-        outcome_sites=plan.outcome_sites,
+        sites=plan.sites,
     )
     found = validate_encoding(broken)
     assert any(v.kind == "derivation" and v.roles == (role,) for v in found), found
@@ -334,8 +329,9 @@ def test_random_seeds_generate_clean_ball_game_plans(seed):
 
 # -- reference material --------------------------------------------------------
 
-# the designed sites of the transcribed option and utility strands
-_SITES = {"option:option-1": "CAGCTG", "util:red": "CACGTG"}
+# the designed sites of the transcribed option and utility strands, PvuII's
+# and PmlI's, as the ball game assigns them
+_SITES = {"option:option-1": CORE_BLUNT_CUTTERS[0], "util:red": CORE_BLUNT_CUTTERS[3]}
 
 
 def assess_printed() -> list[str]:
@@ -348,7 +344,7 @@ def assess_printed() -> list[str]:
     findings = []
     for strand, v in found:
         if v.kind == "site-missing":
-            findings.append(f"{names[strand]}: designed site {_SITES[strand]} not present")
+            findings.append(f"{names[strand]}: designed site {_SITES[strand].site} not present")
         elif v.kind in ("geometry", "derivation", "site-extra"):
             findings.append(f"{names[strand]}: {v.detail}")
     return findings
@@ -411,14 +407,14 @@ def test_fixture_compile_repairs_and_reports(ball_game):
 def test_generation_failure_is_raised_not_looped(monkeypatch):
     # an impossibly tight designer budget must fail loudly
     m = make_ball_game()
-    option_sites, outcome_sites = assign_enzymes(m)
+    sites = assign_enzymes(m)
     middles = {o.label: l for o, l in zip(m.outcomes, [7, 16, 34])}
     import dnadecide.compiler as compiler
 
     monkeypatch.setattr(compiler, "MAX_TRIES", 0)
     with pytest.raises(GenerationFailedError):
         table = derivations(["option-1", "option-2", "option-3"], list(middles))
-        generate_sequences(m, option_sites, outcome_sites, middles, table, seed=0)
+        generate_sequences(m, sites, middles, table, seed=0)
 
 
 def test_generation_failure_names_the_rule_that_ran_out():
@@ -494,7 +490,7 @@ def _util_findings(seq, left=None, right=None):
     assert tops[role_util("red")] == "GAGGAGTCACGTGTAACTTG"
     left = tops[role_prob("red")] if left is None else left(tops[role_prob("red")])
     right = tops["term"] if right is None else right(tops["term"])
-    sites = tuple(s.site for s in [*plan.option_sites.values(), *plan.outcome_sites.values()])
+    sites = tuple(s.site for s in plan.sites.values())
     top = Top("util:red", 20, "CACGTG", (left,), (right,))
     return [tuple(v) for v in violations(top, seq, 0, sites, {})]
 
@@ -564,7 +560,7 @@ def test_a_planted_stray_site_is_found_once_on_its_top(ball_plan, role):
     # threshold's toehold (0-9); a shared top used to be blamed once per
     # construct through it, and a threshold top was never judged for sites
     plan, _ = ball_plan
-    assigned = [s.site for s in [*plan.option_sites.values(), *plan.outcome_sites.values()]]
+    assigned = [s.site for s in plan.sites.values()]
     strand = plan.strands[role]
     top = strand.top if isinstance(strand, Duplex) else strand
     rival = next(site for site in assigned if site not in top)
@@ -581,7 +577,7 @@ def test_a_planted_stray_site_is_found_once_on_its_top(ball_plan, role):
 def test_a_planted_junction_site_is_found_once_on_the_judged_top(ball_plan):
     # the choice | option-1 junction is judged on option-1, its right side
     plan, _ = ball_plan
-    rival = plan.outcome_sites["white"].site
+    rival = plan.sites[role_util("white")].site
 
     def plant(tops):
         tops["choice"] = tops["choice"][:-3] + rival[:3]
