@@ -20,6 +20,9 @@ same records, table and rules.
 
 Each strand is named by a role key (`role_*`) that spells the slugs of the
 labels it serves; `derivations` refuses labels that would share a name.
+Every name is a pure function of the labels, so each is spelled once per
+label set and cached: the namers by their labels, the geometry table by the
+label tuples, shared by every caller as a read-only mapping.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .decision import DecisionMatrix, DuplicateLabelError, Payoff, validate_matrix
 from .strands import (
@@ -69,22 +74,27 @@ def _slug(label: str) -> str:
     return "_".join(label.split())
 
 
+@lru_cache(maxsize=64)
 def role_option(label: str) -> str:
     return f"option:{_slug(label)}"
 
 
+@lru_cache(maxsize=256)
 def role_chance(option_label: str, outcome_label: str) -> str:
     return f"chance:{_slug(option_label)}:{_slug(outcome_label)}"
 
 
+@lru_cache(maxsize=64)
 def role_prob(outcome_label: str) -> str:
     return f"prob:{_slug(outcome_label)}"
 
 
+@lru_cache(maxsize=64)
 def role_util(outcome_label: str) -> str:
     return f"util:{_slug(outcome_label)}"
 
 
+@lru_cache(maxsize=64)
 def role_thresh(outcome_label: str) -> str:
     return f"thresh:{_slug(outcome_label)}"
 
@@ -96,6 +106,7 @@ _PATH = ("choice link:choice:{o} option:{o} chance:{o}:{u} prob:{u} "
          "link:prob:{u} util:{u} link:util:{u} term")
 
 
+@lru_cache(maxsize=256)
 def construct_roles(option_label: str, outcome_label: str) -> tuple[str, ...]:
     """The nine species one construct ligates, in order along its top.
 
@@ -109,6 +120,7 @@ def construct_roles(option_label: str, outcome_label: str) -> tuple[str, ...]:
     return tuple(_PATH.format(o=_slug(option_label), u=_slug(outcome_label)).split())
 
 
+@lru_cache(maxsize=256)
 def construct_key(option_label: str, outcome_label: str) -> str:
     """The ligated construct of one path; unique whenever its chance strand's key is."""
     return f"construct:{_slug(option_label)}:{_slug(outcome_label)}"
@@ -221,13 +233,24 @@ _GEOMETRY = (
 )
 
 
-def derivations(options: list[str], outcomes: list[str]) -> dict[str, Derivation]:
+def derivations(options: Iterable[str], outcomes: Iterable[str]) -> Mapping[str, Derivation]:
     """The geometry table spelled out for these option and outcome labels.
 
     Every other key (an option or utility top, a construct) spells its
     labels' slugs as a row here does, so a key spelled twice here is the one
     check that refuses labels, or label pairs, that would share a strand.
+
+    The table depends on the labels alone: it is spelled once per label set
+    and every caller shares it, read-only. A refusal is raised again on every
+    call, since an exception is never cached; but the table of a problem
+    that a later compile step refuses (too many outcomes or enzymes) stays
+    cached until newer label sets evict it.
     """
+    return _derivations(tuple(options), tuple(outcomes))
+
+
+@lru_cache(maxsize=32)
+def _derivations(options: tuple[str, ...], outcomes: tuple[str, ...]) -> Mapping[str, Derivation]:
     table: dict[str, Derivation] = {}
     named_options = [(o, _slug(o)) for o in options]
     named_outcomes = [(u, _slug(u)) for u in outcomes]
@@ -243,7 +266,7 @@ def derivations(options: list[str], outcomes: list[str]) -> dict[str, Derivation
                 table[key] = Derivation(
                     tuple((r.format(**name), a, b) for r, a, b in slices), what, offset
                 )
-    return table
+    return MappingProxyType(table)
 
 
 def _collision(role: str, key: str, row, pair: tuple[str, str]) -> DuplicateLabelError:
@@ -483,7 +506,7 @@ def generate_sequences(
     matrix: DecisionMatrix,
     sites: dict[str, RecognitionSite],
     middle_lengths: dict[str, int],
-    table: dict[str, Derivation],
+    table: Mapping[str, Derivation],
     seed: int = 0,
     pins: dict[str, tuple[str, str]] | None = None,
     notes: list[str] | None = None,
@@ -517,7 +540,7 @@ def check_pieces(
     middle_lengths: dict[str, int],
     sites: dict[str, RecognitionSite],
     pieces: dict[str, str],
-    table: dict[str, Derivation],
+    table: Mapping[str, Derivation],
 ) -> list[tuple[str, EncodingViolation]]:
     """Walk the rule sheet and the geometry table over an encoding's pieces.
 

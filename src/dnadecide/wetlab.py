@@ -25,8 +25,9 @@ those duplexes. A duplex's cut columns are taken once per distinct set of
 enzymes that hits it; the intervals between them give the digest record's
 span lengths, the primer rule reads the top strand of each blunt one, and
 a fragment duplex and its species are built only for a primed interval,
-the only kind that survives purify. Purify's record names nothing: it
-keeps exactly what pcr's record lists as amplified.
+the only kind that survives purify. Zero is not material: pcr, the single
+step and the pass alike, amplifies only a species of positive count. Purify's
+record names nothing: it keeps exactly what pcr's record lists as amplified.
 """
 
 from __future__ import annotations
@@ -266,14 +267,15 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
 
 
 def pcr(tube: TubeState, cycles: int) -> TubeState:
-    """Exponential amplification of blunt duplexes whose ends match the plan's primers."""
+    """Exponential amplification of blunt duplexes whose ends match the plan's
+    primers; a species with count 0 is no template, so it is not amplified."""
     _check_cycles(cycles)
     flanked = _primer_rule(tube.plan)
     species = dict(tube.species)
     amplified = []
     for key, sp in tube.species.items():
         d = sp.structure
-        if sp.status == ACTIVE and sp.is_duplex and d.is_blunt and flanked(d.top):
+        if sp.count and sp.status == ACTIVE and sp.is_duplex and d.is_blunt and flanked(d.top):
             species[key] = sp._replace(count=sp.count << cycles, amplified=True)
             amplified.append(key)
     record = {"op": "pcr", "cycles": cycles, "amplified": sorted(amplified)}
@@ -283,7 +285,8 @@ def pcr(tube: TubeState, cycles: int) -> TubeState:
 
 
 def purify(tube: TubeState) -> TubeState:
-    """Keep amplified material only; leftovers, fragments and waste wash out."""
+    """Keep what pcr amplified (active, primer-flanked, blunt and of a
+    positive count); leftovers, fragments, waste and count-0 species wash out."""
     kept = {key: sp for key, sp in tube.species.items() if sp.amplified and sp.status == ACTIVE}
     return tube._with(kept, {"op": "purify"})
 
@@ -328,7 +331,7 @@ def run_protocol(
         for key, sp, is_primed, hits, fate_mask, memo in fates:
             hit = fate_mask & tube_mask
             if not hit:
-                if is_primed:
+                if is_primed and sp.count:
                     kept[key] = sp._replace(count=sp.count << n, amplified=True)
                 continue
             done = memo.get(hit)
@@ -350,7 +353,7 @@ def run_protocol(
                 done = memo[hit] = lengths, survivors
             lengths, survivors = done
             cuts[key] = lengths[:]  # each audit record owns its lists
-            if survivors:
+            if survivors and sp.count:
                 count = sp.count << n
                 for frag_key, piece in survivors:
                     frags[frag_key] = Species(piece, count, ACTIVE, True)

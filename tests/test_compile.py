@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dnadecide import compiler
 from dnadecide.compiler import (
     BASE_CONSTRUCT_LENGTH,
     EncodingPlan,
@@ -711,3 +712,60 @@ def test_every_strand_key_is_distinct_or_the_labels_are_named(problem):
     n, m = len(options), len(outcomes)
     assert len(plan.strands) == 4 + 2 * n + 5 * m + n * m
     assert len({construct_key(o, u) for o, _ in options for u, _ in outcomes}) == n * m
+
+
+# -- names spelled once per label set: the caches cannot change an answer ------
+
+_CACHED = ("_derivations", "role_option", "role_chance", "role_prob", "role_util",
+           "role_thresh", "construct_roles", "construct_key")
+
+
+def test_colliding_labels_are_refused_on_every_call():
+    # a refusal is raised, never cached, so a repeated call is refused again
+    for _ in range(2):
+        with pytest.raises(DuplicateLabelError, match="'a b' and 'a_b'"):
+            derivations(["x"], ["a b", "a_b"])
+        with pytest.raises(DuplicateLabelError, match="'a b' and 'a_b'"):
+            compile_problem(build_matrix([("a b", F(1, 2)), ("a_b", F(1, 2))], [("x", ["a b"])]))
+
+
+def test_the_shared_geometry_table_is_read_only():
+    table = derivations(["option-1"], ["red"])
+    assert derivations(("option-1",), ("red",)) is table
+    with pytest.raises(TypeError):
+        table["chance:option-1:red"] = table["choice"]
+    with pytest.raises(TypeError):
+        del table["choice"]
+    assert table["chance:option-1:red"].offset is None
+
+
+def _design_outputs(matrix):
+    """FASTA, plan and protocol text, and the findings on the plan and on
+    the plan with a stray site planted on one option top."""
+    plan, protocol = compile_problem(matrix, seed=7, library=EXTENDED_BLUNT_CUTTERS)
+    rival = plan.sites[role_util(matrix.outcomes[-1].label)].site
+
+    def plant(tops):
+        role = role_option(matrix.options[0].label)
+        tops[role] = tops[role][:14] + rival + tops[role][20:]
+
+    findings = [str(v) for p in (plan, _with_tops(plan, plant)) for v in validate_encoding(p)]
+    return plan.to_fasta(), plan.describe() + protocol.describe(), findings
+
+
+def test_cached_names_cannot_change_an_answer():
+    # the verify trial stream's 16 label sets, 2x2 to 5x5: P, the other 15,
+    # then P again, and P once more after every cache is emptied
+    def problem(n_opt, n_out):
+        outcomes = [(f"outcome-{j + 1}", F(1, n_out)) for j in range(n_out)]
+        options = [(f"option-{i + 1}", [f"outcome-{1 + i % n_out}"]) for i in range(n_opt)]
+        return build_matrix(outcomes, options)
+
+    first = _design_outputs(problem(3, 4))
+    assert first[2], "the planted site draws a finding"
+    for size in [(o, u) for o in range(2, 6) for u in range(2, 6) if (o, u) != (3, 4)]:
+        _design_outputs(problem(*size))
+    assert _design_outputs(problem(3, 4)) == first
+    for name in _CACHED:
+        getattr(compiler, name).cache_clear()
+    assert _design_outputs(problem(3, 4)) == first

@@ -32,7 +32,10 @@ EXAMPLES = {
     "Outcome": lambda: make_ball_game().outcomes[0],
     "Option": lambda: make_ball_game().options[0],
     "DecisionMatrix": make_ball_game,
-    "Derivation": lambda: compiler.derivations(["a"], ["b"])["chance:a:b"],
+    # built directly: `derivations` shares one cached table per label set
+    "Derivation": lambda: compiler.Derivation(
+        (("option:a", 10, None), ("prob:b", 0, 10)), "complement of a junction"
+    ),
     "EncodingViolation": lambda: compiler.EncodingViolation("gc-range", ("x",), "low"),
     "Top": lambda: compiler.Top("util:x", 20, "CACGTG", ("ACGT",), ("TTGA",), None, (10,)),
     "EncodingPlan": lambda: _run()[0],

@@ -523,7 +523,8 @@ def test_run_protocol_keeps_only_the_blunt_primed_pieces_of_an_overhanging_duple
     # the two sites bound an interior piece that reads primer:left ...
     # primer:right, and it is kept. The left end piece reads the same primers
     # but keeps the overhang, so pcr refuses it. thresh:white overhangs on
-    # the left only, so its right end piece is blunt and kept.
+    # the left only, so its right end piece is blunt and primed; but the
+    # thresholds consumed its whole dose, so it has count 0 and is not kept.
     _, plan, protocol = ball_setup
     p1, p2 = plan.primers[0], "ATCGGTTCAG"
     assert p1.startswith("ATC") and plan.tube_enzymes[1] >= {"EcoRV", "PvuII"}
@@ -540,8 +541,41 @@ def test_run_protocol_keeps_only_the_blunt_primed_pieces_of_an_overhanging_duple
     assert (cuts["prob:white"], cuts["thresh:white"]) == ([20, 22, 15], [20, 22])
     kept = {k: sp.structure for k, sp in tubes[1].species.items() if ":white:" in k}
     interior = p1 + "TT" + p2
-    assert kept["fragment:prob:white:1"].top == kept["fragment:thresh:white:1"].top == interior
+    assert kept["fragment:prob:white:1"].top == interior
     assert "fragment:prob:white:0" not in kept and "fragment:thresh:white:0" not in kept
+    pool = assemble(apply_thresholds(mix(edited)))
+    right = digest(split_tubes(pool)[1], edited.tube_enzymes[1]).species["fragment:thresh:white:1"]
+    assert right.structure.is_blunt and right.structure.top == interior and right.count == 0
+    assert "fragment:thresh:white:1" not in kept
+    _assert_no_count_zero(tubes)
+
+
+def _assert_no_count_zero(tubes):
+    """Zero is not material: no tube keeps, or lists as amplified, a count-0 species."""
+    for tube in tubes:
+        assert all(sp.count > 0 for sp in tube.species.values()), tube.label
+        assert all(tube.species[key].count > 0 for key in tube.log[-2]["amplified"]), tube.label
+
+
+def test_no_tube_keeps_a_count_zero_construct():
+    # white never happens, so every path through it assembles at count 0;
+    # tubes 2 and 3, whose options favor white, cut none of those constructs
+    matrix = build_matrix(
+        outcomes=[("red", F(5, 9)), ("black", F(4, 9)), ("white", F(0))],
+        options=[
+            ("option-1", ["red", "black"]),
+            ("option-2", ["red", "white"]),
+            ("option-3", ["black", "white"]),
+        ],
+    )
+    plan, protocol = compile_problem(matrix, seed=0)
+    tubes = _assert_run_equals_single_steps(plan, protocol, 5)
+    assert [sorted(t.species) for t in tubes] == [
+        [construct_key("option-1", "black"), construct_key("option-1", "red")],
+        [construct_key("option-2", "red")],
+        [construct_key("option-3", "black")],
+    ]
+    _assert_no_count_zero(tubes)
 
 
 def test_run_protocol_rejects_another_plan(ball_setup):
