@@ -7,9 +7,9 @@ import io
 import sys
 from pathlib import Path
 
-from .compiler import CompileError, compile_problem, validate_encoding
-from .decision import MatrixError
-from .formats import ProblemFormatError, dump_problem, load_problem
+from .compiler import compile_problem, validate_encoding
+from .decision import InputError
+from .formats import dump_problem, load_problem
 from .strands import CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS
 
 _LIBRARIES = {"core": CORE_BLUNT_CUTTERS, "extended": EXTENDED_BLUNT_CUTTERS}
@@ -175,15 +175,6 @@ def _cmd_verify(args) -> int:
     return 0 if result.ok else 2
 
 
-def _input_errors() -> tuple[type[Exception], ...]:
-    """What a command raises on bad input. Only evaluated once a command has
-    raised, so `compile` never loads the simulator to name its errors."""
-    from .gel import GelError
-    from .wetlab import CycleCountError
-
-    return (ProblemFormatError, MatrixError, CompileError, OSError, GelError, CycleCountError)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Exit codes: 0 success or agreement, 1 input or internal error,
     2 verification disagreement. Stdout is UTF-8, as the artifacts are."""
@@ -201,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     try:
         return handler(args)
-    except _input_errors() as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .decision import DecisionMatrix, DuplicateLabelError, Payoff, validate_matrix
+from .decision import DecisionMatrix, DuplicateLabelError, InputError, Payoff, validate_matrix
 from .strands import (
     CORE_BLUNT_CUTTERS,
     Duplex,
@@ -126,20 +126,9 @@ def construct_key(option_label: str, outcome_label: str) -> str:
     return f"construct:{_slug(option_label)}:{_slug(outcome_label)}"
 
 
-class CompileError(Exception):
-    pass
-
-
-class UnresolvableError(CompileError):
-    """No gel-separable length assignment exists for these outcomes."""
-
-
-class LibraryExhaustedError(CompileError):
-    """Fewer catalog enzymes than options plus outcomes."""
-
-
-class GenerationFailedError(CompileError):
-    """Rejection sampling exhausted its retry budget for one segment."""
+class CompileError(InputError):
+    """The problem has no realisation: too many outcomes for the gel, too
+    few enzymes in the library, or no sequence the rules accept."""
 
 
 def threshold_ratio(probability: Fraction) -> Fraction:
@@ -168,7 +157,7 @@ def probability_lengths(probabilities: list[Fraction]) -> list[int]:
     for rank, j in enumerate(order):
         m = middle_length_for_rank(rank)
         if m > MAX_CORE_LENGTH:
-            raise UnresolvableError(
+            raise CompileError(
                 f"outcome {j}: rank {rank} needs a {m} bp core, "
                 f"beyond the {MAX_CORE_LENGTH} bp ladder range"
             )
@@ -186,7 +175,7 @@ def assign_enzymes(
     roles = [role_option(opt.label) for opt in matrix.options]
     roles += [role_util(out.label) for out in matrix.outcomes]
     if len(roles) > len(library):
-        raise LibraryExhaustedError(
+        raise CompileError(
             f"need {len(roles)} distinct enzymes, library provides {len(library)}"
         )
     return dict(zip(roles, library))
@@ -242,9 +231,8 @@ def derivations(options: Iterable[str], outcomes: Iterable[str]) -> Mapping[str,
 
     The table depends on the labels alone: it is spelled once per label set
     and every caller shares it, read-only. A refusal is raised again on every
-    call, since an exception is never cached; but the table of a problem
-    that a later compile step refuses (too many outcomes or enzymes) stays
-    cached until newer label sets evict it.
+    call, since an exception is never cached. `compile_problem` refuses an
+    oversized problem (too many outcomes or enzymes) before spelling it.
     """
     return _derivations(tuple(options), tuple(outcomes))
 
@@ -435,7 +423,7 @@ class _Designer:
         lo = max(-(-2 * length // 5), fixed_gc)
         hi = min(3 * length // 5, fixed_gc + len(free))
         if lo > hi:
-            raise GenerationFailedError(f"no GC-balanced fill for a {length}-base block")
+            raise CompileError(f"no GC-balanced fill for a {length}-base block")
         # randint(lo, hi), then sample's pool walk (a block's <= 10 free
         # positions never reach sample's set-based branch)
         target, n, gc = lo + below(hi - lo + 1) - fixed_gc, len(free), set()
@@ -499,7 +487,7 @@ class _Designer:
                 return seq
             rejected.update({v.kind for v in found})
         tally = ", ".join(f"{kind} {n}" for kind, n in sorted(rejected.items()))
-        raise GenerationFailedError(f"could not place segment {role!r}: {tally}")
+        raise CompileError(f"could not place segment {role!r}: {tally}")
 
 
 def generate_sequences(
@@ -776,12 +764,13 @@ def compile_problem(
 ) -> tuple[EncodingPlan, ProtocolPlan]:
     """Full translation: matrix -> sequences, tube schedule, bench steps."""
     validate_matrix(matrix)
-    # the geometry table first: it refuses labels that would share a strand
+    # size first, so an oversized problem is refused before its table is spelled
+    lengths = probability_lengths([out.probability for out in matrix.outcomes])
+    sites = assign_enzymes(matrix, library)
+    # the geometry table refuses labels that would share a strand
     table = derivations([o.label for o in matrix.options], [o.label for o in matrix.outcomes])
     ratios = {out.label: threshold_ratio(out.probability) for out in matrix.outcomes}
-    lengths = probability_lengths([out.probability for out in matrix.outcomes])
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
-    sites = assign_enzymes(matrix, library)
 
     pins, notes = {}, []
     if use_fixture:

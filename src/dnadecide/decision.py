@@ -13,28 +13,19 @@ from fractions import Fraction
 from typing import NamedTuple
 
 
-class MatrixError(ValueError):
+class InputError(ValueError):
+    """The program refuses what it was given. Each layer raises one subclass
+    (`MatrixError`, `formats.ProblemFormatError`, `compiler.CompileError`,
+    `gel.GelError`, `wetlab.ProtocolError`); anything else is a fault."""
+
+
+class MatrixError(InputError):
     """A decision matrix violates one of its invariants."""
 
 
-class EmptyOptionsError(MatrixError):
-    pass
-
-
-class ProbabilitySumError(MatrixError):
-    pass
-
-
 class DuplicateLabelError(MatrixError):
-    pass
-
-
-class MissingPayoffClassError(MatrixError):
-    pass
-
-
-class UtilityOrderError(MatrixError):
-    pass
+    """Two labels, or label pairs, would name one strand; a sweep counts
+    these apart from other refusals."""
 
 
 class Payoff(Enum):
@@ -92,13 +83,13 @@ def build_matrix(
 def validate_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
     """Check all structural invariants; return the matrix unchanged if sound."""
     if not matrix.options:
-        raise EmptyOptionsError("a decision needs at least one option")
+        raise MatrixError("a decision needs at least one option")
     for out in matrix.outcomes:
         if not 0 <= out.probability <= 1:
             raise MatrixError(f"probability of outcome {out.label!r} is outside [0, 1]")
     total = sum((o.probability for o in matrix.outcomes), Fraction(0))
     if total != 1:
-        raise ProbabilitySumError(f"outcome probabilities sum to {total}, expected 1")
+        raise MatrixError(f"outcome probabilities sum to {total}, expected 1")
     for family, labels in (
         ("outcome", [o.label for o in matrix.outcomes]),
         ("option", [o.label for o in matrix.options]),
@@ -110,12 +101,12 @@ def validate_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
             seen.add(lbl)
     for opt in matrix.options:
         if len(opt.payoffs) != len(matrix.outcomes):
-            raise MissingPayoffClassError(
+            raise MatrixError(
                 f"option {opt.label!r} classifies {len(opt.payoffs)} outcomes, "
                 f"expected {len(matrix.outcomes)}"
             )
     if matrix.u_favorable < matrix.u_unfavorable:
-        raise UtilityOrderError(
+        raise MatrixError(
             "favorable utility must be at least the unfavorable utility"
         )
     return matrix

@@ -24,10 +24,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .decision import DecisionMatrix, build_matrix
+from .decision import DecisionMatrix, InputError, build_matrix
 
 
-class ProblemFormatError(ValueError):
+class ProblemFormatError(InputError):
     """The problem file is malformed; the message names the offending field."""
 
 

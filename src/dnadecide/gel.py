@@ -14,20 +14,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .compiler import DYE_FRONT_BP, DYE_STOP, GEL_RESOLUTION, EncodingPlan
-from .decision import DecisionMatrix, best_options
+from .decision import DecisionMatrix, InputError, best_options
 from .wetlab import ACTIVE, TubeState
 
 
-class GelError(Exception):
-    pass
-
-
-class UnsupportedFormatError(GelError):
-    pass
-
-
-class UndecodableBandError(GelError):
-    pass
+class GelError(InputError):
+    """A gel cannot be run, rendered or read as asked."""
 
 
 GEL_LENGTH = 100.0  # lane length, the unit of migration distances
@@ -101,28 +93,28 @@ def _merge_bands(raw: list[tuple[int, int]], top: int, unit: int) -> tuple[Band,
     return tuple(bands)
 
 
-def lane_from_tube(tube: TubeState, top: int) -> Lane:
-    raw = [
-        (sp.length, sp.count)
-        for sp in tube.species.values()
-        if sp.status == ACTIVE and sp.is_duplex and sp.count > 0
-    ]
-    unit = tube.plan.intensity_scale()
-    return Lane(tube.label, _merge_bands(raw, top, unit), Fraction(2) ** tube.pcr_cycles)
-
-
 def ladder_lane(rungs: tuple[int, ...]) -> Lane:
     bands = tuple(Band(Fraction(l), Fraction(1), migrate(l, rungs[-1])) for l in rungs)
     return Lane("ladder", bands)
 
 
 def run_gel(tubes: list[TubeState]) -> GelRun:
-    """Image the tubes beside a ladder covering the longest duplex, in the last lane."""
-    rungs = ladder(
-        max((sp.length for t in tubes for sp in t.species.values() if sp.is_duplex), default=0)
+    """Image the tubes beside a ladder covering the longest band, in the last lane.
+
+    A lane shows each active duplex of a positive count, and only those size
+    the ladder."""
+    shown = [
+        [(sp.length, sp.count) for sp in t.species.values()
+         if sp.status == ACTIVE and sp.is_duplex and sp.count > 0]
+        for t in tubes
+    ]
+    rungs = ladder(max((length for raw in shown for length, _ in raw), default=0))
+    lanes = tuple(
+        Lane(t.label, _merge_bands(raw, rungs[-1], t.plan.intensity_scale()),
+             Fraction(2) ** t.pcr_cycles)
+        for t, raw in zip(tubes, shown)
     )
-    lanes = tuple(lane_from_tube(t, rungs[-1]) for t in tubes) + (ladder_lane(rungs),)
-    return GelRun(rungs, lanes)
+    return GelRun(rungs, lanes + (ladder_lane(rungs),))
 
 
 def band_table(run: GelRun) -> str:
@@ -150,7 +142,7 @@ def render(run: GelRun, fmt: str = "svg") -> str:
         return _render_svg(run)
     if fmt == "text":
         return _render_text(run)
-    raise UnsupportedFormatError(f"unknown render format {fmt!r}")
+    raise GelError(f"unknown render format {fmt!r}")
 
 
 def _render_svg(run: GelRun) -> str:
@@ -300,7 +292,7 @@ def readout(
                 if abs(apparent - length) <= tolerance
             ]
             if len(hits) != 1:
-                raise UndecodableBandError(
+                raise GelError(
                     f"lane {lane.label}: band at {apparent:.1f} bp matches "
                     f"{len(hits)} predicted constructs"
                 )

@@ -46,6 +46,7 @@ from .compiler import (
     role_thresh,
     tube_label,
 )
+from .decision import InputError
 from .strands import (
     _COMPLEMENT,
     Duplex,
@@ -67,16 +68,9 @@ WASTE = "waste"
 MAX_PCR_CYCLES = 40
 
 
-class UnknownEnzymeError(ValueError):
-    pass
-
-
-class CycleCountError(ValueError):
-    pass
-
-
-class DoseError(ValueError):
-    pass
+class ProtocolError(InputError):
+    """A protocol step cannot run as asked: a cycle count out of range, an
+    enzyme outside the library, a dose of part units, another plan."""
 
 
 class Species(NamedTuple):
@@ -115,7 +109,7 @@ def _ratio(count: int, unit: int) -> str:
 
 def mix(plan: EncodingPlan) -> TubeState:
     """Pool every encoding species; thresholds go in at their dose ratios,
-    each a whole number of units (`DoseError` otherwise: never rounded)."""
+    each a whole number of units (`ProtocolError` otherwise: never rounded)."""
     unit = plan.intensity_scale()
     doses = {
         role_thresh(out.label): plan.threshold_ratios[out.label]
@@ -127,7 +121,9 @@ def mix(plan: EncodingPlan) -> TubeState:
             continue  # primers join at amplification, not in the pool
         count = doses.get(role, 1) * unit
         if count.denominator != 1:
-            raise DoseError(f"{role}: dose {doses[role]} is not a whole number of 1/{unit} units")
+            raise ProtocolError(
+                f"{role}: dose {doses[role]} is not a whole number of 1/{unit} units"
+            )
         species[role] = Species(plan.strands[role], int(count))
     record = {
         "op": "mix",
@@ -233,9 +229,9 @@ def _primer_rule(plan: EncodingPlan):
 
 def _check_cycles(cycles: int) -> None:
     if cycles < 0:
-        raise CycleCountError(f"cycle count must be non-negative, got {cycles}")
+        raise ProtocolError(f"cycle count must be non-negative, got {cycles}")
     if cycles > MAX_PCR_CYCLES:
-        raise CycleCountError(f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}")
+        raise ProtocolError(f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}")
 
 
 def digest(tube: TubeState, enzyme_names) -> TubeState:
@@ -249,7 +245,7 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
     ordered = sorted(enzyme_names)
     for name in ordered:
         if name not in library:
-            raise UnknownEnzymeError(f"{name} is not in this plan's library: {list(library)}")
+            raise ProtocolError(f"{name} is not in this plan's library: {list(library)}")
     sites = [library[name] for name in ordered]
     species = dict(tube.species)
     cuts: dict[str, list[int]] = {}
@@ -306,7 +302,7 @@ def run_protocol(
     `construct:` and `waste:` keys), so no fragment replaces a species.
     """
     if plan is not protocol.plan:
-        raise ValueError("protocol was compiled for another plan")
+        raise ProtocolError("protocol was compiled for another plan")
     n = cycles if cycles is not None else protocol.pcr_cycles
     _check_cycles(n)
     pool = assemble(apply_thresholds(mix(plan)))

@@ -16,16 +16,17 @@ from conftest import make_ball_game
 
 import dnadecide
 from dnadecide.cli import main
-from dnadecide.compiler import compile_problem
-from dnadecide.decision import build_matrix
+from dnadecide.compiler import CompileError, compile_problem
+from dnadecide.decision import DuplicateLabelError, InputError, MatrixError, build_matrix
 from dnadecide.formats import (
     ProblemFormatError,
     dump_problem,
     load_problem,
     parse_problem,
 )
-from dnadecide.gel import readout, run_gel
-from dnadecide.wetlab import run_protocol
+from dnadecide.gel import GelError, readout, run_gel
+from dnadecide.strands import StrandError
+from dnadecide.wetlab import ProtocolError, run_protocol
 
 
 # -- problem files ------------------------------------------------------------
@@ -129,8 +130,6 @@ def test_utilities_keys_must_be_exact():
 
 
 def test_probability_sum_failure_surfaces():
-    from dnadecide.decision import ProbabilitySumError
-
     doc = {
         "outcomes": [
             {"label": "a", "probability": "1/2"},
@@ -138,7 +137,7 @@ def test_probability_sum_failure_surfaces():
         ],
         "options": [{"label": "o", "favorable": ["a"]}],
     }
-    with pytest.raises(ProbabilitySumError):
+    with pytest.raises(MatrixError, match="sum to 5/6, expected 1"):
         parse_problem(json.dumps(doc))
 
 
@@ -629,6 +628,80 @@ def test_verify_rejects_a_bad_trial_count(count, capsys):
     assert main(["verify", "--count", count]) == 1
     captured = capsys.readouterr()
     assert "--count" in captured.err and "agree" not in captured.out
+
+
+def _sum_off(doc):
+    doc["outcomes"][1]["probability"] = "1/2"
+
+
+def _colliding(doc):
+    doc["outcomes"][1]["label"] = "red_ball"
+    doc["outcomes"][0]["label"] = "red ball"
+    for option in doc["options"]:
+        option["favorable"] = []
+
+
+def _six_outcomes(doc):
+    doc["outcomes"] = [{"label": u, "probability": "1/6"} for u in "abcdef"]
+    for option in doc["options"]:
+        option["favorable"] = ["a"]
+
+
+def _unreadable_gel(gel, plan, matrix=None):
+    raise GelError("lane tube-1: band at 60.0 bp matches 0 predicted constructs")
+
+
+# one refusal per layer, each its layer's own class: (class, edit of the
+# ball game's file or raw text, extra arguments, stand-in for gel.readout)
+_REFUSALS = {
+    "format": (ProblemFormatError, '{"outcomes": [', [], None),
+    "matrix": (MatrixError, _sum_off, [], None),
+    "labels": (DuplicateLabelError, _colliding, [], None),
+    "compile": (CompileError, _six_outcomes, [], None),
+    "protocol": (ProtocolError, None, ["--cycles", "-1"], None),
+    "gel": (GelError, None, [], _unreadable_gel),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(_REFUSALS))
+def test_each_layer_refuses_with_exit_one_and_one_error_line(layer, tmp_path, monkeypatch, capsys):
+    import dnadecide.cli as cli
+    import dnadecide.gel as gel_mod
+
+    cls, edit, extra, readout_stub = _REFUSALS[layer]
+    assert issubclass(cls, InputError)
+    argv = ["run", *extra]
+    if edit is not None:
+        path = tmp_path / "problem.json"
+        if isinstance(edit, str):
+            path.write_text(edit, encoding="utf-8")
+        else:
+            doc = json.loads(dump_problem(make_ball_game()))
+            edit(doc)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--input", str(path)]
+    if readout_stub is not None:
+        monkeypatch.setattr(gel_mod, "readout", readout_stub)
+    with pytest.raises(cls) as refusal:
+        cli._cmd_run(cli._build_parser().parse_args(argv))
+    assert type(refusal.value) is cls
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {refusal.value}\n" and captured.out == ""
+
+
+def test_a_strand_fault_keeps_its_traceback(monkeypatch):
+    # an internal sequence fault is no refusal of the input: main lets it through
+    import dnadecide.wetlab as wetlab_mod
+
+    def faulty(plan, protocol, cycles=None):
+        raise StrandError("mismatched pair at column 3: A/A")
+
+    monkeypatch.setattr(wetlab_mod, "run_protocol", faulty)
+    assert not issubclass(StrandError, InputError)
+    with pytest.raises(StrandError, match="mismatched pair"):
+        main(["run"])
 
 
 _IMPORT_PROBE = """

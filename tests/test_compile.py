@@ -10,11 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from dnadecide import compiler
 from dnadecide.compiler import (
     BASE_CONSTRUCT_LENGTH,
+    CompileError,
     EncodingPlan,
-    GenerationFailedError,
-    LibraryExhaustedError,
     Top,
-    UnresolvableError,
     _Designer,
     assign_enzymes,
     check_pieces,
@@ -71,7 +69,7 @@ def test_probability_lengths_rank_by_probability():
 
 def test_probability_lengths_unresolvable_beyond_ladder():
     probs = [F(1, 6)] * 6
-    with pytest.raises(UnresolvableError):
+    with pytest.raises(CompileError, match="ladder range"):
         probability_lengths(probs)
 
 
@@ -93,7 +91,7 @@ def test_enzyme_assignment_exhausts_library():
         outcomes=[("a", F(1, 2)), ("b", F(1, 2))],
         options=[(f"opt{i}", ["a"]) for i in range(5)],
     )
-    with pytest.raises(LibraryExhaustedError):
+    with pytest.raises(CompileError, match="distinct enzymes"):
         assign_enzymes(m, CORE_BLUNT_CUTTERS)
     assert assign_enzymes(m, EXTENDED_BLUNT_CUTTERS)
 
@@ -413,7 +411,7 @@ def test_generation_failure_is_raised_not_looped(monkeypatch):
     import dnadecide.compiler as compiler
 
     monkeypatch.setattr(compiler, "MAX_TRIES", 0)
-    with pytest.raises(GenerationFailedError):
+    with pytest.raises(CompileError, match="could not place segment"):
         table = derivations(["option-1", "option-2", "option-3"], list(middles))
         generate_sequences(m, sites, middles, table, seed=0)
 
@@ -421,7 +419,7 @@ def test_generation_failure_is_raised_not_looped(monkeypatch):
 def test_generation_failure_names_the_rule_that_ran_out():
     # the prefix holds an assigned site, so every candidate draws a stray-site finding
     designer = _Designer(random.Random(0), ["CAGCTG"])
-    with pytest.raises(GenerationFailedError) as failure:
+    with pytest.raises(CompileError) as failure:
         designer.fresh(Top("x", 20, prefix="CAGCTG"))
     message = str(failure.value)
     assert message.startswith("could not place segment 'x': ")
@@ -657,14 +655,32 @@ def test_pairs_with_colliding_role_keys_rejected():
     compile_problem(build_matrix(outcomes=[("c", F(1))], options=[("a:b", ["c"]), ("a", [])]))
 
 
-def test_colliding_labels_are_named_before_any_other_compile_step():
-    # six outcomes need a core beyond the ladder; the collision is refused first
+def test_size_is_refused_before_colliding_labels():
+    # six outcomes need a core beyond the ladder; that is refused before the collision
     distinct = [(u, F(1, 6)) for u in ["red ball", "c", "d", "e", "f", "g"]]
-    with pytest.raises(UnresolvableError):
+    with pytest.raises(CompileError, match="ladder range"):
         compile_problem(build_matrix(distinct, [("x", [])]))
     colliding = [*distinct[:5], ("red_ball", F(1, 6))]
-    with pytest.raises(DuplicateLabelError, match="outcome labels 'red ball' and 'red_ball'"):
+    with pytest.raises(CompileError, match="ladder range") as refusal:
         compile_problem(build_matrix(colliding, [("x", [])]))
+    assert not isinstance(refusal.value, DuplicateLabelError)
+    # too many enzymes is a size refusal too
+    fifths = [(u, F(1, 5)) for u in ["red ball", "c", "d", "e", "red_ball"]]
+    with pytest.raises(CompileError, match="need 6 distinct enzymes, library provides 5"):
+        compile_problem(build_matrix(fifths, [("x", [])]), library=CORE_BLUNT_CUTTERS[:5])
+    # within both limits the collision is named
+    with pytest.raises(DuplicateLabelError, match="outcome labels 'red ball' and 'red_ball'"):
+        compile_problem(build_matrix(fifths, [("x", [])]))
+
+
+def test_oversized_problem_is_refused_without_spelling_its_table(monkeypatch):
+    def spelled(*labels):
+        raise AssertionError("the geometry table was spelled")
+
+    monkeypatch.setattr(compiler, "derivations", spelled)
+    six = [(f"o{j}", F(1, 6)) for j in range(6)]
+    with pytest.raises(CompileError, match="rank 5 needs a 286 bp core"):
+        compile_problem(build_matrix(six, [("x", [])]))
 
 
 _LABELS = st.text(alphabet="ab _:", min_size=1, max_size=3)

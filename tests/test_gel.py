@@ -13,9 +13,8 @@ from dnadecide.gel import (
     GEL_LENGTH,
     Band,
     GelRun,
+    GelError,
     Lane,
-    UndecodableBandError,
-    UnsupportedFormatError,
     band_table,
     decode_length,
     ladder,
@@ -26,7 +25,8 @@ from dnadecide.gel import (
     run_gel,
 )
 from dnadecide.soundness import random_matrix, run_end_to_end
-from dnadecide.wetlab import run_protocol
+from dnadecide.strands import Duplex
+from dnadecide.wetlab import WASTE, Species, run_protocol
 from conftest import make_ball_game, make_widest
 
 # the stock ladder, 10 to 200 bp, and its top rung
@@ -218,7 +218,7 @@ def test_text_render_marks_every_lane(ball_lanes):
 
 def test_unknown_render_format_rejected(ball_lanes):
     _, run = ball_lanes
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(GelError, match="unknown render format 'png'"):
         render(run, "png")
 
 
@@ -292,7 +292,7 @@ def test_alien_band_is_undecodable(ball_lanes):
             scale=Fraction(32),
         )
         doctored = GelRun(run.ladder, (stray,) + run.lanes[1:])
-        with pytest.raises(UndecodableBandError):
+        with pytest.raises(GelError, match="matches 0 predicted constructs"):
             readout(doctored, plan)
 
 
@@ -349,6 +349,20 @@ def _assert_exact(matrix, plan, run, report, name):
             apparent = decode_length(band.migration, run.ladder[-1])
             residual = apparent - plan.construct_length(label)
             assert abs(residual) <= 1e-6, (name, lane.label, label, residual)
+
+
+def test_only_what_a_lane_shows_sizes_the_ladder():
+    # a 300 bp duplex of count 0, or one gone to waste, shows no band; were it
+    # to size the ladder, tube-1's 147 bp band would move from 0.296123 of the
+    # lane to 0.432879
+    plan, protocol = compile_problem(make_ball_game(), seed=0)
+    tubes = run_protocol(plan, protocol)
+    canonical = run_gel(tubes)
+    assert "tube-1\t147\t128/9\t0.296123\n" in band_table(canonical)
+    long = "ACGT" * 75
+    for unshown in (Species(Duplex(long, long), 0), Species(Duplex(long, long), 9, WASTE)):
+        doctored = tubes[0]._replace(species={**tubes[0].species, "unshown": unshown})
+        assert run_gel([doctored, *tubes[1:]]) == canonical
 
 
 def test_every_band_and_estimate_is_exact():

@@ -27,10 +27,8 @@ from dnadecide.strands import (
 from dnadecide.wetlab import (
     MAX_PCR_CYCLES,
     WASTE,
-    CycleCountError,
-    DoseError,
+    ProtocolError,
     Species,
-    UnknownEnzymeError,
     _ratio,
     apply_thresholds,
     assemble,
@@ -71,7 +69,7 @@ def test_mix_rejects_a_dose_of_part_units(ball_setup):
     # species instead of rounding its count
     _, plan, _ = ball_setup
     ratios = dict(plan.threshold_ratios, black=F(1, 7))
-    with pytest.raises(DoseError, match="thresh:black: dose 1/7"):
+    with pytest.raises(ProtocolError, match="thresh:black: dose 1/7"):
         mix(plan._replace(threshold_ratios=ratios))
 
 
@@ -274,7 +272,7 @@ def test_digest_fragment_lengths_conserve_parent(ball_setup):
 def test_digest_unknown_enzyme(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    with pytest.raises(UnknownEnzymeError):
+    with pytest.raises(ProtocolError, match="BamHI is not in this plan's library"):
         digest(tubes[0], ["BamHI"])
 
 
@@ -304,7 +302,7 @@ def test_pcr_zero_cycles_still_marks_amplifiable(ball_setup):
 def test_pcr_negative_cycles_rejected(ball_setup):
     _, plan, protocol = ball_setup
     tubes, _ = tube_states(plan, protocol)
-    with pytest.raises(CycleCountError):
+    with pytest.raises(ProtocolError, match="cycle count must be non-negative"):
         pcr(tubes[0], -1)
 
 
@@ -314,7 +312,7 @@ def test_pcr_cycle_ceiling(ball_setup):
     digested = digest(tubes[0], plan.tube_enzymes[0])
     top = pcr(digested, MAX_PCR_CYCLES)
     assert top.pcr_cycles == MAX_PCR_CYCLES
-    with pytest.raises(CycleCountError, match=f"at most {MAX_PCR_CYCLES}"):
+    with pytest.raises(ProtocolError, match=f"at most {MAX_PCR_CYCLES}"):
         pcr(digested, MAX_PCR_CYCLES + 1)
 
 
@@ -322,7 +320,7 @@ def test_run_protocol_rejects_a_cycle_count_out_of_range(ball_setup):
     # run_protocol checks the count once for all its tubes, not through pcr
     _, plan, protocol = ball_setup
     for cycles, match in ((-1, "non-negative"), (MAX_PCR_CYCLES + 1, f"at most {MAX_PCR_CYCLES}")):
-        with pytest.raises(CycleCountError, match=match):
+        with pytest.raises(ProtocolError, match=match):
             run_protocol(plan, protocol, cycles)
     assert run_protocol(plan, protocol, MAX_PCR_CYCLES)[0].pcr_cycles == MAX_PCR_CYCLES
 
@@ -583,7 +581,7 @@ def test_run_protocol_rejects_another_plan(ball_setup):
     # at the other protocol's cycle count and read as agreeing
     _, plan, _ = ball_setup
     _, other = compile_problem(make_five_by_five(), library=EXTENDED_BLUNT_CUTTERS, pcr_cycles=2)
-    with pytest.raises(ValueError, match="another plan"):
+    with pytest.raises(ProtocolError, match="another plan"):
         run_protocol(plan, other)
 
 
