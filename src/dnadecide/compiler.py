@@ -38,11 +38,12 @@ from typing import Iterable, Mapping, NamedTuple
 from .decision import DecisionMatrix, DuplicateLabelError, InputError, Payoff, validate_matrix
 from .strands import (
     CORE_BLUNT_CUTTERS,
+    EXTENDED_BLUNT_CUTTERS,
     Duplex,
     RecognitionSite,
     Strand,
     reverse_complement,
-    scan,
+    site_hits,
     write_fasta,
 )
 
@@ -158,7 +159,7 @@ def probability_lengths(probabilities: list[Fraction]) -> list[int]:
         m = middle_length_for_rank(rank)
         if m > MAX_CORE_LENGTH:
             raise CompileError(
-                f"outcome {j}: rank {rank} needs a {m} bp core, "
+                f"outcomes[{j}].probability: rank {rank} needs a {m} bp core, "
                 f"beyond the {MAX_CORE_LENGTH} bp ladder range"
             )
         lengths[j] = m
@@ -175,8 +176,11 @@ def assign_enzymes(
     roles = [role_option(opt.label) for opt in matrix.options]
     roles += [role_util(out.label) for out in matrix.outcomes]
     if len(roles) > len(library):
+        extended = len(EXTENDED_BLUNT_CUTTERS)
         raise CompileError(
+            f"options and outcomes: {len(matrix.options)} + {len(matrix.outcomes)} "
             f"need {len(roles)} distinct enzymes, library provides {len(library)}"
+            + (f" (the extended library provides {extended})" if len(library) < extended else "")
         )
     return dict(zip(roles, library))
 
@@ -342,8 +346,8 @@ def violations(
     """Every rule `seq`, as `top`, breaks; an empty list means it may be placed.
 
     Windows starting before `fresh_from` are designed copies of placed
-    material, neither judged nor placed. `sites` are the assigned sites and
-    `placed` every placed window's places.
+    material, neither judged nor placed. `sites` are the assigned sites (the
+    top's own among them) and `placed` every placed window's places.
     (a) window: each 10-base window from `fresh_from` on is new: it was not
         placed before, in `placed` or earlier in `seq`, it is not the
         reverse complement of such a window, and it is not its own reverse
@@ -377,11 +381,12 @@ def violations(
                  f"windows {pair[0][0]} and {pair[1][0]} are reverse complements",
                  tuple(r for _, loci in pair for r, _ in loci))
         local.setdefault(w, []).append((role, i))
-    if own and scan(seq, own) != [SITE_OFFSET]:
-        flag("site-extra" if own in seq else "site-missing",
+    hits = site_hits(seq, [site for site in sites if site in seq], 0, n)
+    if own and hits.get(own) != [SITE_OFFSET]:
+        flag("site-extra" if own in hits else "site-missing",
              f"designed site {own} not exactly once at offset {SITE_OFFSET}")
-    for site in sites:
-        for i in scan(seq, site) if site in seq else ():
+    for site, at in hits.items():
+        for i in at:
             if i != SITE_OFFSET or site != own:
                 flag("stray-site", f"stray site {site} at {i}")
     joints = [left[-5:] + seq[:5] for left in top.lefts]

@@ -68,10 +68,13 @@ def build_matrix(
     outs = tuple(Outcome(lbl, Fraction(p)) for lbl, p in outcomes)
     labels = [o.label for o in outs]
     known, opts = set(labels), []
-    for lbl, favorable in options:
-        unknown = [f for f in favorable if f not in known]
-        if unknown:
-            raise MatrixError(f"option {lbl!r} marks unknown outcome {unknown[0]!r} favorable")
+    for i, (lbl, favorable) in enumerate(options):
+        for k, f in enumerate(favorable):
+            if f not in known:
+                raise MatrixError(
+                    f"options[{i}].favorable[{k}]: "
+                    f"option {lbl!r} marks unknown outcome {f!r} favorable"
+                )
         marked = set(favorable)
         payoffs = tuple(Payoff.FAVORABLE if o in marked else Payoff.UNFAVORABLE for o in labels)
         opts.append(Option(lbl, payoffs))
@@ -81,33 +84,36 @@ def build_matrix(
 
 
 def validate_matrix(matrix: DecisionMatrix) -> DecisionMatrix:
-    """Check all structural invariants; return the matrix unchanged if sound."""
+    """Check all structural invariants; return the matrix unchanged if sound.
+    Each refusal leads with the field a problem file spells it in."""
     if not matrix.options:
-        raise MatrixError("a decision needs at least one option")
-    for out in matrix.outcomes:
+        raise MatrixError("options: a decision needs at least one option")
+    for i, out in enumerate(matrix.outcomes):
         if not 0 <= out.probability <= 1:
-            raise MatrixError(f"probability of outcome {out.label!r} is outside [0, 1]")
+            raise MatrixError(f"outcomes[{i}].probability ({out.label!r}): outside [0, 1]")
     total = sum((o.probability for o in matrix.outcomes), Fraction(0))
     if total != 1:
-        raise MatrixError(f"outcome probabilities sum to {total}, expected 1")
+        raise MatrixError(f"outcomes: probabilities sum to {total}, expected 1")
     for family, labels in (
         ("outcome", [o.label for o in matrix.outcomes]),
         ("option", [o.label for o in matrix.options]),
     ):
         seen: set[str] = set()
-        for lbl in labels:
+        for i, lbl in enumerate(labels):
             if lbl in seen:
-                raise DuplicateLabelError(f"duplicate {family} label {lbl!r}")
+                raise DuplicateLabelError(
+                    f"{family}s[{i}].label: duplicate {family} label {lbl!r}"
+                )
             seen.add(lbl)
-    for opt in matrix.options:
+    for i, opt in enumerate(matrix.options):
         if len(opt.payoffs) != len(matrix.outcomes):
             raise MatrixError(
-                f"option {opt.label!r} classifies {len(opt.payoffs)} outcomes, "
+                f"options[{i}]: option {opt.label!r} classifies {len(opt.payoffs)} outcomes, "
                 f"expected {len(matrix.outcomes)}"
             )
     if matrix.u_favorable < matrix.u_unfavorable:
         raise MatrixError(
-            "favorable utility must be at least the unfavorable utility"
+            "utilities: favorable utility must be at least the unfavorable utility"
         )
     return matrix
 

@@ -9,20 +9,21 @@ palindromic six-base blunt mid-cutters used by the protocol compiler.
 
 The duplex primitives work on whole slices rather than one base at a time:
 the pairing check compares the top strand's paired slice with the reverse
-complement of the matching bottom slice, and `Duplex.top_line` is the top
-strand between its two complemented overhangs. `site_hits` is the one
-duplex scanner: a `str.find` loop per site over the double-stranded window
-of that line (`scan` is the same loop over a bare sequence, for the
-compiler's sequence rules). A digest with several enzymes is one
-`cut(duplex, *sites)` call; an instance of a later site is left uncut when
-an earlier site's cut column falls strictly inside it, as cutting site by
-site would. `cut_columns` states that rule and returns only the cut
+complement of the matching bottom slice. Every position here is a top-strand
+column. A duplex's dsDNA is exactly the top strand's columns `ds_start` to
+`ds_end`, so `site_hits`, the one site scanner (a `str.find` loop per site
+string over a slice of a sequence), finds a duplex's site instances in its
+top strand between those bounds; the compiler's sequence rules call it on a
+bare sequence. A digest with several enzymes is one `cut(duplex, *sites)`
+call; an instance of a later site is left uncut when an earlier site's cut
+column falls strictly inside it, as cutting site by site would.
+`cut_columns` states that rule over the hits and returns only the cut
 columns; `cut` builds the `fragment` between each two of them. A site with
 no instance adds no cut column and blocks nothing, so cutting with only the
 sites a duplex holds gives the same columns. The protocol simulator uses
 that: it scans each pooled duplex once for the whole library, hands those
-instances to `cut_columns`, and builds a fragment only for an interval
-that pcr would amplify.
+hits to `cut_columns`, and builds a fragment only for an interval that pcr
+would amplify.
 """
 
 from __future__ import annotations
@@ -125,21 +126,6 @@ class Duplex(_DuplexFields):
     def bottom_base(self, column: int) -> str:
         return self.bottom[self.offset + len(self.bottom) - 1 - column]
 
-    def top_line(self) -> str:
-        """Sequence content across the whole span, read in top-strand orientation.
-
-        Columns outside the top strand carry the complement of the bottom
-        strand's overhang, which reads back to front along the columns.
-        """
-        bottom = self.bottom
-        left = max(0, -self.offset)
-        right = max(0, self.offset + len(bottom) - len(self.top))
-        return (
-            bottom[len(bottom) - left :][::-1].translate(_COMPLEMENT)
-            + self.top
-            + bottom[:right][::-1].translate(_COMPLEMENT)
-        )
-
 
 # -- restriction sites ---------------------------------------------------
 
@@ -166,58 +152,37 @@ class RecognitionSite(_SiteFields):
         return self
 
 
-def scan(seq: str, site: str) -> list[int]:
-    """Start positions of `site` in `seq`, ascending."""
-    hits = []
-    p = seq.find(site)
-    while p != -1:
-        hits.append(p)
-        p = seq.find(site, p + 1)
-    return hits
-
-
-def find_sites(duplex: Duplex, site: RecognitionSite) -> list[int]:
-    """Start positions (span coordinates) of site instances lying fully in dsDNA."""
-    return site_hits(duplex, (site,)).get(site, [])
-
-
-def site_hits(duplex: Duplex, sites) -> dict[RecognitionSite, list[int]]:
-    """Instances (span coordinates, in dsDNA) of each given site that has any,
-    in the given order."""
-    line, start = duplex.top_line(), duplex.span_start
-    lo, hi = duplex.ds_start - start, duplex.ds_end - start  # the dsDNA columns
-    found: dict[RecognitionSite, list[int]] = {}
+def site_hits(seq: str, sites, lo: int, hi: int) -> dict[str, list[int]]:
+    """Start positions of each given site string's instances lying fully in
+    `seq[lo:hi]`, ascending, keyed by site string in the given order; a site
+    with no instance gets no key."""
+    found: dict[str, list[int]] = {}
     for site in sites:
-        p = line.find(site.site, lo, hi)
+        p = seq.find(site, lo, hi)
         while p != -1:
             found.setdefault(site, []).append(p)
-            p = line.find(site.site, p + 1, hi)
+            p = seq.find(site, p + 1, hi)
     return found
 
 
-def cut_columns(
-    duplex: Duplex,
-    *sites: RecognitionSite,
-    hits: dict[RecognitionSite, list[int]] | None = None,
-) -> list[int]:
-    """Where a digest with every given enzyme at once splits the duplex: its
-    cut columns in line coordinates (0 at the span's start, as `site_hits`
-    counts them), ascending.
+def find_sites(duplex: Duplex, site: RecognitionSite) -> list[int]:
+    """Start columns of site instances lying fully in dsDNA."""
+    return site_hits(duplex.top, (site.site,), duplex.ds_start, duplex.ds_end).get(site.site, [])
+
+
+def cut_columns(hits: dict[str, list[int]], sites) -> list[int]:
+    """Where a digest with every given site string at once splits a duplex
+    with these `site_hits`: its cut columns, ascending.
 
     The cuts equal cutting with each site in turn, in the given order, and
     re-cutting every fragment: a site instance is cut unless an earlier
     site's cut column falls strictly inside it, since that cut has already
     split it across two fragments. Instances of the same site never block
     each other.
-
-    `hits`, the `site_hits` of this duplex for at least the given sites,
-    spares the scan.
     """
-    if hits is None:
-        hits = site_hits(duplex, sites)
     cols: list[int] = []
     for site in sites:
-        width, earlier = len(site.site), cols[:]
+        width, earlier = len(site), cols[:]
         for p in hits.get(site, ()):
             for c in earlier:
                 if p < c < p + width:
@@ -234,22 +199,20 @@ def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
     back as the only fragment.
 
     Base bookkeeping is exact: fragment span lengths are the differences of
-    `[0, *cut_columns, span_length]`, so they sum to the input's.
+    `[span_start, *cut_columns, span_end]`, so they sum to the input's.
     """
-    cols = cut_columns(duplex, *sites)
+    names = [site.site for site in sites]
+    cols = cut_columns(site_hits(duplex.top, names, duplex.ds_start, duplex.ds_end), names)
     if not cols:
         return [duplex]
-    bounds = [0, *cols, duplex.span_length]
+    bounds = [duplex.span_start, *cols, duplex.span_end]
     return [fragment(duplex, a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def fragment(duplex: Duplex, a: int, b: int) -> Duplex:
-    """The piece of `duplex` between line coordinates `a` < `b`, each a cut
-    column or an end of the span: the parent's bases in those columns, on
-    each strand."""
+    """The piece of `duplex` between columns `a` < `b`, each a cut column or
+    an end of the span: the parent's bases in those columns, on each strand."""
     top, bottom, offset = duplex
-    start = min(0, offset)
-    a, b = start + a, start + b  # duplex columns
     end = offset + len(bottom)  # one past the bottom strand's last column
     ta, ba = max(a, 0), max(a, offset)  # top columns [a, b) and the bottom bases under them
     return _derived(top[ta:b], bottom[end - min(b, end) : end - ba], ba - ta)

@@ -19,15 +19,18 @@ Yields are nominal per-path numbers, as a within-lane band comparison reads.
 
 `digest`, `pcr` and `purify` are the single steps, each walking its own
 tube (`digest` with `strands.cut`). `run_protocol` does not call them. It
-walks the pool once, scanning each active duplex for the library's sites
-once, and runs each option tube's digest, pcr and purify as one pass over
-those duplexes. A duplex's cut columns are taken once per distinct set of
-enzymes that hits it; the intervals between them give the digest record's
-span lengths, the primer rule reads the top strand of each blunt one, and
-a fragment duplex and its species are built only for a primed interval,
-the only kind that survives purify. Zero is not material: pcr, the single
-step and the pass alike, amplifies only a species of positive count. Purify's
-record names nothing: it keeps exactly what pcr's record lists as amplified.
+walks the pool once, scanning the dsDNA columns of each active duplex's top
+strand for the library's site strings once (`strands.site_hits`), and runs
+each option tube's digest, pcr and purify as one pass over those duplexes.
+Every position is a top-strand column. A duplex's cut columns are taken
+once per distinct set of sites that hits it; the intervals of
+`[span_start, *cut columns, span_end]` give the digest record's span
+lengths, the primer rule reads each blunt one straight off the parent's
+top strand, and a fragment duplex and its species are built only for a
+primed interval, the only kind that survives purify. Zero is not material:
+pcr, the single step and the pass alike, amplifies only a species of
+positive count. Purify's record names nothing: it keeps exactly what pcr's
+record lists as amplified.
 """
 
 from __future__ import annotations
@@ -307,8 +310,8 @@ def run_protocol(
     _check_cycles(n)
     pool = assemble(apply_thresholds(mix(plan)))
     library = _library(plan)
-    sites = list(library.values())
-    bits = {name: 1 << i for i, name in enumerate(library)}  # enzyme sets as bit masks
+    sites = [site.site for site in library.values()]
+    bits = {site: 1 << i for i, site in enumerate(sites)}  # sets of site strings as bit masks
     flanked = _primer_rule(plan)
     # a fate per active duplex: key, species, primer verdict, site hits, the
     # mask of the enzymes that hit it, and its cuts by the mask of the hitters
@@ -316,13 +319,13 @@ def run_protocol(
     for key, sp in pool.species.items():
         if sp.status == ACTIVE and sp.is_duplex:
             d = sp.structure
-            hits = site_hits(d, sites)
-            mask = sum(bits[site.enzyme] for site in hits)
+            hits = site_hits(d.top, sites, d.ds_start, d.ds_end)
+            mask = sum(bits[site] for site in hits)
             fates.append((key, sp, d.is_blunt and flanked(d.top), hits, mask, {}))
     tubes = []
     for tube, enzymes in zip(split_tubes(pool), plan.tube_enzymes):
         ordered = sorted(enzymes)
-        tube_mask = sum(bits[name] for name in ordered)
+        tube_mask = sum(bits[library[name].site] for name in ordered)
         kept, frags, cuts = {}, {}, {}
         for key, sp, is_primed, hits, fate_mask, memo in fates:
             hit = fate_mask & tube_mask
@@ -335,15 +338,14 @@ def run_protocol(
                 # cutting with only the enzymes that hit a duplex gives the
                 # same cut columns as with all of a tube's, so tubes share cuts
                 d = sp.structure
-                cols = cut_columns(d, *[s for s in hits if bits[s.enzyme] & hit], hits=hits)
+                cols = cut_columns(hits, [site for site in hits if bits[site] & hit])
                 # an interval is blunt where it lies in the parent's dsDNA:
                 # between two cuts, or at an end where the parent is blunt
-                top, start = d.top, d.span_start
-                lo, hi = d.ds_start - start, d.ds_end - start
-                lengths, survivors, a = [], [], 0
-                for i, b in enumerate([*cols, d.span_length]):
+                top, lo, hi = d.top, d.ds_start, d.ds_end
+                lengths, survivors, a = [], [], d.span_start
+                for i, b in enumerate([*cols, d.span_end]):
                     lengths.append(b - a)
-                    if lo <= a and b <= hi and flanked(top[start + a : start + b]):
+                    if lo <= a and b <= hi and flanked(top[a:b]):
                         survivors.append((f"fragment:{key}:{i}", fragment(d, a, b)))
                     a = b
                 done = memo[hit] = lengths, survivors

@@ -691,6 +691,109 @@ def test_each_layer_refuses_with_exit_one_and_one_error_line(layer, tmp_path, mo
     assert captured.err == f"error: {refusal.value}\n" and captured.out == ""
 
 
+def _ball_game_with(*changes):
+    """The ball game's problem file with each (key or index, ..., value)
+    change applied: the value replaces the entry at that path."""
+    doc = json.loads(dump_problem(make_ball_game()))
+    for *path, value in changes:
+        *parents, last = path
+        entry = doc
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+    return json.dumps(doc)
+
+
+# malformed problem files, each with its one refusal
+_FIELD_REFUSALS = {
+    # the parser
+    "rational": (
+        _ball_game_with(("outcomes", 0, "probability", "four ninths")),
+        "outcomes[0].probability: cannot parse 'four ninths' as a rational",
+    ),
+    "empty-label": (
+        _ball_game_with(("options", 1, "label", "")),
+        "options[1].label: expected a non-empty string",
+    ),
+    "surrogate-label": (
+        _ball_game_with(("outcomes", 2, "label", "white\ud800")),
+        "outcomes[2].label: not encodable as UTF-8: surrogates not allowed",
+    ),
+    "top-level": ("[]", "top level: expected an object"),
+    "empty-options": (_ball_game_with(("options", [])), "options: expected a non-empty list"),
+    "outcome-entry": (
+        _ball_game_with(("outcomes", 1, "black")), "outcomes[1]: expected an object",
+    ),
+    "option-entry": (
+        _ball_game_with(("options", 2, ["black"])), "options[2]: expected an object",
+    ),
+    "favorable-type": (
+        _ball_game_with(("options", 0, "favorable", "red")),
+        "options[0].favorable: expected a list",
+    ),
+    # the decision matrix
+    "probability-range": (
+        _ball_game_with(("outcomes", 1, "probability", "-1/9")),
+        "outcomes[1].probability ('black'): outside [0, 1]",
+    ),
+    "probability-sum": (
+        _ball_game_with(("outcomes", 0, "probability", "7/9")),
+        "outcomes: probabilities sum to 4/3, expected 1",
+    ),
+    "duplicate-outcome": (
+        _ball_game_with(
+            ("outcomes", 2, "label", "red"),
+            ("options", 1, "favorable", ["red"]),
+            ("options", 2, "favorable", ["black"]),
+        ),
+        "outcomes[2].label: duplicate outcome label 'red'",
+    ),
+    "duplicate-option": (
+        _ball_game_with(("options", 2, "label", "option-1")),
+        "options[2].label: duplicate option label 'option-1'",
+    ),
+    "unknown-favorable": (
+        _ball_game_with(("options", 1, "favorable", ["red", "green"])),
+        "options[1].favorable[1]: option 'option-2' marks unknown outcome 'green' favorable",
+    ),
+    "utility-order": (
+        _ball_game_with(("utilities", {"favorable": "0", "unfavorable": "1"})),
+        "utilities: favorable utility must be at least the unfavorable utility",
+    ),
+    # the compiler's size limits
+    "ladder": (
+        _ball_game_with(
+            ("outcomes", [{"label": u, "probability": "1/6"} for u in "abcdef"]),
+            *(("options", i, "favorable", ["a"]) for i in range(3)),
+        ),
+        "outcomes[5].probability: rank 5 needs a 286 bp core, beyond the 200 bp ladder range",
+    ),
+    "enzymes": (
+        _ball_game_with(("options", [
+            {"label": f"option-{i}", "favorable": ["white"]} for i in range(1, 5)
+        ])),
+        "options and outcomes: 4 + 3 need 7 distinct enzymes, library provides 6"
+        " (the extended library provides 18)",
+    ),
+}
+
+
+# a field as the parser spells it: a top-level key, or a path into one
+_FIELD = re.compile(r"(top level|options and outcomes|(outcomes|options|utilities)"
+                    r"(\[\d+\])?(\.\w+(\[\d+\])?)?)[: ]")
+
+
+@pytest.mark.parametrize("case", list(_FIELD_REFUSALS))
+def test_a_malformed_problem_is_refused_leading_with_its_field(case, tmp_path, capsys):
+    text, message = _FIELD_REFUSALS[case]
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert _FIELD.match(message)
+
+
 def test_a_strand_fault_keeps_its_traceback(monkeypatch):
     # an internal sequence fault is no refusal of the input: main lets it through
     import dnadecide.wetlab as wetlab_mod

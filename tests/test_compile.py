@@ -614,6 +614,24 @@ def test_an_at_rich_threshold_pad_breaks_gc_on_top_and_bottom(ball_plan):
     ]
 
 
+def test_a_threshold_toehold_copied_from_nowhere_is_its_only_finding(ball_plan):
+    # a toehold that is neither a probability front nor an option rear; its
+    # windows are then judged as fresh, and these ten bases break no other rule
+    plan, _ = ball_plan
+    toehold = "TCGCCTGATA"
+    fronts = {plan.strands[role_prob(out.label)].top[:10] for out in plan.matrix.outcomes}
+    rears = {plan.strands[role_option(opt.label)][10:] for opt in plan.matrix.options}
+    assert toehold not in fronts | rears
+
+    def plant(tops):
+        tops[role_thresh("red")] = toehold + tops[role_thresh("red")][10:]
+
+    found = validate_encoding(_with_tops(plan, plant))
+    assert [str(v) for v in found] == [
+        "[derivation] thresh:red: toehold copies neither the option rear nor the probability front"
+    ]
+
+
 @pytest.mark.parametrize("role", ["option:option-1", "link:prob:red"])
 def test_duplex_at_a_single_strand_role_is_flagged(ball_plan, role):
     plan, _ = ball_plan

@@ -13,6 +13,7 @@ from dnadecide.strands import (
     cut,
     cut_columns,
     find_sites,
+    fragment,
     reverse_complement,
     site_hits,
 )
@@ -25,6 +26,16 @@ seqs = st.text(alphabet="ACGT", min_size=1, max_size=80)
 
 def blunt(seq: str) -> Duplex:
     return Duplex(Strand(seq), Strand(reverse_complement(seq)), 0)
+
+
+def line(d: Duplex) -> str:
+    """A duplex's content across its whole span, column by column, read in
+    top-strand orientation: the top base where there is one, else the
+    complement of the bottom base in that column."""
+    return "".join(
+        d.top[c] if 0 <= c < len(d.top) else complement(d.bottom_base(c))
+        for c in range(d.span_start, d.span_end)
+    )
 
 
 def test_complement_examples():
@@ -71,7 +82,7 @@ def test_blunt_duplex_geometry():
     assert d.is_blunt
     assert d.span_length == 20
     assert (d.ds_start, d.ds_end) == (0, 20)
-    assert d.top_line() == "TCTGACTCAGCTGAGATCCA"
+    assert line(d) == "TCTGACTCAGCTGAGATCCA"
 
 
 def test_offset_duplex_has_single_stranded_toehold():
@@ -81,7 +92,7 @@ def test_offset_duplex_has_single_stranded_toehold():
     assert not d.is_blunt
     assert (d.ds_start, d.ds_end) == (10, 20)
     assert d.span_length == 20
-    assert d.top_line() == top
+    assert line(d) == top
 
 
 def test_negative_offset_hangs_bottom_out_left():
@@ -92,7 +103,7 @@ def test_negative_offset_hangs_bottom_out_left():
     assert d.span_start == -2
     assert d.span_length == 12
     assert (d.ds_start, d.ds_end) == (0, 10)
-    assert d.top_line() == "TT" + top
+    assert line(d) == "TT" + top
 
 
 def test_mismatch_rejected():
@@ -160,8 +171,8 @@ def test_cut_twenty_base_duplex_into_two_blunt_halves():
     frags = cut(d, PVUII)
     assert [f.span_length for f in frags] == [10, 10]
     assert all(f.is_blunt for f in frags)
-    assert frags[0].top_line() == "TCTGACTCAG"
-    assert frags[1].top_line() == "CTGAGATCCA"
+    assert line(frags[0]) == "TCTGACTCAG"
+    assert line(frags[1]) == "CTGAGATCCA"
 
 
 def test_cut_absent_site_returns_input():
@@ -173,7 +184,7 @@ def test_cut_multiple_sites():
     seq = "ACGTACGTCC" + "CAGCTG" + "TTACGATACG" + "CAGCTG" + "AACCGGTTAA"
     frags = cut(blunt(seq), PVUII)
     assert [f.span_length for f in frags] == [13, 16, 13]
-    assert "".join(f.top_line() for f in frags) == seq
+    assert "".join(line(f) for f in frags) == seq
 
 
 @given(seqs.filter(lambda s: len(s) >= 6), st.sampled_from(EXTENDED_BLUNT_CUTTERS))
@@ -181,7 +192,7 @@ def test_cut_conserves_bases(s, site):
     d = blunt(s)
     frags = cut(d, site)
     assert sum(f.span_length for f in frags) == d.span_length
-    assert "".join(f.top_line() for f in frags) == d.top_line()
+    assert "".join(line(f) for f in frags) == line(d)
 
 
 # -- one-pass digestion and slice-level duplex primitives ----------------------
@@ -239,10 +250,10 @@ def test_straddling_site_is_cut_only_by_the_earlier_enzyme():
     assert find_sites(d, EAGI) == [8]
     # EagI first: its cut at column 11 splits NaeI's GCCGGC, so NaeI never cuts
     eag_first = cut(d, EAGI, NAEI)
-    assert [f.top_line() for f in eag_first] == ["ATATATGCCGG", "CCGATATAT"]
+    assert [line(f) for f in eag_first] == ["ATATATGCCGG", "CCGATATAT"]
     # NaeI first: its cut at column 9 splits EagI's CGGCCG instead
     nae_first = cut(d, NAEI, EAGI)
-    assert [f.top_line() for f in nae_first] == ["ATATATGCC", "GGCCGATATAT"]
+    assert [line(f) for f in nae_first] == ["ATATATGCC", "GGCCGATATAT"]
     for order in ((EAGI, NAEI), (NAEI, EAGI)):
         assert cut(d, *order) == cut_one_site_at_a_time(d, order)
 
@@ -253,7 +264,7 @@ def test_instances_of_one_site_never_block_each_other():
     self_overlapping = RecognitionSite("AtaT", "ATATAT")
     d = blunt("GGGG" + "ATATATAT" + "GGGG")
     assert find_sites(d, self_overlapping) == [4, 6]
-    assert [f.top_line() for f in cut(d, self_overlapping)] == ["GGGGATA", "TA", "TATGGGG"]
+    assert [line(f) for f in cut(d, self_overlapping)] == ["GGGGATA", "TA", "TATGGGG"]
 
 
 @given(duplexes(), site_lists)
@@ -263,7 +274,7 @@ def test_cut_fragments_are_checked_slices_of_the_parent(d, sites):
         assert Duplex(Strand(f.top), Strand(f.bottom), f.offset) == f
     assert "".join(f.top for f in frags) == d.top
     assert "".join(f.bottom for f in reversed(frags)) == d.bottom
-    assert "".join(f.top_line() for f in frags) == d.top_line()
+    assert "".join(line(f) for f in frags) == line(d)
 
 
 @given(duplexes(), site_lists)
@@ -271,16 +282,19 @@ def test_cut_columns_bound_the_fragments(d, sites):
     # the simulator reads a digest's span lengths off the cut columns alone,
     # takes an interval inside the parent's dsDNA as blunt, and reads its
     # top strand off the parent without building the fragment
-    cols = cut_columns(d, *sites)
+    names = [site.site for site in sites]
+    cols = cut_columns(site_hits(d.top, names, d.ds_start, d.ds_end), names)
     assert cols == sorted(cols)
-    bounds = [0, *cols, d.span_length]
+    bounds = [d.span_start, *cols, d.span_end]
     frags = cut(d, *sites)
     assert [f.span_length for f in frags] == [b - a for a, b in zip(bounds, bounds[1:])]
     assert sum(f.span_length for f in frags) == d.span_length
-    lo, hi = d.ds_start - d.span_start, d.ds_end - d.span_start
     for f, a, b in zip(frags, bounds, bounds[1:]):
-        assert f.top_line() == d.top_line()[a:b]
-        assert f.is_blunt == (lo <= a and b <= hi)
+        assert fragment(d, a, b) == f
+        assert line(f) == line(d)[a - d.span_start : b - d.span_start]
+        assert f.is_blunt == (d.ds_start <= a and b <= d.ds_end)
+        if f.is_blunt:
+            assert f.top == d.top[a:b]
 
 
 def test_cut_without_sites_returns_input():
@@ -289,53 +303,55 @@ def test_cut_without_sites_returns_input():
 
 
 @st.composite
-def duplexes_over_sites(draw):
-    """(duplex, its dsDNA columns, sites in some order) over a line dense in
-    a few library sites: the window's edges fall near chunk boundaries, so
-    instances lie inside it, in either overhang, or across an edge."""
+def lines_over_sites(draw):
+    """(line, window [lo, hi), sites in some order) over a line dense in a
+    few library sites: the window's edges fall near chunk boundaries, so
+    instances lie inside it, before or after it, or across an edge."""
     library = st.sampled_from(EXTENDED_BLUNT_CUTTERS)
     planted = draw(st.lists(library, min_size=1, max_size=3, unique=True))
     filler = st.text(alphabet="ACGT", min_size=1, max_size=4)
     chunk = st.one_of(st.sampled_from([s.site for s in planted]), filler)
     left, mid, right = ("".join(draw(st.lists(chunk, min_size=n, max_size=6))) for n in (0, 1, 0))
-    line = left + mid + right
-    lo = min(max(0, len(left) + draw(st.integers(-5, 5))), len(line) - 1)
-    hi = min(max(lo + 1, len(left + mid) + draw(st.integers(-5, 5))), len(line))
-    # each overhang hangs off the top strand or off the bottom one
-    left_on_top, right_on_top = draw(st.booleans()), draw(st.booleans())
-    ts, te = (0 if left_on_top else lo), (len(line) if right_on_top else hi)
-    bs, be = (lo if left_on_top else 0), (hi if right_on_top else len(line))
-    d = Duplex(Strand(line[ts:te]), Strand(reverse_complement(line[bs:be])), bs - ts)
-    assert (d.top_line(), d.ds_start - d.span_start, d.ds_end - d.span_start) == (line, lo, hi)
+    text = left + mid + right
+    lo = min(max(0, len(left) + draw(st.integers(-5, 5))), len(text) - 1)
+    hi = min(max(lo + 1, len(left + mid) + draw(st.integers(-5, 5))), len(text))
     others = draw(st.lists(library, max_size=4))
     sites = draw(st.permutations(list(dict.fromkeys(planted + others))))
-    return d, lo, hi, sites
+    return text, lo, hi, sites
 
 
-@given(duplexes_over_sites())
-def test_site_hits_finds_every_instance_in_dsdna(drawn):
-    d, lo, hi, sites = drawn
-    line = d.top_line()
+def duplex_over(text: str, lo: int, hi: int, left_on_top: bool, right_on_top: bool) -> Duplex:
+    """The duplex whose `line` is `text` and whose dsDNA is its window
+    [lo, hi); each overhang hangs off the top strand or off the bottom one."""
+    ts, te = (0 if left_on_top else lo), (len(text) if right_on_top else hi)
+    bs, be = (lo if left_on_top else 0), (hi if right_on_top else len(text))
+    d = Duplex(Strand(text[ts:te]), Strand(reverse_complement(text[bs:be])), bs - ts)
+    assert (line(d), d.ds_start - d.span_start, d.ds_end - d.span_start) == (text, lo, hi)
+    return d
+
+
+@given(lines_over_sites(), st.none() | st.tuples(st.booleans(), st.booleans()))
+def test_site_hits_finds_every_instance_in_dsdna(drawn, overhangs):
+    # a bare sequence (as the compiler's rules scan it) or a duplex over the
+    # same line, whose dsDNA is the window; a duplex's hits are top columns
+    text, lo, hi, sites = drawn
+    names = [site.site for site in sites]
     want = {}
-    for site in sites:
-        at = [p for p in range(lo, hi - 5) if line[p : p + 6] == site.site]
+    for site in names:
+        at = [p for p in range(lo, hi - 5) if text[p : p + 6] == site]
         if at:
             want[site] = at
-    got = site_hits(d, sites)
+    if overhangs is None:
+        got = site_hits(text, names, lo, hi)
+    else:
+        d = duplex_over(text, lo, hi, *overhangs)
+        columns = site_hits(d.top, names, d.ds_start, d.ds_end)
+        for site in sites:
+            assert find_sites(d, site) == columns.get(site.site, [])
+        got = {site: [c - d.span_start for c in at] for site, at in columns.items()}
     assert list(got.items()) == list(want.items())  # keys in the given order, only sites found
     for at in got.values():
         assert at == sorted(at) and all(lo <= p and p + 6 <= hi for p in at)
-    for site in sites:
-        assert find_sites(d, site) == site_hits(d, [site]).get(site, [])
-
-
-@given(duplexes())
-def test_top_line_matches_per_column_definition(d):
-    expected = "".join(
-        d.top[c] if 0 <= c < len(d.top) else complement(d.bottom_base(c))
-        for c in range(d.span_start, d.span_end)
-    )
-    assert d.top_line() == expected
 
 
 def test_mismatch_names_first_bad_column():

@@ -1,8 +1,9 @@
 """Value semantics of the record types.
 
 Every record type is a `typing.NamedTuple`: its fields cannot be set, and
-equality and hashing are those of the tuple of its fields. The digest's site
-scan (`strands.site_hits`) keys its hits by that hash. A `Strand` is no
+equality and hashing are those of the tuple of its fields. The site scan
+(`strands.site_hits`) keys its hits by site string, not by a
+`RecognitionSite`, so no hit lookup leans on a record's hash. A `Strand` is no
 record: it is a `str` that checks its alphabet. That the validating types
 still refuse bad values on construction is pinned where each type is tested
 (`test_non_acgt_rejected`, `test_mismatch_rejected`,
