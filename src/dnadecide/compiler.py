@@ -13,10 +13,14 @@ One rule sheet (`_top_rules`) yields a `Top` record per independent top, in
 design order: its designed length, designed site and ligated neighbours. The
 geometry table (`_GEOMETRY`, spelled out by `derivations`) derives every
 other strand (duplex bottoms, linkers, chance strands, primers) from slices
-of the tops. The sequence rules live in `violations`. Sequence generation is
-rejection sampling of each top under its record and is deterministic for a
-given seed. The designer and the validator (`validate_encoding`) read the
-same records, table and rules.
+of the tops. The sequence rules live in `violations`, which walks each
+candidate's windows once and records them with their places; the designer
+places a clean top, and the validator each judged top, from that record.
+Sequence generation is rejection sampling of each top under its record and
+is deterministic for a given seed. The designer and the validator
+(`validate_encoding`) read the same records, table and rules. Every derived
+strand is built without the checks of `Strand` and `Duplex`: it is the
+reverse complement of slices of tops that passed `Strand`.
 
 Each strand is named by a role key (`role_*`) that spells the slugs of the
 labels it serves; `derivations` refuses labels that would share a name.
@@ -37,11 +41,13 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .decision import DecisionMatrix, DuplicateLabelError, InputError, Payoff, validate_matrix
 from .strands import (
+    _COMPLEMENT,
     CORE_BLUNT_CUTTERS,
     EXTENDED_BLUNT_CUTTERS,
     Duplex,
     RecognitionSite,
     Strand,
+    _derived,
     reverse_complement,
     site_hits,
     write_fasta,
@@ -197,7 +203,7 @@ class Derivation(NamedTuple):
     offset: int | None = None
 
     def derive(self, tops: dict[str, str]) -> str:
-        return reverse_complement("".join(tops[r][a:b] for r, a, b in self.slices))
+        return "".join(tops[r][a:b] for r, a, b in self.slices)[::-1].translate(_COMPLEMENT)
 
     def length(self, lengths: dict[str, int]) -> int:
         return sum(len(range(lengths[r])[a:b]) for r, a, b in self.slices)
@@ -325,12 +331,6 @@ class EncodingViolation(NamedTuple):
 _Places = dict[str, list[tuple[str, int]]]  # each placed window's (role, offset) places
 
 
-def _place(role: str, seq: str, fresh_from: int, windows: _Places) -> None:
-    """Record the judged windows of a placed top in `windows`, each with its places."""
-    for i in range(fresh_from, len(seq) - WINDOW + 1):
-        windows.setdefault(seq[i : i + WINDOW], []).append((role, i))
-
-
 def _gc_violations(role: str, seq: str) -> list[EncodingViolation]:
     """The GC rule: the GC fraction stays within [2/5, 3/5]."""
     gc = seq.count("G") + seq.count("C")
@@ -342,8 +342,9 @@ def _gc_violations(role: str, seq: str) -> list[EncodingViolation]:
 
 def violations(
     top: Top, seq: str, fresh_from: int, sites: tuple[str, ...], placed: _Places
-) -> list[EncodingViolation]:
-    """Every rule `seq`, as `top`, breaks; an empty list means it may be placed.
+) -> tuple[list[EncodingViolation], _Places]:
+    """Every rule `seq`, as `top`, breaks (none means it may be placed), and
+    the places of the windows it judged, which its caller places from.
 
     Windows starting before `fresh_from` are designed copies of placed
     material, neither judged nor placed. `sites` are the assigned sites (the
@@ -367,11 +368,15 @@ def violations(
     local: _Places = {}
     n, rc_seq = len(seq), reverse_complement(seq)
     for i in range(fresh_from, n - WINDOW + 1):
-        w, rc = seq[i : i + WINDOW], rc_seq[n - WINDOW - i : n - i]
+        w = seq[i : i + WINDOW]
         if w in placed or w in local:
             loci = placed.get(w, []) + local.get(w, []) + [(role, i)]
             flag("duplicate-window", f"window {w} occurs at {loci}", tuple(r for r, _ in loci))
-        elif w == rc:
+            local.setdefault(w, []).append((role, i))
+            continue
+        local[w] = [(role, i)]
+        rc = rc_seq[n - WINDOW - i : n - i]
+        if w == rc:
             if not (own and i <= SITE_OFFSET and SITE_OFFSET + len(own) <= i + WINDOW):
                 flag("self-complement-window",
                      f"window {w} at offset {i} is its own reverse complement", (role,))
@@ -380,7 +385,6 @@ def violations(
             flag("complement-window",
                  f"windows {pair[0][0]} and {pair[1][0]} are reverse complements",
                  tuple(r for _, loci in pair for r, _ in loci))
-        local.setdefault(w, []).append((role, i))
     hits = site_hits(seq, [site for site in sites if site in seq], 0, n)
     if own and hits.get(own) != [SITE_OFFSET]:
         flag("site-extra" if own in hits else "site-missing",
@@ -394,7 +398,7 @@ def violations(
         for site in sites:
             if site in joint:
                 flag("junction-site", f"site {site} spans the junction {joint}")
-    return found + _gc_violations(role, seq)
+    return found + _gc_violations(role, seq), local
 
 
 # -- sequence generation -------------------------------------------------------
@@ -476,19 +480,19 @@ class _Designer:
             label, piece = pin
             seq, want = prefix + piece, top.length - len(prefix)
             reasons = [] if len(piece) == want else [f"{len(piece)} bases, expected {want}"]
-            found = violations(top, seq, fresh_from, self.sites, self.windows)
+            found, walked = violations(top, seq, fresh_from, self.sites, self.windows)
             reasons += [v.detail for v in found]
             if not reasons:
                 self.notes.append(f"kept reference {label} verbatim")
-                _place(role, seq, fresh_from, self.windows)
+                self.windows.update(walked)
                 return seq
             self.notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
         rejected: Counter[str] = Counter()
         for _ in range(MAX_TRIES):
             seq = "".join([self._block(width, local) for width, local in blocks])
-            found = violations(top, seq, fresh_from, self.sites, self.windows)
+            found, walked = violations(top, seq, fresh_from, self.sites, self.windows)
             if not found:
-                _place(role, seq, fresh_from, self.windows)
+                self.windows.update(walked)  # a clean top repeats no placed window
                 return seq
             rejected.update({v.kind for v in found})
         tally = ", ".join(f"{kind} {n}" for kind, n in sorted(rejected.items()))
@@ -519,10 +523,13 @@ def generate_sequences(
     for top in _top_rules(options, middle_lengths, sites, tops):
         tops[top.role] = d.fresh(top, pins.get(top.role))
 
+    # a derived strand reverse-complements slices of checked tops, so it is
+    # ACGT, non-empty and pairs its top at its offset: none is checked again
     plan: dict[str, Strand | Duplex] = {role: Strand(top) for role, top in tops.items()}
     for role, rule in table.items():
-        strand = Strand(rule.derive(tops))
-        plan[role] = strand if rule.offset is None else Duplex(plan[role], strand, rule.offset)
+        strand = rule.derive(tops)
+        plan[role] = (str.__new__(Strand, strand) if rule.offset is None
+                      else _derived(plan[role], strand, rule.offset))
     return plan
 
 
@@ -583,8 +590,12 @@ def check_pieces(
             detail = "toehold copies neither the option rear nor the probability front"
             found.append((name, EncodingViolation("derivation", (role,), detail)))
         fresh_from = _H - WINDOW + 1 if copied else 0
-        found += [(name, v) for v in violations(rule, seq, fresh_from, assigned, windows)]
-        _place(role, seq, fresh_from, windows)
+        judged, walked = violations(rule, seq, fresh_from, assigned, windows)
+        found += [(name, v) for v in judged]
+        # a transcribed top may repeat placed windows: each keeps all its places
+        for w in walked.keys() & windows.keys():
+            walked[w] = windows[w] + walked[w]
+        windows.update(walked)
     return found
 
 

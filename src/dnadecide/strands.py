@@ -199,9 +199,10 @@ def cut(duplex: Duplex, *sites: RecognitionSite) -> list[Duplex]:
     back as the only fragment.
 
     Base bookkeeping is exact: fragment span lengths are the differences of
-    `[span_start, *cut_columns, span_end]`, so they sum to the input's.
+    `[span_start, *cut_columns, span_end]`, so they sum to the input's. A
+    site given twice cuts as it does once.
     """
-    names = [site.site for site in sites]
+    names = list(dict.fromkeys(site.site for site in sites))
     cols = cut_columns(site_hits(duplex.top, names, duplex.ds_start, duplex.ds_end), names)
     if not cols:
         return [duplex]
@@ -220,8 +221,9 @@ def fragment(duplex: Duplex, a: int, b: int) -> Duplex:
 
 def _derived(top: str, bottom: str, offset: int) -> Duplex:
     """A duplex cut or copied from checked strands, built without the checks
-    of `Strand` and `Duplex` (only `fragment` and `wetlab.assemble` use it): the
-    caller guarantees non-empty ACGT strands that pair at `offset`."""
+    of `Strand` and `Duplex` (`fragment`, `wetlab.assemble` and the compiler's
+    derived duplexes use it): the caller guarantees non-empty ACGT strands
+    that pair at `offset`."""
     return tuple.__new__(Duplex, (str.__new__(Strand, top), str.__new__(Strand, bottom), offset))
 
 

@@ -37,7 +37,8 @@ from dnadecide.strands import (
     Strand,
     reverse_complement,
 )
-from conftest import gc_fraction, make_ball_game, make_five_by_five
+from dnadecide.soundness import random_matrix
+from conftest import gc_fraction, make_ball_game, make_five_by_five, make_widest
 
 F = Fraction
 
@@ -293,8 +294,9 @@ def _plan_text(plan, protocol) -> str:
         ("core", "7b4a3ac2916fbc80d1ee0166a01e36f7818765f8dd5f945d84a5c3aa576ae147"),
         ("extended-5x5", "8480ced02cf08d36e7cbae6eeca08efcddb43b6a50511858885834c74eb1acf0"),
         ("fixture", "eaceff3275f3e73f7e133678d8288076b93414584118ac332397a5a5b8b33a35"),
+        ("extended-13x5", "da698cc2c489ca29e94f37bf72219c8862caf86efdf539cd74b645586b1c9ff1"),
     ],
-    ids=["core", "extended-5x5", "fixture"],
+    ids=["core", "extended-5x5", "fixture", "extended-13x5"],
 )
 def test_outputs_are_byte_identical_to_reference(case, digest):
     if case == "core":  # the ball game on the core library, seeds 0-9
@@ -308,9 +310,100 @@ def test_outputs_are_byte_identical_to_reference(case, digest):
             ))
             for s in range(10)
         )
+    elif case == "extended-13x5":  # every extended enzyme in use, seeds 0-3
+        text = "".join(
+            _plan_text(*compile_problem(
+                make_widest(random.Random(s)), seed=s, library=EXTENDED_BLUNT_CUTTERS
+            ))
+            for s in range(4)
+        )
     else:  # the ball game seeded from the screened reference pieces
         text = _plan_text(*compile_problem(make_ball_game(), use_fixture=True))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _copy_option_twice(matrix, tops):
+    """The first option top copied onto the next two (a window placed three times)."""
+    first, *others = [role_option(opt.label) for opt in matrix.options]
+    for role in others[:2]:
+        tops[role] = tops[first]
+
+
+def _swap_utilities(matrix, tops):
+    a, b = role_util(matrix.outcomes[0].label), role_util(matrix.outcomes[1].label)
+    tops[a], tops[b] = tops[b], tops[a]
+
+
+def _copy_probability(matrix, tops):
+    tops[role_prob(matrix.outcomes[1].label)] = tops[role_prob(matrix.outcomes[0].label)]
+
+
+def test_findings_are_byte_identical_to_reference():
+    # every finding of validate_encoding, in order, on 90 extended-library
+    # sweep plans (every other one seeded from the reference pieces), each
+    # clean and again with one edit; a judge that words, orders or places a
+    # finding differently moves the digest
+    rng, digest, count = random.Random(29), hashlib.sha256(), 0
+    edits = (_copy_option_twice, _swap_utilities, _copy_probability)
+    for i in range(90):
+        matrix = random_matrix(rng)
+        plan, _ = compile_problem(
+            matrix, seed=i, library=EXTENDED_BLUNT_CUTTERS, use_fixture=i % 2 == 1
+        )
+        edit = edits[i // 2 % 3]
+        for p in (plan, _with_tops(plan, lambda tops: edit(matrix, tops))):
+            for v in validate_encoding(p):
+                digest.update(f"{i} {v}\n".encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (
+        2044, "02a8febb0520c21a04cc8af856aba522e4abf43ad13a9364bc2999e9157ce49d"
+    )
+
+
+def test_planted_complement_windows_are_found_in_order(ball_plan):
+    # the two window rules no edit above reaches: option-2 set to option-1's
+    # reverse complement, and a window that is its own reverse complement at
+    # the start of the termination arm
+    plan, _ = ball_plan
+
+    def edit(tops):
+        tops[role_option("option-2")] = reverse_complement(tops[role_option("option-1")])
+        tops["term"] = "AACCGCGGTT" + tops["term"][10:]
+
+    found = [str(v) for v in validate_encoding(_with_tops(plan, edit))]
+    assert found[0] == ("[self-complement-window] term: "
+                        "window AACCGCGGTT at offset 0 is its own reverse complement")
+    assert [v.startswith("[complement-window] ") for v in found[1:]] == [True] * 11 + [False] * 2
+    assert hashlib.sha256("\n".join(found).encode()).hexdigest() == (
+        "70376ca8c4581be05036243c8058765848cf660ec07ba09a46b7c2ebab236163"
+    )
+
+
+def test_trusted_derivations_equal_checked_rebuilds():
+    # generate_sequences builds every derived strand and duplex without the
+    # public constructors' checks; each must come out of Strand and Duplex,
+    # checks and all, as the same value, and each bottom must pair its top
+    problems = [
+        (make_ball_game(), CORE_BLUNT_CUTTERS),
+        (make_ball_game(), EXTENDED_BLUNT_CUTTERS),
+    ]
+    rng = random.Random(29)
+    problems += [(random_matrix(rng), EXTENDED_BLUNT_CUTTERS) for _ in range(50)]
+    checked = 0
+    for seed, (matrix, library) in enumerate(problems):
+        for use_fixture in (False, True):
+            plan, _ = compile_problem(matrix, seed=seed, library=library, use_fixture=use_fixture)
+            for role, item in plan.strands.items():
+                if isinstance(item, Duplex):
+                    rebuilt = Duplex(Strand(item.top), Strand(item.bottom), item.offset)
+                    assert (type(item.top), type(item.bottom)) == (Strand, Strand), role
+                    paired = item.top[item.ds_start : item.ds_end]
+                    assert item.bottom == reverse_complement(paired), role
+                else:
+                    rebuilt = Strand(item)
+                assert rebuilt == item and type(rebuilt) is type(item), role
+                checked += 1
+    assert checked > 4_000
 
 
 def test_five_by_five_compiles_clean():
@@ -491,7 +584,7 @@ def _util_findings(seq, left=None, right=None):
     right = tops["term"] if right is None else right(tops["term"])
     sites = tuple(s.site for s in plan.sites.values())
     top = Top("util:red", 20, "CACGTG", (left,), (right,))
-    return [tuple(v) for v in violations(top, seq, 0, sites, {})]
+    return [tuple(v) for v in violations(top, seq, 0, sites, {})[0]]
 
 
 _ROLES = ("util:red",)

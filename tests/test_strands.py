@@ -297,6 +297,18 @@ def test_cut_columns_bound_the_fragments(d, sites):
             assert f.top == d.top[a:b]
 
 
+def test_a_repeated_site_cuts_as_it_does_once():
+    # each cut column used to come twice, with an empty duplex between them
+    d = blunt("TCTGACTCAGCTGAGATCCA")
+    assert cut(d, PVUII, PVUII) == cut(d, PVUII)
+    assert [line(f) for f in cut(d, PVUII, PVUII)] == ["TCTGACTCAG", "CTGAGATCCA"]
+
+
+@given(duplexes(), site_lists)
+def test_repeating_the_sites_changes_no_cut(d, sites):
+    assert cut(d, *sites, *sites[::-1], *sites) == cut(d, *sites)
+
+
 def test_cut_without_sites_returns_input():
     d = blunt("TCTGACTCAGCTGAGATCCA")
     assert cut(d) == [d]

@@ -548,6 +548,37 @@ def test_run_protocol_keeps_only_the_blunt_primed_pieces_of_an_overhanging_duple
     _assert_no_count_zero(tubes)
 
 
+def test_run_protocol_keeps_no_primed_piece_that_ends_in_a_single_stranded_tail(ball_setup):
+    # prob:white's top is p1 GAT p1 TT p2 and its bottom leaves the last 5
+    # top bases unpaired. option-2's tube cuts the EcoRV site (GAT|ATC) in
+    # its dsDNA, so the last interval's top reads p1 TT p2, primer-flanked;
+    # but it ends past the dsDNA, on the single-stranded tail, so the piece
+    # is not blunt and pcr refuses it
+    _, plan, protocol = ball_setup
+    p1, p2 = plan.primers[0], "ATCGGTTCAG"
+    top = p1 + "GAT" + p1 + "TT" + p2
+    edited = plan._replace(strands=plan.strands | {
+        "primer:right": Strand(p2),
+        "prob:white": Duplex(top, reverse_complement(top[10:-5]), 10),
+    })
+    tubes = _assert_run_equals_single_steps(edited, protocol._replace(plan=edited), 5)
+    assert tubes[1].log[-3]["fragments"]["prob:white"] == [13, 22]
+    pool = assemble(apply_thresholds(mix(edited)))
+    tail = digest(split_tubes(pool)[1], edited.tube_enzymes[1]).species["fragment:prob:white:1"]
+    assert tail.structure.top == p1 + "TT" + p2 and not tail.structure.is_blunt
+    assert tail.count > 0
+    assert "fragment:prob:white:1" not in tubes[1].species
+
+
+def test_a_repeated_enzyme_digests_as_it_does_once(ball_setup):
+    _, plan, protocol = ball_setup
+    tube = split_tubes(assemble(apply_thresholds(mix(plan))))[1]
+    once = digest(tube, ["EcoRV", "PvuII"])
+    twice = digest(tube, ["PvuII", "EcoRV", "PvuII"])
+    assert list(twice.species.items()) == list(once.species.items())
+    assert twice.log[-1]["fragments"] == once.log[-1]["fragments"] != {}
+
+
 def _assert_no_count_zero(tubes):
     """Zero is not material: no tube keeps, or lists as amplified, a count-0 species."""
     for tube in tubes:
