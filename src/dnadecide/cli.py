@@ -13,6 +13,8 @@ from .formats import dump_problem, load_problem
 from .strands import CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS
 
 _LIBRARIES = {"core": CORE_BLUNT_CUTTERS, "extended": EXTENDED_BLUNT_CUTTERS}
+# each `run --format` and the `run --outdir` file that holds its text
+_FORMAT_FILES = {"report": "report.txt", "tsv": "bands.tsv", "svg": "gel.svg", "text": "gel.txt"}
 
 
 def _trial_count(text: str) -> int:
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cycles", type=int, default=5, help="PCR cycles")
     p_run.add_argument(
         "--format",
-        choices=["report", "tsv", "svg", "text"],
+        choices=list(_FORMAT_FILES),
         default="report",
         help="what to emit: readout report, band table, or a gel image",
     )
@@ -79,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--outdir",
         metavar="DIR",
         default=None,
-        help="write the full artifact set (report.txt, bands.tsv, gel.svg, gel.txt) here",
+        help=f"write the full artifact set ({', '.join(_FORMAT_FILES.values())}) here",
     )
 
     p_verify = sub.add_parser(
@@ -92,16 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix(args):
-    if args.input is None:  # the bundled ball game, shipped as package data
-        return load_problem(Path(__file__).with_name("data") / "ballgame.json")
-    return load_problem(args.input)
-
-
 def _compile(args, **kwargs):
     """Compile the problem the common options name, echoing any fixture notes on stderr."""
+    bundled = Path(__file__).with_name("data") / "ballgame.json"  # shipped as package data
     plan, protocol = compile_problem(
-        _load_matrix(args),
+        load_problem(bundled if args.input is None else args.input),
         seed=args.seed,
         library=_LIBRARIES[args.enzymes],
         use_fixture=args.fixture,
@@ -112,12 +109,13 @@ def _compile(args, **kwargs):
     return plan, protocol
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
+def _write_artifacts(outdir: str, artifacts: dict[str, str]) -> None:
+    """Write each artifact, by file name, into `outdir`, made if missing."""
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    print(f"wrote {', '.join(artifacts)} to {out}")
 
 
 def _cmd_compile(args) -> int:
@@ -126,16 +124,11 @@ def _cmd_compile(args) -> int:
     for v in violations:
         print(f"warning: {v.kind}: {v.detail}")
     print(f"encoding validation: {len(violations)} warning(s)")
-    print(plan.describe(), end="")
-    print(protocol.describe(), end="")
+    artifacts = {"encoding.fasta": plan.to_fasta(), "plan.txt": plan.describe(),
+                 "protocol.txt": protocol.describe(), "problem.json": dump_problem(plan.matrix)}
+    sys.stdout.write(artifacts["plan.txt"] + artifacts["protocol.txt"])
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "encoding.fasta").write_text(plan.to_fasta(), encoding="utf-8")
-        (out / "plan.txt").write_text(plan.describe(), encoding="utf-8")
-        (out / "protocol.txt").write_text(protocol.describe(), encoding="utf-8")
-        (out / "problem.json").write_text(dump_problem(plan.matrix), encoding="utf-8")
-        print(f"wrote encoding.fasta, plan.txt, protocol.txt, problem.json to {out}")
+        _write_artifacts(args.out, artifacts)
     return 0
 
 
@@ -147,20 +140,16 @@ def _cmd_run(args) -> int:
     tubes = run_protocol(plan, protocol)
     gel = run_gel(tubes)
     report = readout(gel, plan)
+    artifacts = {"report.txt": report.describe(), "bands.tsv": band_table(gel),
+                 "gel.svg": render(gel, "svg"), "gel.txt": render(gel, "text")}
     if args.outdir is not None:
-        outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.txt").write_text(report.describe(), encoding="utf-8")
-        (outdir / "bands.tsv").write_text(band_table(gel), encoding="utf-8")
-        (outdir / "gel.svg").write_text(render(gel, "svg"), encoding="utf-8")
-        (outdir / "gel.txt").write_text(render(gel, "text"), encoding="utf-8")
-        print(f"wrote report.txt, bands.tsv, gel.svg, gel.txt to {outdir}")
-    if args.format == "tsv":
-        _emit(band_table(gel), args.out)
-    elif args.format in ("svg", "text"):
-        _emit(render(gel, args.format), args.out)
+        _write_artifacts(args.outdir, artifacts)
+    text = artifacts[_FORMAT_FILES[args.format]]
+    if args.out is None:
+        sys.stdout.write(text)
     else:
-        _emit(report.describe(), args.out)
+        Path(args.out).write_text(text, encoding="utf-8")
+        print(f"wrote {args.out}")
     if not report.agreement:
         print("readout disagrees with the exact oracle", file=sys.stderr)
         return 2

@@ -250,14 +250,14 @@ def derivations(options: Iterable[str], outcomes: Iterable[str]) -> Mapping[str,
 @lru_cache(maxsize=32)
 def _derivations(options: tuple[str, ...], outcomes: tuple[str, ...]) -> Mapping[str, Derivation]:
     table: dict[str, Derivation] = {}
-    named_options = [(o, _slug(o)) for o in options]
-    named_outcomes = [(u, _slug(u)) for u in outcomes]
+    named_options = [(f"options[{i}].label", o, _slug(o)) for i, o in enumerate(options)]
+    named_outcomes = [(f"outcomes[{j}].label", u, _slug(u)) for j, u in enumerate(outcomes)]
     for role, offset, slices, what in _GEOMETRY:
-        row = (named_options if "{o}" in role else [("", "")],
-               named_outcomes if "{u}" in role else [("", "")])
-        for o, o_slug in row[0]:
-            for u, u_slug in row[1]:
-                name = {"o": o_slug, "u": u_slug}
+        row = (named_options if "{o}" in role else [("", "", "")],
+               named_outcomes if "{u}" in role else [("", "", "")])
+        for o in row[0]:
+            for u in row[1]:
+                name = {"o": o[2], "u": u[2]}
                 key = role.format(**name)
                 if key in table:
                     raise _collision(role, key, row, (o, u))
@@ -267,18 +267,19 @@ def _derivations(options: tuple[str, ...], outcomes: tuple[str, ...]) -> Mapping
     return MappingProxyType(table)
 
 
-def _collision(role: str, key: str, row, pair: tuple[str, str]) -> DuplicateLabelError:
-    """Name the first (option, outcome) of `row`'s (label, slug) lists whose
-    `role` spells `key`, and `pair`, which spells it too."""
-    first = next((o, u) for o, o_slug in row[0] for u, u_slug in row[1]
-                 if role.format(o=o_slug, u=u_slug) == key)
+def _collision(role: str, key: str, row, pair) -> DuplicateLabelError:
+    """Name `pair`'s fields, then the first (option, outcome) of `row`'s
+    (field, label, slug) lists whose `role` spells `key`, and `pair`."""
+    first = next((o, u) for o in row[0] for u in row[1]
+                 if role.format(o=o[2], u=u[2]) == key)
+    fields = " and ".join(field for field, _, _ in pair if field)
     if "{o}" in role and "{u}" in role:
-        names = (f"option {first[0]!r} with outcome {first[1]!r} and "
-                 f"option {pair[0]!r} with outcome {pair[1]!r}")
+        names = (f"option {first[0][1]!r} with outcome {first[1][1]!r} and "
+                 f"option {pair[0][1]!r} with outcome {pair[1][1]!r}")
     else:
         family, k = ("option", 0) if "{o}" in role else ("outcome", 1)
-        names = f"{family} labels {first[k]!r} and {pair[k]!r}"
-    return DuplicateLabelError(f"{names} collide: both name their strands {key!r}")
+        names = f"{family} labels {first[k][1]!r} and {pair[k][1]!r}"
+    return DuplicateLabelError(f"{fields}: {names} collide: both name their strands {key!r}")
 
 
 class Top(NamedTuple):
@@ -407,13 +408,13 @@ MAX_TRIES = 500  # candidates sampled for one segment before the designer gives 
 
 
 class _Designer:
-    """Stateful rejection sampler for fresh segments."""
+    """Stateful rejection sampler for fresh segments, noting its verdict on each pin."""
 
-    def __init__(self, rng, assigned_sites: list[str], notes: list[str] | None = None):
+    def __init__(self, rng, assigned_sites: list[str]):
         self.rng = rng
         self.sites = tuple(assigned_sites)
         self.windows: _Places = {}
-        self.notes = [] if notes is None else notes
+        self.notes: list[str] = []
 
     def _block(self, length: int, fixed: dict[int, str]) -> str:
         """A GC-balanced block, drawn through `getrandbits` exactly as
@@ -506,18 +507,18 @@ def generate_sequences(
     table: Mapping[str, Derivation],
     seed: int = 0,
     pins: dict[str, tuple[str, str]] | None = None,
-    notes: list[str] | None = None,
-) -> dict[str, Strand | Duplex]:
-    """Build every strand and duplex of the encoding, deterministically.
+) -> tuple[dict[str, Strand | Duplex], tuple[str, ...]]:
+    """Build every strand and duplex of the encoding, deterministically, and
+    return them with the designer's verdicts on the pinned pieces.
 
     The designer samples the independent tops and the geometry table
     (`table`, from `derivations`) derives the rest. `pins` maps a top's
     role to a reference piece, (printed label, sequence), that the designer
     judges in place as the first candidate for that top (a threshold's
-    piece is its pad alone); each verdict is appended to `notes`.
+    piece is its pad alone); the verdicts come one per pin, in design order.
     """
     pins = pins or {}
-    d = _Designer(random.Random(seed), [s.site for s in sites.values()], notes)
+    d = _Designer(random.Random(seed), [s.site for s in sites.values()])
     options = [opt.label for opt in matrix.options]
     tops: dict[str, str] = {}
     for top in _top_rules(options, middle_lengths, sites, tops):
@@ -530,7 +531,7 @@ def generate_sequences(
         strand = rule.derive(tops)
         plan[role] = (str.__new__(Strand, strand) if rule.offset is None
                       else _derived(plan[role], strand, rule.offset))
-    return plan
+    return plan, tuple(d.notes)
 
 
 # -- validation ----------------------------------------------------------------
@@ -638,17 +639,17 @@ class EncodingPlan(NamedTuple):
     fixture_notes: tuple[str, ...] = ()
 
     @property
-    def tube_enzymes(self) -> tuple[frozenset[str], ...]:
-        """Enzyme names per option tube, read from `sites` (option tops
-        first, in option order): each tube cuts every rival option and every
-        outcome that its own option finds unfavorable."""
+    def tube_enzymes(self) -> tuple[tuple[str, ...], ...]:
+        """Enzyme names per option tube, in name order, read from `sites`
+        (option tops first, in option order): each tube cuts every rival
+        option and every outcome that its own option finds unfavorable."""
         enzymes = [site.enzyme for site in self.sites.values()]
         n = len(self.matrix.options)
         rivals, outcomes = enzymes[:n], enzymes[n:]
         return tuple(
-            frozenset(rivals[:i] + rivals[i + 1 :]).union(
+            tuple(sorted(rivals[:i] + rivals[i + 1 :] + [
                 e for e, pay in zip(outcomes, opt.payoffs) if pay is Payoff.UNFAVORABLE
-            )
+            ]))
             for i, opt in enumerate(self.matrix.options)
         )
 
@@ -719,7 +720,7 @@ class EncodingPlan(NamedTuple):
                 f"  {opt.label}: enzyme {site.enzyme} ({site.site}), "
                 f"favorable [{', '.join(fav)}], predicted bands [{band_text}]"
             )
-            lines.append(f"    tube digested with: {', '.join(sorted(enzymes)) or 'none'}")
+            lines.append(f"    tube digested with: {', '.join(enzymes) or 'none'}")
         left, right = self.primers
         lines.append(f"primers: {left} / {right}")
         lines.append(f"species: {len(self.all_strands())} strands")
@@ -754,7 +755,7 @@ class ProtocolPlan(NamedTuple):
         ]
         for i, enzymes in enumerate(plan.tube_enzymes):
             if enzymes:
-                step = f"digest with {', '.join(sorted(enzymes))} at 37 C"
+                step = f"digest with {', '.join(enzymes)} at 37 C"
             else:  # only a one-option tube has no rival and may have no unfavorable outcome
                 step = "no digest (no enzyme cuts this tube)"
             lines.append(f"   {tube_label(i)}: {step}")
@@ -788,12 +789,12 @@ def compile_problem(
     ratios = {out.label: threshold_ratio(out.probability) for out in matrix.outcomes}
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
 
-    pins, notes = {}, []
+    pins = {}
     if use_fixture:
         from .fixture import reference_pins
 
         pins = reference_pins(matrix)
-    strands = generate_sequences(matrix, sites, middles, table, seed=seed, pins=pins, notes=notes)
+    strands, notes = generate_sequences(matrix, sites, middles, table, seed=seed, pins=pins)
     plan = EncodingPlan(
         matrix=matrix,
         seed=seed,
@@ -801,6 +802,6 @@ def compile_problem(
         middle_lengths=middles,
         threshold_ratios=ratios,
         sites=sites,
-        fixture_notes=tuple(notes),
+        fixture_notes=notes,
     )
     return plan, ProtocolPlan(plan, pcr_cycles)

@@ -242,10 +242,10 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
 
     Each duplex is cut in one `cut` call with the named enzymes in name
     order (which only matters where two sites overlap); its fragments
-    replace it, after the tube's other species.
+    replace it, after the tube's other species. The record names each enzyme once.
     """
     library = _library(tube.plan)
-    ordered = sorted(enzyme_names)
+    ordered = sorted(set(enzyme_names))
     for name in ordered:
         if name not in library:
             raise ProtocolError(f"{name} is not in this plan's library: {list(library)}")
@@ -324,8 +324,7 @@ def run_protocol(
             fates.append((key, sp, d.is_blunt and flanked(d.top), hits, mask, {}))
     tubes = []
     for tube, enzymes in zip(split_tubes(pool), plan.tube_enzymes):
-        ordered = sorted(enzymes)
-        tube_mask = sum(bits[library[name].site] for name in ordered)
+        tube_mask = sum(bits[library[name].site] for name in enzymes)
         kept, frags, cuts = {}, {}, {}
         for key, sp, is_primed, hits, fate_mask, memo in fates:
             hit = fate_mask & tube_mask
@@ -357,7 +356,7 @@ def run_protocol(
                     frags[frag_key] = Species(piece, count, ACTIVE, True)
         kept.update(frags)
         log = tube.log + (
-            {"op": "digest", "enzymes": ordered, "fragments": cuts},
+            {"op": "digest", "enzymes": list(enzymes), "fragments": cuts},
             {"op": "pcr", "cycles": n, "amplified": sorted(kept)},
             {"op": "purify"},
         )

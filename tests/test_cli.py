@@ -16,7 +16,7 @@ from conftest import make_ball_game
 
 import dnadecide
 from dnadecide.cli import main
-from dnadecide.compiler import CompileError, compile_problem
+from dnadecide.compiler import CompileError, EncodingViolation, compile_problem
 from dnadecide.decision import DuplicateLabelError, InputError, MatrixError, build_matrix
 from dnadecide.formats import (
     ProblemFormatError,
@@ -327,12 +327,56 @@ def test_compile_reports_zero_warnings_on_clean_plan(capsys):
     assert "encoding validation: 0 warning(s)" in out
 
 
+def test_compile_prints_each_warning_and_still_exits_zero(monkeypatch, capsys):
+    # a warning is data about the plan, not a refusal: compile prints it and goes on
+    import dnadecide.cli as cli_mod
+
+    found = EncodingViolation("gc-range", ("util:red",), "GC fraction 1/4 outside [2/5, 3/5]")
+    monkeypatch.setattr(cli_mod, "validate_encoding", lambda plan: [found])
+    assert main(["compile"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "warning: gc-range: GC fraction 1/4 outside [2/5, 3/5]",
+        "encoding validation: 1 warning(s)",
+        "encoding plan",
+    ]
+
+
 def test_run_writes_full_artifact_set(tmp_path, capsys):
     outdir = tmp_path / "artifacts"
     assert main(["run", "--outdir", str(outdir)]) == 0
     names = {p.name for p in outdir.iterdir()}
     assert names == {"report.txt", "bands.tsv", "gel.svg", "gel.txt"}
     assert "chosen: option-1" in (outdir / "report.txt").read_text()
+
+
+_RUN_FILES = {"report": "report.txt", "tsv": "bands.tsv", "svg": "gel.svg", "text": "gel.txt"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--fixture", "--cycles", "0"]])
+def test_run_prints_the_file_its_outdir_writes_for_each_format(extra, tmp_path, capsys):
+    outdir = tmp_path / "artifacts"
+    assert main(["run", *extra, "--outdir", str(outdir)]) == 0
+    files = {name: (outdir / name).read_bytes().decode("utf-8") for name in _RUN_FILES.values()}
+    wrote = f"wrote report.txt, bands.tsv, gel.svg, gel.txt to {outdir}\n"
+    assert capsys.readouterr().out == wrote + files["report.txt"]
+    for fmt, name in _RUN_FILES.items():
+        assert main(["run", *extra, "--format", fmt]) == 0
+        assert capsys.readouterr().out == files[name], fmt
+
+
+@pytest.mark.parametrize("extra", [[], ["--fixture", "--enzymes", "extended", "--seed", "3"]])
+def test_compile_prints_the_plan_and_protocol_it_writes(extra, tmp_path, capsys):
+    assert main(["compile", *extra]) == 0
+    printed = capsys.readouterr().out
+    out_dir = tmp_path / "plan"
+    assert main(["compile", *extra, "--out", str(out_dir)]) == 0
+    wrote = f"wrote encoding.fasta, plan.txt, protocol.txt, problem.json to {out_dir}\n"
+    assert capsys.readouterr().out == printed + wrote
+    validation, rest = printed.split("\n", 1)
+    assert validation == "encoding validation: 0 warning(s)"
+    files = [(out_dir / name).read_bytes().decode("utf-8") for name in ("plan.txt", "protocol.txt")]
+    assert rest == "".join(files)
 
 
 def test_one_option_problem_says_its_tube_has_no_digest(tmp_path, capsys):
@@ -759,6 +803,32 @@ _FIELD_REFUSALS = {
     "utility-order": (
         _ball_game_with(("utilities", {"favorable": "0", "unfavorable": "1"})),
         "utilities: favorable utility must be at least the unfavorable utility",
+    ),
+    # the compiler's label collisions
+    "label-collision": (
+        json.dumps({
+            "outcomes": [
+                {"label": "red ball", "probability": "1/2"},
+                {"label": "red_ball", "probability": "1/2"},
+            ],
+            "options": [{"label": "option-1", "favorable": ["red ball"]}],
+        }),
+        "outcomes[1].label: outcome labels 'red ball' and 'red_ball' collide: "
+        "both name their strands 'prob:red_ball'",
+    ),
+    "pair-collision": (
+        json.dumps({
+            "outcomes": [
+                {"label": "b:c", "probability": "1/3"},
+                {"label": "c", "probability": "2/3"},
+            ],
+            "options": [
+                {"label": "a", "favorable": ["b:c"]},
+                {"label": "a:b", "favorable": ["c"]},
+            ],
+        }),
+        "options[1].label and outcomes[1].label: option 'a' with outcome 'b:c' and "
+        "option 'a:b' with outcome 'c' collide: both name their strands 'chance:a:b:c'",
     ),
     # the compiler's size limits
     "ladder": (

@@ -100,9 +100,9 @@ def test_enzyme_assignment_exhausts_library():
 def test_tube_schedule_ball_game(ball_plan):
     plan, _ = ball_plan
     assert plan.tube_enzymes == (
-        frozenset({"HpaI", "StuI", "ScaI"}),
-        frozenset({"PvuII", "StuI", "EcoRV"}),
-        frozenset({"PvuII", "HpaI", "PmlI"}),
+        ("HpaI", "ScaI", "StuI"),
+        ("EcoRV", "PvuII", "StuI"),
+        ("HpaI", "PmlI", "PvuII"),
     )
 
 
@@ -796,9 +796,11 @@ def test_oversized_problem_is_refused_without_spelling_its_table(monkeypatch):
 
 _LABELS = st.text(alphabet="ab _:", min_size=1, max_size=3)
 _ONE_LABEL = re.compile(
-    r"(option|outcome) labels '([^']*)' and '([^']*)' collide: both name their strands '([^']*)'"
+    r"(option|outcome)s\[(\d+)\]\.label: \1 labels '([^']*)' and '([^']*)' collide: "
+    r"both name their strands '([^']*)'"
 )
 _ONE_PAIR = re.compile(
+    r"options\[(\d+)\]\.label and outcomes\[(\d+)\]\.label: "
     r"option '([^']*)' with outcome '([^']*)' and option '([^']*)' with outcome '([^']*)' "
     r"collide: both name their strands '([^']*)'"
 )
@@ -827,14 +829,15 @@ def test_every_strand_key_is_distinct_or_the_labels_are_named(problem):
     except DuplicateLabelError as exc:
         one = _ONE_LABEL.fullmatch(str(exc))
         if one:
-            family, first, second, key = one.groups()
+            family, index, first, second, key = one.groups()
             assert first != second and _slug(first) == _slug(second)
-            family_labels = outcomes if family == "outcome" else options
-            assert {first, second} <= {lbl for lbl, _ in family_labels}
+            family_labels = [lbl for lbl, _ in (outcomes if family == "outcome" else options)]
+            assert first in family_labels and family_labels[int(index)] == second
             assert key.endswith(":" + _slug(first))
         else:
-            o1, u1, o2, u2, key = _ONE_PAIR.fullmatch(str(exc)).groups()
+            i, j, o1, u1, o2, u2, key = _ONE_PAIR.fullmatch(str(exc)).groups()
             assert (o1, u1) != (o2, u2) and role_chance(o1, u1) == role_chance(o2, u2) == key
+            assert (options[int(i)][0], outcomes[int(j)][0]) == (o2, u2)
         return
     n, m = len(options), len(outcomes)
     assert len(plan.strands) == 4 + 2 * n + 5 * m + n * m

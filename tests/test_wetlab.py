@@ -525,7 +525,7 @@ def test_run_protocol_keeps_only_the_blunt_primed_pieces_of_an_overhanging_duple
     # thresholds consumed its whole dose, so it has count 0 and is not kept.
     _, plan, protocol = ball_setup
     p1, p2 = plan.primers[0], "ATCGGTTCAG"
-    assert p1.startswith("ATC") and plan.tube_enzymes[1] >= {"EcoRV", "PvuII"}
+    assert p1.startswith("ATC") and {"EcoRV", "PvuII"} <= set(plan.tube_enzymes[1])
     tail = reverse_complement(p2)  # ends with GAT, so GAT + p1 is an EcoRV site
     core = tail + p1 + "TT" + p2 + "CTGAA"
     thresh = p1 + tail + p1 + "TT" + p2
@@ -577,6 +577,7 @@ def test_a_repeated_enzyme_digests_as_it_does_once(ball_setup):
     twice = digest(tube, ["PvuII", "EcoRV", "PvuII"])
     assert list(twice.species.items()) == list(once.species.items())
     assert twice.log[-1]["fragments"] == once.log[-1]["fragments"] != {}
+    assert twice.log[-1]["enzymes"] == once.log[-1]["enzymes"] == ["EcoRV", "PvuII"]
 
 
 def _assert_no_count_zero(tubes):
