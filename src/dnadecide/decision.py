@@ -2,12 +2,15 @@
 
 A problem is a matrix: mutually exclusive chance outcomes with rational
 probabilities, options that classify every outcome as favorable or
-unfavorable, and a two-level utility assignment. All arithmetic is done
-with `fractions.Fraction`; floats never enter the ranking.
+unfavorable, and a two-level utility assignment. Expected utilities are
+`fractions.Fraction`s; floats never enter the ranking. The oracle,
+`best_options`, ranks integers: each option's favorable weight over the lcm
+of the probability denominators, times the numerator of the utility gap.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -128,8 +131,20 @@ def expected_utility(matrix: DecisionMatrix, option_index: int) -> Fraction:
 
 
 def best_options(matrix: DecisionMatrix) -> list[int]:
-    """Indices of all maximal-expected-utility options, ascending (ties kept)."""
-    scores = [expected_utility(matrix, i) for i in range(len(matrix.options))]
+    """Indices of all maximal-expected-utility options, ascending (ties kept).
+
+    With L the lcm of the probability denominators, an option's favorable
+    weight F is its favorable probability mass times L, an integer. With
+    u_favorable - u_unfavorable = span / d in lowest terms (d > 0), its
+    expected utility is u_unfavorable + span * F / (d * L), so ranking by the
+    integer span * F gives the same argmax and ties for any sign of span,
+    also on a matrix that `validate_matrix` never saw."""
+    common = math.lcm(*(out.probability.denominator for out in matrix.outcomes))
+    weights = [out.probability.numerator * (common // out.probability.denominator)
+               for out in matrix.outcomes]
+    span = (matrix.u_favorable - matrix.u_unfavorable).numerator
+    scores = [span * sum(w for w, p in zip(weights, opt.payoffs) if p is Payoff.FAVORABLE)
+              for opt in matrix.options]
     top = max(scores)
     return [i for i, s in enumerate(scores) if s == top]
 

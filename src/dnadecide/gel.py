@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .compiler import DYE_FRONT_BP, DYE_STOP, GEL_RESOLUTION, EncodingPlan
@@ -93,7 +94,9 @@ def _merge_bands(raw: list[tuple[int, int]], top: int, unit: int) -> tuple[Band,
     return tuple(bands)
 
 
+@lru_cache(maxsize=8)
 def ladder_lane(rungs: tuple[int, ...]) -> Lane:
+    """The ladder's lane, one unit band per rung; built once per ladder."""
     bands = tuple(Band(Fraction(l), Fraction(1), migrate(l, rungs[-1])) for l in rungs)
     return Lane("ladder", bands)
 
@@ -111,7 +114,7 @@ def run_gel(tubes: list[TubeState]) -> GelRun:
     rungs = ladder(max((length for raw in shown for length, _ in raw), default=0))
     lanes = tuple(
         Lane(t.label, _merge_bands(raw, rungs[-1], t.plan.intensity_scale()),
-             Fraction(2) ** t.pcr_cycles)
+             Fraction(1 << t.pcr_cycles))
         for t, raw in zip(tubes, shown)
     )
     return GelRun(rungs, lanes + (ladder_lane(rungs),))
@@ -264,8 +267,10 @@ def readout(
     Band lengths are recovered from migration distances via the ladder
     calibration, matched to predicted construct lengths within half the gel
     resolution, and their intensities (normalized by amplification) sum to
-    each option's favorable probability mass. `matrix`, if given, must be
-    the plan's own: the plan's construct lengths decode the bands.
+    each option's favorable probability mass. A lane's intensities are summed
+    as integers over their common denominator, then divided by the lane's
+    scale once, so any lane reads exactly. `matrix`, if given, must be the
+    plan's own: the plan's construct lengths decode the bands.
     """
     if matrix is not None and matrix is not plan.matrix:
         raise GelError("matrix is not the one the plan was compiled for")
@@ -279,10 +284,10 @@ def readout(
         out.label: plan.construct_length(out.label) for out in matrix.outcomes
     }
     tolerance = GEL_RESOLUTION / 2
+    span = matrix.u_favorable - matrix.u_unfavorable
     estimates = []
     decoded_all = []
     for lane in lanes:
-        mass = Fraction(0)
         decoded = []
         for band in lane.bands:
             apparent = decode_length(band.migration, run.ladder[-1])
@@ -297,10 +302,10 @@ def readout(
                     f"{len(hits)} predicted constructs"
                 )
             decoded.append(hits[0])
-            mass += band.intensity / lane.scale
-        estimates.append(
-            matrix.u_unfavorable + (matrix.u_favorable - matrix.u_unfavorable) * mass
-        )
+        weights = [band.intensity for band in lane.bands]
+        common = math.lcm(*(w.denominator for w in weights))
+        total = sum(w.numerator * (common // w.denominator) for w in weights)
+        estimates.append(matrix.u_unfavorable + span * Fraction(total, common) / lane.scale)
         decoded_all.append(tuple(decoded))
     top = max(estimates)
     chosen = tuple(i for i, e in enumerate(estimates) if e == top)

@@ -216,3 +216,42 @@ def test_option_permutation_maps_the_argmax_set(m, rng):
     )
     expected = sorted(order.index(i) for i in best_options(m))
     assert best_options(permuted) == expected
+
+
+def argmax_of_expected_utility(matrix):
+    scores = [expected_utility(matrix, i) for i in range(len(matrix.options))]
+    return [i for i, s in enumerate(scores) if s == max(scores)]
+
+
+@given(matrices())
+def test_best_options_is_the_argmax_of_expected_utility(m):
+    # the oracle ranks integer favorable weights; the definitional Fraction
+    # sum is the reference, also with the utilities swapped or made equal,
+    # which `validate_matrix` never sees
+    hi, lo = m.u_favorable, m.u_unfavorable
+    for u_favorable, u_unfavorable in ((hi, lo), (lo, hi), (lo, lo)):
+        m2 = m._replace(u_favorable=u_favorable, u_unfavorable=u_unfavorable)
+        assert best_options(m2) == argmax_of_expected_utility(m2)
+
+
+def test_best_options_on_hand_built_utilities(ball_game):
+    # favorable below unfavorable: the least favorable mass wins (EU 2/9,
+    # 1/3, 4/9 with utilities 0 and 1 swapped)
+    inverted = ball_game._replace(u_favorable=F(0), u_unfavorable=F(1))
+    assert [expected_utility(inverted, i) for i in range(3)] == [F(2, 9), F(1, 3), F(4, 9)]
+    assert best_options(inverted) == argmax_of_expected_utility(inverted) == [2]
+    # equal utilities: every option is chosen, whatever its favorable mass
+    flat = ball_game._replace(u_favorable=F(-2, 3), u_unfavorable=F(-2, 3))
+    assert best_options(flat) == argmax_of_expected_utility(flat) == [0, 1, 2]
+    # a utility gap that is not an integer, against weights over lcm 63
+    odd = DecisionMatrix(
+        (Outcome("a", F(2, 7)), Outcome("b", F(4, 9)), Outcome("c", F(17, 63))),
+        (
+            Option("x", (Payoff.FAVORABLE, Payoff.UNFAVORABLE, Payoff.UNFAVORABLE)),
+            Option("y", (Payoff.UNFAVORABLE, Payoff.UNFAVORABLE, Payoff.FAVORABLE)),
+            Option("z", (Payoff.UNFAVORABLE, Payoff.FAVORABLE, Payoff.UNFAVORABLE)),
+        ),
+        F(-3, 5),
+        F(1, 4),
+    )
+    assert best_options(odd) == argmax_of_expected_utility(odd) == [1]

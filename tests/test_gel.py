@@ -317,11 +317,58 @@ def test_readout_refuses_another_matrix(ball_lanes):
     assert readout(run, plan, plan.matrix) == readout(run, plan)
 
 
+def test_readout_is_exact_on_any_lane():
+    # a hand-built run whose intensities share no denominator with the plan's
+    # unit (9) and whose lane scales are no powers of two: every estimate is
+    # u_unfavorable + span * (the lane's summed intensity) / scale, exactly
+    matrix = make_ball_game()._replace(u_favorable=Fraction(5, 2), u_unfavorable=Fraction(-1, 3))
+    plan, _ = compile_problem(matrix, seed=0)
+    assert plan.intensity_scale() == 9
+
+    def band(label, intensity):
+        length = plan.construct_length(label)
+        return Band(Fraction(length), intensity, migrate(length, TOP))
+
+    lanes = (
+        Lane("tube-1", (band("red", Fraction(5, 7)), band("black", Fraction(3, 11))), Fraction(3)),
+        Lane("tube-2", (band("red", Fraction(1, 4)), band("white", Fraction(2, 13))), Fraction(5, 7)),
+        Lane("tube-3", (band("black", Fraction(9, 8)),), Fraction(1)),
+    )
+    report = readout(GelRun(STOCK, lanes + (ladder_lane(STOCK),)), plan)
+    span = matrix.u_favorable - matrix.u_unfavorable
+    assert report.estimates == tuple(
+        matrix.u_unfavorable
+        + span * sum((b.intensity for b in lane.bands), Fraction(0)) / lane.scale
+        for lane in lanes
+    )
+    assert report.estimates[0] == Fraction(-1, 3) + Fraction(17, 6) * Fraction(76, 231)
+    assert report.chosen == (2,)
+
+
 def test_ladder_lane_has_unit_intensities():
     lane = ladder_lane(STOCK)
     assert lane.label == "ladder"
     assert len(lane.bands) == len(STOCK)
     assert all(b.intensity == 1 for b in lane.bands)
+
+
+def test_each_ladder_gets_its_own_lane_as_its_rungs_build_it():
+    # `ladder_lane` is cached per rung tuple: the lane `run_gel` returns is
+    # the one an uncached build gives, on the canonical run and a 13x5 draw
+    _, _, _, wide = run_end_to_end(make_widest(random.Random("wide:0")), seed=0, cycles=5)
+    plan, protocol = compile_problem(make_ball_game(), seed=0)
+    tubes = run_protocol(plan, protocol)
+    canonical = run_gel(tubes)
+    for run in (canonical, wide):
+        assert run.lanes[-1] == ladder_lane.__wrapped__(run.ladder)
+    # a 260 bp duplex after the 200 bp ladder: a new ladder and its own lane,
+    # and the 200 bp ladder's lane again after that
+    long = "ACGT" * 65
+    doctored = tubes[0]._replace(species={**tubes[0].species, "long": Species(Duplex(long, long), 9)})
+    longer = run_gel([doctored, *tubes[1:]])
+    assert (canonical.ladder, longer.ladder) == (ladder(200), ladder(260))
+    assert longer.lanes[-1] == ladder_lane.__wrapped__(ladder(260)) != canonical.lanes[-1]
+    assert run_gel(tubes).lanes[-1] == ladder_lane.__wrapped__(ladder(200))
 
 
 def test_svg_annotates_ladder_rungs(ball_lanes):
