@@ -269,8 +269,9 @@ def readout(
     resolution, and their intensities (normalized by amplification) sum to
     each option's favorable probability mass. A lane's intensities are summed
     as integers over their common denominator, then divided by the lane's
-    scale once, so any lane reads exactly. `matrix`, if given, must be the
-    plan's own: the plan's construct lengths decode the bands.
+    scale once, so any lane reads exactly; a lane whose scale is not positive
+    is refused. `matrix`, if given, must be the plan's own: the plan's
+    construct lengths decode the bands.
     """
     if matrix is not None and matrix is not plan.matrix:
         raise GelError("matrix is not the one the plan was compiled for")
@@ -288,6 +289,8 @@ def readout(
     estimates = []
     decoded_all = []
     for lane in lanes:
+        if lane.scale <= 0:
+            raise GelError(f"lane {lane.label}: scale {lane.scale} is not positive")
         decoded = []
         for band in lane.bands:
             apparent = decode_length(band.migration, run.ladder[-1])

@@ -21,9 +21,10 @@ column falls strictly inside it, as cutting site by site would.
 columns; `cut` builds the `fragment` between each two of them. A site with
 no instance adds no cut column and blocks nothing, so cutting with only the
 sites a duplex holds gives the same columns. The protocol simulator uses
-that: it scans each pooled duplex once for the whole library, hands those
-hits to `cut_columns`, and builds a fragment only for an interval that pcr
-would amplify.
+that: it scans the dsDNA of all pooled duplexes for the whole library in one
+`site_hits` call, joined by a non-base so no instance spans two, hands each
+duplex's hits to `cut_columns`, and builds a fragment only for an interval
+that pcr would amplify.
 """
 
 from __future__ import annotations

@@ -19,14 +19,16 @@ Yields are nominal per-path numbers, as a within-lane band comparison reads.
 
 `digest`, `pcr` and `purify` are the single steps, each walking its own
 tube (`digest` with `strands.cut`). `run_protocol` does not call them. It
-walks the pool once, scanning the dsDNA columns of each active duplex's top
-strand for the library's site strings once (`strands.site_hits`), and runs
-each option tube's digest, pcr and purify as one pass over those duplexes.
-Every position is a top-strand column. A duplex's cut columns are taken
-once per distinct set of sites that hits it; the intervals of
-`[span_start, *cut columns, span_end]` give the digest record's span
-lengths, the primer rule reads each blunt one straight off the parent's
-top strand, and a fragment duplex and its species are built only for a
+joins the dsDNA columns of every active duplex's top strand with a `|` that
+no site string holds, scans that text once (`strands.site_hits`) and gives
+each hit back to its duplex by its slice start. A duplex's bounds and its
+pcr products are built once and shared by the tubes, and one that no site
+hits and the primers do not flank is left out of the pass that runs each
+option tube's digest, pcr and purify. A duplex's cut columns (top-strand
+columns) are taken once per distinct set of sites that hits it; the
+intervals of `[span_start, *cut columns, span_end]` give the digest
+record's span lengths, the primer rule that pcr also uses reads each blunt
+one in place on the parent's top strand, and a fragment is built only for a
 primed interval, the only kind that survives purify. Zero is not material:
 pcr, the single step and the pass alike, amplifies only a species of
 positive count. Purify's record names nothing: it keeps exactly what pcr's
@@ -35,6 +37,8 @@ record lists as amplified.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from math import gcd
 from typing import NamedTuple
 
@@ -151,23 +155,26 @@ def apply_thresholds(tube: TubeState) -> TubeState:
     detail: dict[str, dict] = {}
     for out in plan.matrix.outcomes:
         th_key = role_thresh(out.label)
-        dose = species[th_key].count
+        th = species[th_key]
+        dose, dose_text = th.count, _ratio(th.count, unit)
         max_consumed = 0
         for opt in plan.matrix.options:
             ch_key = role_chance(opt.label, out.label)
-            c = species[ch_key].count
-            consumed = min(dose, c)
-            max_consumed = max(max_consumed, consumed)
+            ch = species[ch_key]
+            consumed = min(dose, ch.count)
             if consumed == 0:
                 continue
-            species[ch_key] = species[ch_key]._replace(count=c - consumed)
-            species[f"waste:{ch_key}"] = Species(species[th_key].structure, consumed, WASTE)
+            max_consumed = max(max_consumed, consumed)
+            left = ch.count - consumed
+            species[ch_key] = Species(ch.structure, left, ch.status, ch.amplified)
+            species[f"waste:{ch_key}"] = Species(th.structure, consumed, WASTE)
             detail[ch_key] = {
-                "dose": _ratio(dose, unit),
+                "dose": dose_text,
                 "consumed": _ratio(consumed, unit),
-                "remaining": _ratio(c - consumed, unit),
+                "remaining": _ratio(left, unit),
             }
-        species[th_key] = species[th_key]._replace(count=max(0, dose - max_consumed))
+        spare = max(0, dose - max_consumed)
+        species[th_key] = Species(th.structure, spare, th.status, th.amplified)
     return tube._with(species, {"op": "thresholds", "displaced": detail})
 
 
@@ -187,10 +194,12 @@ def assemble(tube: TubeState) -> TubeState:
             roles = construct_roles(opt.label, out.label)
             amount = min(tube.species[r].count for r in roles)
             paths.append((construct_key(opt.label, out.label), roles, amount))
-            for r in roles:
-                demand[r] = demand.get(r, 0) + amount
+            if amount:
+                for r in roles:
+                    demand[r] = demand.get(r, 0) + amount
     for key, used in demand.items():
-        species[key] = species[key]._replace(count=max(0, species[key].count - used))
+        sp = species[key]
+        species[key] = Species(sp.structure, max(0, sp.count - used), sp.status, sp.amplified)
     for key, roles, amount in paths:
         top = plan.construct_top(roles)
         bottom = top[::-1].translate(_COMPLEMENT)
@@ -216,16 +225,18 @@ def _library(plan: EncodingPlan) -> dict[str, RecognitionSite]:
 
 
 def _primer_rule(plan: EncodingPlan):
-    """Whether pcr amplifies a blunt duplex with this top strand (it amplifies
-    no other duplex): long enough to hold both primers, and flanked by them
-    (a primer at each end, read on either strand)."""
+    """Whether pcr amplifies a blunt duplex whose top strand is `top[a:b]` (it
+    amplifies no other duplex): long enough to hold both primers, and flanked
+    by them (a primer at each end, read on either strand). The interval is
+    read in place; one shorter than a primer holds no primer."""
     p1, p2 = plan.primers
     e1, e2 = (p1, reverse_complement(p1)), (p2, reverse_complement(p2))
     ends = {(left, right) for x, y in ((e1, e2), (e2, e1)) for left in x for right in y}
     n1, n2 = len(p1), len(p2)
+    shortest = max(2 * n1, n2)
 
-    def flanked(top: str) -> bool:
-        return len(top) >= 2 * n1 and (top[:n1], top[-n2:]) in ends
+    def flanked(top: str, a: int, b: int) -> bool:
+        return b - a >= shortest and (top[a : a + n1], top[b - n2 : b]) in ends
 
     return flanked
 
@@ -274,7 +285,8 @@ def pcr(tube: TubeState, cycles: int) -> TubeState:
     amplified = []
     for key, sp in tube.species.items():
         d = sp.structure
-        if sp.count and sp.status == ACTIVE and sp.is_duplex and d.is_blunt and flanked(d.top):
+        grows = sp.count and sp.status == ACTIVE and sp.is_duplex and d.is_blunt
+        if grows and flanked(d.top, 0, len(d.top)):
             species[key] = sp._replace(count=sp.count << cycles, amplified=True)
             amplified.append(key)
     record = {"op": "pcr", "cycles": cycles, "amplified": sorted(amplified)}
@@ -296,12 +308,14 @@ def run_protocol(
     """mix -> thresholds -> assemble -> split -> (digest, pcr, purify) per tube.
 
     `plan` must be the protocol's own plan; `cycles` overrides its PCR
-    cycles. Each tube's last three steps run as one pass over the pool's
-    fates and write the single steps' records; only a blunt interval between
-    a cut duplex's `cut_columns` that the primer rule keeps becomes a
-    fragment, the duplex `cut` would make. The survivors come in the single
-    steps' order: the uncut primed duplexes in pool order, then the primed
-    fragments. No fragment key can be a pool key (those are role,
+    cycles. The pool's dsDNA is scanned for the library's sites in one call;
+    each tube's last three steps run as one pass over the duplexes that a
+    site hits or the primers flank, writing the single steps' records. Only
+    a blunt interval between a cut duplex's `cut_columns` that the primer
+    rule keeps becomes a fragment, the duplex `cut` would make. Tubes share
+    kept species, never a mapping or a record's list. The survivors come in
+    the single steps' order: the uncut primed duplexes in pool order, then
+    the primed fragments. No fragment key can be a pool key (those are role,
     `construct:` and `waste:` keys), so no fragment replaces a species.
     """
     if plan is not protocol.plan:
@@ -313,47 +327,61 @@ def run_protocol(
     sites = [site.site for site in library.values()]
     bits = {site: 1 << i for i, site in enumerate(sites)}  # sets of site strings as bit masks
     flanked = _primer_rule(plan)
-    # a fate per active duplex: key, species, primer verdict, site hits, the
-    # mask of the enzymes that hit it, and its cuts by the mask of the hitters
+    duplexes = [
+        (key, sp.structure, sp.count << n)
+        for key, sp in pool.species.items()
+        if sp.status == ACTIVE and sp.is_duplex
+    ]
+    # one scan over every active duplex's dsDNA, joined by a non-base so that
+    # no site instance spans two; a hit goes back to its duplex by slice start
+    edges = [(d.span_start, d.ds_start, d.ds_end, d.span_end) for _, d, _ in duplexes]
+    starts = [0, *accumulate(hi - lo + 1 for _, lo, hi, _ in edges)]
+    text = "|".join(d.top[lo:hi] for (_, d, _), (_, lo, hi, _) in zip(duplexes, edges))
+    hits: list[dict[str, list[int]]] = [{} for _ in duplexes]
+    for site, found in site_hits(text, sites, 0, len(text)).items():
+        for p in found:
+            i = bisect_right(starts, p) - 1
+            hits[i].setdefault(site, []).append(p - starts[i] + edges[i][1])
+    # a fate per duplex that a site hits or the primers flank: key, structure,
+    # count after pcr, its species if kept uncut, bounds, site hits, the mask
+    # of the enzymes that hit it, and its cuts by the mask of the hitters
     fates = []
-    for key, sp in pool.species.items():
-        if sp.status == ACTIVE and sp.is_duplex:
-            d = sp.structure
-            hits = site_hits(d.top, sites, d.ds_start, d.ds_end)
-            mask = sum(bits[site] for site in hits)
-            fates.append((key, sp, d.is_blunt and flanked(d.top), hits, mask, {}))
+    for (key, d, count), bounds, found in zip(duplexes, edges, hits):
+        primed = count and d.is_blunt and flanked(d.top, 0, len(d.top))
+        grown = Species(d, count, ACTIVE, True) if primed else None
+        mask = sum(bits[site] for site in found)
+        if mask or grown:
+            fates.append((key, d, count, grown, bounds, found, mask, {}))
     tubes = []
     for tube, enzymes in zip(split_tubes(pool), plan.tube_enzymes):
         tube_mask = sum(bits[library[name].site] for name in enzymes)
         kept, frags, cuts = {}, {}, {}
-        for key, sp, is_primed, hits, fate_mask, memo in fates:
+        for key, d, count, grown, bounds, found, fate_mask, memo in fates:
             hit = fate_mask & tube_mask
             if not hit:
-                if is_primed and sp.count:
-                    kept[key] = sp._replace(count=sp.count << n, amplified=True)
+                if grown:
+                    kept[key] = grown
                 continue
             done = memo.get(hit)
             if done is None:
                 # cutting with only the enzymes that hit a duplex gives the
                 # same cut columns as with all of a tube's, so tubes share cuts
-                d = sp.structure
-                cols = cut_columns(hits, [site for site in hits if bits[site] & hit])
+                cols = cut_columns(found, [site for site in found if bits[site] & hit])
                 # an interval is blunt where it lies in the parent's dsDNA:
                 # between two cuts, or at an end where the parent is blunt
-                top, lo, hi = d.top, d.ds_start, d.ds_end
-                lengths, survivors, a = [], [], d.span_start
-                for i, b in enumerate([*cols, d.span_end]):
+                a, lo, hi, end = bounds
+                lengths, survivors = [], []
+                for i, b in enumerate([*cols, end]):
                     lengths.append(b - a)
-                    if lo <= a and b <= hi and flanked(top[a:b]):
-                        survivors.append((f"fragment:{key}:{i}", fragment(d, a, b)))
+                    if count and lo <= a and b <= hi and flanked(d.top, a, b):
+                        piece = Species(fragment(d, a, b), count, ACTIVE, True)
+                        survivors.append((f"fragment:{key}:{i}", piece))
                     a = b
                 done = memo[hit] = lengths, survivors
             lengths, survivors = done
             cuts[key] = lengths[:]  # each audit record owns its lists
-            if survivors and sp.count:
-                count = sp.count << n
-                for frag_key, piece in survivors:
-                    frags[frag_key] = Species(piece, count, ACTIVE, True)
+            if survivors:
+                frags.update(survivors)
         kept.update(frags)
         log = tube.log + (
             {"op": "digest", "enzymes": list(enzymes), "fragments": cuts},

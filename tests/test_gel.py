@@ -317,6 +317,17 @@ def test_readout_refuses_another_matrix(ball_lanes):
     assert readout(run, plan, plan.matrix) == readout(run, plan)
 
 
+@pytest.mark.parametrize("scale", [Fraction(0), Fraction(-1)])
+def test_readout_refuses_a_lane_of_nonpositive_scale(ball_lanes, scale):
+    # a lane's scale divides its estimate: 0 would divide by zero and a
+    # negative scale would negate the estimate, so either is refused by name
+    plan, run = ball_lanes
+    lanes = list(run.lanes)
+    lanes[1] = lanes[1]._replace(scale=scale)
+    with pytest.raises(GelError, match=f"lane {lanes[1].label}: scale {scale} is not positive"):
+        readout(GelRun(run.ladder, tuple(lanes)), plan)
+
+
 def test_readout_is_exact_on_any_lane():
     # a hand-built run whose intensities share no denominator with the plan's
     # unit (9) and whose lane scales are no powers of two: every estimate is

@@ -452,6 +452,8 @@ def _assert_run_equals_single_steps(plan, protocol, cycles):
         lists += [cut["enzymes"], *cut["fragments"].values(), grown["amplified"]]
     # even where tubes share a duplex's fragments
     assert len({id(lst) for lst in lists}) == len(lists)
+    # tubes may share a species, never a species mapping
+    assert len({id(tube.species) for tube in got}) == len(got)
     return got
 
 
@@ -568,6 +570,49 @@ def test_run_protocol_keeps_no_primed_piece_that_ends_in_a_single_stranded_tail(
     assert tail.structure.top == p1 + "TT" + p2 and not tail.structure.is_blunt
     assert tail.count > 0
     assert "fragment:prob:white:1" not in tubes[1].species
+
+
+def _replant(d, column, bases):
+    """`d` with `bases` written into its top strand from `column` on, and its
+    bottom strand paired anew under the same dsDNA columns (the bottom must
+    lie under the top: `d.offset >= 0`)."""
+    top = d.top[:column] + bases + d.top[column + len(bases) :]
+    return Duplex(top, reverse_complement(top[d.ds_start : d.ds_end]), d.offset)
+
+
+def _cut_pvuii_tube(plan, protocol, strands):
+    """Option-2's tube, which cuts PvuII (CAG|CTG), run with `strands` planted."""
+    assert "PvuII" in plan.tube_enzymes[1]
+    edited = plan._replace(strands=plan.strands | strands)
+    return _assert_run_equals_single_steps(edited, protocol._replace(plan=edited), 5)[1]
+
+
+def test_no_site_spans_two_neighbouring_duplexes(ball_setup):
+    # the pass scans the dsDNA of every active duplex as one text. prob:black's
+    # dsDNA ends in CAG and prob:white's, the next active duplex in pool order,
+    # starts with CTG: joined with no separator they would read CAGCTG, a
+    # PvuII site, but neither duplex holds one
+    _, plan, protocol = ball_setup
+    black, white = plan.strands["prob:black"], plan.strands["prob:white"]
+    planted = {
+        "prob:black": _replant(black, black.ds_end - 3, "CAG"),
+        "prob:white": _replant(white, white.ds_start, "CTG"),
+    }
+    pool = mix(plan._replace(strands=plan.strands | planted))
+    active = [k for k, sp in pool.species.items() if sp.is_duplex]
+    assert active[active.index("prob:black") + 1] == "prob:white"
+    tube = _cut_pvuii_tube(plan, protocol, planted)
+    assert not {"prob:black", "prob:white"} & set(tube.log[-3]["fragments"])
+
+
+def test_no_site_runs_from_dsdna_into_a_single_stranded_tail(ball_setup):
+    # prob:black's top runs 10 bases past its dsDNA; a PvuII site planted
+    # across that edge is not fully in dsDNA, so it is not cut
+    _, plan, protocol = ball_setup
+    black = plan.strands["prob:black"]
+    assert black.ds_end + 3 <= len(black.top)
+    tube = _cut_pvuii_tube(plan, protocol, {"prob:black": _replant(black, black.ds_end - 3, "CAGCTG")})
+    assert "prob:black" not in tube.log[-3]["fragments"]
 
 
 def test_a_repeated_enzyme_digests_as_it_does_once(ball_setup):
