@@ -203,7 +203,7 @@ class Derivation(NamedTuple):
     offset: int | None = None
 
     def derive(self, tops: dict[str, str]) -> str:
-        return "".join(tops[r][a:b] for r, a, b in self.slices)[::-1].translate(_COMPLEMENT)
+        return "".join([tops[r][a:b] for r, a, b in self.slices])[::-1].translate(_COMPLEMENT)
 
     def length(self, lengths: dict[str, int]) -> int:
         return sum(len(range(lengths[r])[a:b]) for r, a, b in self.slices)
@@ -395,10 +395,13 @@ def violations(
             if i != SITE_OFFSET or site != own:
                 flag("stray-site", f"stray site {site} at {i}")
     joints = [left[-5:] + seq[:5] for left in top.lefts]
-    for joint in joints + [seq[-5:] + right[:5] for right in top.rights]:
-        for site in sites:
-            if site in joint:
-                flag("junction-site", f"site {site} spans the junction {joint}")
+    joints += [seq[-5:] + right[:5] for right in top.rights]
+    joined = "|".join(joints)  # no site spans a "|": one test per site first
+    if any(site in joined for site in sites):
+        for joint in joints:
+            for site in sites:
+                if site in joint:
+                    flag("junction-site", f"site {site} spans the junction {joint}")
     return found + _gc_violations(role, seq), local
 
 
@@ -418,38 +421,40 @@ class _Designer:
 
     def _block(self, length: int, fixed: dict[int, str]) -> str:
         """A GC-balanced block, drawn through `getrandbits` exactly as
-        `randint`, `sample` and `choice` would, so a seed's FASTA stays put."""
+        `randint`, `sample` and `choice` would, so a seed's FASTA stays put.
+        Each bounded draw inlines `Random._randbelow_with_getrandbits`: k =
+        n.bit_length() bits, drawn again while the value is not below n."""
         bits = self.rng.getrandbits
-
-        def below(n: int) -> int:  # Random._randbelow_with_getrandbits
-            k = n.bit_length()
-            r = bits(k)
-            while r >= n:
-                r = bits(k)
-            return r
-
         fixed_gc = sum(1 for b in fixed.values() if b in "GC")
         free = [i for i in range(length) if i not in fixed]
+        n = len(free)
         lo = max(-(-2 * length // 5), fixed_gc)
-        hi = min(3 * length // 5, fixed_gc + len(free))
+        hi = min(3 * length // 5, fixed_gc + n)
         if lo > hi:
             raise CompileError(f"no GC-balanced fill for a {length}-base block")
         # randint(lo, hi), then sample's pool walk (a block's <= 10 free
-        # positions never reach sample's set-based branch)
-        target, n, gc = lo + below(hi - lo + 1) - fixed_gc, len(free), set()
-        for i in range(target):
-            j = below(n - i)
-            gc.add(free[j])
-            free[j] = free[n - i - 1]
-        out = []
-        for i in range(length):
-            if i in fixed:
-                out.append(fixed[i])
-                continue
-            r = bits(2)  # choice of a 2-letter string
+        # positions never reach sample's set-based branch); `out` holds the
+        # fixed bases and each free position's alphabet, "GC" where drawn
+        span = hi - lo + 1
+        k = span.bit_length()
+        r = bits(k)
+        while r >= span:
+            r = bits(k)
+        target, out, pool = lo + r - fixed_gc, ["AT"] * length, free[:]
+        for i, b in fixed.items():
+            out[i] = b
+        for m in range(n, n - target, -1):  # sample's i-th draw is below n - i
+            k = m.bit_length()
+            j = bits(k)
+            while j >= m:
+                j = bits(k)
+            out[pool[j]] = "GC"
+            pool[j] = pool[m - 1]
+        for i in free:  # choice of a 2-letter alphabet, in position order
+            r = bits(2)
             while r >= 2:
                 r = bits(2)
-            out.append(("GC" if i in gc else "AT")[r])
+            out[i] = out[i][r]
         return "".join(out)
 
     def fresh(self, top: Top, pin: tuple[str, str] | None = None) -> str:

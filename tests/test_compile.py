@@ -551,6 +551,9 @@ _BLOCK_SHAPES = {
     # a 162-base probability top with breaks (10, 152): the 2-base block
     # closes the core and the last block starts at the break
     "block starting at a break": [(10, {})] * 15 + [(2, {}), (10, {})],
+    # randint(6, 6), an empty pool walk, then 4 AT letters
+    "fixed bases fill the GC range": [(10, dict(enumerate("GCGCGC")))],
+    "fixed bases between free ones": [(10, {1: "G", 3: "A", 4: "T", 8: "C"})],
 }
 
 
@@ -569,6 +572,24 @@ def test_block_draws_the_stream_of_randint_sample_and_choice(shape):
                 f"seed {seed}: the designer's block consumed a different number of "
                 "random bits than randint/sample/choice"
             )
+
+
+class _NoDraws(random.Random):
+    """A stream that fails the test on any `getrandbits` call, so a block
+    that draws before refusing fails, and does not loop on 0-bit draws."""
+
+    def getrandbits(self, k):
+        raise AssertionError(f"the block drew {k} bits before refusing")
+
+
+def test_a_block_beyond_the_gc_range_is_refused_before_any_draw():
+    # 7 fixed G/C bases in a 10-base block exceed the 6 the GC range allows
+    for rng in (_NoDraws(0), random.Random(0)):
+        state = rng.getstate()
+        with pytest.raises(CompileError) as refusal:
+            _Designer(rng, [])._block(10, dict(enumerate("GCGCGCG")))
+        assert str(refusal.value) == "no GC-balanced fill for a 10-base block"
+        assert rng.getstate() == state
 
 
 # -- site rules ----------------------------------------------------------------
@@ -680,6 +701,25 @@ def test_a_planted_junction_site_is_found_once_on_the_judged_top(ball_plan):
     found = validate_encoding(edited)
     assert [str(v) for v in found if v.kind in ("stray-site", "junction-site")] == [
         f"[junction-site] option:option-1: site {rival} spans the junction {joint}"
+    ]
+
+
+def test_planted_junction_sites_are_found_on_each_joint_in_joint_order(ball_plan):
+    # prob:red's left joints meet option-1, -2 and -3; two of them are
+    # planted with AGTACT, while prob:black and prob:white, whose joints
+    # meet the same option tops, hold no site and draw no finding
+    plan, _ = ball_plan
+    rival = plan.sites[role_util("white")].site
+
+    def plant(tops):
+        for opt in ("option-1", "option-3"):
+            tops[role_option(opt)] = tops[role_option(opt)][:-3] + rival[:3]
+        tops[role_prob("red")] = rival[3:] + tops[role_prob("red")][3:]
+
+    found = validate_encoding(_with_tops(plan, plant))
+    assert [str(v) for v in found if v.kind in ("stray-site", "junction-site")] == [
+        "[junction-site] prob:red: site AGTACT spans the junction AGAGTACTCG",
+        "[junction-site] prob:red: site AGTACT spans the junction GAAGTACTCG",
     ]
 
 
