@@ -138,11 +138,6 @@ class CompileError(InputError):
     few enzymes in the library, or no sequence the rules accept."""
 
 
-def threshold_ratio(probability: Fraction) -> Fraction:
-    """Threshold dose per unit of chance material: one minus the probability."""
-    return 1 - Fraction(probability)
-
-
 def middle_length_for_rank(rank: int) -> int:
     """Core length for the rank-th most probable outcome: 7, 16, 34, 70, ..."""
     length = 7
@@ -345,7 +340,8 @@ def violations(
     top: Top, seq: str, fresh_from: int, sites: tuple[str, ...], placed: _Places
 ) -> tuple[list[EncodingViolation], _Places]:
     """Every rule `seq`, as `top`, breaks (none means it may be placed), and
-    the places of the windows it judged, which its caller places from.
+    the places of the windows it judged, each walked once, which its caller
+    (the designer, or the validator) places from.
 
     Windows starting before `fresh_from` are designed copies of placed
     material, neither judged nor placed. `sites` are the assigned sites (the
@@ -509,7 +505,6 @@ def generate_sequences(
     matrix: DecisionMatrix,
     sites: dict[str, RecognitionSite],
     middle_lengths: dict[str, int],
-    table: Mapping[str, Derivation],
     seed: int = 0,
     pins: dict[str, tuple[str, str]] | None = None,
 ) -> tuple[dict[str, Strand | Duplex], tuple[str, ...]]:
@@ -517,7 +512,7 @@ def generate_sequences(
     return them with the designer's verdicts on the pinned pieces.
 
     The designer samples the independent tops and the geometry table
-    (`table`, from `derivations`) derives the rest. `pins` maps a top's
+    (`derivations` of the labels) derives the rest. `pins` maps a top's
     role to a reference piece, (printed label, sequence), that the designer
     judges in place as the first candidate for that top (a threshold's
     piece is its pad alone); the verdicts come one per pin, in design order.
@@ -532,7 +527,7 @@ def generate_sequences(
     # a derived strand reverse-complements slices of checked tops, so it is
     # ACGT, non-empty and pairs its top at its offset: none is checked again
     plan: dict[str, Strand | Duplex] = {role: Strand(top) for role, top in tops.items()}
-    for role, rule in table.items():
+    for role, rule in derivations(options, middle_lengths).items():
         strand = rule.derive(tops)
         plan[role] = (str.__new__(Strand, strand) if rule.offset is None
                       else _derived(plan[role], strand, rule.offset))
@@ -546,14 +541,13 @@ def check_pieces(
     middle_lengths: dict[str, int],
     sites: dict[str, RecognitionSite],
     pieces: dict[str, str],
-    table: Mapping[str, Derivation],
 ) -> list[tuple[str, EncodingViolation]]:
     """Walk the rule sheet and the geometry table over an encoding's pieces.
 
     `pieces` maps strand names to sequences: a top or a free strand under
     its role, a duplex bottom under its role and a prime. `sites` gives the
-    option and utility tops their designed sites, and `table` is the
-    geometry table spelled out for these labels. Each top is judged as the
+    option and utility tops their designed sites; the geometry table is
+    `derivations` of these labels. Each top is judged as the
     designer placed it, by its `Top` from `_top_rules`, with its neighbours
     read from `pieces`; every junction is judged on the top to its right
     (the utility top also judges its right one). Each finding comes with its
@@ -562,6 +556,7 @@ def check_pieces(
     junctions, GC); on each derived strand, GC and the derivation.
     """
     tops = list(_top_rules(options, middle_lengths, sites, pieces))
+    table = derivations(options, middle_lengths)
     lengths = {top.role: top.length for top in tops}
     parts = [(top.role, top.role, top.length, top) for top in tops]
     parts += [
@@ -614,7 +609,7 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
     """
     matrix, strands, sites = plan.matrix, plan.strands, plan.sites
     options = [opt.label for opt in matrix.options]
-    table = derivations(options, list(plan.middle_lengths))
+    table = derivations(options, plan.middle_lengths)
     found: list[EncodingViolation] = []
     pieces: dict[str, str] = {}
     for role, item in strands.items():
@@ -627,7 +622,7 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
             detail = ("must be a single strand" if offset is None
                       else f"must be a duplex paired from column {offset}")
             found.append(EncodingViolation("geometry", (role,), detail))
-    return found + [v for _, v in check_pieces(options, plan.middle_lengths, sites, pieces, table)]
+    return found + [v for _, v in check_pieces(options, plan.middle_lengths, sites, pieces)]
 
 
 # -- plan containers -----------------------------------------------------------
@@ -639,7 +634,6 @@ class EncodingPlan(NamedTuple):
     seed: int
     strands: dict[str, Strand | Duplex]
     middle_lengths: dict[str, int]
-    threshold_ratios: dict[str, Fraction]
     sites: dict[str, RecognitionSite]  # by the role of the top carrying it, see `assign_enzymes`
     fixture_notes: tuple[str, ...] = ()
 
@@ -657,6 +651,13 @@ class EncodingPlan(NamedTuple):
             ]))
             for i, opt in enumerate(self.matrix.options)
         )
+
+    @property
+    def threshold_ratios(self) -> dict[str, Fraction]:
+        """Threshold dose per unit of chance material, by outcome label: one
+        minus the outcome's probability. `intensity_scale()` is the lcm of the
+        probability denominators, so each dose is a whole number of its units."""
+        return {out.label: 1 - out.probability for out in self.matrix.outcomes}
 
     @property
     def primers(self) -> tuple[Strand, Strand]:
@@ -705,11 +706,12 @@ class EncodingPlan(NamedTuple):
             "",
             "outcomes:",
         ]
+        ratios = self.threshold_ratios
         for out in self.matrix.outcomes:
             site = self.sites[role_util(out.label)]
             lines.append(
                 f"  {out.label}: probability {out.probability}, "
-                f"threshold ratio {self.threshold_ratios[out.label]}, "
+                f"threshold ratio {ratios[out.label]}, "
                 f"core {self.middle_lengths[out.label]} bp, "
                 f"construct {self.construct_length(out.label)} bp, "
                 f"enzyme {site.enzyme} ({site.site})"
@@ -790,8 +792,7 @@ def compile_problem(
     lengths = probability_lengths([out.probability for out in matrix.outcomes])
     sites = assign_enzymes(matrix, library)
     # the geometry table refuses labels that would share a strand
-    table = derivations([o.label for o in matrix.options], [o.label for o in matrix.outcomes])
-    ratios = {out.label: threshold_ratio(out.probability) for out in matrix.outcomes}
+    derivations([o.label for o in matrix.options], [o.label for o in matrix.outcomes])
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
 
     pins = {}
@@ -799,13 +800,12 @@ def compile_problem(
         from .fixture import reference_pins
 
         pins = reference_pins(matrix)
-    strands, notes = generate_sequences(matrix, sites, middles, table, seed=seed, pins=pins)
+    strands, notes = generate_sequences(matrix, sites, middles, seed=seed, pins=pins)
     plan = EncodingPlan(
         matrix=matrix,
         seed=seed,
         strands=strands,
         middle_lengths=middles,
-        threshold_ratios=ratios,
         sites=sites,
         fixture_notes=notes,
     )

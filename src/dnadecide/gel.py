@@ -107,7 +107,7 @@ def run_gel(tubes: list[TubeState]) -> GelRun:
     A lane shows each active duplex of a positive count, and only those size
     the ladder."""
     shown = [
-        [(sp.length, sp.count) for sp in t.species.values()
+        [(sp.structure.span_length, sp.count) for sp in t.species.values()
          if sp.status == ACTIVE and sp.is_duplex and sp.count > 0]
         for t in tubes
     ]
@@ -229,9 +229,14 @@ def _render_text(run: GelRun) -> str:
 class DecisionReport(NamedTuple):
     option_labels: tuple[str, ...]
     estimates: tuple[Fraction, ...]
-    chosen: tuple[int, ...]
     oracle: tuple[int, ...]
     decoded: tuple[tuple[str, ...], ...]
+
+    @property
+    def chosen(self) -> tuple[int, ...]:
+        """The options of the highest estimate, ascending."""
+        top = max(self.estimates)
+        return tuple(i for i, e in enumerate(self.estimates) if e == top)
 
     @property
     def agreement(self) -> bool:
@@ -310,12 +315,9 @@ def readout(
         total = sum(w.numerator * (common // w.denominator) for w in weights)
         estimates.append(matrix.u_unfavorable + span * Fraction(total, common) / lane.scale)
         decoded_all.append(tuple(decoded))
-    top = max(estimates)
-    chosen = tuple(i for i, e in enumerate(estimates) if e == top)
     return DecisionReport(
         option_labels=tuple(o.label for o in matrix.options),
         estimates=tuple(estimates),
-        chosen=chosen,
         oracle=tuple(best_options(matrix)),
         decoded=tuple(decoded_all),
     )

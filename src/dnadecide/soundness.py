@@ -69,14 +69,17 @@ def run_end_to_end(
 
 class SoundnessResult(NamedTuple):
     trials: int
-    agreements: int
     elapsed: float
     failures: tuple[tuple[int, str, tuple[int, ...], tuple[int, ...]], ...] = ()
 
     @property
+    def agreements(self) -> int:
+        return self.trials - len(self.failures)
+
+    @property
     def ok(self) -> bool:
         # zero trials pass vacuously; a sweep only fails on a counterexample
-        return self.agreements == self.trials
+        return not self.failures
 
     def describe(self) -> str:
         lines = [
@@ -93,13 +96,10 @@ def verify_soundness(trials: int, seed: int, cycles: int) -> SoundnessResult:
     """Run `trials` random problems end to end, each judged by `DecisionReport.agreement`."""
     rng = random.Random(seed)
     started = time.perf_counter()
-    agreements = 0
     failures = []
     for index in range(trials):
         matrix = random_matrix(rng)
         report, _, _, _ = run_end_to_end(matrix, seed=index, cycles=cycles)
-        if report.agreement:
-            agreements += 1
-        else:
+        if not report.agreement:
             failures.append((index, dump_problem(matrix), report.chosen, report.oracle))
-    return SoundnessResult(trials, agreements, time.perf_counter() - started, tuple(failures))
+    return SoundnessResult(trials, time.perf_counter() - started, tuple(failures))

@@ -15,16 +15,9 @@ column. A duplex's dsDNA is exactly the top strand's columns `ds_start` to
 string over a slice of a sequence), finds a duplex's site instances in its
 top strand between those bounds; the compiler's sequence rules call it on a
 bare sequence. A digest with several enzymes is one `cut(duplex, *sites)`
-call; an instance of a later site is left uncut when an earlier site's cut
-column falls strictly inside it, as cutting site by site would.
-`cut_columns` states that rule over the hits and returns only the cut
-columns; `cut` builds the `fragment` between each two of them. A site with
-no instance adds no cut column and blocks nothing, so cutting with only the
-sites a duplex holds gives the same columns. The protocol simulator uses
-that: it scans the dsDNA of all pooled duplexes for the whole library in one
-`site_hits` call, joined by a non-base so no instance spans two, hands each
-duplex's hits to `cut_columns`, and builds a fragment only for an interval
-that pcr would amplify.
+call, which builds the `fragment` between each two of the columns that
+`cut_columns` works out from the hits; the protocol simulator
+(`wetlab.run_protocol`) hands `cut_columns` the hits of its own scan.
 """
 
 from __future__ import annotations
@@ -179,7 +172,9 @@ def cut_columns(hits: dict[str, list[int]], sites) -> list[int]:
     re-cutting every fragment: a site instance is cut unless an earlier
     site's cut column falls strictly inside it, since that cut has already
     split it across two fragments. Instances of the same site never block
-    each other.
+    each other. A site with no instance adds no cut column and blocks
+    nothing, so cutting with only the sites a duplex holds gives the same
+    columns.
     """
     cols: list[int] = []
     for site in sites:

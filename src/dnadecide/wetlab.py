@@ -18,21 +18,12 @@ and shared constituents are debited by total demand (floored at zero).
 Yields are nominal per-path numbers, as a within-lane band comparison reads.
 
 `digest`, `pcr` and `purify` are the single steps, each walking its own
-tube (`digest` with `strands.cut`). `run_protocol` does not call them. It
-joins the dsDNA columns of every active duplex's top strand with a `|` that
-no site string holds, scans that text once (`strands.site_hits`) and gives
-each hit back to its duplex by its slice start. A duplex's bounds and its
-pcr products are built once and shared by the tubes, and one that no site
-hits and the primers do not flank is left out of the pass that runs each
-option tube's digest, pcr and purify. A duplex's cut columns (top-strand
-columns) are taken once per distinct set of sites that hits it; the
-intervals of `[span_start, *cut columns, span_end]` give the digest
-record's span lengths, the primer rule that pcr also uses reads each blunt
-one in place on the parent's top strand, and a fragment is built only for a
-primed interval, the only kind that survives purify. Zero is not material:
-pcr, the single step and the pass alike, amplifies only a species of
-positive count. Purify's record names nothing: it keeps exactly what pcr's
-record lists as amplified.
+tube (`digest` with `strands.cut`). `run_protocol` does not call them: it
+develops the option tubes in one scan of the pool and one pass per tube
+that writes the single steps' records. Zero is not material: pcr, the
+single step and the pass alike, amplifies only a species of positive
+count. Purify's record names nothing: it keeps exactly what pcr's record
+lists as amplified.
 """
 
 from __future__ import annotations
@@ -77,7 +68,7 @@ MAX_PCR_CYCLES = 40
 
 class ProtocolError(InputError):
     """A protocol step cannot run as asked: a cycle count out of range, an
-    enzyme outside the library, a dose of part units, another plan."""
+    enzyme outside the library, another plan."""
 
 
 class Species(NamedTuple):
@@ -85,12 +76,6 @@ class Species(NamedTuple):
     count: int  # amount, in units of 1/plan.intensity_scale() stock
     status: str = ACTIVE
     amplified: bool = False
-
-    @property
-    def length(self) -> int:
-        if isinstance(self.structure, Duplex):
-            return self.structure.span_length
-        return len(self.structure)
 
     @property
     def is_duplex(self) -> bool:
@@ -115,23 +100,16 @@ def _ratio(count: int, unit: int) -> str:
 
 
 def mix(plan: EncodingPlan) -> TubeState:
-    """Pool every encoding species; thresholds go in at their dose ratios,
-    each a whole number of units (`ProtocolError` otherwise: never rounded)."""
+    """Pool every encoding species at one stock each; thresholds go in at
+    their dose ratios (`EncodingPlan.threshold_ratios`), which the plan's
+    unit, 1/`intensity_scale()` of a stock, makes whole counts."""
     unit = plan.intensity_scale()
-    doses = {
-        role_thresh(out.label): plan.threshold_ratios[out.label]
-        for out in plan.matrix.outcomes
-    }
+    doses = {role_thresh(label): ratio for label, ratio in plan.threshold_ratios.items()}
     species: dict[str, Species] = {}
     for role in plan.strands:
         if role in (ROLE_PRIMER_LEFT, ROLE_PRIMER_RIGHT):
             continue  # primers join at amplification, not in the pool
-        count = doses.get(role, 1) * unit
-        if count.denominator != 1:
-            raise ProtocolError(
-                f"{role}: dose {doses[role]} is not a whole number of 1/{unit} units"
-            )
-        species[role] = Species(plan.strands[role], int(count))
+        species[role] = Species(plan.strands[role], int(doses.get(role, 1) * unit))
     record = {
         "op": "mix",
         "species": len(species),
@@ -308,12 +286,21 @@ def run_protocol(
     """mix -> thresholds -> assemble -> split -> (digest, pcr, purify) per tube.
 
     `plan` must be the protocol's own plan; `cycles` overrides its PCR
-    cycles. The pool's dsDNA is scanned for the library's sites in one call;
-    each tube's last three steps run as one pass over the duplexes that a
-    site hits or the primers flank, writing the single steps' records. Only
-    a blunt interval between a cut duplex's `cut_columns` that the primer
-    rule keeps becomes a fragment, the duplex `cut` would make. Tubes share
-    kept species, never a mapping or a record's list. The survivors come in
+    cycles. The dsDNA columns of every active duplex's top strand, joined by
+    a `|` that no site string holds, are scanned for the library's sites in
+    one `site_hits` call, and each hit goes back to its duplex by bisecting
+    the slice starts. A duplex's bounds, its amplified species if it is kept
+    uncut and its fragment species are built once and shared by the tubes.
+    Each tube's last three steps run as one pass over the duplexes that a
+    site hits or the primers flank, writing the single steps' records. The
+    pass takes a duplex's `cut_columns` (top-strand columns) once per
+    distinct set of sites that hits it, and the intervals of
+    `[span_start, *cut columns, span_end]` give the digest record's span
+    lengths. Only a blunt interval (one inside the parent's dsDNA) that
+    passes the primer rule pcr also uses, read in place on the parent's top
+    strand, becomes a fragment, the duplex `cut` would make: the only kind
+    that survives purify. Tubes share kept species, never a mapping or a
+    record's list. The survivors come in
     the single steps' order: the uncut primed duplexes in pool order, then
     the primed fragments. No fragment key can be a pool key (those are role,
     `construct:` and `waste:` keys), so no fragment replaces a species.

@@ -23,12 +23,19 @@ from dnadecide.compiler import (
     middle_length_for_rank,
     probability_lengths,
     role_thresh,
-    threshold_ratio,
     validate_encoding,
     violations,
 )
 from dnadecide.compiler import _slug, construct_key, role_chance, role_option, role_prob, role_util
-from dnadecide.decision import DuplicateLabelError, build_matrix
+from dnadecide.decision import (
+    DecisionMatrix,
+    DuplicateLabelError,
+    MatrixError,
+    Option,
+    Outcome,
+    Payoff,
+    build_matrix,
+)
 from dnadecide.fixture import _RAW, printed_pieces, reference_pins
 from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
@@ -44,13 +51,16 @@ F = Fraction
 
 
 def test_threshold_ratios_of_ball_game(ball_game):
-    ratios = [threshold_ratio(o.probability) for o in ball_game.outcomes]
+    plan, _ = compile_problem(ball_game, seed=0)
+    ratios = [plan.threshold_ratios[o.label] for o in ball_game.outcomes]
     assert ratios == [F(5, 9), F(2, 3), F(7, 9)]
 
 
 def test_threshold_ratio_bounds():
-    assert threshold_ratio(F(1)) == 0
-    assert threshold_ratio(F(0)) == 1
+    m = build_matrix([("sure", F(1)), ("never", F(0))], [("go", ["sure"])])
+    plan, _ = compile_problem(m, seed=0)
+    assert plan.threshold_ratios["sure"] == 0
+    assert plan.threshold_ratios["never"] == 1
 
 
 def test_middle_length_table():
@@ -235,7 +245,6 @@ def test_duplicated_option_sequence_is_flagged(ball_plan):
         seed=plan.seed,
         strands=dict(plan.strands),
         middle_lengths=plan.middle_lengths,
-        threshold_ratios=plan.threshold_ratios,
         sites=plan.sites,
     )
     one = broken.strands[role_option("option-1")]
@@ -275,7 +284,6 @@ def test_flipped_derived_base_is_flagged(ball_plan, role):
         seed=plan.seed,
         strands=strands,
         middle_lengths=plan.middle_lengths,
-        threshold_ratios=plan.threshold_ratios,
         sites=plan.sites,
     )
     found = validate_encoding(broken)
@@ -431,8 +439,7 @@ def assess_printed() -> list[str]:
     its path with a 7-base core, each named by its printed piece."""
     names = {strand: key for key, (strand, _, _) in _RAW.items()}
     pieces = {_RAW[key][0]: seq for key, seq in printed_pieces().items()}
-    table = derivations(["option-1"], ["red"])
-    found = check_pieces(["option-1"], {"red": middle_length_for_rank(0)}, _SITES, pieces, table)
+    found = check_pieces(["option-1"], {"red": middle_length_for_rank(0)}, _SITES, pieces)
     findings = []
     for strand, v in found:
         if v.kind == "site-missing":
@@ -505,8 +512,7 @@ def test_generation_failure_is_raised_not_looped(monkeypatch):
 
     monkeypatch.setattr(compiler, "MAX_TRIES", 0)
     with pytest.raises(CompileError, match="could not place segment"):
-        table = derivations(["option-1", "option-2", "option-3"], list(middles))
-        generate_sequences(m, sites, middles, table, seed=0)
+        generate_sequences(m, sites, middles, seed=0)
 
 
 def test_generation_failure_names_the_rule_that_ran_out():
@@ -822,6 +828,17 @@ def test_size_is_refused_before_colliding_labels():
     # within both limits the collision is named
     with pytest.raises(DuplicateLabelError, match="outcome labels 'red ball' and 'red_ball'"):
         compile_problem(build_matrix(fifths, [("x", [])]))
+
+
+def test_a_matrix_built_without_validation_is_refused_by_compile():
+    # build_matrix validates every parsed problem, but a caller may build a
+    # DecisionMatrix directly: compile_problem's own validate_matrix is what
+    # refuses one whose probabilities do not sum to 1
+    fav, unfav = Payoff.FAVORABLE, Payoff.UNFAVORABLE
+    m = DecisionMatrix((Outcome("a", F(1, 3)), Outcome("b", F(1, 3))), (Option("x", (fav, unfav)),))
+    with pytest.raises(MatrixError) as refusal:
+        compile_problem(m)
+    assert str(refusal.value) == "outcomes: probabilities sum to 2/3, expected 1"
 
 
 def test_oversized_problem_is_refused_without_spelling_its_table(monkeypatch):

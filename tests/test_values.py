@@ -47,7 +47,7 @@ EXAMPLES = {
     "Lane": lambda: _run()[3].lanes[0],
     "GelRun": lambda: _run()[3],
     "DecisionReport": lambda: _run()[4],
-    "SoundnessResult": lambda: soundness.SoundnessResult(2, 1, 0.5, ((1, "{}", (0,), (1,)),)),
+    "SoundnessResult": lambda: soundness.SoundnessResult(2, 0.5, ((1, "{}", (0,), (1,)),)),
 }
 
 # these hold a dict, so they have no hash
@@ -98,7 +98,7 @@ def test_replace_keeps_the_type_and_the_other_fields():
 
 
 def test_no_mutable_default_is_shared():
-    assert soundness.SoundnessResult(0, 0, 0.0).failures == ()
+    assert soundness.SoundnessResult(0, 0.0).failures == ()
 
 
 def test_strand_length_is_its_sequence_length():

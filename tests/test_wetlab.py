@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from dnadecide.compiler import (
     ProtocolPlan,
@@ -41,6 +42,7 @@ from dnadecide.wetlab import (
     split_tubes,
 )
 from conftest import concentration, make_ball_game, make_five_by_five, make_widest
+from test_decision import matrices
 
 F = Fraction
 
@@ -64,13 +66,17 @@ def test_mix_doses(ball_setup):
     assert len(pool.species) == 32
 
 
-def test_mix_rejects_a_dose_of_part_units(ball_setup):
-    # 1/7 is no whole number of the ball game's 1/9 units: mix names the
-    # species instead of rounding its count
-    _, plan, _ = ball_setup
-    ratios = dict(plan.threshold_ratios, black=F(1, 7))
-    with pytest.raises(ProtocolError, match="thresh:black: dose 1/7"):
-        mix(plan._replace(threshold_ratios=ratios))
+@settings(deadline=None, max_examples=40)
+@given(matrices())
+def test_every_threshold_dose_is_one_minus_its_probability_in_whole_units(m):
+    # the plan's unit is the lcm of the probability denominators, so no
+    # dose can come out as a part of a unit and mix needs no refusal
+    plan, _ = compile_problem(m, seed=0, library=EXTENDED_BLUNT_CUTTERS)
+    pool, unit = mix(plan), plan.intensity_scale()
+    for out in m.outcomes:
+        assert plan.threshold_ratios[out.label] == 1 - out.probability
+        count = pool.species[role_thresh(out.label)].count
+        assert type(count) is int and count == (1 - out.probability) * unit
 
 
 def _every_stage(plan, cycles):
@@ -352,8 +358,8 @@ def test_digest_and_pcr_judge_any_duplex_geometry(ball_setup):
     assert pcr(digested, 1).species["flipped"].amplified
     lengths = digested.log[-1]["fragments"]["overhung"]
     frags = [digested.species[f"fragment:overhung:{i}"] for i in range(len(lengths))]
-    assert lengths == [sp.length for sp in frags] and len(lengths) > 1
-    assert sum(lengths) == added["overhung"].length == len(c.top) + 2
+    assert lengths == [sp.structure.span_length for sp in frags] and len(lengths) > 1
+    assert sum(lengths) == added["overhung"].structure.span_length == len(c.top) + 2
 
 
 def test_purify_keeps_amplified_only_and_is_idempotent(ball_setup):
@@ -372,7 +378,7 @@ def test_run_protocol_reproduces_band_concentrations(ball_setup):
     _, plan, protocol = ball_setup
     tubes = run_protocol(plan, protocol, cycles=5)
     final = [
-        sorted((sp.length, concentration(t, key)) for key, sp in t.species.items())
+        sorted((sp.structure.span_length, concentration(t, key)) for key, sp in t.species.items())
         for t in tubes
     ]
     assert final == [
@@ -392,7 +398,7 @@ def test_single_option_certain_outcome():
     tubes = run_protocol(plan, protocol)
     assert len(tubes) == 1
     ((key, sp),) = tubes[0].species.items()
-    assert sp.length == 147
+    assert sp.structure.span_length == 147
     assert concentration(tubes[0], key) == 32
 
 
@@ -492,11 +498,15 @@ def test_purify_keeps_exactly_what_pcr_amplified(make, library):
 
 
 def test_digest_table_misses_on_changed_species(ball_setup):
-    # the same plan's strands at other threshold doses: the pools share
-    # every structure, site and cut but not their counts, and each run's
-    # pass must read its own pool's counts, as the single steps do
+    # the same plan's strands at other probabilities, so at other threshold
+    # doses: the pools share every structure, site and cut but not their
+    # counts, and each run's pass must read its own pool's counts, as the
+    # single steps do
     _, plan, protocol = ball_setup
-    changed = plan._replace(threshold_ratios={"red": F(1, 3), "black": F(4, 9), "white": F(1, 9)})
+    probabilities = (F(2, 3), F(5, 9), F(8, 9))
+    outcomes = tuple(out._replace(probability=p) for out, p in zip(plan.matrix.outcomes, probabilities))
+    changed = plan._replace(matrix=plan.matrix._replace(outcomes=outcomes))
+    assert changed.threshold_ratios == {"red": F(1, 3), "black": F(4, 9), "white": F(1, 9)}
     key = construct_key("option-1", "red")
     for p, survivor in ((plan, F(4, 9) * 32), (changed, F(2, 3) * 32)):
         tubes = _assert_run_equals_single_steps(p, protocol._replace(plan=p), 5)
