@@ -639,12 +639,10 @@ class EncodingPlan(NamedTuple):
 
     @property
     def tube_enzymes(self) -> tuple[tuple[str, ...], ...]:
-        """Enzyme names per option tube, in name order, read from `sites`
-        (option tops first, in option order): each tube cuts every rival
-        option and every outcome that its own option finds unfavorable."""
-        enzymes = [site.enzyme for site in self.sites.values()]
-        n = len(self.matrix.options)
-        rivals, outcomes = enzymes[:n], enzymes[n:]
+        """Enzyme names per option tube, in name order, read from `sites` by role: each
+        tube cuts every rival option and every outcome its own option finds unfavorable."""
+        rivals = [self.sites[role_option(opt.label)].enzyme for opt in self.matrix.options]
+        outcomes = [self.sites[role_util(out.label)].enzyme for out in self.matrix.outcomes]
         return tuple(
             tuple(sorted(rivals[:i] + rivals[i + 1 :] + [
                 e for e, pay in zip(outcomes, opt.payoffs) if pay is Payoff.UNFAVORABLE

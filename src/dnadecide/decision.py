@@ -57,9 +57,6 @@ class DecisionMatrix(NamedTuple):
     u_favorable: Fraction = Fraction(1)
     u_unfavorable: Fraction = Fraction(0)
 
-    def utility(self, payoff: Payoff) -> Fraction:
-        return self.u_favorable if payoff is Payoff.FAVORABLE else self.u_unfavorable
-
 
 def build_matrix(
     outcomes: list[tuple[str, Fraction]],
@@ -126,7 +123,8 @@ def expected_utility(matrix: DecisionMatrix, option_index: int) -> Fraction:
     opt = matrix.options[option_index]
     total = Fraction(0)
     for out, payoff in zip(matrix.outcomes, opt.payoffs):
-        total += out.probability * matrix.utility(payoff)
+        utility = matrix.u_favorable if payoff is Payoff.FAVORABLE else matrix.u_unfavorable
+        total += out.probability * utility
     return total
 
 

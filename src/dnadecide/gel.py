@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .compiler import DYE_FRONT_BP, DYE_STOP, GEL_RESOLUTION, EncodingPlan
 from .decision import DecisionMatrix, InputError, best_options
-from .wetlab import ACTIVE, TubeState
+from .wetlab import WASTE, TubeState
 
 
 class GelError(InputError):
@@ -104,11 +104,11 @@ def ladder_lane(rungs: tuple[int, ...]) -> Lane:
 def run_gel(tubes: list[TubeState]) -> GelRun:
     """Image the tubes beside a ladder covering the longest band, in the last lane.
 
-    A lane shows each active duplex of a positive count, and only those size
-    the ladder."""
+    A lane shows each duplex of a positive count that is not waste, and
+    only those size the ladder."""
     shown = [
         [(sp.structure.span_length, sp.count) for sp in t.species.values()
-         if sp.status == ACTIVE and sp.is_duplex and sp.count > 0]
+         if sp.state != WASTE and sp.is_duplex and sp.count > 0]
         for t in tubes
     ]
     rungs = ladder(max((length for raw in shown for length, _ in raw), default=0))

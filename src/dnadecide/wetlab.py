@@ -58,8 +58,12 @@ from .strands import (
     site_hits,
 )
 
+# A species' lifecycle state: ACTIVE as pooled, assembled or cut by digest;
+# WASTE once apply_thresholds sequesters it, and no later step touches it;
+# AMPLIFIED once pcr or run_protocol's pass grows it, the only state purify keeps.
 ACTIVE = "active"
 WASTE = "waste"
+AMPLIFIED = "amplified"
 
 # A bench PCR runs a few dozen cycles at most; past this the simulated
 # product is meaningless and `count << cycles` only grows the integer counts.
@@ -74,8 +78,7 @@ class ProtocolError(InputError):
 class Species(NamedTuple):
     structure: Strand | Duplex
     count: int  # amount, in units of 1/plan.intensity_scale() stock
-    status: str = ACTIVE
-    amplified: bool = False
+    state: str = ACTIVE  # ACTIVE, WASTE or AMPLIFIED: see above
 
     @property
     def is_duplex(self) -> bool:
@@ -144,7 +147,7 @@ def apply_thresholds(tube: TubeState) -> TubeState:
                 continue
             max_consumed = max(max_consumed, consumed)
             left = ch.count - consumed
-            species[ch_key] = Species(ch.structure, left, ch.status, ch.amplified)
+            species[ch_key] = Species(ch.structure, left, ch.state)
             species[f"waste:{ch_key}"] = Species(th.structure, consumed, WASTE)
             detail[ch_key] = {
                 "dose": dose_text,
@@ -152,7 +155,7 @@ def apply_thresholds(tube: TubeState) -> TubeState:
                 "remaining": _ratio(left, unit),
             }
         spare = max(0, dose - max_consumed)
-        species[th_key] = Species(th.structure, spare, th.status, th.amplified)
+        species[th_key] = Species(th.structure, spare, th.state)
     return tube._with(species, {"op": "thresholds", "displaced": detail})
 
 
@@ -177,7 +180,7 @@ def assemble(tube: TubeState) -> TubeState:
                     demand[r] = demand.get(r, 0) + amount
     for key, used in demand.items():
         sp = species[key]
-        species[key] = Species(sp.structure, max(0, sp.count - used), sp.status, sp.amplified)
+        species[key] = Species(sp.structure, max(0, sp.count - used), sp.state)
     for key, roles, amount in paths:
         top = plan.construct_top(roles)
         bottom = top[::-1].translate(_COMPLEMENT)
@@ -227,7 +230,7 @@ def _check_cycles(cycles: int) -> None:
 
 
 def digest(tube: TubeState, enzyme_names) -> TubeState:
-    """Cut every active duplex with all named enzymes at once, to completion.
+    """Cut every duplex that is not waste with all named enzymes at once, to completion.
 
     Each duplex is cut in one `cut` call with the named enzymes in name
     order (which only matters where two sites overlap); its fragments
@@ -242,7 +245,7 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
     species = dict(tube.species)
     cuts: dict[str, list[int]] = {}
     for key, sp in tube.species.items():
-        if sp.status != ACTIVE or not sp.is_duplex:
+        if sp.state == WASTE or not sp.is_duplex:
             continue
         pieces = cut(sp.structure, *sites)
         if len(pieces) == 1:
@@ -263,9 +266,9 @@ def pcr(tube: TubeState, cycles: int) -> TubeState:
     amplified = []
     for key, sp in tube.species.items():
         d = sp.structure
-        grows = sp.count and sp.status == ACTIVE and sp.is_duplex and d.is_blunt
+        grows = sp.count and sp.state != WASTE and sp.is_duplex and d.is_blunt
         if grows and flanked(d.top, 0, len(d.top)):
-            species[key] = sp._replace(count=sp.count << cycles, amplified=True)
+            species[key] = Species(d, sp.count << cycles, AMPLIFIED)
             amplified.append(key)
     record = {"op": "pcr", "cycles": cycles, "amplified": sorted(amplified)}
     return tube._replace(
@@ -274,9 +277,8 @@ def pcr(tube: TubeState, cycles: int) -> TubeState:
 
 
 def purify(tube: TubeState) -> TubeState:
-    """Keep what pcr amplified (active, primer-flanked, blunt and of a
-    positive count); leftovers, fragments, waste and count-0 species wash out."""
-    kept = {key: sp for key, sp in tube.species.items() if sp.amplified and sp.status == ACTIVE}
+    """Keep what pcr amplified; leftovers, fragments, waste and count-0 species wash out."""
+    kept = {key: sp for key, sp in tube.species.items() if sp.state == AMPLIFIED}
     return tube._with(kept, {"op": "purify"})
 
 
@@ -317,7 +319,7 @@ def run_protocol(
     duplexes = [
         (key, sp.structure, sp.count << n)
         for key, sp in pool.species.items()
-        if sp.status == ACTIVE and sp.is_duplex
+        if sp.state != WASTE and sp.is_duplex
     ]
     # one scan over every active duplex's dsDNA, joined by a non-base so that
     # no site instance spans two; a hit goes back to its duplex by slice start
@@ -335,7 +337,7 @@ def run_protocol(
     fates = []
     for (key, d, count), bounds, found in zip(duplexes, edges, hits):
         primed = count and d.is_blunt and flanked(d.top, 0, len(d.top))
-        grown = Species(d, count, ACTIVE, True) if primed else None
+        grown = Species(d, count, AMPLIFIED) if primed else None
         mask = sum(bits[site] for site in found)
         if mask or grown:
             fates.append((key, d, count, grown, bounds, found, mask, {}))
@@ -361,7 +363,7 @@ def run_protocol(
                 for i, b in enumerate([*cols, end]):
                     lengths.append(b - a)
                     if count and lo <= a and b <= hi and flanked(d.top, a, b):
-                        piece = Species(fragment(d, a, b), count, ACTIVE, True)
+                        piece = Species(fragment(d, a, b), count, AMPLIFIED)
                         survivors.append((f"fragment:{key}:{i}", piece))
                     a = b
                 done = memo[hit] = lengths, survivors

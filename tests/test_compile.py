@@ -116,6 +116,17 @@ def test_tube_schedule_ball_game(ball_plan):
     )
 
 
+def test_the_tube_schedule_does_not_read_the_site_map_order():
+    # each enzyme is looked up by its top's role, so a site map that lists
+    # the same roles in another order schedules every tube alike
+    for plan, _ in (
+        compile_problem(make_ball_game(), seed=0),
+        compile_problem(make_widest(random.Random(0)), library=EXTENDED_BLUNT_CUTTERS),
+    ):
+        reordered = plan._replace(sites=dict(reversed(plan.sites.items())))
+        assert reordered.tube_enzymes == plan.tube_enzymes
+
+
 # -- whole-plan compilation ----------------------------------------------------
 
 @pytest.fixture(scope="module")

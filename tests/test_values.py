@@ -83,7 +83,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     site = RecognitionSite("PvuII", "CAGCTG")
     assert hash(site) == hash(("PvuII", "CAGCTG"))
     species = wetlab.Species(Strand("ACGT"), 3)
-    assert hash(species) == hash(("ACGT", 3, wetlab.ACTIVE, False))
+    assert hash(species) == hash(("ACGT", 3, wetlab.ACTIVE))
     assert species != species._replace(count=2)
 
 

@@ -26,6 +26,7 @@ from dnadecide.strands import (
     reverse_complement,
 )
 from dnadecide.wetlab import (
+    AMPLIFIED,
     MAX_PCR_CYCLES,
     WASTE,
     ProtocolError,
@@ -178,7 +179,7 @@ def test_one_waste_species_per_consumed_chance_species():
     chance = [role_chance(o.label, u.label) for o in m.options for u in m.outcomes]
     consumed = [k for k in chance if concentration(after, k) < concentration(before, k)]
     assert len(set(chance)) == len(consumed) == 4
-    waste = {k for k, sp in after.species.items() if sp.status == WASTE}
+    waste = {k for k, sp in after.species.items() if sp.state == WASTE}
     assert waste == {f"waste:{k}" for k in consumed}
     for key in chance:
         total = concentration(after, key) + concentration(after, f"waste:{key}")
@@ -292,7 +293,7 @@ def test_pcr_doubles_per_cycle(ball_setup):
     # fragments carry no primer ends, so they are untouched
     for key, sp in amplified.species.items():
         if key.startswith("fragment:"):
-            assert not sp.amplified
+            assert sp.state != AMPLIFIED
             assert sp.count == digested.species[key].count
 
 
@@ -302,7 +303,7 @@ def test_pcr_zero_cycles_still_marks_amplifiable(ball_setup):
     digested = digest(tubes[0], plan.tube_enzymes[0])
     amplified = pcr(digested, 0)
     key = construct_key("option-1", "red")
-    assert amplified.species[key].amplified and concentration(amplified, key) == F(4, 9)
+    assert amplified.species[key].state == AMPLIFIED and concentration(amplified, key) == F(4, 9)
 
 
 def test_pcr_negative_cycles_rejected(ball_setup):
@@ -337,7 +338,7 @@ def test_pcr_with_foreign_primers_amplifies_nothing(ball_setup):
     digested = digest(tubes[0], plan.tube_enzymes[0])
     foreign = {"primer:left": Strand("ACGTACGTAC"), "primer:right": Strand("TGCATGCATG")}
     amplified = pcr(digested._replace(plan=plan._replace(strands=plan.strands | foreign)), 5)
-    assert all(not sp.amplified for sp in amplified.species.values())
+    assert all(sp.state != AMPLIFIED for sp in amplified.species.values())
 
 
 def test_digest_and_pcr_judge_any_duplex_geometry(ball_setup):
@@ -355,7 +356,7 @@ def test_digest_and_pcr_judge_any_duplex_geometry(ball_setup):
         "overhung": Species(Duplex(c.top, reverse_complement("GA" + c.top[:-4]), -2), 9),
     }
     digested = digest(tube._replace(species=tube.species | added), enzymes)
-    assert pcr(digested, 1).species["flipped"].amplified
+    assert pcr(digested, 1).species["flipped"].state == AMPLIFIED
     lengths = digested.log[-1]["fragments"]["overhung"]
     frags = [digested.species[f"fragment:overhung:{i}"] for i in range(len(lengths))]
     assert lengths == [sp.structure.span_length for sp in frags] and len(lengths) > 1
@@ -524,7 +525,7 @@ def test_run_protocol_keeps_primed_fragments_as_the_single_steps_do(ball_setup):
     kept = [[k for k in t.species if k.startswith("fragment:")] for t in tubes]
     assert [len(k) for k in kept[1:]] == [3, 3]
     assert all(k.endswith(":0") and ":option-1:" in k for k in kept[1] + kept[2])
-    assert all(t.species[k].amplified for t, ks in zip(tubes, kept) for k in ks)
+    assert all(t.species[k].state == AMPLIFIED for t, ks in zip(tubes, kept) for k in ks)
 
 
 def test_run_protocol_keeps_only_the_blunt_primed_pieces_of_an_overhanging_duplex(ball_setup):
