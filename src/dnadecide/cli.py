@@ -151,7 +151,7 @@ def _cmd_run(args) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     if not report.agreement:
-        print("readout disagrees with the exact oracle", file=sys.stderr)
+        print(f"readout disagrees with the exact oracle: {report.disagreement}", file=sys.stderr)
         return 2
     return 0
 

@@ -674,12 +674,11 @@ class EncodingPlan(NamedTuple):
 
     def predicted_bands(self) -> list[list[tuple[int, int]]]:
         """Per option: (construct length, relative count) for surviving paths."""
-        scale, outs = self.intensity_scale(), self.matrix.outcomes
-        return [
-            sorted((self.construct_length(outs[j].label), int(outs[j].probability * scale))
-                   for j in opt.favorable_indices())
-            for opt in self.matrix.options
-        ]
+        scale = self.intensity_scale()
+        rows = [(self.construct_length(out.label),
+                 out.probability.numerator * (scale // out.probability.denominator))
+                for out in self.matrix.outcomes]
+        return [sorted(rows[j] for j in opt.favorable_indices()) for opt in self.matrix.options]
 
     def all_strands(self) -> list[tuple[str, Strand]]:
         """(name, sequence) per strand, by plan key; a duplex gives key.top and key.bottom."""

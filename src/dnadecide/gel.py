@@ -5,6 +5,11 @@ longest ladder rung stays at the well and the tracking dye (run as a
 100 bp equivalent) sits at the stop fraction of the lane when the run
 ends. Intensities stay exact rationals until the moment an image is
 rendered, where they are quantized to 256 gray levels.
+
+The readout is the exact gate: a report agrees with the oracle only when
+its chosen options are the exact argmax and every band and every estimate
+equals its exact prediction, so a losing band that is off fails a run even
+when the winner does not move.
 """
 
 from __future__ import annotations
@@ -231,6 +236,8 @@ class DecisionReport(NamedTuple):
     estimates: tuple[Fraction, ...]
     oracle: tuple[int, ...]
     decoded: tuple[tuple[str, ...], ...]
+    # the first band or estimate that differs from its exact prediction, or ""
+    mismatch: str
 
     @property
     def chosen(self) -> tuple[int, ...]:
@@ -239,8 +246,15 @@ class DecisionReport(NamedTuple):
         return tuple(i for i, e in enumerate(self.estimates) if e == top)
 
     @property
+    def disagreement(self) -> str:
+        """What first differs from the exact oracle, or "" if nothing does."""
+        if self.mismatch or self.chosen == self.oracle:
+            return self.mismatch
+        return f"chose {self.chosen}, oracle says {self.oracle}"
+
+    @property
     def agreement(self) -> bool:
-        return self.chosen == self.oracle
+        return not self.disagreement
 
     @property
     def chosen_labels(self) -> tuple[str, ...]:
@@ -262,6 +276,23 @@ class DecisionReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def _lane_mismatch(lane: Lane, rows: list[tuple[int, int]], unit: int) -> str:
+    """Where `lane` first differs from `rows`, its predicted (length, count)
+    bands with counts in units of 1/`unit` before amplification; "" if nowhere.
+    A band's intensity is count * scale / unit, compared in integers."""
+    rows = [row for row in rows if row[1]]
+    if len(lane.bands) != len(rows):
+        return f"lane {lane.label}: {len(lane.bands)} band(s), predicted {len(rows)}"
+    num, den = lane.scale.numerator, lane.scale.denominator
+    for k, (band, (length, count)) in enumerate(zip(lane.bands, rows)):
+        shown = band.intensity
+        if band.length != length or (shown.numerator * unit * den
+                                    != count * num * shown.denominator):
+            return (f"lane {lane.label}: band {k + 1} is {band.length} bp x{shown}, "
+                    f"predicted {length} bp x{count * lane.scale / unit}")
+    return ""
+
+
 def readout(
     run: GelRun,
     plan: EncodingPlan,
@@ -277,6 +308,11 @@ def readout(
     scale once, so any lane reads exactly; a lane whose scale is not positive
     is refused. `matrix`, if given, must be the plan's own: the plan's
     construct lengths decode the bands.
+
+    The exact gate: every lane's bands must be `plan.predicted_bands()` with
+    the count-0 rows dropped, and every estimate the exact expected utility,
+    u_unfavorable + span * (the sum of its predicted counts) / the plan's
+    unit. The first difference is the report's `mismatch`.
     """
     if matrix is not None and matrix is not plan.matrix:
         raise GelError("matrix is not the one the plan was compiled for")
@@ -291,9 +327,11 @@ def readout(
     }
     tolerance = GEL_RESOLUTION / 2
     span = matrix.u_favorable - matrix.u_unfavorable
+    unit = plan.intensity_scale()
     estimates = []
     decoded_all = []
-    for lane in lanes:
+    mismatch = ""
+    for lane, rows in zip(lanes, plan.predicted_bands()):
         if lane.scale <= 0:
             raise GelError(f"lane {lane.label}: scale {lane.scale} is not positive")
         decoded = []
@@ -313,11 +351,19 @@ def readout(
         weights = [band.intensity for band in lane.bands]
         common = math.lcm(*(w.denominator for w in weights))
         total = sum(w.numerator * (common // w.denominator) for w in weights)
-        estimates.append(matrix.u_unfavorable + span * Fraction(total, common) / lane.scale)
+        estimate = matrix.u_unfavorable + span * Fraction(total, common) / lane.scale
+        estimates.append(estimate)
         decoded_all.append(tuple(decoded))
+        if not mismatch:
+            mismatch = _lane_mismatch(lane, rows, unit)
+        if not mismatch:
+            exact = matrix.u_unfavorable + span * Fraction(sum(c for _, c in rows), unit)
+            if estimate != exact:
+                mismatch = f"lane {lane.label}: estimate {estimate}, exact {exact}"
     return DecisionReport(
         option_labels=tuple(o.label for o in matrix.options),
         estimates=tuple(estimates),
         oracle=tuple(best_options(matrix)),
         decoded=tuple(decoded_all),
+        mismatch=mismatch,
     )

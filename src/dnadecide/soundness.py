@@ -1,8 +1,10 @@
 """End-to-end soundness sweeps against the exact expected-utility oracle.
 
 Each trial draws a random decision problem, pushes it through the whole
-pipeline (compile, simulate, image, read out), and checks that the set
-of options chosen from the gel equals the exact argmax set. Probabilities
+pipeline (compile, simulate, image, read out), and checks it by
+`DecisionReport.agreement`: the set of options chosen from the gel must
+equal the exact argmax set, every band its predicted band and every
+estimate the exact expected utility. Probabilities
 are built from small integer weights so every denominator stays modest
 and every comparison stays exact.
 """
@@ -70,7 +72,8 @@ def run_end_to_end(
 class SoundnessResult(NamedTuple):
     trials: int
     elapsed: float
-    failures: tuple[tuple[int, str, tuple[int, ...], tuple[int, ...]], ...] = ()
+    # (trial, problem JSON, what first disagreed) per failed trial
+    failures: tuple[tuple[int, str, str], ...] = ()
 
     @property
     def agreements(self) -> int:
@@ -86,8 +89,8 @@ class SoundnessResult(NamedTuple):
             f"soundness sweep: {self.agreements}/{self.trials} agree "
             f"with the exact oracle ({self.elapsed:.2f}s)"
         ]
-        for index, problem, chosen, oracle in self.failures:
-            lines.append(f"  trial {index}: chose {chosen}, oracle says {oracle}")
+        for index, problem, disagreement in self.failures:
+            lines.append(f"  trial {index}: {disagreement}")
             lines.append("    " + problem.replace("\n", "\n    "))
         return "\n".join(lines) + "\n"
 
@@ -101,5 +104,5 @@ def verify_soundness(trials: int, seed: int, cycles: int) -> SoundnessResult:
         matrix = random_matrix(rng)
         report, _, _, _ = run_end_to_end(matrix, seed=index, cycles=cycles)
         if not report.agreement:
-            failures.append((index, dump_problem(matrix), report.chosen, report.oracle))
+            failures.append((index, dump_problem(matrix), report.disagreement))
     return SoundnessResult(trials, time.perf_counter() - started, tuple(failures))

@@ -1,17 +1,25 @@
 """The CLI corpus: a fixed table of commands and the sha256 of every byte each
 one emits, so a change that moves an output names the command and artifact.
 
-Each command runs in process through `cli.main`, in its own empty working
-directory that holds only its `--input` file, so the paths stdout names are
-the same relative paths on every run. `corpus.json` maps each command to its
-exit code and the digest of its stdout, its stderr and each file it wrote.
-A refusal worded by the interpreter or by `json` pins only its exit code and
-its `error: <field>` prefix, and `verify`'s elapsed seconds are masked.
+Each command runs in its own empty working directory that holds only its
+`--input` file, so the paths stdout names are the same relative paths on
+every run. `corpus.json` maps each command to its exit code and the digest of
+its stdout, its stderr and each file it wrote. A refusal worded by the
+interpreter or by `json` pins only its exit code and its `error: <field>`
+prefix, and `verify`'s elapsed seconds are masked. A `Traceback` on stderr
+fails the command, whatever its pin.
+
+The script runs each command as a `python -m dnadecide.cli` child process,
+in the script's own environment, so the locale, the UTF-8 mode and the hash
+seed it checks under are the ones it is started with:
 
     PYTHONPATH=src python tests/corpus.py          # check; print each moved entry
     PYTHONPATH=src python tests/corpus.py --write  # rewrite corpus.json; print each moved entry
+    LC_ALL=C PYTHONUTF8=0 PYTHONPATH=src python tests/corpus.py  # check under an ASCII locale
+    PYTHONHASHSEED=1 PYTHONPATH=src python tests/corpus.py       # check under another hash seed
 
-The check needs no pytest, so it runs on any CPython the project supports.
+`test_corpus.py` runs the same table in process through `cli.main`. The check
+needs no pytest, so it runs on any CPython the project supports.
 """
 
 from __future__ import annotations
@@ -22,14 +30,20 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import dnadecide
 from dnadecide.cli import main
+from dnadecide.formats import dump_problem, load_problem
 
 CORPUS = Path(__file__).with_name("corpus.json")
 PROBLEMS = Path(__file__).with_name("problems")
+# the directory the imported `dnadecide` sits in, absolute, so a child that
+# starts in its workdir imports the same code
+SOURCE = str(Path(dnadecide.__file__).resolve().parent.parent)
 
 WIDE = "--input wide.json --enzymes extended"
 COMMANDS = (
@@ -53,7 +67,14 @@ COMMANDS = (
     f"compile {WIDE} --seed 0 --out design",
     f"compile {WIDE} --seed 1 --out design",
     "run --input five-by-five.json --enzymes extended --outdir out",
+    f"compile {WIDE} --fixture --seed 0",
+    f"compile {WIDE} --fixture --seed 1",
+    f"run --fixture {WIDE}",
+    "run --input tie.json",
+    "run --input negative.json",
+    "run --input problem.json",
     "verify --count 20",
+    "verify --count 200",
     "compile --input labels.json --out design",
     "run --input labels.json --outdir out",
     "run --input collide.json",
@@ -81,26 +102,22 @@ def _long_utilities() -> str:
     }) + "\n"
 
 
-# inputs written here rather than committed: 200 kB of brackets, and two
-# numbers of 2,201 digits
+# inputs written here rather than committed: 200 kB of brackets, two
+# numbers of 2,201 digits, and the bundled problem as `dump_problem` spells it
 GENERATED = {
     "deep.json": lambda: "[" * 100000 + "]" * 100000 + "\n",
     "long.json": _long_utilities,
+    "problem.json": lambda: dump_problem(
+        load_problem(Path(dnadecide.__file__).with_name("data") / "ballgame.json")),
 }
 
 
-def _digest(data: bytes) -> str:
+def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def record(command: str, workdir: Path) -> dict[str, object]:
-    """Run `command` in the empty directory `workdir`; return its corpus entry."""
-    argv = command.split()
-    source = argv[argv.index("--input") + 1] if "--input" in argv else None
-    if source in GENERATED:
-        (workdir / source).write_text(GENERATED[source](), encoding="utf-8")
-    elif source is not None and (PROBLEMS / source).exists():
-        (workdir / source).write_bytes((PROBLEMS / source).read_bytes())
+def in_process(argv: list[str], workdir: Path) -> tuple[int, bytes, bytes]:
+    """Run `cli.main(argv)` in `workdir`; return its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -109,28 +126,52 @@ def record(command: str, workdir: Path) -> dict[str, object]:
             code = main(argv)
     finally:
         os.chdir(cwd)
-    stdout = out.getvalue()
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def in_child(argv: list[str], workdir: Path) -> tuple[int, bytes, bytes]:
+    """Run `python -m dnadecide.cli` on `argv` in `workdir`, in this process's
+    environment with `PYTHONPATH` at `SOURCE`; return its exit code, stdout and stderr."""
+    done = subprocess.run(
+        [sys.executable, "-m", "dnadecide.cli", *argv],
+        cwd=workdir, env={**os.environ, "PYTHONPATH": SOURCE}, capture_output=True,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def record(command: str, workdir: Path, run=in_process) -> dict[str, object]:
+    """Run `command` through `run` in the empty directory `workdir`; return its corpus entry."""
+    argv = command.split()
+    source = argv[argv.index("--input") + 1] if "--input" in argv else None
+    if source in GENERATED:
+        (workdir / source).write_text(GENERATED[source](), encoding="utf-8")
+    elif source is not None and (PROBLEMS / source).exists():
+        (workdir / source).write_bytes((PROBLEMS / source).read_bytes())
+    code, stdout, stderr = run(argv, workdir)
+    if b"Traceback" in stderr:
+        raise AssertionError(f"{command}: Traceback on stderr\n{stderr.decode(errors='replace')}")
     if argv[0] == "verify":
-        stdout = re.sub(r"\(\d+\.\d\ds\)", "(elapsed)", stdout)
-    entry: dict[str, object] = {"exit": code, "stdout": _digest(stdout.encode("utf-8"))}
+        stdout = re.sub(rb"\(\d+\.\d\ds\)", b"(elapsed)", stdout)
+    entry: dict[str, object] = {"exit": code, "stdout": digest(stdout)}
     if command in PREFIX_ONLY:
-        entry["stderr prefix"] = ":".join(err.getvalue().split(":", 2)[:2])
+        entry["stderr prefix"] = b":".join(stderr.split(b":", 2)[:2]).decode("utf-8")
     else:
-        entry["stderr"] = _digest(err.getvalue().encode("utf-8"))
+        entry["stderr"] = digest(stderr)
     for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
         name = path.relative_to(workdir).as_posix()
         if name != source:
-            entry[name] = _digest(path.read_bytes())
+            entry[name] = digest(path.read_bytes())
     return entry
 
 
 def record_all() -> dict[str, dict[str, object]]:
+    """Every command's entry, each run in a child process."""
     with tempfile.TemporaryDirectory() as root:
         corpus = {}
         for i, command in enumerate(COMMANDS):
             workdir = Path(root, str(i))
             workdir.mkdir()
-            corpus[command] = record(command, workdir)
+            corpus[command] = record(command, workdir, in_child)
         return corpus
 
 

@@ -632,6 +632,15 @@ def test_verify_rejects_cycle_count_above_ceiling(capsys):
     assert "cycle count must be at most" in capsys.readouterr().err
 
 
+def _halve_a_losing_band(gel):
+    """`gel` with tube-2's second band at half its intensity: a band off its
+    prediction, while tube-2 still loses to tube-1 on the ball game."""
+    lanes = list(gel.lanes)
+    first, second = lanes[1].bands
+    lanes[1] = lanes[1]._replace(bands=(first, second._replace(intensity=second.intensity / 2)))
+    return gel._replace(lanes=tuple(lanes))
+
+
 def test_disagreement_exits_two(monkeypatch, capsys):
     import dnadecide.gel as gel_mod  # `run` imports readout from here when it runs
 
@@ -640,9 +649,36 @@ def test_disagreement_exits_two(monkeypatch, capsys):
     def skewed(gel, plan, matrix=None):
         return real(gel, plan, matrix)._replace(oracle=(1,))
 
-    monkeypatch.setattr(gel_mod, "readout", skewed)
+    with monkeypatch.context() as patch:
+        patch.setattr(gel_mod, "readout", skewed)
+        assert main(["run"]) == 2
+        assert "disagrees" in capsys.readouterr().err
+
+    # the argmax still agrees, but one band is off its prediction
+    unpatched = gel_mod.run_gel
+    monkeypatch.setattr(gel_mod, "run_gel", lambda tubes: _halve_a_losing_band(unpatched(tubes)))
     assert main(["run"]) == 2
-    assert "disagrees" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "chosen: option-1\nDISAGREES with the exact oracle\n" in captured.out
+    assert captured.err == (
+        "readout disagrees with the exact oracle: "
+        "lane tube-2: band 2 is 174 bp x32/9, predicted 174 bp x64/9\n"
+    )
+
+
+def test_verify_names_the_band_that_disagrees(monkeypatch, capsys):
+    # a sweep that draws the ball game, with tube-2's second band halved: the
+    # trial fails by that band, since the argmax still agrees
+    import dnadecide.soundness as soundness_mod
+
+    real = soundness_mod.run_gel
+    monkeypatch.setattr(soundness_mod, "run_gel", lambda tubes: _halve_a_losing_band(real(tubes)))
+    monkeypatch.setattr(soundness_mod, "random_matrix", lambda rng: make_ball_game())
+    assert main(["verify", "--count", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "0/1 agree" in out
+    assert "  trial 0: lane tube-2: band 2 is 174 bp x8/9, predicted 174 bp x16/9\n" in out
+    assert "oracle says" not in out
 
 
 def test_verify_counts_report_agreement(monkeypatch, capsys):

@@ -409,6 +409,40 @@ def _assert_exact(matrix, plan, run, report, name):
             assert abs(residual) <= 1e-6, (name, lane.label, label, residual)
 
 
+def _tamper(run, lane, bands):
+    """`run` with one lane's bands replaced by `bands(old bands)`."""
+    lanes = list(run.lanes)
+    lanes[lane] = lanes[lane]._replace(bands=bands(lanes[lane].bands))
+    return run._replace(lanes=tuple(lanes))
+
+
+@pytest.mark.parametrize("lane, bands, disagreement", [
+    # tube-2 reads 6/9 and loses to tube-1's 7/9: with its second band, the
+    # 174 bp white one at 64/9, at half its intensity it still loses
+    (1, lambda b: (b[0], b[1]._replace(intensity=b[1].intensity / 2)),
+     "lane tube-2: band 2 is 174 bp x32/9, predicted 174 bp x64/9"),
+    # tube-3 reads 5/9 and loses with or without its second band
+    (2, lambda b: b[:1], "lane tube-3: 1 band(s), predicted 2"),
+], ids=["halved", "dropped"])
+def test_a_losing_band_off_its_prediction_disagrees(ball_lanes, lane, bands, disagreement):
+    # the argmax still agrees, so only the band gate can catch either
+    plan, run = ball_lanes
+    report = readout(_tamper(run, lane, bands), plan)
+    assert report.chosen == report.oracle == (0,)
+    assert not report.agreement
+    assert report.disagreement == disagreement
+    assert "DISAGREES with the exact oracle" in report.describe()
+
+
+def test_an_agreeing_report_has_no_disagreement(ball_lanes):
+    plan, run = ball_lanes
+    report = readout(run, plan)
+    assert report.agreement and report.disagreement == report.mismatch == ""
+    skewed = report._replace(oracle=(1,))
+    assert not skewed.agreement
+    assert skewed.disagreement == "chose (0,), oracle says (1,)"
+
+
 def test_only_what_a_lane_shows_sizes_the_ladder():
     # a 300 bp duplex of count 0, or one gone to waste, shows no band; were it
     # to size the ladder, tube-1's 147 bp band would move from 0.296123 of the
@@ -424,8 +458,7 @@ def test_only_what_a_lane_shows_sizes_the_ladder():
 
 
 def test_every_band_and_estimate_is_exact():
-    # the readout checks only the argmax against the oracle, so a simulation
-    # that scaled, dropped or swapped a losing band would still agree there:
+    # what `readout`'s gate holds every run to, restated here apart from it:
     # every band, as (length, count of 1/intensity_scale units before
     # amplification), must be a predicted band with a non-zero count that
     # decodes to its own length, and every estimate the exact expected utility

@@ -47,7 +47,9 @@ EXAMPLES = {
     "Lane": lambda: _run()[3].lanes[0],
     "GelRun": lambda: _run()[3],
     "DecisionReport": lambda: _run()[4],
-    "SoundnessResult": lambda: soundness.SoundnessResult(2, 0.5, ((1, "{}", (0,), (1,)),)),
+    "SoundnessResult": lambda: soundness.SoundnessResult(
+        2, 0.5, ((1, "{}", "chose (0,), oracle says (1,)"),)
+    ),
 }
 
 # these hold a dict, so they have no hash
