@@ -75,27 +75,29 @@ class GelRun(NamedTuple):
         return tuple(lane for lane in self.lanes if lane.label != "ladder")
 
 
-def _merge_bands(raw: list[tuple[int, int]], top: int, unit: int) -> tuple[Band, ...]:
+def _merge_bands(
+    raw: list[tuple[int, int]], top: int, unit: int, built: dict[tuple, Band]
+) -> tuple[Band, ...]:
     """Co-migrating species closer than the resolution fuse into one band.
 
-    `raw` holds (length, count) pairs, counts in units of 1/`unit`."""
-    bands: list[Band] = []
-    cluster: list[tuple[int, int]] = []
-
-    def close() -> None:
-        if not cluster:
-            return
-        weight = sum(c for _, c in cluster)
-        length = Fraction(sum(l * c for l, c in cluster), weight)
-        bands.append(Band(length, Fraction(weight, unit), migrate(length, top)))
-
+    `raw` holds (length, count) pairs, counts in units of 1/`unit`. A band
+    depends only on its cluster's pairs, `unit` and `top`, so `built`, keyed
+    by all three, hands an equal cluster the `Band` already built for it."""
+    clusters: list[list[tuple[int, int]]] = []
     for length, count in sorted(raw):
-        if cluster and length - cluster[-1][0] < GEL_RESOLUTION:
-            cluster.append((length, count))
+        if clusters and length - clusters[-1][-1][0] < GEL_RESOLUTION:
+            clusters[-1].append((length, count))
         else:
-            close()
-            cluster = [(length, count)]
-    close()
+            clusters.append([(length, count)])
+    bands = []
+    for cluster in clusters:
+        key = (*cluster, unit, top)
+        band = built.get(key)
+        if band is None:
+            weight = sum(c for _, c in cluster)
+            length = Fraction(sum(l * c for l, c in cluster), weight)
+            band = built[key] = Band(length, Fraction(weight, unit), migrate(length, top))
+        bands.append(band)
     return tuple(bands)
 
 
@@ -110,15 +112,17 @@ def run_gel(tubes: list[TubeState]) -> GelRun:
     """Image the tubes beside a ladder covering the longest band, in the last lane.
 
     A lane shows each duplex of a positive count that is not waste, and
-    only those size the ladder."""
+    only those size the ladder. Lanes share each distinct band, built once
+    per call."""
     shown = [
         [(sp.structure.span_length, sp.count) for sp in t.species.values()
          if sp.state != WASTE and sp.is_duplex and sp.count > 0]
         for t in tubes
     ]
     rungs = ladder(max((length for raw in shown for length, _ in raw), default=0))
+    built: dict[tuple, Band] = {}
     lanes = tuple(
-        Lane(t.label, _merge_bands(raw, rungs[-1], t.plan.intensity_scale()),
+        Lane(t.label, _merge_bands(raw, rungs[-1], t.plan.intensity_scale(), built),
              Fraction(1 << t.pcr_cycles))
         for t, raw in zip(tubes, shown)
     )
@@ -271,7 +275,7 @@ class DecisionReport(NamedTuple):
         lines.append(
             "matches the exact oracle"
             if self.agreement
-            else "DISAGREES with the exact oracle"
+            else f"DISAGREES with the exact oracle: {self.disagreement}"
         )
         return "\n".join(lines) + "\n"
 
@@ -301,18 +305,21 @@ def readout(
     """Read lanes back into expected utilities and pick the winning options.
 
     Band lengths are recovered from migration distances via the ladder
-    calibration, matched to predicted construct lengths within half the gel
-    resolution, and their intensities (normalized by amplification) sum to
-    each option's favorable probability mass. A lane's intensities are summed
-    as integers over their common denominator, then divided by the lane's
-    scale once, so any lane reads exactly; a lane whose scale is not positive
-    is refused. `matrix`, if given, must be the plan's own: the plan's
-    construct lengths decode the bands.
+    calibration (each distinct migration decoded once per call), matched to
+    predicted construct lengths within half the gel resolution, and their
+    intensities (normalized by amplification) sum to each option's favorable
+    probability mass. A lane's intensities are summed as integers over their
+    common denominator; with u_unfavorable = a/b, span = c/d and the lane's
+    scale s/t, its estimate is one `Fraction` of
+    (a*d*common*s + b*c*total*t) / (b*d*common*s), so any lane reads
+    exactly; a lane whose scale is not positive is refused. `matrix`, if
+    given, must be the plan's own: the plan's construct lengths decode the bands.
 
     The exact gate: every lane's bands must be `plan.predicted_bands()` with
     the count-0 rows dropped, and every estimate the exact expected utility,
     u_unfavorable + span * (the sum of its predicted counts) / the plan's
-    unit. The first difference is the report's `mismatch`.
+    unit, compared by cross-multiplying. The first difference is the
+    report's `mismatch`.
     """
     if matrix is not None and matrix is not plan.matrix:
         raise GelError("matrix is not the one the plan was compiled for")
@@ -326,8 +333,11 @@ def readout(
         out.label: plan.construct_length(out.label) for out in matrix.outcomes
     }
     tolerance = GEL_RESOLUTION / 2
+    a, b = matrix.u_unfavorable.numerator, matrix.u_unfavorable.denominator
     span = matrix.u_favorable - matrix.u_unfavorable
+    c, d = span.numerator, span.denominator
     unit = plan.intensity_scale()
+    names: dict[float, str] = {}  # construct label by band migration
     estimates = []
     decoded_all = []
     mismatch = ""
@@ -336,30 +346,37 @@ def readout(
             raise GelError(f"lane {lane.label}: scale {lane.scale} is not positive")
         decoded = []
         for band in lane.bands:
-            apparent = decode_length(band.migration, run.ladder[-1])
-            hits = [
-                label
-                for label, length in predicted.items()
-                if abs(apparent - length) <= tolerance
-            ]
-            if len(hits) != 1:
-                raise GelError(
-                    f"lane {lane.label}: band at {apparent:.1f} bp matches "
-                    f"{len(hits)} predicted constructs"
-                )
-            decoded.append(hits[0])
+            name = names.get(band.migration)
+            if name is None:
+                apparent = decode_length(band.migration, run.ladder[-1])
+                hits = [
+                    label
+                    for label, length in predicted.items()
+                    if abs(apparent - length) <= tolerance
+                ]
+                if len(hits) != 1:
+                    raise GelError(
+                        f"lane {lane.label}: band at {apparent:.1f} bp matches "
+                        f"{len(hits)} predicted constructs"
+                    )
+                name = names[band.migration] = hits[0]
+            decoded.append(name)
         weights = [band.intensity for band in lane.bands]
         common = math.lcm(*(w.denominator for w in weights))
         total = sum(w.numerator * (common // w.denominator) for w in weights)
-        estimate = matrix.u_unfavorable + span * Fraction(total, common) / lane.scale
+        # a/b + c/d * total/common / (s/t), over one denominator
+        s, t = lane.scale.numerator, lane.scale.denominator
+        estimate = Fraction(a * d * common * s + b * c * total * t, b * d * common * s)
         estimates.append(estimate)
         decoded_all.append(tuple(decoded))
         if not mismatch:
             mismatch = _lane_mismatch(lane, rows, unit)
         if not mismatch:
-            exact = matrix.u_unfavorable + span * Fraction(sum(c for _, c in rows), unit)
-            if estimate != exact:
-                mismatch = f"lane {lane.label}: estimate {estimate}, exact {exact}"
+            # the exact a/b + c/d * counts/unit, compared by cross-multiplying
+            num = a * d * unit + b * c * sum(count for _, count in rows)
+            den = b * d * unit
+            if estimate.numerator * den != num * estimate.denominator:
+                mismatch = f"lane {lane.label}: estimate {estimate}, exact {Fraction(num, den)}"
     return DecisionReport(
         option_labels=tuple(o.label for o in matrix.options),
         estimates=tuple(estimates),

@@ -234,7 +234,8 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
 
     Each duplex is cut in one `cut` call with the named enzymes in name
     order (which only matters where two sites overlap); its fragments
-    replace it, after the tube's other species. The record names each enzyme once.
+    replace it, after the tube's other species. The record names each enzyme
+    once and holds each cut duplex's fragment span lengths as a tuple.
     """
     library = _library(tube.plan)
     ordered = sorted(set(enzyme_names))
@@ -243,7 +244,7 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
             raise ProtocolError(f"{name} is not in this plan's library: {list(library)}")
     sites = [library[name] for name in ordered]
     species = dict(tube.species)
-    cuts: dict[str, list[int]] = {}
+    cuts: dict[str, tuple[int, ...]] = {}
     for key, sp in tube.species.items():
         if sp.state == WASTE or not sp.is_duplex:
             continue
@@ -253,7 +254,7 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
         del species[key]
         for i, piece in enumerate(pieces):
             species[f"fragment:{key}:{i}"] = Species(piece, sp.count)
-        cuts[key] = [piece.span_length for piece in pieces]
+        cuts[key] = tuple(piece.span_length for piece in pieces)
     return tube._with(species, {"op": "digest", "enzymes": ordered, "fragments": cuts})
 
 
@@ -298,11 +299,12 @@ def run_protocol(
     pass takes a duplex's `cut_columns` (top-strand columns) once per
     distinct set of sites that hits it, and the intervals of
     `[span_start, *cut columns, span_end]` give the digest record's span
-    lengths. Only a blunt interval (one inside the parent's dsDNA) that
+    lengths, one tuple per duplex and set of hitters that every tube's record
+    shares. Only a blunt interval (one inside the parent's dsDNA) that
     passes the primer rule pcr also uses, read in place on the parent's top
     strand, becomes a fragment, the duplex `cut` would make: the only kind
-    that survives purify. Tubes share kept species, never a mapping or a
-    record's list. The survivors come in
+    that survives purify. Tubes share kept species and span tuples, never a
+    mapping or a record's list. The survivors come in
     the single steps' order: the uncut primed duplexes in pool order, then
     the primed fragments. No fragment key can be a pool key (those are role,
     `construct:` and `waste:` keys), so no fragment replaces a species.
@@ -316,14 +318,18 @@ def run_protocol(
     sites = [site.site for site in library.values()]
     bits = {site: 1 << i for i, site in enumerate(sites)}  # sets of site strings as bit masks
     flanked = _primer_rule(plan)
-    duplexes = [
-        (key, sp.structure, sp.count << n)
-        for key, sp in pool.species.items()
-        if sp.state != WASTE and sp.is_duplex
-    ]
+    # each active duplex and its (span_start, ds_start, ds_end, span_end), as
+    # `Duplex`'s properties give them, read from its fields without a call each
+    duplexes, edges = [], []
+    for key, sp in pool.species.items():
+        if sp.state != WASTE and sp.is_duplex:
+            d = sp.structure
+            top, bottom, offset = d
+            end = offset + len(bottom)
+            duplexes.append((key, d, sp.count << n))
+            edges.append((min(0, offset), max(0, offset), min(len(top), end), max(len(top), end)))
     # one scan over every active duplex's dsDNA, joined by a non-base so that
     # no site instance spans two; a hit goes back to its duplex by slice start
-    edges = [(d.span_start, d.ds_start, d.ds_end, d.span_end) for _, d, _ in duplexes]
     starts = [0, *accumulate(hi - lo + 1 for _, lo, hi, _ in edges)]
     text = "|".join(d.top[lo:hi] for (_, d, _), (_, lo, hi, _) in zip(duplexes, edges))
     hits: list[dict[str, list[int]]] = [{} for _ in duplexes]
@@ -366,9 +372,9 @@ def run_protocol(
                         piece = Species(fragment(d, a, b), count, AMPLIFIED)
                         survivors.append((f"fragment:{key}:{i}", piece))
                     a = b
-                done = memo[hit] = lengths, survivors
+                done = memo[hit] = tuple(lengths), survivors
             lengths, survivors = done
-            cuts[key] = lengths[:]  # each audit record owns its lists
+            cuts[key] = lengths  # a tuple, shared by every tube this mask hits
             if survivors:
                 frags.update(survivors)
         kept.update(frags)

@@ -215,7 +215,7 @@ def test_criterion_7_conservation_suite():
             (rng.randint(20, 300), rng.randint(1, 40 * 9))
             for _ in range(rng.randint(1, 15))
         ]
-        merged = _merge_bands(raw, 200, 9)
+        merged = _merge_bands(raw, 200, 9, {})
         assert sum(b.intensity for b in merged) == Fraction(sum(c for _, c in raw), 9)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_ball_game
 
@@ -25,7 +25,7 @@ from dnadecide.formats import (
     parse_problem,
 )
 from dnadecide.gel import GelError, readout, run_gel
-from dnadecide.strands import StrandError
+from dnadecide.strands import CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS, StrandError
 from dnadecide.wetlab import ProtocolError, run_protocol
 
 
@@ -56,6 +56,19 @@ def _problems(draw):
 @example(make_ball_game())
 def test_bundled_problem_round_trips(matrix):
     assert parse_problem(dump_problem(matrix)) == matrix
+
+
+@settings(deadline=None, max_examples=100)
+@given(_problems(), st.sampled_from([CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS]))
+def test_every_parsed_problem_is_refused_or_agrees(matrix, library):
+    # the whole space the parser accepts, end to end on either library: a
+    # problem is refused by name or its readout matches the exact oracle
+    try:
+        plan, protocol = compile_problem(matrix, seed=0, library=library)
+    except InputError:
+        return
+    report = readout(run_gel(run_protocol(plan, protocol)), plan)
+    assert report.agreement, report.disagreement
 
 
 def test_load_problem_reads_a_file(tmp_path, ball_game):
@@ -659,7 +672,8 @@ def test_disagreement_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(gel_mod, "run_gel", lambda tubes: _halve_a_losing_band(unpatched(tubes)))
     assert main(["run"]) == 2
     captured = capsys.readouterr()
-    assert "chosen: option-1\nDISAGREES with the exact oracle\n" in captured.out
+    assert ("chosen: option-1\nDISAGREES with the exact oracle: "
+            "lane tube-2: band 2 is 174 bp x32/9, predicted 174 bp x64/9\n") in captured.out
     assert captured.err == (
         "readout disagrees with the exact oracle: "
         "lane tube-2: band 2 is 174 bp x32/9, predicted 174 bp x64/9\n"

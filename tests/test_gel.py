@@ -1,5 +1,6 @@
 """Gel migration model, band merging, rendering, and the final readout."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -99,7 +100,7 @@ def test_migration_order_reverses_length_order(a, b):
 def _lane_of(pairs, unit=1):
     from dnadecide.gel import _merge_bands
 
-    return _merge_bands(pairs, TOP, unit)
+    return _merge_bands(pairs, TOP, unit, {})
 
 
 def test_bands_a_full_resolution_apart_stay_separate():
@@ -137,6 +138,46 @@ def test_merged_bands_respect_resolution_gap(pairs):
     assert sum(b.intensity for b in bands) == Fraction(sum(c for _, c in pairs), 9)
     gaps = [b2.length - b1.length for b1, b2 in zip(bands, bands[1:])]
     assert all(g >= GEL_RESOLUTION for g in gaps)
+
+
+def test_run_gel_shares_each_band_as_unshared_merges_build_it():
+    # run_gel builds each distinct band once per call: hand-built tubes from
+    # plans of units 9 and 2 show the same (length, count) clusters, and
+    # every lane must equal a merge that shares nothing with any other lane
+    from dnadecide.gel import _merge_bands
+    from dnadecide.wetlab import TubeState
+
+    nine, _ = compile_problem(make_ball_game(), seed=0)
+    halves, _ = compile_problem(
+        build_matrix([("heads", Fraction(1, 2)), ("tails", Fraction(1, 2))], [("call", ["heads"])]),
+        seed=0,
+    )
+    assert (nine.intensity_scale(), halves.intensity_scale()) == (9, 2)
+
+    def tube(label, plan, *pairs):
+        species = {f"d{i}": Species(Duplex("A" * n, "T" * n), count)
+                   for i, (n, count) in enumerate(pairs)}
+        return TubeState(label, plan, species)
+
+    tubes = [
+        tube("t1", nine, (147, 4), (150, 3), (174, 2)),
+        tube("t2", halves, (147, 4), (150, 3), (174, 2)),
+        tube("t3", nine, (174, 2), (120, 1)),
+        tube("t4", halves, (120, 1), (147, 4), (150, 3)),
+    ]
+    run = run_gel(tubes)
+    for lane, t in zip(run.lanes, tubes):
+        raw = [(sp.structure.span_length, sp.count) for sp in t.species.values()]
+        assert lane.bands == _merge_bands(raw, run.ladder[-1], t.plan.intensity_scale(), {})
+    assert run.lanes[0].bands[0].intensity == Fraction(7, 9)
+    assert run.lanes[1].bands[0].intensity == Fraction(7, 2)
+    # the same cluster at the same unit is one band, shared by both lanes
+    assert run.lanes[0].bands[1] is run.lanes[2].bands[1]
+    # a table shared across ladder tops still builds each top's own band
+    built = {}
+    for top in (200, 260, 200):
+        raw = [(147, 4), (150, 3)]
+        assert _merge_bands(raw, top, 9, built) == _merge_bands(raw, top, 9, {})
 
 
 # -- imaging the canonical run ----------------------------------------------
@@ -356,6 +397,58 @@ def test_readout_is_exact_on_any_lane():
     assert report.chosen == (2,)
 
 
+@functools.lru_cache(maxsize=None)
+def _ball_plan(u_favorable, u_unfavorable):
+    matrix = make_ball_game()._replace(u_favorable=u_favorable, u_unfavorable=u_unfavorable)
+    return compile_problem(matrix, seed=0)[0]
+
+
+_BALL_OUTCOMES = ("black", "red", "white")
+_INTENSITIES = st.fractions(min_value=0, max_value=20, max_denominator=30)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    utilities=st.sampled_from([
+        (Fraction(1), Fraction(0)),
+        (Fraction(5, 2), Fraction(-1, 3)),  # affine
+        (Fraction(-2, 7), Fraction(-4)),  # both negative
+        (Fraction(3, 4), Fraction(3, 4)),  # equal: every estimate is u
+    ]),
+    lanes=st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from(_BALL_OUTCOMES), _INTENSITIES, max_size=3),
+            st.one_of(
+                st.sampled_from([Fraction(3, 2), Fraction(5, 7), Fraction(1), Fraction(32)]),
+                st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20),
+            ),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_readout_estimates_any_hand_built_lane_exactly(utilities, lanes):
+    # whatever a lane shows and whatever its scale, each estimate is
+    # u_unfavorable + span * (the lane's summed intensity) / scale
+    plan = _ball_plan(*utilities)
+
+    def band(label, intensity):
+        length = plan.construct_length(label)
+        return Band(Fraction(length), intensity, migrate(length, TOP))
+
+    built = tuple(
+        Lane(f"tube-{i + 1}", tuple(band(label, shown[label]) for label in sorted(shown)), scale)
+        for i, (shown, scale) in enumerate(lanes)
+    )
+    report = readout(GelRun(STOCK, built + (ladder_lane(STOCK),)), plan)
+    u_favorable, u_unfavorable = utilities
+    span = u_favorable - u_unfavorable
+    assert report.estimates == tuple(
+        u_unfavorable + span * sum((b.intensity for b in lane.bands), Fraction(0)) / lane.scale
+        for lane in built
+    )
+
+
 def test_ladder_lane_has_unit_intensities():
     lane = ladder_lane(STOCK)
     assert lane.label == "ladder"
@@ -431,7 +524,7 @@ def test_a_losing_band_off_its_prediction_disagrees(ball_lanes, lane, bands, dis
     assert report.chosen == report.oracle == (0,)
     assert not report.agreement
     assert report.disagreement == disagreement
-    assert "DISAGREES with the exact oracle" in report.describe()
+    assert f"\nDISAGREES with the exact oracle: {disagreement}\n" in report.describe()
 
 
 def test_an_agreeing_report_has_no_disagreement(ball_lanes):

@@ -359,7 +359,7 @@ def test_digest_and_pcr_judge_any_duplex_geometry(ball_setup):
     assert pcr(digested, 1).species["flipped"].state == AMPLIFIED
     lengths = digested.log[-1]["fragments"]["overhung"]
     frags = [digested.species[f"fragment:overhung:{i}"] for i in range(len(lengths))]
-    assert lengths == [sp.structure.span_length for sp in frags] and len(lengths) > 1
+    assert lengths == tuple(sp.structure.span_length for sp in frags) and len(lengths) > 1
     assert sum(lengths) == added["overhung"].structure.span_length == len(c.top) + 2
 
 
@@ -447,7 +447,8 @@ def _single_steps(plan, cycles):
 
 def _assert_run_equals_single_steps(plan, protocol, cycles):
     """`run_protocol`'s tubes equal the single steps' (species in order,
-    log and cycle count), and every audit record owns its lists."""
+    log and cycle count), every audit record owns its lists, and its span
+    lengths are tuples, which tubes may share since they cannot change."""
     got, want = run_protocol(plan, protocol, cycles), _single_steps(plan, cycles)
     assert len(got) == len(want) == len(plan.matrix.options)
     for a, b in zip(got, want):
@@ -456,8 +457,9 @@ def _assert_run_equals_single_steps(plan, protocol, cycles):
     lists = []
     for tube in got:
         cut, grown = tube.log[-3:-1]
-        lists += [cut["enzymes"], *cut["fragments"].values(), grown["amplified"]]
-    # even where tubes share a duplex's fragments
+        lists += [cut["enzymes"], grown["amplified"]]
+        assert all(type(lengths) is tuple for lengths in cut["fragments"].values())
+    assert all(type(lst) is list for lst in lists)
     assert len({id(lst) for lst in lists}) == len(lists)
     # tubes may share a species, never a species mapping
     assert len({id(tube.species) for tube in got}) == len(got)
@@ -549,7 +551,7 @@ def test_run_protocol_keeps_only_the_blunt_primed_pieces_of_an_overhanging_duple
     })
     tubes = _assert_run_equals_single_steps(edited, protocol._replace(plan=edited), 5)
     cuts = tubes[1].log[-3]["fragments"]
-    assert (cuts["prob:white"], cuts["thresh:white"]) == ([20, 22, 15], [20, 22])
+    assert (cuts["prob:white"], cuts["thresh:white"]) == ((20, 22, 15), (20, 22))
     kept = {k: sp.structure for k, sp in tubes[1].species.items() if ":white:" in k}
     interior = p1 + "TT" + p2
     assert kept["fragment:prob:white:1"].top == interior
@@ -575,7 +577,7 @@ def test_run_protocol_keeps_no_primed_piece_that_ends_in_a_single_stranded_tail(
         "prob:white": Duplex(top, reverse_complement(top[10:-5]), 10),
     })
     tubes = _assert_run_equals_single_steps(edited, protocol._replace(plan=edited), 5)
-    assert tubes[1].log[-3]["fragments"]["prob:white"] == [13, 22]
+    assert tubes[1].log[-3]["fragments"]["prob:white"] == (13, 22)
     pool = assemble(apply_thresholds(mix(edited)))
     tail = digest(split_tubes(pool)[1], edited.tube_enzymes[1]).species["fragment:prob:white:1"]
     assert tail.structure.top == p1 + "TT" + p2 and not tail.structure.is_blunt
