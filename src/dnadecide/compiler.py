@@ -15,12 +15,15 @@ geometry table (`_GEOMETRY`, spelled out by `derivations`) derives every
 other strand (duplex bottoms, linkers, chance strands, primers) from slices
 of the tops. The sequence rules live in `violations`, which walks each
 candidate's windows once and records them with their places; the designer
-places a clean top, and the validator each judged top, from that record.
-Sequence generation is rejection sampling of each top under its record and
-is deterministic for a given seed. The designer and the validator
-(`validate_encoding`) read the same records, table and rules. Every derived
-strand is built without the checks of `Strand` and `Duplex`: it is the
-reverse complement of slices of tops that passed `Strand`.
+places a clean top from that record. Sequence generation is rejection
+sampling of each top under its record and is deterministic for a given seed.
+The validator (`validate_encoding`) reads the same records and table. It
+accepts a clean plan in one whole-plan pass (`_accepts`), which states the
+same rules over sets of windows and names nothing; any other plan goes to
+`check_pieces`, which walks each top through `violations` and alone words
+and orders the findings. Every derived strand is built without the checks
+of `Strand` and `Duplex`: it is the reverse complement of slices of tops
+that passed `Strand`.
 
 Each strand is named by a role key (`role_*`) that spells the slugs of the
 labels it serves; `derivations` refuses labels that would share a name.
@@ -32,6 +35,7 @@ label tuples, shared by every caller as a read-only mapping.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -327,6 +331,12 @@ class EncodingViolation(NamedTuple):
 _Places = dict[str, list[tuple[str, int]]]  # each placed window's (role, offset) places
 
 
+def _covers_site(own: str, i: int) -> bool:
+    """Whether the window at offset `i` covers the designed site `own`, the
+    one place a window may be its own reverse complement."""
+    return bool(own) and i <= SITE_OFFSET and SITE_OFFSET + len(own) <= i + WINDOW
+
+
 def _gc_violations(role: str, seq: str) -> list[EncodingViolation]:
     """The GC rule: the GC fraction stays within [2/5, 3/5]."""
     gc = seq.count("G") + seq.count("C")
@@ -341,7 +351,9 @@ def violations(
 ) -> tuple[list[EncodingViolation], _Places]:
     """Every rule `seq`, as `top`, breaks (none means it may be placed), and
     the places of the windows it judged, each walked once, which its caller
-    (the designer, or the validator) places from.
+    (the designer, or `check_pieces`) places from. The rules are judged per
+    top, because the designer needs each window's places; `_accepts` states
+    them again for a whole plan.
 
     Windows starting before `fresh_from` are designed copies of placed
     material, neither judged nor placed. `sites` are the assigned sites (the
@@ -374,7 +386,7 @@ def violations(
         local[w] = [(role, i)]
         rc = rc_seq[n - WINDOW - i : n - i]
         if w == rc:
-            if not (own and i <= SITE_OFFSET and SITE_OFFSET + len(own) <= i + WINDOW):
+            if not _covers_site(own, i):
                 flag("self-complement-window",
                      f"window {w} at offset {i} is its own reverse complement", (role,))
         elif rc in placed or rc in local:
@@ -553,7 +565,12 @@ def check_pieces(
     (the utility top also judges its right one). Each finding comes with its
     strand, in this order: missing roles; lengths; on each top in design
     order, the toehold copy of a threshold and the rules (windows, sites,
-    junctions, GC); on each derived strand, GC and the derivation.
+    junctions, GC); on each derived strand, GC and the derivation. A duplex
+    whose top is there but whose bottom is not draws "missing role" under
+    the bottom's name.
+
+    Only this walk words and orders findings; `validate_encoding` calls it
+    for a plan with a shape finding or one that `_accepts` refuses.
     """
     tops = list(_top_rules(options, middle_lengths, sites, pieces))
     table = derivations(options, middle_lengths)
@@ -568,6 +585,11 @@ def check_pieces(
         (role, EncodingViolation("geometry", (role,), "missing role"))
         for role in {**lengths, **table}
         if role not in pieces
+    ]
+    found += [  # a duplex whose top is there needs its bottom too
+        (role + "'", EncodingViolation("geometry", (role,), "missing role"))
+        for role, d in table.items()
+        if d.offset is not None and role in pieces and role + "'" not in pieces
     ]
     found += [
         (name, EncodingViolation("geometry", (role,), f"{len(pieces[name])} bases, expected {n}"))
@@ -600,12 +622,81 @@ def check_pieces(
     return found
 
 
+def _accepts(
+    options: list[str],
+    middle_lengths: dict[str, int],
+    sites: dict[str, RecognitionSite],
+    pieces: dict[str, str],
+) -> bool:
+    """Whether `check_pieces` finds nothing in `pieces`, decided for the
+    whole plan at once and naming nothing.
+
+    The rules are `check_pieces`' own, each read from the same rule sheet
+    and geometry table: every piece is there; each top has its length, its
+    GC and, for a threshold, a copied toehold; the judged windows of all
+    tops are distinct (one set), none is the reverse complement of another
+    (one `isdisjoint`) and none is its own unless it covers the designed
+    site; the assigned sites occur exactly at the designed offsets and span
+    no junction; each derived strand equals its derivation, which implies
+    its length, and has its GC.
+    """
+    tops = list(_top_rules(options, middle_lengths, sites, pieces))
+    derived = [(role if d.offset is None else role + "'", d)
+               for role, d in derivations(options, middle_lengths).items()]
+    if any(top.role not in pieces for top in tops) or any(n not in pieces for n, _ in derived):
+        return False
+    toeholds = {pieces[role_prob(out)][:_H] for out in middle_lengths}
+    toeholds |= {pieces[role_option(opt)][_H:] for opt in options}
+    # the judged windows, their reverse complements, the junctions, and each
+    # designed site's offsets in `text`, the tops joined by "|" (the next one
+    # starts at `at`)
+    windows, complements, joints, designed, at = [], [], [], {}, 0
+    for top in tops:
+        seq = pieces[top.role]
+        n, fresh_from = len(seq), 0
+        if n != top.length or _gc_violations(top.role, seq):
+            return False
+        if top.prefix is not None:
+            if seq[:_H] not in toeholds:
+                return False
+            fresh_from = _H - WINDOW + 1
+        rc_seq = seq[::-1].translate(_COMPLEMENT)  # a top is a checked `Strand`
+        ws = [seq[i : i + WINDOW] for i in range(fresh_from, n - WINDOW + 1)]
+        rcs = [rc_seq[i : i + WINDOW] for i in range(n - WINDOW - fresh_from, -1, -1)]
+        if any(map(operator.eq, ws, rcs)):
+            for k, w in enumerate(ws):
+                if w == rcs[k]:
+                    if not _covers_site(top.site, fresh_from + k):
+                        return False
+                    rcs[k] = ""  # an allowed palindrome pairs with no other window
+        windows += ws
+        complements += rcs
+        joints += [left[-5:] + seq[:5] for left in top.lefts]
+        joints += [seq[-5:] + right[:5] for right in top.rights]
+        if top.site:
+            designed.setdefault(top.site, []).append(at + SITE_OFFSET)
+        at += n + 1
+    assigned = tuple(s.site for s in sites.values())
+    text, joined, placed = "|".join([pieces[top.role] for top in tops]), "|".join(joints), set(windows)
+    return (
+        len(placed) == len(windows)
+        and placed.isdisjoint(complements)
+        and site_hits(text, assigned, 0, len(text)) == designed
+        and not any(site in joined for site in assigned)
+        and not any(pieces[name] != d.derive(pieces) or _gc_violations(name, pieces[name])
+                    for name, d in derived)
+    )
+
+
 def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
     """Check a plan against the geometry table and the sequence rules.
 
     Violations are returned as data, never raised (labels that would share a
     strand are, as in `derivations`); a freshly compiled plan must come back
-    clean, a transcribed reference may not.
+    clean, a transcribed reference may not. A well-shaped plan that
+    `_accepts` passes returns [] at once; any other goes through
+    `check_pieces`, whose findings follow the shape findings (a role that is
+    not a duplex where one belongs draws no second finding for its bottom).
     """
     matrix, strands, sites = plan.matrix, plan.strands, plan.sites
     options = [opt.label for opt in matrix.options]
@@ -622,7 +713,11 @@ def validate_encoding(plan: "EncodingPlan") -> list[EncodingViolation]:
             detail = ("must be a single strand" if offset is None
                       else f"must be a duplex paired from column {offset}")
             found.append(EncodingViolation("geometry", (role,), detail))
-    return found + [v for _, v in check_pieces(options, plan.middle_lengths, sites, pieces)]
+    if not found and _accepts(options, plan.middle_lengths, sites, pieces):
+        return []
+    unpaired = {v.roles[0] + "'" for v in found}  # a misshapen role's one finding is its shape
+    return found + [v for name, v in check_pieces(options, plan.middle_lengths, sites, pieces)
+                    if name not in unpaired]
 
 
 # -- plan containers -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -9,10 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from dnadecide import compiler
 from dnadecide.compiler import (
+    ARM_LENGTH,
     BASE_CONSTRUCT_LENGTH,
     CompileError,
     EncodingPlan,
     Top,
+    WINDOW,
     _Designer,
     assign_enzymes,
     check_pieces,
@@ -789,6 +792,139 @@ def test_duplex_at_a_single_strand_role_is_flagged(ball_plan, role):
     duplexed = {**plan.strands, role: Duplex(strand, reverse_complement(strand), 0)}
     findings = validate_encoding(plan._replace(strands=duplexed))
     assert [str(v) for v in findings] == [f"[geometry] {role}: must be a single strand"]
+
+
+def _pieces(plan):
+    """`plan`'s strands as `check_pieces` reads them: a duplex's top under its
+    role and its bottom under its role and a prime."""
+    pieces = {}
+    for role, item in plan.strands.items():
+        if isinstance(item, Duplex):
+            pieces[role], pieces[role + "'"] = item.top, item.bottom
+        else:
+            pieces[role] = item
+    return pieces
+
+
+def _rules(plan):
+    """`check_pieces`' and `_accepts`' arguments other than the pieces."""
+    return [o.label for o in plan.matrix.options], plan.middle_lengths, plan.sites
+
+
+def test_a_duplex_without_its_bottom_is_missing_that_role(ball_plan):
+    # the top alone used to pass; given as a single strand, the role keeps
+    # validate_encoding's one finding about its shape and draws no second
+    plan, _ = ball_plan
+    pieces = _pieces(plan)
+    del pieces["prob:red'"]
+    found = check_pieces(*_rules(plan), pieces)
+    assert [(name, str(v)) for name, v in found] == [
+        ("prob:red'", "[geometry] prob:red: missing role")
+    ]
+    assert not compiler._accepts(*_rules(plan), pieces)
+    single = {**plan.strands, "prob:red": plan.strands["prob:red"].top}
+    assert [str(v) for v in validate_encoding(plan._replace(strands=single))] == [
+        "[geometry] prob:red: must be a duplex paired from column 10"
+    ]
+
+
+# designed plans the property below edits: the ball game on both libraries
+# and sweep draws that fit each library, each compiled plain and seeded
+# from the reference pieces
+_DESIGNS = [
+    (matrix, library)
+    for library in (CORE_BLUNT_CUTTERS, EXTENDED_BLUNT_CUTTERS)
+    for matrix in [make_ball_game(), *(random_matrix(random.Random(k)) for k in range(8))]
+    if len(matrix.options) + len(matrix.outcomes) <= len(library)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _designed(index, use_fixture, seed):
+    matrix, library = _DESIGNS[index]
+    return compile_problem(matrix, seed=seed, library=library, use_fixture=use_fixture)[0]
+
+
+def _splice(seq, at, part):
+    """`seq` with `part` written over it from `at`, cut back to its length."""
+    return (seq[:at] + part + seq[at + len(part):])[: len(seq)]
+
+
+def _draw_edit(data, plan, tops, sites):
+    """One consistent edit of `tops`, drawn from the kinds the rules judge."""
+    roles = sorted(tops)
+    kind = data.draw(st.sampled_from(["base", "copy", "rc-copy", "site", "junction",
+                                      "palindrome-on-site", "palindrome", "toehold"]))
+    role = data.draw(st.sampled_from(roles))
+    seq = tops[role]
+    if kind == "base":
+        at = data.draw(st.integers(0, len(seq) - 1))
+        tops[role] = _splice(seq, at, data.draw(st.sampled_from("ACGT")))
+    elif kind in ("copy", "rc-copy"):  # into an arm, which no other rule reads
+        arm = data.draw(st.sampled_from([r for r in ("choice", "term") if r != role]))
+        start = data.draw(st.integers(0, len(seq) - WINDOW))
+        window = seq[start : start + WINDOW]
+        if kind == "rc-copy":
+            window = reverse_complement(window)
+        tops[arm] = _splice(tops[arm], data.draw(st.integers(0, ARM_LENGTH - WINDOW)), window)
+    elif kind == "site":
+        site = data.draw(st.sampled_from(sites))
+        tops[role] = _splice(seq, data.draw(st.integers(0, len(seq) - len(site))), site)
+    elif kind == "junction":  # a site split over two ligated tops of one path
+        option, outcome = (data.draw(st.sampled_from(labels)) for labels in (
+            [o.label for o in plan.matrix.options], list(plan.middle_lengths)))
+        path = construct_roles(option, outcome)[::2]
+        at = data.draw(st.integers(0, len(path) - 2))
+        site, k = data.draw(st.sampled_from(sites)), data.draw(st.integers(1, 5))
+        left, right = path[at], path[at + 1]
+        tops[left] = tops[left][:-k] + site[:k]
+        tops[right] = _splice(tops[right], 0, site[k:])
+    elif kind == "palindrome-on-site":  # the window from 5 to 14 around a designed site
+        role = data.draw(st.sampled_from([r for r in roles if r.startswith(("option:", "util:"))]))
+        tops[role] = _splice(tops[role], 13, reverse_complement(tops[role][5:7]))
+    elif kind == "palindrome":
+        at = data.draw(st.integers(0, len(seq) - WINDOW))
+        tops[role] = _splice(seq, at + 5, reverse_complement(seq[at : at + 5]))
+    else:  # a threshold toehold that most likely copies nothing
+        role = data.draw(st.sampled_from([r for r in roles if r.startswith("thresh:")]))
+        toehold = data.draw(st.text("ACGT", min_size=10, max_size=10))
+        tops[role] = toehold + tops[role][10:]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_the_whole_plan_acceptance_agrees_with_the_walk(data):
+    # _accepts holds exactly when check_pieces finds nothing, and
+    # validate_encoding returns the walk's findings; 1-3 consistent edits
+    # (every other strand derived again), then maybe one piece of the edited
+    # or the designed plan broken on its own: a derived strand's base
+    # complemented, or a piece dropped
+    index = data.draw(st.integers(0, len(_DESIGNS) - 1))
+    designed = _designed(index, data.draw(st.booleans()), data.draw(st.integers(0, 3)))
+    sites = [s.site for s in designed.sites.values()]
+
+    def edit(tops):
+        for _ in range(data.draw(st.integers(1, 3))):
+            _draw_edit(data, designed, tops, sites)
+
+    plan = _with_tops(designed, edit)
+    pieces = _pieces(plan)
+    walked = check_pieces(*_rules(plan), pieces)
+    assert validate_encoding(plan) == [v for _, v in walked]
+    assert compiler._accepts(*_rules(plan), pieces) == (walked == [])
+    broken = data.draw(st.sampled_from([None, "flip", "drop"]))
+    pieces = _pieces(data.draw(st.sampled_from([designed, plan])))
+    if broken == "flip":
+        table = derivations(*_rules(plan)[:2])
+        name = data.draw(st.sampled_from(
+            sorted(role if d.offset is None else role + "'" for role, d in table.items())
+        ))
+        at = data.draw(st.integers(0, len(pieces[name]) - 1))
+        pieces[name] = _splice(pieces[name], at, "ACGT"["TGCA".index(pieces[name][at])])
+    elif broken == "drop":
+        del pieces[data.draw(st.sampled_from(sorted(pieces)))]
+    walked = check_pieces(*_rules(plan), pieces)
+    assert compiler._accepts(*_rules(plan), pieces) == (walked == [])
 
 
 # -- label collisions: distinct labels that would name one strand ---------------
