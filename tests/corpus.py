@@ -75,6 +75,8 @@ COMMANDS = (
     "run --input problem.json",
     "verify --count 20",
     "verify --count 200",
+    "verify --cycles 41",
+    "verify --count 0 --cycles 41",
     "compile --input labels.json --out design",
     "run --input labels.json --outdir out",
     "run --input collide.json",
