@@ -16,7 +16,9 @@ other strand (duplex bottoms, linkers, chance strands, primers) from slices
 of the tops. The sequence rules live in `violations`, which walks each
 candidate's windows once and records them with their places; the designer
 places a clean top from that record. Sequence generation is rejection
-sampling of each top under its record and is deterministic for a given seed.
+sampling of each top under its record and is deterministic for a given seed;
+each candidate is drawn from the top's GC block layout (`_layout`), a pure
+function of the top's shape that is built once per process.
 The validator (`validate_encoding`) reads the same records and table. It
 accepts a clean plan in one whole-plan pass (`_accepts`), which states the
 same rules over sets of windows and names nothing; any other plan goes to
@@ -417,6 +419,45 @@ def violations(
 
 MAX_TRIES = 500  # candidates sampled for one segment before the designer gives up
 
+# one block's layout: its template (each fixed base, "AT" at each free
+# position), the free offsets, their count, the fewest free G/C bases (lo
+# minus the fixed G/C), and the span of the G/C count's draw with its bit width
+_Block = tuple[tuple[str, ...], tuple[int, ...], int, int, int, int]
+
+
+def _block_layout(width: int, fixed: dict[int, str]) -> _Block:
+    """The layout of a `width`-base block holding the `fixed` bases (by block
+    offset), whose G/C count the designer draws within [2/5, 3/5]."""
+    fixed_gc = sum(1 for b in fixed.values() if b in "GC")
+    free = tuple(i for i in range(width) if i not in fixed)
+    lo = max(-(-2 * width // 5), fixed_gc)
+    hi = min(3 * width // 5, fixed_gc + len(free))
+    if lo > hi:
+        raise CompileError(f"no GC-balanced fill for a {width}-base block")
+    template = tuple(fixed.get(i, "AT") for i in range(width))
+    span = hi - lo + 1
+    return template, free, len(free), lo - fixed_gc, span, span.bit_length()
+
+
+@lru_cache(maxsize=128)
+def _layout(length: int, breaks: tuple[int, ...], prefix: str, site: str) -> tuple[_Block, ...]:
+    """The block layouts of a top: its prefix and designed site bases kept
+    verbatim, blocked in 10s from 0 and from each break, so that functionally
+    distinct regions (overhangs, duplex cores) are GC-balanced on their own.
+    Most tops share a handful of shapes, so each is laid out once per
+    process; a threshold's prefix differs per problem, so the cache is
+    bounded. A refusal is not cached: it is raised again on each call."""
+    fixed = dict(enumerate(prefix))
+    fixed.update((SITE_OFFSET + k, b) for k, b in enumerate(site))
+    bounds = [0, *breaks, length]
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        for start in range(lo, hi, 10):
+            end = min(start + 10, hi)
+            local = {i - start: b for i, b in fixed.items() if start <= i < end}
+            blocks.append(_block_layout(end - start, local))
+    return tuple(blocks)
+
 
 class _Designer:
     """Stateful rejection sampler for fresh segments, noting its verdict on each pin."""
@@ -427,31 +468,22 @@ class _Designer:
         self.windows: _Places = {}
         self.notes: list[str] = []
 
-    def _block(self, length: int, fixed: dict[int, str]) -> str:
-        """A GC-balanced block, drawn through `getrandbits` exactly as
-        `randint`, `sample` and `choice` would, so a seed's FASTA stays put.
-        Each bounded draw inlines `Random._randbelow_with_getrandbits`: k =
-        n.bit_length() bits, drawn again while the value is not below n."""
+    def _block(self, block: _Block) -> str:
+        """A GC-balanced block of the layout `block`, drawn through
+        `getrandbits` exactly as `randint`, `sample` and `choice` would, so a
+        seed's FASTA stays put. Each bounded draw inlines
+        `Random._randbelow_with_getrandbits`: k = n.bit_length() bits, drawn
+        again while the value is not below n."""
         bits = self.rng.getrandbits
-        fixed_gc = sum(1 for b in fixed.values() if b in "GC")
-        free = [i for i in range(length) if i not in fixed]
-        n = len(free)
-        lo = max(-(-2 * length // 5), fixed_gc)
-        hi = min(3 * length // 5, fixed_gc + n)
-        if lo > hi:
-            raise CompileError(f"no GC-balanced fill for a {length}-base block")
+        template, free, n, base, span, k = block
         # randint(lo, hi), then sample's pool walk (a block's <= 10 free
         # positions never reach sample's set-based branch); `out` holds the
         # fixed bases and each free position's alphabet, "GC" where drawn
-        span = hi - lo + 1
-        k = span.bit_length()
         r = bits(k)
         while r >= span:
             r = bits(k)
-        target, out, pool = lo + r - fixed_gc, ["AT"] * length, free[:]
-        for i, b in fixed.items():
-            out[i] = b
-        for m in range(n, n - target, -1):  # sample's i-th draw is below n - i
+        out, pool = list(template), list(free)
+        for m in range(n, n - base - r, -1):  # sample's i-th draw is below n - i
             k = m.bit_length()
             j = bits(k)
             while j >= m:
@@ -470,25 +502,15 @@ class _Designer:
         prefix and designed site bases verbatim; prefix windows copy placed
         material, so only windows that add new bases are judged.
 
-        The top's `breaks` restart the 10-base GC blocking at interior
-        positions so that functionally distinct regions (overhangs, duplex
-        cores) are GC-balanced on their own. Running out of tries names each
-        kind of finding the candidates drew, with how many drew it.
+        Each candidate is drawn block by block from the top's `_layout`.
+        Running out of tries names each kind of finding the candidates drew,
+        with how many drew it.
 
         A `pin`, (printed label, piece), is the first candidate: the piece
         behind the prefix, judged like any other and also by its length. It
         is placed verbatim if it passes; either verdict goes to `notes`.
         """
         role, prefix = top.role, top.prefix or ""
-        fixed: dict[int, str] = dict(enumerate(prefix))
-        fixed.update((SITE_OFFSET + k, b) for k, b in enumerate(top.site))
-        bounds = [0, *top.breaks, top.length]
-        blocks = []  # (width, fixed bases by block offset) per 10-base block
-        for lo, hi in zip(bounds, bounds[1:]):
-            for start in range(lo, hi, 10):
-                end = min(start + 10, hi)
-                local = {i - start: b for i, b in fixed.items() if start <= i < end}
-                blocks.append((end - start, local))
         fresh_from = max(0, len(prefix) - WINDOW + 1)
         if pin is not None:
             label, piece = pin
@@ -501,9 +523,10 @@ class _Designer:
                 self.windows.update(walked)
                 return seq
             self.notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
+        blocks, block = _layout(top.length, top.breaks, prefix, top.site), self._block
         rejected: Counter[str] = Counter()
         for _ in range(MAX_TRIES):
-            seq = "".join([self._block(width, local) for width, local in blocks])
+            seq = "".join([block(b) for b in blocks])
             found, walked = violations(top, seq, fresh_from, self.sites, self.windows)
             if not found:
                 self.windows.update(walked)  # a clean top repeats no placed window

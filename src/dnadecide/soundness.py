@@ -21,7 +21,7 @@ from .decision import DecisionMatrix, build_matrix
 from .formats import dump_problem
 from .gel import DecisionReport, GelRun, readout, run_gel
 from .strands import EXTENDED_BLUNT_CUTTERS
-from .wetlab import run_protocol
+from .wetlab import _check_cycles, run_protocol
 
 
 # the sweep's size limits: options and outcomes per problem, weight per outcome
@@ -96,7 +96,9 @@ class SoundnessResult(NamedTuple):
 
 
 def verify_soundness(trials: int, seed: int, cycles: int) -> SoundnessResult:
-    """Run `trials` random problems end to end, each judged by `DecisionReport.agreement`."""
+    """Run `trials` random problems end to end, each judged by `DecisionReport.agreement`.
+    A cycle count `pcr` would refuse is refused before the first trial, however many."""
+    _check_cycles(cycles)
     rng = random.Random(seed)
     started = time.perf_counter()
     failures = []

@@ -645,6 +645,22 @@ def test_verify_rejects_cycle_count_above_ceiling(capsys):
     assert "cycle count must be at most" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "1", "200"])
+@pytest.mark.parametrize("cycles, refusal", [
+    ("41", "error: cycle count must be at most 40, got 41\n"),
+    ("-7", "error: cycle count must be non-negative, got -7\n"),
+])
+def test_verify_refuses_a_cycle_count_before_any_trial(count, cycles, refusal, monkeypatch, capsys):
+    import dnadecide.soundness as soundness
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("verify compiled a trial before checking the cycle count")
+
+    monkeypatch.setattr(soundness, "compile_problem", no_trial)
+    assert main(["verify", "--count", count, "--cycles", cycles]) == 1
+    assert capsys.readouterr() == ("", refusal)
+
+
 def _halve_a_losing_band(gel):
     """`gel` with tube-2's second band at half its intensity: a band off its
     prediction, while tube-2 still loses to tube-1 on the ball game."""

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,8 @@ from dnadecide.compiler import (
     Top,
     WINDOW,
     _Designer,
+    _block_layout,
+    _layout,
     assign_enzymes,
     check_pieces,
     compile_problem,
@@ -47,7 +50,8 @@ from dnadecide.strands import (
     Strand,
     reverse_complement,
 )
-from dnadecide.soundness import random_matrix
+from dnadecide.formats import load_problem
+from dnadecide.soundness import random_matrix, verify_soundness
 from conftest import gc_fraction, make_ball_game, make_five_by_five, make_widest
 
 F = Fraction
@@ -579,10 +583,11 @@ _BLOCK_SHAPES = {
 
 @pytest.mark.parametrize("shape", list(_BLOCK_SHAPES))
 def test_block_draws_the_stream_of_randint_sample_and_choice(shape):
+    layouts = [_block_layout(width, fixed) for width, fixed in _BLOCK_SHAPES[shape]]
     for seed in range(200):
         designer, reference = _Designer(random.Random(seed), []), random.Random(seed)
-        for width, fixed in _BLOCK_SHAPES[shape]:
-            block = designer._block(width, fixed)
+        for layout, (width, fixed) in zip(layouts, _BLOCK_SHAPES[shape]):
+            block = designer._block(layout)
             assert block == _reference_block(reference, width, fixed), (
                 f"seed {seed}: the designer's block no longer matches randint/sample/"
                 "choice; this Python's random module draws differently, so every "
@@ -603,13 +608,67 @@ class _NoDraws(random.Random):
 
 
 def test_a_block_beyond_the_gc_range_is_refused_before_any_draw():
-    # 7 fixed G/C bases in a 10-base block exceed the 6 the GC range allows
+    # 7 fixed G/C bases in a 10-base block exceed the 6 the GC range allows:
+    # the layout refuses, before the designer draws a candidate
     for rng in (_NoDraws(0), random.Random(0)):
         state = rng.getstate()
         with pytest.raises(CompileError) as refusal:
-            _Designer(rng, [])._block(10, dict(enumerate("GCGCGCG")))
+            _Designer(rng, []).fresh(Top("x", 10, prefix="GCGCGCG"))
         assert str(refusal.value) == "no GC-balanced fill for a 10-base block"
         assert rng.getstate() == state
+
+
+# the _BLOCK_SHAPES rows a top lays out: (length, breaks, prefix, site)
+_TOP_SHAPES = {
+    "free 10-base block": (10, (), "", ""),
+    "block holding part of a 6-base site": (20, (), "", "CAGCTG"),
+    "fully fixed prefix block": (10, (), "ACATCAGGAG", ""),
+    "short tail block": (7, (), "", ""),
+    "block starting at a break": (162, (10, 152), "", ""),
+    "fixed bases fill the GC range": (10, (), "GCGCGC", ""),
+}
+
+
+@pytest.mark.parametrize("shape", list(_TOP_SHAPES))
+def test_a_top_is_laid_out_as_its_blocks(shape):
+    assert _layout(*_TOP_SHAPES[shape]) == tuple(
+        _block_layout(width, fixed) for width, fixed in _BLOCK_SHAPES[shape]
+    )
+
+
+def _refusals() -> list[str]:
+    """The designer's out-of-tries and GC-range refusals, as they read."""
+    found = []
+    for sites, top in ((["CAGCTG"], Top("x", 20, prefix="CAGCTG")),
+                       ([], Top("x", 10, prefix="GCGCGCG"))):
+        with pytest.raises(CompileError) as refusal:
+            _Designer(random.Random(0), sites).fresh(top)
+        found.append(str(refusal.value))
+    return found
+
+
+def test_the_layout_cache_reaches_no_output_and_stays_bounded():
+    wide = load_problem(Path(__file__).with_name("problems") / "wide.json")
+    compiles = [
+        lambda: compile_problem(make_ball_game(), seed=0),
+        lambda: compile_problem(wide, seed=0, library=EXTENDED_BLUNT_CUTTERS),
+        lambda: compile_problem(make_ball_game(), seed=0, use_fixture=True),
+    ]
+    cold = []
+    for run in compiles:
+        _layout.cache_clear()
+        cold.append(run()[0].to_fasta())
+    _layout.cache_clear()
+    cold_refusals = _refusals()
+    assert _layout.cache_info().currsize == 1  # the refused layout is not cached
+    verify_soundness(200, seed=0, cycles=3)
+    compile_problem(make_widest(random.Random(1)), seed=1, library=EXTENDED_BLUNT_CUTTERS)
+    # each sweep problem lays its threshold tops out on prefixes of its own,
+    # more than the cache holds
+    info = _layout.cache_info()
+    assert info.misses > info.maxsize >= info.currsize
+    assert [run()[0].to_fasta() for run in compiles] == cold
+    assert _refusals() == cold_refusals
 
 
 # -- site rules ----------------------------------------------------------------

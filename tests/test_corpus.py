@@ -35,6 +35,8 @@ def test_pins_that_must_be_equal_are_equal():
     written = corpus.GENERATED["problem.json"]().encode("utf-8")
     assert corpus.digest(written) == PINNED["compile --out design"]["design/problem.json"]
     assert PINNED["run --input problem.json"]["stdout"] == PINNED["run"]["stdout"]
+    # verify refuses a cycle count before its first trial, however many it runs
+    assert PINNED["verify --count 0 --cycles 41"] == PINNED["verify --cycles 41"]
 
 
 def test_a_child_process_under_an_ascii_locale_emits_its_pinned_bytes(tmp_path, monkeypatch):
