@@ -286,8 +286,9 @@ def _collision(role: str, key: str, row, pair) -> DuplicateLabelError:
 class Top(NamedTuple):
     """One independent top as the rule sheet states it: its designed length,
     its designed site at `SITE_OFFSET` ("" for none), its ligated neighbours,
-    the copied toehold of a threshold (None for every other top) and the
-    breaks of its GC blocking."""
+    a threshold's toehold, its outcome's probability front (None for every
+    other top), its GC blocking's breaks, and the option rears a threshold
+    may copy instead, as the printed reference does (never the designer)."""
 
     role: str
     length: int
@@ -296,6 +297,12 @@ class Top(NamedTuple):
     rights: tuple[str, ...] = ()
     prefix: str | None = None
     breaks: tuple[int, ...] = ()
+    rears: tuple[str, ...] = ()
+
+    def joints(self, seq: str) -> list[str]:
+        """The 5 + 5 bases where `seq` meets each left neighbour, then each right one."""
+        return ([left[-5:] + seq[:5] for left in self.lefts]
+                + [seq[-5:] + right[:5] for right in self.rights])
 
 
 def _top_rules(options: list[str], middle_lengths: dict[str, int],
@@ -315,8 +322,9 @@ def _top_rules(options: list[str], middle_lengths: dict[str, int],
     for out in middle_lengths:
         role, left, right = role_util(out), tops.get(role_prob(out), ""), tops.get(ROLE_TERM, "")
         yield Top(role, _N, sites[role].site, (left,), (right,))
+    rears = tuple(top[_H:] for top in option_tops)
     for out in middle_lengths:
-        yield Top(role_thresh(out), _N, prefix=tops.get(role_prob(out), "")[:_H])
+        yield Top(role_thresh(out), _N, prefix=tops.get(role_prob(out), "")[:_H], rears=rears)
 
 
 # -- sequence rules ------------------------------------------------------------
@@ -352,10 +360,11 @@ def violations(
     top: Top, seq: str, fresh_from: int, sites: tuple[str, ...], placed: _Places
 ) -> tuple[list[EncodingViolation], _Places]:
     """Every rule `seq`, as `top`, breaks (none means it may be placed), and
-    the places of the windows it judged, each walked once, which its caller
-    (the designer, or `check_pieces`) places from. The rules are judged per
-    top, because the designer needs each window's places; `_accepts` states
-    them again for a whole plan.
+    each window it judged, walked once, with its whole place list (a repeat
+    lists its places in `placed`, then this top's), which both window
+    findings read and its caller (the designer, or `check_pieces`) places by
+    `dict.update`. The rules are judged per top, because the designer needs
+    each window's places; `_accepts` states them again for a whole plan.
 
     Windows starting before `fresh_from` are designed copies of placed
     material, neither judged nor placed. `sites` are the assigned sites (the
@@ -366,8 +375,7 @@ def violations(
         complement unless it covers the designed site.
     (b) site: the designed site occurs exactly once, at `SITE_OFFSET`, and
         no assigned site occurs anywhere else.
-    (c) junction: no assigned site spans the 5 + 5 bases where `seq` meets
-        a left or right neighbour.
+    (c) junction: no assigned site spans `top.joints(seq)`.
     (d) gc: `_gc_violations`.
     """
     role, own = top.role, top.site
@@ -380,10 +388,9 @@ def violations(
     n, rc_seq = len(seq), reverse_complement(seq)
     for i in range(fresh_from, n - WINDOW + 1):
         w = seq[i : i + WINDOW]
-        if w in placed or w in local:
-            loci = placed.get(w, []) + local.get(w, []) + [(role, i)]
+        if w in local or w in placed:  # a repeat keeps its whole place list
+            loci = local[w] = (local[w] if w in local else placed[w]) + [(role, i)]
             flag("duplicate-window", f"window {w} occurs at {loci}", tuple(r for r, _ in loci))
-            local.setdefault(w, []).append((role, i))
             continue
         local[w] = [(role, i)]
         rc = rc_seq[n - WINDOW - i : n - i]
@@ -391,8 +398,8 @@ def violations(
             if not _covers_site(own, i):
                 flag("self-complement-window",
                      f"window {w} at offset {i} is its own reverse complement", (role,))
-        elif rc in placed or rc in local:
-            pair = sorted([(w, [(role, i)]), (rc, placed.get(rc, []) + local.get(rc, []))])
+        elif rc in local or rc in placed:
+            pair = sorted([(w, [(role, i)]), (rc, local[rc] if rc in local else placed[rc])])
             flag("complement-window",
                  f"windows {pair[0][0]} and {pair[1][0]} are reverse complements",
                  tuple(r for _, loci in pair for r, _ in loci))
@@ -404,8 +411,7 @@ def violations(
         for i in at:
             if i != SITE_OFFSET or site != own:
                 flag("stray-site", f"stray site {site} at {i}")
-    joints = [left[-5:] + seq[:5] for left in top.lefts]
-    joints += [seq[-5:] + right[:5] for right in top.rights]
+    joints = top.joints(seq)
     joined = "|".join(joints)  # no site spans a "|": one test per site first
     if any(site in joined for site in sites):
         for joint in joints:
@@ -582,15 +588,15 @@ def check_pieces(
     `pieces` maps strand names to sequences: a top or a free strand under
     its role, a duplex bottom under its role and a prime. `sites` gives the
     option and utility tops their designed sites; the geometry table is
-    `derivations` of these labels. Each top is judged as the
-    designer placed it, by its `Top` from `_top_rules`, with its neighbours
-    read from `pieces`; every junction is judged on the top to its right
-    (the utility top also judges its right one). Each finding comes with its
-    strand, in this order: missing roles; lengths; on each top in design
-    order, the toehold copy of a threshold and the rules (windows, sites,
-    junctions, GC); on each derived strand, GC and the derivation. A duplex
-    whose top is there but whose bottom is not draws "missing role" under
-    the bottom's name.
+    `derivations` of these labels. Each top is judged as the designer placed
+    it, by its `Top` from `_top_rules`, with its neighbours read from
+    `pieces`; every junction is judged on the top to its right (the utility
+    top also judges its right one). Each finding comes with its strand, in
+    this order: missing roles; lengths; on each top in design order, a
+    threshold's toehold (a copy of its `Top.prefix` or `rears`) and the
+    rules (windows, sites, junctions, GC); on each derived strand, GC and
+    the derivation. A duplex whose top is there but whose bottom is not
+    draws "missing role" under the bottom's name.
 
     Only this walk words and orders findings; `validate_encoding` calls it
     for a plan with a shape finding or one that `_accepts` refuses.
@@ -619,9 +625,6 @@ def check_pieces(
         for name, role, n, _ in parts
         if len(pieces[name]) != n
     ]
-    # a threshold toehold is a designed copy of either half of a chance junction
-    toeholds = {pieces[role_prob(out)][:_H] for out in middle_lengths if role_prob(out) in pieces}
-    toeholds |= {pieces[role_option(opt)][_H:] for opt in options if role_option(opt) in pieces}
     assigned, windows = tuple(s.site for s in sites.values()), {}
     for name, role, _, rule in parts:
         seq = pieces[name]
@@ -631,16 +634,13 @@ def check_pieces(
                 detail = f"not the {rule.what}"
                 found.append((name, EncodingViolation("derivation", (role,), detail)))
             continue
-        copied = rule.prefix is not None and seq[:_H] in toeholds
+        copied = rule.prefix is not None and seq[:_H] in (rule.prefix, *rule.rears)
         if rule.prefix is not None and not copied:
             detail = "toehold copies neither the option rear nor the probability front"
             found.append((name, EncodingViolation("derivation", (role,), detail)))
         fresh_from = _H - WINDOW + 1 if copied else 0
         judged, walked = violations(rule, seq, fresh_from, assigned, windows)
         found += [(name, v) for v in judged]
-        # a transcribed top may repeat placed windows: each keeps all its places
-        for w in walked.keys() & windows.keys():
-            walked[w] = windows[w] + walked[w]
         windows.update(walked)
     return found
 
@@ -656,20 +656,18 @@ def _accepts(
 
     The rules are `check_pieces`' own, each read from the same rule sheet
     and geometry table: every piece is there; each top has its length, its
-    GC and, for a threshold, a copied toehold; the judged windows of all
-    tops are distinct (one set), none is the reverse complement of another
-    (one `isdisjoint`) and none is its own unless it covers the designed
-    site; the assigned sites occur exactly at the designed offsets and span
-    no junction; each derived strand equals its derivation, which implies
-    its length, and has its GC.
+    GC and, for a threshold, a toehold that copies its prefix or one of its
+    rears; the judged windows of all tops are distinct (one set), none is
+    the reverse complement of another (one `isdisjoint`) and none is its own
+    unless it covers the designed site; the assigned sites occur exactly at
+    the designed offsets and span no `Top.joints`; each derived strand
+    equals its derivation, which implies its length, and has its GC.
     """
     tops = list(_top_rules(options, middle_lengths, sites, pieces))
     derived = [(role if d.offset is None else role + "'", d)
                for role, d in derivations(options, middle_lengths).items()]
     if any(top.role not in pieces for top in tops) or any(n not in pieces for n, _ in derived):
         return False
-    toeholds = {pieces[role_prob(out)][:_H] for out in middle_lengths}
-    toeholds |= {pieces[role_option(opt)][_H:] for opt in options}
     # the judged windows, their reverse complements, the junctions, and each
     # designed site's offsets in `text`, the tops joined by "|" (the next one
     # starts at `at`)
@@ -680,7 +678,7 @@ def _accepts(
         if n != top.length or _gc_violations(top.role, seq):
             return False
         if top.prefix is not None:
-            if seq[:_H] not in toeholds:
+            if seq[:_H] not in (top.prefix, *top.rears):
                 return False
             fresh_from = _H - WINDOW + 1
         rc_seq = seq[::-1].translate(_COMPLEMENT)  # a top is a checked `Strand`
@@ -694,8 +692,7 @@ def _accepts(
                     rcs[k] = ""  # an allowed palindrome pairs with no other window
         windows += ws
         complements += rcs
-        joints += [left[-5:] + seq[:5] for left in top.lefts]
-        joints += [seq[-5:] + right[:5] for right in top.rights]
+        joints += top.joints(seq)
         if top.site:
             designed.setdefault(top.site, []).append(at + SITE_OFFSET)
         at += n + 1
@@ -857,6 +854,23 @@ def tube_label(index: int) -> str:
     return f"tube-{index + 1}"
 
 
+# A bench PCR runs a few dozen cycles at most; past this the simulated
+# product is meaningless and `count << cycles` only grows the integer counts.
+MAX_PCR_CYCLES = 40
+
+
+class ProtocolError(InputError):
+    """A protocol cannot run as asked: a cycle count out of range (refused
+    before the design too), an enzyme outside the library, another plan."""
+
+
+def check_cycles(cycles: int) -> None:
+    if cycles < 0:
+        raise ProtocolError(f"cycle count must be non-negative, got {cycles}")
+    if cycles > MAX_PCR_CYCLES:
+        raise ProtocolError(f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}")
+
+
 class ProtocolPlan(NamedTuple):
     """Ordered bench steps realizing the encoding, read from the plan."""
 
@@ -908,6 +922,7 @@ def compile_problem(
     sites = assign_enzymes(matrix, library)
     # the geometry table refuses labels that would share a strand
     derivations([o.label for o in matrix.options], [o.label for o in matrix.outcomes])
+    check_cycles(pcr_cycles)  # last of the refusals, all made before the design
     middles = {out.label: m for out, m in zip(matrix.outcomes, lengths)}
 
     pins = {}

@@ -19,7 +19,7 @@ from typing import NamedTuple
 class InputError(ValueError):
     """The program refuses what it was given. Each layer raises one subclass
     (`MatrixError`, `formats.ProblemFormatError`, `compiler.CompileError`,
-    `gel.GelError`, `wetlab.ProtocolError`); anything else is a fault."""
+    `compiler.ProtocolError`, `gel.GelError`); anything else is a fault."""
 
 
 class MatrixError(InputError):

@@ -16,12 +16,12 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from .compiler import EncodingPlan, ProtocolPlan, compile_problem
+from .compiler import EncodingPlan, ProtocolPlan, check_cycles, compile_problem
 from .decision import DecisionMatrix, build_matrix
 from .formats import dump_problem
 from .gel import DecisionReport, GelRun, readout, run_gel
 from .strands import EXTENDED_BLUNT_CUTTERS
-from .wetlab import _check_cycles, run_protocol
+from .wetlab import run_protocol
 
 
 # the sweep's size limits: options and outcomes per problem, weight per outcome
@@ -98,7 +98,7 @@ class SoundnessResult(NamedTuple):
 def verify_soundness(trials: int, seed: int, cycles: int) -> SoundnessResult:
     """Run `trials` random problems end to end, each judged by `DecisionReport.agreement`.
     A cycle count `pcr` would refuse is refused before the first trial, however many."""
-    _check_cycles(cycles)
+    check_cycles(cycles)
     rng = random.Random(seed)
     started = time.perf_counter()
     failures = []

@@ -37,14 +37,15 @@ from .compiler import (
     ROLE_PRIMER_LEFT,
     ROLE_PRIMER_RIGHT,
     EncodingPlan,
+    ProtocolError,
     ProtocolPlan,
+    check_cycles,
     construct_key,
     construct_roles,
     role_chance,
     role_thresh,
     tube_label,
 )
-from .decision import InputError
 from .strands import (
     _COMPLEMENT,
     Duplex,
@@ -64,16 +65,6 @@ from .strands import (
 ACTIVE = "active"
 WASTE = "waste"
 AMPLIFIED = "amplified"
-
-# A bench PCR runs a few dozen cycles at most; past this the simulated
-# product is meaningless and `count << cycles` only grows the integer counts.
-MAX_PCR_CYCLES = 40
-
-
-class ProtocolError(InputError):
-    """A protocol step cannot run as asked: a cycle count out of range, an
-    enzyme outside the library, another plan."""
-
 
 class Species(NamedTuple):
     structure: Strand | Duplex
@@ -222,13 +213,6 @@ def _primer_rule(plan: EncodingPlan):
     return flanked
 
 
-def _check_cycles(cycles: int) -> None:
-    if cycles < 0:
-        raise ProtocolError(f"cycle count must be non-negative, got {cycles}")
-    if cycles > MAX_PCR_CYCLES:
-        raise ProtocolError(f"cycle count must be at most {MAX_PCR_CYCLES}, got {cycles}")
-
-
 def digest(tube: TubeState, enzyme_names) -> TubeState:
     """Cut every duplex that is not waste with all named enzymes at once, to completion.
 
@@ -261,7 +245,7 @@ def digest(tube: TubeState, enzyme_names) -> TubeState:
 def pcr(tube: TubeState, cycles: int) -> TubeState:
     """Exponential amplification of blunt duplexes whose ends match the plan's
     primers; a species with count 0 is no template, so it is not amplified."""
-    _check_cycles(cycles)
+    check_cycles(cycles)
     flanked = _primer_rule(tube.plan)
     species = dict(tube.species)
     amplified = []
@@ -312,7 +296,7 @@ def run_protocol(
     if plan is not protocol.plan:
         raise ProtocolError("protocol was compiled for another plan")
     n = cycles if cycles is not None else protocol.pcr_cycles
-    _check_cycles(n)
+    check_cycles(n)
     pool = assemble(apply_thresholds(mix(plan)))
     library = _library(plan)
     sites = [site.site for site in library.values()]

@@ -661,6 +661,22 @@ def test_verify_refuses_a_cycle_count_before_any_trial(count, cycles, refusal, m
     assert capsys.readouterr() == ("", refusal)
 
 
+@pytest.mark.parametrize("cycles, refusal", [
+    ("41", "error: cycle count must be at most 40, got 41\n"),
+    ("-1", "error: cycle count must be non-negative, got -1\n"),
+], ids=["41", "-1"])
+def test_run_refuses_a_cycle_count_before_it_designs(cycles, refusal, monkeypatch, capsys):
+    import dnadecide.compiler as compiler
+
+    calls = []
+    design = compiler.generate_sequences
+    monkeypatch.setattr(compiler, "generate_sequences",
+                        lambda *args, **kwargs: calls.append(args) or design(*args, **kwargs))
+    assert main(["run", "--cycles", cycles]) == 1
+    assert capsys.readouterr() == ("", refusal)
+    assert calls == []
+
+
 def _halve_a_losing_band(gel):
     """`gel` with tube-2's second band at half its intensity: a band off its
     prediction, while tube-2 still loses to tube-1 on the ball game."""

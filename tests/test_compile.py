@@ -405,6 +405,24 @@ def test_planted_complement_windows_are_found_in_order(ball_plan):
     )
 
 
+def test_a_window_repeated_then_met_by_its_complement_lists_each_place_once(ball_plan):
+    # choice's first window copied into term at 12, then its reverse
+    # complement at 25: the complement finding lists each place once, the
+    # complement's on term and the window's on choice and on term
+    plan, _ = ball_plan
+
+    def edit(tops):
+        window = tops["choice"][:WINDOW]
+        term = _splice(tops["term"], 12, window)
+        tops["term"] = _splice(term, 25, reverse_complement(window))
+
+    found = validate_encoding(_with_tops(plan, edit))
+    assert [(v.kind, v.roles) for v in found] == [
+        ("duplicate-window", ("choice", "term")),
+        ("complement-window", ("term", "choice", "term")),
+    ]
+
+
 def test_trusted_derivations_equal_checked_rebuilds():
     # generate_sequences builds every derived strand and duplex without the
     # public constructors' checks; each must come out of Strand and Duplex,
@@ -844,6 +862,33 @@ def test_a_threshold_toehold_copied_from_nowhere_is_its_only_finding(ball_plan):
     ]
 
 
+_TOEHOLD = ("[derivation] thresh:red: "
+            "toehold copies neither the option rear nor the probability front")
+
+
+def test_a_threshold_toehold_copies_its_own_front_or_an_option_rear():
+    # thresh:red copying prob:black's front would sequester black's chance
+    # strands: the toehold finding, then the copied window judged from
+    # offset 0; option-2's rear is the printed reference's allowance
+    plan, _ = compile_problem(make_ball_game(), seed=1)
+
+    def copying(source):
+        def edit(tops):
+            tops[role_thresh("red")] = source(tops) + tops[role_thresh("red")][10:]
+        return _with_tops(plan, edit)
+
+    front = copying(lambda tops: tops[role_prob("black")][:10])
+    assert [str(v) for v in validate_encoding(front)][:1] == [_TOEHOLD]
+    walked = check_pieces(*_rules(front), _pieces(front))
+    assert [(name, str(v)) for name, v in walked][:1] == [("thresh:red", _TOEHOLD)]
+    assert [v.kind for _, v in walked] == ["derivation", "duplicate-window"]
+    assert not compiler._accepts(*_rules(front), _pieces(front))
+    rear = copying(lambda tops: tops[role_option("option-2")][10:])
+    assert validate_encoding(rear) == []
+    assert check_pieces(*_rules(rear), _pieces(rear)) == []
+    assert compiler._accepts(*_rules(rear), _pieces(rear))
+
+
 @pytest.mark.parametrize("role", ["option:option-1", "link:prob:red"])
 def test_duplex_at_a_single_strand_role_is_flagged(ball_plan, role):
     plan, _ = ball_plan
@@ -913,7 +958,8 @@ def _draw_edit(data, plan, tops, sites):
     """One consistent edit of `tops`, drawn from the kinds the rules judge."""
     roles = sorted(tops)
     kind = data.draw(st.sampled_from(["base", "copy", "rc-copy", "site", "junction",
-                                      "palindrome-on-site", "palindrome", "toehold"]))
+                                      "palindrome-on-site", "palindrome", "toehold",
+                                      "front-toehold", "rear-toehold"]))
     role = data.draw(st.sampled_from(roles))
     seq = tops[role]
     if kind == "base":
@@ -944,9 +990,14 @@ def _draw_edit(data, plan, tops, sites):
     elif kind == "palindrome":
         at = data.draw(st.integers(0, len(seq) - WINDOW))
         tops[role] = _splice(seq, at + 5, reverse_complement(seq[at : at + 5]))
-    else:  # a threshold toehold that most likely copies nothing
+    else:  # a threshold toehold that most likely copies nothing, or that
+        # copies any outcome's probability front or any option's rear
         role = data.draw(st.sampled_from([r for r in roles if r.startswith("thresh:")]))
-        toehold = data.draw(st.text("ACGT", min_size=10, max_size=10))
+        toehold = data.draw({
+            "toehold": st.text("ACGT", min_size=10, max_size=10),
+            "front-toehold": st.sampled_from([tops[r][:10] for r in roles if r.startswith("prob:")]),
+            "rear-toehold": st.sampled_from([tops[r][10:] for r in roles if r.startswith("option:")]),
+        }[kind])
         tops[role] = toehold + tops[role][10:]
 
 

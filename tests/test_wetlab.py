@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from dnadecide.compiler import (
+    MAX_PCR_CYCLES,
     ProtocolPlan,
     compile_problem,
     construct_roles,
@@ -27,7 +28,6 @@ from dnadecide.strands import (
 )
 from dnadecide.wetlab import (
     AMPLIFIED,
-    MAX_PCR_CYCLES,
     WASTE,
     ProtocolError,
     Species,
