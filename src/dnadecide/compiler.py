@@ -139,6 +139,15 @@ def construct_key(option_label: str, outcome_label: str) -> str:
     return f"construct:{_slug(option_label)}:{_slug(outcome_label)}"
 
 
+def construct_parts(strands: Mapping[str, str | Duplex], roles: tuple[str, ...]) -> tuple[str, str]:
+    """The top strand of the construct that `construct_roles` spells as
+    `roles`, as front + back: the front joins its option's tops (choice,
+    option), the back its outcome's (probability, utility, termination). The
+    chance strand, `roles[3]`, pairs across the seam between them."""
+    tops = [s.top if isinstance(s, Duplex) else s for s in map(strands.__getitem__, roles[::2])]
+    return tops[0] + tops[1], tops[2] + tops[3] + tops[4]
+
+
 class CompileError(InputError):
     """The problem has no realisation: too many outcomes for the gel, too
     few enzymes in the library, or no sequence the rules accept."""
@@ -445,24 +454,26 @@ def _block_layout(width: int, fixed: dict[int, str]) -> _Block:
     return template, free, len(free), lo - fixed_gc, span, span.bit_length()
 
 
+def _blocks(length: int, breaks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """A top's GC blocks, (start, end): 10s from 0 and from each break, so that
+    distinct regions (overhangs, duplex cores) are GC-balanced on their own."""
+    bounds = [0, *breaks, length]
+    return [(a, min(a + 10, b)) for lo, b in zip(bounds, bounds[1:]) for a in range(lo, b, 10)]
+
+
 @lru_cache(maxsize=128)
 def _layout(length: int, breaks: tuple[int, ...], prefix: str, site: str) -> tuple[_Block, ...]:
-    """The block layouts of a top: its prefix and designed site bases kept
-    verbatim, blocked in 10s from 0 and from each break, so that functionally
-    distinct regions (overhangs, duplex cores) are GC-balanced on their own.
-    Most tops share a handful of shapes, so each is laid out once per
-    process; a threshold's prefix differs per problem, so the cache is
-    bounded. A refusal is not cached: it is raised again on each call."""
+    """The block layouts of a top (`_blocks`): its prefix and designed site
+    bases kept verbatim. Most tops share a handful of shapes, so each is laid
+    out once per process; the designer keys a threshold by its prefix's
+    stand-in (`_Designer.fresh`), so the cache stays small, and it is bounded.
+    A refusal is not cached: it is raised again on each call."""
     fixed = dict(enumerate(prefix))
     fixed.update((SITE_OFFSET + k, b) for k, b in enumerate(site))
-    bounds = [0, *breaks, length]
-    blocks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        for start in range(lo, hi, 10):
-            end = min(start + 10, hi)
-            local = {i - start: b for i, b in fixed.items() if start <= i < end}
-            blocks.append(_block_layout(end - start, local))
-    return tuple(blocks)
+    return tuple(
+        _block_layout(end - start, {i - start: b for i, b in fixed.items() if start <= i < end})
+        for start, end in _blocks(length, breaks)
+    )
 
 
 class _Designer:
@@ -529,10 +540,16 @@ class _Designer:
                 self.windows.update(walked)
                 return seq
             self.notes.append(f"rejected reference {label}: {'; '.join(reasons)}")
-        blocks, block = _layout(top.length, top.breaks, prefix, top.site), self._block
+        # a block draws by its count of fixed G/C bases alone, so a prefix is laid
+        # out as a stand-in (each block's G/C bases first) and spliced in after
+        # the draw; no top has both a prefix and a site, which the splice would cover
+        stand_in = prefix and "".join(
+            ("G" * (c.count("G") + c.count("C"))).ljust(len(c), "A")
+            for c in (prefix[a:b] for a, b in _blocks(top.length, top.breaks)) if c)
+        blocks, block = _layout(top.length, top.breaks, stand_in, top.site), self._block
         rejected: Counter[str] = Counter()
         for _ in range(MAX_TRIES):
-            seq = "".join([block(b) for b in blocks])
+            seq = prefix + "".join([block(b) for b in blocks])[len(prefix) :]
             found, walked = violations(top, seq, fresh_from, self.sites, self.windows)
             if not found:
                 self.windows.update(walked)  # a clean top repeats no placed window
@@ -775,11 +792,6 @@ class EncodingPlan(NamedTuple):
     @property
     def primers(self) -> tuple[Strand, Strand]:
         return (self.strands[ROLE_PRIMER_LEFT], self.strands[ROLE_PRIMER_RIGHT])
-
-    def construct_top(self, roles: tuple[str, ...]) -> str:
-        """The top strand of the construct that `construct_roles` spells as `roles`."""
-        tops = (self.strands[r] for r in roles[::2])
-        return "".join(s.top if isinstance(s, Duplex) else s for s in tops)
 
     def construct_length(self, outcome_label: str) -> int:
         return BASE_CONSTRUCT_LENGTH + self.middle_lengths[outcome_label]

@@ -11,11 +11,13 @@ log. Thresholding follows pairwise dose semantics: a threshold dosed at
 ratio r holds back min(r, c) from EACH chance species it targets, the
 ratio being defined against that species' own stock.
 
-Assembly uses limiting-reagent accounting against the counts at entry:
-every path yields construct at the minimum of its nine constituents
-(`construct_roles`, all pooled by `mix`, so a missing one is a KeyError),
-and shared constituents are debited by total demand (floored at zero).
-Yields are nominal per-path numbers, as a within-lane band comparison reads.
+Assembly uses limiting-reagent accounting against the counts at entry. Path
+(o, u) ligates o's front to u's back (`construct_parts`) over its chance
+strand and yields at the least of its nine constituents (`construct_roles`,
+all pooled by `mix`, so a missing one is a KeyError). The arms are debited by
+the total, o's two roles by their row's sum, u's four by their column's and
+the chance strand by its yield, each floored at zero. Yields are nominal
+per-path numbers, as a within-lane band comparison reads.
 
 `digest`, `pcr` and `purify` are the single steps, each walking its own
 tube (`digest` with `strands.cut`). `run_protocol` does not call them: it
@@ -34,13 +36,16 @@ from math import gcd
 from typing import NamedTuple
 
 from .compiler import (
+    ROLE_CHOICE,
     ROLE_PRIMER_LEFT,
     ROLE_PRIMER_RIGHT,
+    ROLE_TERM,
     EncodingPlan,
     ProtocolError,
     ProtocolPlan,
     check_cycles,
     construct_key,
+    construct_parts,
     construct_roles,
     role_chance,
     role_thresh,
@@ -150,33 +155,46 @@ def apply_thresholds(tube: TubeState) -> TubeState:
     return tube._with(species, {"op": "thresholds", "displaced": detail})
 
 
-def assemble(tube: TubeState) -> TubeState:
+def _parts(plan: EncodingPlan):
+    """Each path's roles by option and outcome, each option's front and each outcome's back."""
+    paths = [[construct_roles(o.label, u.label) for u in plan.matrix.outcomes]
+             for o in plan.matrix.options]
+    fronts = [construct_parts(plan.strands, row[0])[0] for row in paths]
+    return paths, fronts, [construct_parts(plan.strands, roles)[1] for roles in paths[0]]
+
+
+def assemble(tube: TubeState, parts=None) -> TubeState:
     """Ligate every path into its full blunt construct at limiting yield.
 
-    Each construct's strands are joined from checked pooled strands, so
-    they are built through `strands`' trusted path without re-checking.
+    Each construct is its option's front and its outcome's back, built from
+    checked pooled strands through `strands`' trusted path without
+    re-checking, each part reverse-complemented once; the constructs follow
+    every pool species, option by option. `parts` is `_parts(tube.plan)`.
     """
-    plan = tube.plan
+    plan, pool, species = tube.plan, tube.species, dict(tube.species)
     unit = plan.intensity_scale()
-    species = dict(tube.species)
-    paths = []  # (key, roles, yield) per construct
-    demand: dict[str, int] = {}
-    for opt in plan.matrix.options:
-        for out in plan.matrix.outcomes:
-            roles = construct_roles(opt.label, out.label)
-            amount = min(tube.species[r].count for r in roles)
-            paths.append((construct_key(opt.label, out.label), roles, amount))
-            if amount:
-                for r in roles:
-                    demand[r] = demand.get(r, 0) + amount
-    for key, used in demand.items():
-        sp = species[key]
-        species[key] = Species(sp.structure, max(0, sp.count - used), sp.state)
-    for key, roles, amount in paths:
-        top = plan.construct_top(roles)
-        bottom = top[::-1].translate(_COMPLEMENT)
-        species[key] = Species(_derived(top, bottom, 0), amount)
-    yields = {key: _ratio(amount, unit) for key, _, amount in paths}
+    paths, fronts, backs = parts or _parts(plan)
+    arms = min(pool[ROLE_CHOICE].count, pool[ROLE_TERM].count)
+    rows = [min(pool[r].count for r in row[0][1:3]) for row in paths]
+    cols = [min(pool[r].count for r in roles[4:8]) for roles in paths[0]]
+    amounts = [[min(arms, a, b, pool[roles[3]].count) for b, roles in zip(cols, row)]
+               for a, row in zip(rows, paths)]
+    used = dict.fromkeys((ROLE_CHOICE, ROLE_TERM), sum(map(sum, amounts)))
+    for row, amount in zip(paths, amounts):
+        used |= dict.fromkeys(row[0][1:3], sum(amount)) | {r[3]: a for r, a in zip(row, amount)}
+    for roles, column in zip(paths[0], zip(*amounts)):
+        used |= dict.fromkeys(roles[4:8], sum(column))
+    for role, debit in used.items():
+        sp = species[role]
+        species[role] = Species(sp.structure, max(0, sp.count - debit), sp.state)
+    yields = {}
+    back_rcs = [back[::-1].translate(_COMPLEMENT) for back in backs]
+    for opt, front, amount in zip(plan.matrix.options, fronts, amounts):
+        front_rc = front[::-1].translate(_COMPLEMENT)
+        for out, back, back_rc, a in zip(plan.matrix.outcomes, backs, back_rcs, amount):
+            key = construct_key(opt.label, out.label)
+            species[key] = Species(_derived(front + back, back_rc + front_rc, 0), a)
+            yields[key] = _ratio(a, unit)
     return tube._with(species, {"op": "assemble", "yields": yields})
 
 
@@ -273,11 +291,15 @@ def run_protocol(
     """mix -> thresholds -> assemble -> split -> (digest, pcr, purify) per tube.
 
     `plan` must be the protocol's own plan; `cycles` overrides its PCR
-    cycles. The dsDNA columns of every active duplex's top strand, joined by
-    a `|` that no site string holds, are scanned for the library's sites in
-    one `site_hits` call, and each hit goes back to its duplex by bisecting
-    the slice starts. A duplex's bounds, its amplified species if it is kept
-    uncut and its fragment species are built once and shared by the tubes.
+    cycles. One `site_hits` call scans the dsDNA of every active duplex but
+    the constructs, then each front, back and seam (a path's 5 + 5 bases
+    where front meets back, which hold every site that spans it), joined by
+    a `|` that no site string holds; a hit goes back to its piece by
+    bisecting the slice starts. A construct's hits are its front's, its
+    seam's and its back's in its columns, by site in library order (which
+    decides `cut_columns`' blocking) wherever two pieces' instances may
+    overlap. A duplex's bounds, its amplified species if it is kept uncut
+    and its fragment species are built once and shared by the tubes.
     Each tube's last three steps run as one pass over the duplexes that a
     site hits or the primers flank, writing the single steps' records. The
     pass takes a duplex's `cut_columns` (top-strand columns) once per
@@ -288,44 +310,64 @@ def run_protocol(
     passes the primer rule pcr also uses, read in place on the parent's top
     strand, becomes a fragment, the duplex `cut` would make: the only kind
     that survives purify. Tubes share kept species and span tuples, never a
-    mapping or a record's list. The survivors come in
-    the single steps' order: the uncut primed duplexes in pool order, then
-    the primed fragments. No fragment key can be a pool key (those are role,
+    mapping or a record's list. The survivors come in the single steps'
+    order: the uncut primed duplexes in pool order, then the primed
+    fragments. No fragment key can be a pool key (those are role,
     `construct:` and `waste:` keys), so no fragment replaces a species.
     """
     if plan is not protocol.plan:
         raise ProtocolError("protocol was compiled for another plan")
     n = cycles if cycles is not None else protocol.pcr_cycles
     check_cycles(n)
-    pool = assemble(apply_thresholds(mix(plan)))
+    parts = _, fronts, backs = _parts(plan)
+    tube = apply_thresholds(mix(plan))
+    pool = assemble(tube, parts)
     library = _library(plan)
     sites = [site.site for site in library.values()]
     bits = {site: 1 << i for i, site in enumerate(sites)}  # sets of site strings as bit masks
     flanked = _primer_rule(plan)
-    # each active duplex and its (span_start, ds_start, ds_end, span_end), as
-    # `Duplex`'s properties give them, read from its fields without a call each
+    # each active duplex but the constructs and its (span_start, ds_start, ds_end,
+    # span_end), as `Duplex`'s properties give them, read without a call each
     duplexes, edges = [], []
-    for key, sp in pool.species.items():
+    for key in tube.species:
+        sp = pool.species[key]
         if sp.state != WASTE and sp.is_duplex:
             d = sp.structure
             top, bottom, offset = d
             end = offset + len(bottom)
             duplexes.append((key, d, sp.count << n))
             edges.append((min(0, offset), max(0, offset), min(len(top), end), max(len(top), end)))
-    # one scan over every active duplex's dsDNA, joined by a non-base so that
-    # no site instance spans two; a hit goes back to its duplex by slice start
-    starts = [0, *accumulate(hi - lo + 1 for _, lo, hi, _ in edges)]
-    text = "|".join(d.top[lo:hi] for (_, d, _), (_, lo, hi, _) in zip(duplexes, edges))
-    hits: list[dict[str, list[int]]] = [{} for _ in duplexes]
+    m, nf, nb = len(edges), len(fronts), len(backs)
+    pieces = [d.top[lo:hi] for (_, d, _), (_, lo, hi, _) in zip(duplexes, edges)]
+    pieces += fronts + backs + [front[-5:] + back[:5] for front in fronts for back in backs]
+    starts = [0, *accumulate(len(piece) + 1 for piece in pieces)]
+    text = "|".join(pieces)
+    hits: list[dict[str, list[int]]] = [{} for _ in pieces]
     for site, found in site_hits(text, sites, 0, len(text)).items():
         for p in found:
             i = bisect_right(starts, p) - 1
-            hits[i].setdefault(site, []).append(p - starts[i] + edges[i][1])
+            hits[i].setdefault(site, []).append(p - starts[i] + (edges[i][1] if i < m else 0))
+    found_by, shifted = hits[:m], {}  # the backs' hits in construct columns, by front width
+    for k, (key, sp) in enumerate(list(pool.species.items())[len(tube.species) :]):
+        i, j = divmod(k, nb)
+        width = len(fronts[i])
+        if width not in shifted:
+            shifted[width] = [{s: [p + width for p in at] for s, at in h.items()}
+                              for h in hits[m + nf : m + nf + nb]]
+        front, back, seam = hits[m + i], shifted[width][j], hits[m + nf + nb + k]
+        found = {**front, **back}
+        if seam or len(found) < len(front) + len(back):  # instances may overlap
+            seam = {s: [p + width - 5 for p in at] for s, at in seam.items()}
+            found = {s: [*front.get(s, ()), *seam.get(s, ()), *back.get(s, ())]
+                     for s in sites if s in front or s in seam or s in back}
+        duplexes.append((key, sp.structure, sp.count << n))
+        edges.append((0, 0, len(sp.structure.top), len(sp.structure.top)))
+        found_by.append(found)
     # a fate per duplex that a site hits or the primers flank: key, structure,
     # count after pcr, its species if kept uncut, bounds, site hits, the mask
     # of the enzymes that hit it, and its cuts by the mask of the hitters
     fates = []
-    for (key, d, count), bounds, found in zip(duplexes, edges, hits):
+    for (key, d, count), bounds, found in zip(duplexes, edges, found_by):
         primed = count and d.is_blunt and flanked(d.top, 0, len(d.top))
         grown = Species(d, count, AMPLIFIED) if primed else None
         mask = sum(bits[site] for site in found)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -5,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from dnadecide.compiler import (
     MAX_PCR_CYCLES,
@@ -23,6 +24,7 @@ from dnadecide.strands import (
     CORE_BLUNT_CUTTERS,
     EXTENDED_BLUNT_CUTTERS,
     Duplex,
+    RecognitionSite,
     Strand,
     reverse_complement,
 )
@@ -219,6 +221,54 @@ def test_assemble_refuses_a_pool_missing_a_path_role(ball_setup):
     del species["link:prob:red"]
     with pytest.raises(KeyError, match="link:prob:red"):
         assemble(tube._replace(species=species))
+
+
+@functools.lru_cache(maxsize=None)
+def _pooled_plan(name):
+    """The seed-0 plan of the ball game or of a 13x5 draw, compiled once."""
+    if name == "ball":
+        return compile_problem(make_ball_game(), seed=0)[0]
+    return compile_problem(make_widest(random.Random(3)), seed=0, library=EXTENDED_BLUNT_CUTTERS)[0]
+
+
+def _assemble_path_by_path(tube):
+    """`assemble` as the paths state it: each path's construct is its tops
+    joined over its reverse complement, at the least count of its nine
+    roles; every role is debited by what its paths took, floored at 0."""
+    plan, unit = tube.plan, tube.plan.intensity_scale()
+    species, built, taken = dict(tube.species), {}, {}
+    for opt in plan.matrix.options:
+        for out in plan.matrix.outcomes:
+            roles = construct_roles(opt.label, out.label)
+            amount = min(tube.species[role].count for role in roles)
+            parts = [plan.strands[role] for role in roles[::2]]
+            top = "".join(p.top if isinstance(p, Duplex) else p for p in parts)
+            built[construct_key(opt.label, out.label)] = Species(Duplex(top, reverse_complement(top)), amount)
+            for role in roles:
+                taken[role] = taken.get(role, 0) + amount
+    for role, amount in taken.items():
+        species[role] = species[role]._replace(count=max(0, species[role].count - amount))
+    return species | built, {key: str(F(sp.count, unit)) for key, sp in built.items()}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["ball", "13x5"]), st.data())
+def test_assemble_on_unequal_pools_equals_the_paths(name, data):
+    # mix pools every non-threshold role at one stock, so a compiled run only
+    # ever assembles equal counts; here every pooled role gets its own count,
+    # zeros included, and the row, column and total debits must still equal
+    # a path-by-path reckoning
+    plan = _pooled_plan(name)
+    pool = mix(plan)
+    counts = data.draw(st.lists(st.integers(0, 6), min_size=len(pool.species),
+                                max_size=len(pool.species)))
+    tube = pool._replace(species={
+        key: sp._replace(count=c) for (key, sp), c in zip(pool.species.items(), counts)
+    })
+    got = assemble(tube)
+    species, yields = _assemble_path_by_path(tube)
+    assert list(got.species.items()) == list(species.items())
+    assert got.log[-1] == {"op": "assemble", "yields": yields}
 
 
 def test_split_gives_one_tube_per_option(ball_setup):
@@ -636,6 +686,69 @@ def test_a_repeated_enzyme_digests_as_it_does_once(ball_setup):
     assert list(twice.species.items()) == list(once.species.items())
     assert twice.log[-1]["fragments"] == once.log[-1]["fragments"] != {}
     assert twice.log[-1]["enzymes"] == once.log[-1]["enzymes"] == ["EcoRV", "PvuII"]
+
+
+def _planted(plan, edits):
+    """`plan` with bases written into tops: each role's (column, bases), a
+    duplex re-paired by `_replant`. Derived strands are left as they are."""
+    strands = dict(plan.strands)
+    for role, (column, bases) in edits.items():
+        s = strands[role]
+        strands[role] = (_replant(s, column, bases) if isinstance(s, Duplex)
+                         else Strand(s[:column] + bases + s[column + len(bases) :]))
+    return plan._replace(strands=strands)
+
+
+def _planted_run(plan, protocol, edits):
+    edited = _planted(plan, edits)
+    return _assert_run_equals_single_steps(edited, protocol._replace(plan=edited), 5)
+
+
+def test_a_site_across_the_seam_of_front_and_back_is_cut(ball_setup):
+    # option-2's top ends in CAG and red's probability top starts with CTG,
+    # so every option-2:red construct holds PvuII (CAG|CTG) across the seam
+    # at column 60, where the scan sees it only in the seam; option-2's
+    # tube cuts PvuII and favors red
+    _, plan, protocol = ball_setup
+    assert "PvuII" in plan.tube_enzymes[1] and "PmlI" not in plan.tube_enzymes[1]
+    tubes = _planted_run(plan, protocol, {"option:option-2": (17, "CAG"), "prob:red": (0, "CTG")})
+    assert tubes[1].log[-3]["fragments"][construct_key("option-2", "red")] == (60, 87)
+
+
+def test_overlapping_sites_across_the_seam_block_in_library_order(ball_setup):
+    # NsiI (ATG|CAT) and SphI (GCA|TGC) overlap by 4 bases in ATGCATGC,
+    # planted across the seam of option-3:black: whichever cuts first splits
+    # the other, and NsiI comes first in library (name) order, so the one
+    # cut is at column 59, not SphI's 61
+    _, _, protocol = ball_setup
+    library = (RecognitionSite("NsiI", "ATGCAT"), RecognitionSite("SphI", "GCATGC"),
+               *CORE_BLUNT_CUTTERS[2:])
+    plan, protocol = compile_problem(make_ball_game(), seed=0, library=library)
+    assert {"NsiI", "SphI"} <= set(plan.tube_enzymes[2]) and "EcoRV" not in plan.tube_enzymes[2]
+    tubes = _planted_run(plan, protocol, {"option:option-3": (16, "ATGC"), "prob:black": (0, "ATGC")})
+    assert tubes[2].log[-3]["fragments"][construct_key("option-3", "black")] == (59, 97)
+
+
+def test_a_site_in_both_a_front_and_a_back_is_cut_in_each(ball_setup):
+    # PvuII planted in the choice arm (every front) and in the termination
+    # arm (every back), outside each arm's dsDNA, so the arm duplexes
+    # themselves are not cut; option-2:red is cut at 23 and at 60 + 27 + 20 + 13
+    # (its front, red's probability top, the utility top, then the arm's site)
+    _, plan, protocol = ball_setup
+    tubes = _planted_run(plan, protocol, {"choice": (20, "CAGCTG"), "term": (10, "CAGCTG")})
+    cuts = tubes[1].log[-3]["fragments"]
+    assert cuts[construct_key("option-2", "red")] == (23, 97, 27)
+    assert not {"choice", "term"} & set(cuts)
+
+
+def test_sites_across_the_junctions_inside_front_and_back_are_cut(ball_setup):
+    # PvuII across choice|option-2 (front column 37) and across util:red|term
+    # (back column 27 + 17, construct column 104): option-2:red is cut at 40 and 107
+    _, plan, protocol = ball_setup
+    edits = {"choice": (37, "CAG"), "option:option-2": (0, "CTG"),
+             "util:red": (17, "CAG"), "term": (0, "CTG")}
+    tubes = _planted_run(plan, protocol, edits)
+    assert tubes[1].log[-3]["fragments"][construct_key("option-2", "red")] == (40, 67, 40)
 
 
 def _assert_no_count_zero(tubes):
