@@ -355,7 +355,7 @@ def run_protocol(
             shifted[width] = [{s: [p + width for p in at] for s, at in h.items()}
                               for h in hits[m + nf : m + nf + nb]]
         front, back, seam = hits[m + i], shifted[width][j], hits[m + nf + nb + k]
-        found = {**front, **back}
+        found = {**front, **back}  # no front instance overlaps a back one: no blocking
         if seam or len(found) < len(front) + len(back):  # instances may overlap
             seam = {s: [p + width - 5 for p in at] for s, at in seam.items()}
             found = {s: [*front.get(s, ()), *seam.get(s, ()), *back.get(s, ())]
